@@ -1,18 +1,29 @@
 """Near-duplicate pipeline: signatures → LSH → verified pairs → clusters.
 
-North_rule flagship extension (SURVEY.md §3.4 lower half). Composition:
+North_rule flagship extension (SURVEY.md §3.4 lower half). One
+composition of four named stages, shared by ``run_on`` and
+``run_checkpointed``:
 
-    code table ──map_batches(add_identity)──┐
-                                            ├─ SignatureStage actor pool
-                                            │  (MinHash K perms + SimHash)
-                  explode band rows ────────┤   [stateless, vectorized]
-                  groupby(band, band_hash) ─┤   [THE skewed shuffle: capped]
-                  distinct pairs ───────────┤
-                  verify (2 hash joins) ────┤
-                  connected components ─────┘   [iterative groupby-min]
+    signatures  SignatureStage actor pool over (file_id, content):
+                MinHash K perms + SimHash, plus the shingle sets in
+                exact verify mode
+    candidates  LSH band exchange. Small inputs: one task lexsorts the
+                band rows. At scale: ``hash_exchange`` over the
+                signature blocks with the band explosion fused into its
+                split tasks. Hot buckets capped; pairs deduped across
+                bands with a band-collision count
+    verified    exact Jaccard over fid-keyed shingle CSRs: one broadcast
+                CSR for few endpoints, else fid-sharded CSRs whose split
+                is prestarted under the candidates stage
+    labels      connected components: one local task up to
+                ``cc_local_threshold`` edges, else iterative hash-to-min
+                contraction rounds
 
-Returns lazy Datasets for signatures, candidate/verified pairs and
-cluster labels.
+Each stage runs through a hook ``(name, make, extra) → materialized
+Dataset``. ``run_on`` materializes ``make()``; ``run_checkpointed``
+commits it through ``CheckpointManager.run_stage`` (or loads the
+completed checkpoint without calling ``make``) and materializes the
+read-back.
 """
 
 from __future__ import annotations
@@ -47,50 +58,77 @@ class NearDupPipeline:
     def signatures_for(self, ds: ray.data.Dataset) -> ray.data.Dataset:
         """(repo,path,commit,lang,content) → signature table. Content is
         dropped inside the actor stage; only (file_id, sigs) flow on."""
+        return self._signatures(ds, emit_shingles=False)
+
+    def _signatures(
+        self, ds: ray.data.Dataset, emit_shingles: bool
+    ) -> ray.data.Dataset:
         ds = ds.map_batches(add_identity, batch_format="pyarrow")
         ds = ds.select_columns(["file_id", "content"])
-        return neardup.signatures(ds, self.cfg)
+        return neardup.signatures(ds, self.cfg, emit_shingles=emit_shingles)
 
-    def run_on(self, ds: ray.data.Dataset) -> NearDupResult:
+    def _compose(self, ds: ray.data.Dataset, stage) -> NearDupResult:
+        """The pipeline, once: ``stage(name, make, extra=None)`` runs
+        each named stage and returns its output as a materialized
+        Dataset."""
         cfg = self.cfg
-        with_id = ds.map_batches(add_identity, batch_format="pyarrow")
+        exact = cfg.verify_mode == "exact"
         # exact mode carries the shingle sets through the signature pass
         # so verification never re-reads or re-shingles content
-        sigs = neardup.signatures(
-            with_id.select_columns(["file_id", "content"]),
-            cfg,
-            emit_shingles=(cfg.verify_mode == "exact"),
-        ).materialize()  # reused: bands + verify endpoint lookups
-        # overlap the verify shard split under candidate generation
-        # (round-4 VERDICT item 2); only worth launching when the
-        # sharded verify path is certain (endpoints can approach the
-        # corpus, which already exceeds the broadcast limit)
+        sigs = stage(
+            "signatures", lambda: self._signatures(ds, emit_shingles=exact)
+        )  # reused: bands + verify endpoint lookups
         prestarted = None
-        if (
-            cfg.verify_mode == "exact"
-            and cfg.verify_prestart_shards
-            and sigs.count() > cfg.broadcast_verify_limit
-        ):
-            prestarted = neardup.prestart_verify_split(sigs, cfg)
-        band_rows = neardup.explode_bands(sigs, cfg)
-        # sigs_source lets candidate_pairs fuse the band explosion into
-        # the exchange split tasks at scale (band_rows stays lazy and
-        # is never materialized as an intermediate on that path)
-        candidates = neardup.candidate_pairs(band_rows, cfg, sigs_source=sigs)
-        if cfg.verify_mode == "exact":
-            verified = neardup.verify_pairs_exact(
-                candidates.materialize(), sigs, cfg, prestarted=prestarted
-            ).materialize()
-        else:
-            verified = neardup.verify_pairs(candidates, sigs, cfg).materialize()
+
+        def make_candidates() -> ray.data.Dataset:
+            nonlocal prestarted
+            # overlap the verify shard split under candidate generation
+            # (round-4 VERDICT item 2); only worth launching when the
+            # sharded verify path is certain (endpoints can approach the
+            # corpus, which already exceeds the broadcast limit).
+            # Launched here so a run resuming past this stage never
+            # starts it.
+            if (
+                exact
+                and cfg.verify_prestart_shards
+                and sigs.count() > cfg.broadcast_verify_limit
+            ):
+                prestarted = neardup.prestart_verify_split(sigs, cfg)
+            # sigs_source lets candidate_pairs fuse the band explosion
+            # into the exchange split tasks at scale (the band rows stay
+            # lazy and are never materialized on that path)
+            return neardup.candidate_pairs(
+                neardup.explode_bands(sigs, cfg), cfg, sigs_source=sigs
+            )
+
+        candidates = stage("candidates", make_candidates)
+        verified = stage(
+            "verified",
+            lambda: (
+                neardup.verify_pairs_exact(candidates, sigs, cfg, prestarted=prestarted)
+                if exact
+                else neardup.verify_pairs(candidates, sigs, cfg)
+            ),
+        )
         cc_rounds: list[dict] = []
-        labels = cc.connected_components(verified, cfg, round_metrics=cc_rounds)
+        labels = stage(
+            "labels",
+            lambda: cc.connected_components(verified, cfg, round_metrics=cc_rounds),
+            # persisted into the labels stage's lineage manifest: the
+            # per-round O(max-component) bucket-load guard (empty list
+            # when the stage was resumed from a checkpoint or took the
+            # single-task small-graph path)
+            lambda: {"cc_rounds": cc_rounds},
+        )
         return NearDupResult(
             signatures=sigs,
             pairs=verified,
             labels=labels,
             metrics={"cc_rounds": cc_rounds},
         )
+
+    def run_on(self, ds: ray.data.Dataset) -> NearDupResult:
+        return self._compose(ds, lambda name, make, extra=None: make().materialize())
 
     def run_checkpointed(
         self,
@@ -106,52 +144,11 @@ class NearDupPipeline:
         zero — SURVEY.md §4.1 'Checkpoint / resume: none')."""
         from duplicate_finder_ray.state.checkpoint import CheckpointManager
 
-        cfg = self.cfg
-        mgr = CheckpointManager(checkpoint_root, cfg)
-        with_id = ds.map_batches(add_identity, batch_format="pyarrow")
+        mgr = CheckpointManager(checkpoint_root, self.cfg)
 
-        sigs = mgr.run_stage(
-            "signatures",
-            lambda: neardup.signatures(
-                with_id.select_columns(["file_id", "content"]),
-                cfg,
-                emit_shingles=(cfg.verify_mode == "exact"),
-            ),
-            resume=resume,
-        )
-        candidates = mgr.run_stage(
-            "candidates",
-            lambda: neardup.candidate_pairs(neardup.explode_bands(sigs, cfg), cfg),
-            resume=resume,
-        )
-        if cfg.verify_mode == "exact":
-            verified = mgr.run_stage(
-                "verified",
-                lambda: neardup.verify_pairs_exact(candidates, sigs, cfg),
-                resume=resume,
-            )
-        else:
-            verified = mgr.run_stage(
-                "verified",
-                lambda: neardup.verify_pairs(candidates, sigs, cfg),
-                resume=resume,
-            )
-        cc_rounds: list[dict] = []
-        labels = mgr.run_stage(
-            "labels",
-            lambda: cc.connected_components(verified, cfg, round_metrics=cc_rounds),
-            resume=resume,
-            # persisted into the labels stage's lineage manifest: the
-            # per-round O(max-component) bucket-load guard (empty list
-            # when the stage was resumed from a checkpoint or took the
-            # single-task small-graph path)
-            extra=lambda: {"cc_rounds": cc_rounds},
-        )
-        metrics = {
-            "checkpoints": mgr.manifests(),
-            "config_hash": mgr.cfg_hash,
-            "cc_rounds": cc_rounds,
-        }
-        return NearDupResult(
-            signatures=sigs, pairs=verified, labels=labels, metrics=metrics
-        )
+        def stage(name, make, extra=None) -> ray.data.Dataset:
+            return mgr.run_stage(name, make, resume=resume, extra=extra).materialize()
+
+        res = self._compose(ds, stage)
+        res.metrics.update(checkpoints=mgr.manifests(), config_hash=mgr.cfg_hash)
+        return res

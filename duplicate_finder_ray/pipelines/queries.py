@@ -238,7 +238,9 @@ def q_lsh_candidate_pairs(sf_dir: str) -> ray.data.Dataset:
     sigs = NearDupPipeline(cfg).signatures_for(code_files_from_documents(sf_dir))
     sigs = sigs.materialize()  # consumed by both the bands and the id map
     bands = neardup.explode_bands(sigs, cfg)
-    return neardup.translate_pairs(neardup.candidate_pairs(bands, cfg), sigs)
+    return neardup.translate_pairs(
+        neardup.candidate_pairs(bands, cfg, sigs_source=sigs), sigs
+    )
 
 
 def q_near_dup_pairs(sf_dir: str) -> ray.data.Dataset:

@@ -307,29 +307,3 @@ def clusters_table(labels: ray.data.Dataset) -> ray.data.Dataset:
     from ray.data.aggregate import Count
 
     return labels.groupby("component").aggregate(Count(alias_name="n_members"))
-
-
-def merge_exact_edges(
-    pairs: ray.data.Dataset, members: ray.data.Dataset
-) -> ray.data.Dataset:
-    """Union near-dup pair edges with exact-dup group star edges
-    (keeper ↔ member), so exact clusters and near clusters merge into
-    one component space."""
-
-    def star(batch: pd.DataFrame) -> pd.DataFrame:
-        out = []
-        for _, sub in batch.groupby("group_id"):
-            keeper = sub.loc[sub["is_keeper"], "file_id"]
-            if len(keeper) == 0:
-                continue
-            k = keeper.iloc[0]
-            rest = sub.loc[~sub["is_keeper"], "file_id"]
-            out.append(pd.DataFrame({"a": k, "b": rest}))
-        if not out:
-            return pd.DataFrame(
-                {"a": pd.Series(dtype="object"), "b": pd.Series(dtype="object")}
-            )
-        return pd.concat(out, ignore_index=True)
-
-    exact_edges = members.groupby("group_id").map_groups(star, batch_format="pandas")
-    return pairs.select_columns(["a", "b"]).union(exact_edges)

@@ -426,35 +426,59 @@ def candidate_pairs(
     # — the exploded (band_hash, fid) table is born inside the split
     # tasks and never materializes as an intermediate dataset (saves a
     # full object-store write + read of bands × corpus rows).
+    n_docs = None
     if sigs_source is not None:
         try:
             n_docs = sigs_source.count()  # metadata on materialized ds
         except Exception:
-            n_docs = None
+            pass
+    if (
+        n_docs is not None
+        and n_docs * cfg.resolved_lsh_bands > cfg.band_exchange_broadcast_limit
+    ):
+        explode_fn = make_band_explode(cfg)
+
+        def premap(block: pa.Table) -> pa.Table:
+            cols = [
+                c
+                for c in ("fid", "minhash", "n_shingles")
+                if c in block.column_names
+            ]
+            return explode_fn(block.select(cols))
+
+        source = sigs_source
+    else:
+        premap = None
+        # SMALL-INPUT FUSED PATH: below ``band_exchange_broadcast_limit``
+        # band rows (2 uint64 cols — 16 B/row), ONE remote task lexsorts
+        # the whole exchange, emits capped pairs per bucket run AND
+        # dedupes them across bands in the same pass — zero shuffle
+        # barriers (the sort-shuffle's sample/exchange fixed cost is
+        # CPU-count-independent and dominates small inputs). Past the
+        # limit the exchange below remains the 10^12-scale shape. Same
+        # pattern as the pair-dedupe broadcast path; both record the
+        # true bucket_size.
+        source = band_rows.materialize()
+        try:
+            n_band_rows = source.count()
+        except Exception:
+            n_band_rows = None
         if (
-            n_docs is not None
-            and n_docs * cfg.resolved_lsh_bands
-            > cfg.band_exchange_broadcast_limit
+            n_band_rows is not None
+            and n_band_rows <= cfg.band_exchange_broadcast_limit
         ):
-            from duplicate_finder_ray.stages.exchange import hash_exchange
+            out_parts = int(min(num_parts, max(1, n_band_rows // 10_000 + 1)))
 
-            explode_fn = make_band_explode(cfg)
-
-            def premap(block: pa.Table) -> pa.Table:
-                cols = [
-                    c
-                    for c in ("fid", "minhash", "n_shingles")
-                    if c in block.column_names
-                ]
-                return explode_fn(block.select(cols))
-
-            def band_part_f(tbl: pa.Table, n: int) -> np.ndarray:
-                return (
-                    tbl.column("band_hash").to_numpy().astype(np.uint64)
-                    % np.uint64(n)
-                ).astype(np.int64)
-
-            def emit_reduce_f(p: int, tbl: pa.Table) -> pa.Table:
+            @ray.remote
+            def fused_bucket_pairs(*blocks: pa.Table):
+                empty = CAND_SCHEMA.empty_table()
+                blocks = tuple(
+                    b for b in blocks if "band_hash" in b.column_names and len(b)
+                )
+                if not blocks:
+                    outs = [empty] * out_parts
+                    return outs[0] if out_parts == 1 else tuple(outs)
+                tbl = pa.concat_tables(blocks)
                 a, b, sz = bucket_pairs_arrays(
                     tbl.column("band_hash").to_numpy().astype(np.uint64),
                     tbl.column("fid").to_numpy().astype(np.uint64),
@@ -462,77 +486,21 @@ def candidate_pairs(
                     budget,
                 )
                 if len(a) == 0:
-                    return _EMPTY_PAIRS
-                return pa.table(
-                    {
-                        "a": pa.array(a, pa.uint64()),
-                        "b": pa.array(b, pa.uint64()),
-                        "bucket_size": pa.array(sz.astype(np.int64)),
-                    }
-                )
-
-            pairs = hash_exchange(
-                sigs_source,
-                band_part_f,
-                num_parts,
-                emit_reduce_f,
-                _EMPTY_PAIRS,
-                premap=premap,
-            )
-            return _dedupe_candidates(pairs, cfg, num_parts)
-
-    # SMALL-INPUT FUSED PATH: below ``band_exchange_broadcast_limit``
-    # band rows (2 uint64 cols — 16 B/row), ONE remote task lexsorts the
-    # whole exchange, emits capped pairs per bucket run AND dedupes them
-    # across bands in the same pass — zero shuffle barriers (the
-    # sort-shuffle's sample/exchange fixed cost is CPU-count-independent
-    # and dominates small inputs). Past the limit the two-level coarse
-    # pkey shuffle below remains the 10^12-scale shape. Same pattern as
-    # the pair-dedupe broadcast path; both record the true bucket_size.
-    band_rows = band_rows.materialize()
-    try:
-        n_band_rows = band_rows.count()
-    except Exception:
-        n_band_rows = None
-
-    if (
-        n_band_rows is not None
-        and n_band_rows <= cfg.band_exchange_broadcast_limit
-    ):
-        out_parts = int(min(num_parts, max(1, n_band_rows // 10_000 + 1)))
-
-        @ray.remote
-        def fused_bucket_pairs(*blocks: pa.Table):
-            empty = CAND_SCHEMA.empty_table()
-            blocks = tuple(
-                b for b in blocks if "band_hash" in b.column_names and len(b)
-            )
-            if not blocks:
-                outs = [empty] * out_parts
+                    outs = [empty] * out_parts
+                    return outs[0] if out_parts == 1 else tuple(outs)
+                out = dedupe_pair_arrays(a, b, sz)
+                step = (len(out) + out_parts - 1) // out_parts
+                outs = [out.slice(i * step, step) for i in range(out_parts)]
+                outs = [o if len(o) else empty for o in outs]
                 return outs[0] if out_parts == 1 else tuple(outs)
-            tbl = pa.concat_tables(blocks)
-            a, b, sz = bucket_pairs_arrays(
-                tbl.column("band_hash").to_numpy().astype(np.uint64),
-                tbl.column("fid").to_numpy().astype(np.uint64),
-                cap,
-                budget,
-            )
-            if len(a) == 0:
-                outs = [empty] * out_parts
-                return outs[0] if out_parts == 1 else tuple(outs)
-            out = dedupe_pair_arrays(a, b, sz)
-            step = (len(out) + out_parts - 1) // out_parts
-            outs = [out.slice(i * step, step) for i in range(out_parts)]
-            outs = [o if len(o) else empty for o in outs]
-            return outs[0] if out_parts == 1 else tuple(outs)
 
-        refs = band_rows.to_arrow_refs()
-        out_refs = fused_bucket_pairs.options(num_returns=out_parts).remote(
-            *refs
-        )
-        if out_parts == 1:
-            out_refs = [out_refs]
-        return ray.data.from_arrow_refs(list(out_refs))
+            refs = source.to_arrow_refs()
+            out_refs = fused_bucket_pairs.options(num_returns=out_parts).remote(
+                *refs
+            )
+            if out_parts == 1:
+                out_refs = [out_refs]
+            return ray.data.from_arrow_refs(list(out_refs))
 
     # --- scale path: barrier-free hash exchange (stages/exchange.py) ---
     # band_hash already folds the band index in, so it alone is the
@@ -567,7 +535,7 @@ def candidate_pairs(
         )
 
     pairs = hash_exchange(
-        band_rows, band_part, num_parts, emit_reduce, _EMPTY_PAIRS
+        source, band_part, num_parts, emit_reduce, _EMPTY_PAIRS, premap=premap
     )
     return _dedupe_candidates(pairs, cfg, num_parts)
 
@@ -575,8 +543,8 @@ def candidate_pairs(
 def _dedupe_candidates(
     pairs: ray.data.Dataset, cfg: PipelineConfig, num_parts: int
 ) -> ray.data.Dataset:
-    """Cross-band pair dedupe shared by the band-row exchange path and
-    the fused-explode exchange path (identical semantics)."""
+    """Cross-band dedupe of the band exchange's raw (a, b, bucket_size)
+    pairs into candidate pairs with their band-collision count."""
     # dedupe pairs across bands. The raw (pre-dedupe) pair table is
     # orders of magnitude smaller than the band exchange, so up to
     # ``pair_dedupe_broadcast_limit`` rows ONE remote task lexsorts the
@@ -788,14 +756,6 @@ def verify_pairs(
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def _matrix_from(batch: pa.Table, col_name: str) -> np.ndarray:
-    col = batch.column(col_name)
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    flat = col.flatten().to_numpy(zero_copy_only=False).astype(np.uint64)
-    return flat.reshape(len(batch), -1)
-
-
 class ShingleSetStage:
     """Actor-pool stage: (file_id, content) → (file_id, shingles
     list<uint64>) for exact-Jaccard verification of candidate endpoints
@@ -926,6 +886,10 @@ def verify_pairs_exact(
 
     count_ref, endpoints_ref = collect_endpoints.remote(*pairs_mat.to_arrow_refs())
     n_endpoints = int(ray.get(count_ref))
+    if n_endpoints == 0:
+        # typed empty output: a map over 0-row blocks emits no blocks,
+        # and a materialized blockless Dataset has no schema
+        return ray.data.from_arrow(VERIFIED_SCHEMA.empty_table())
     pairs = pairs_mat
     broadcast_limit = cfg.broadcast_verify_limit
 

@@ -236,18 +236,6 @@ def token_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
     )
 
 
-def quality_stage(ds: ray.data.Dataset) -> ray.data.Dataset:
-    return ds.map_batches(quality_scores, batch_format="pyarrow")
-
-
-def language_stage(ds: ray.data.Dataset) -> ray.data.Dataset:
-    return ds.map_batches(language_id, batch_format="pyarrow")
-
-
-def fingerprint_stage(ds: ray.data.Dataset) -> ray.data.Dataset:
-    return ds.map_batches(fingerprint_docs, batch_format="pyarrow")
-
-
 # -- corpus token statistics (distributed heavy hitters / cardinality) --
 
 #: ASCII identifier-ish token class — same class the n-gram Jaccard

@@ -20,29 +20,3 @@ def rename_cols(ds: ray.data.Dataset, mapping: dict[str, str]) -> ray.data.Datas
         return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
 
     return ds.map_batches(rn, batch_format="pyarrow")
-
-
-def normalize_blocks(
-    ds: ray.data.Dataset, schema: pa.Schema
-) -> ray.data.Dataset:
-    """Coerce every block to ``schema`` — in particular the ZERO-COLUMN
-    empty blocks Ray 2.49's hash-shuffle ``groupby().aggregate()`` leaves
-    for empty partitions. Such blocks make a downstream ``Dataset.join``
-    fail with 'No match or multiple matches for key field'; they also
-    reach map_batches UDFs as pandas frames even under
-    ``batch_format="pyarrow"``, so this handles both representations.
-    """
-
-    def coerce(batch) -> pa.Table:
-        if isinstance(batch, pa.Table):
-            if batch.num_columns == 0:
-                return schema.empty_table()
-            return batch.select(schema.names).cast(schema)
-        # pandas fallback (schema-less empty block)
-        if len(getattr(batch, "columns", [])) == 0:
-            return schema.empty_table()
-        return pa.Table.from_pandas(batch, preserve_index=False).select(
-            schema.names
-        ).cast(schema)
-
-    return ds.map_batches(coerce, batch_format="pyarrow")

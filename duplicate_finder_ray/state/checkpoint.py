@@ -154,7 +154,16 @@ class CheckpointManager:
         return self.load(stage)
 
     def load(self, stage: str) -> ray.data.Dataset:
-        return ray.data.read_parquet(self.stage_dir(stage))
+        out = self.stage_dir(stage)
+        with open(self._manifest_path(stage)) as f:
+            rows = json.load(f)["rows"]
+        if rows == 0:
+            # read_parquet yields no blocks for 0-row files, so its
+            # materialized Dataset would lose the schema
+            shard = next(n for n in sorted(os.listdir(out)) if not n.startswith("_"))
+            schema = pq.read_schema(os.path.join(out, shard))
+            return ray.data.from_arrow(schema.empty_table())
+        return ray.data.read_parquet(out)
 
     def run_stage(
         self, stage: str, make: Any, resume: bool = True, extra: Any = None

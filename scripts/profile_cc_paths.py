@@ -44,19 +44,12 @@ import bench
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 from duplicate_finder_ray.stages import cc as cc_mod
-from duplicate_finder_ray.stages.derive import add_identity
-from duplicate_finder_ray.stages import neardup
 
 corpus = bench.corpus_path()
 
-cfg = PipelineConfig()
-ds = ray.data.read_parquet(corpus)
-with_id = ds.map_batches(add_identity, batch_format="pyarrow")
-sigs = neardup.signatures(
-    with_id.select_columns(["file_id", "content"]), cfg, emit_shingles=True
-).materialize()
-cands = neardup.candidate_pairs(neardup.explode_bands(sigs, cfg), cfg)
-verified = neardup.verify_pairs_exact(cands.materialize(), sigs, cfg).materialize()
+verified = NearDupPipeline(PipelineConfig()).run_on(
+    ray.data.read_parquet(corpus)
+).pairs
 n_edges = verified.count()
 
 results = {}

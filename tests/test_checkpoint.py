@@ -58,6 +58,14 @@ class TestCheckpointManager:
         assert out.count() == 3
         assert sorted(out.to_pandas()["a"]) == [1, 2, 3]
 
+    def test_empty_stage_loads_typed_when_materialized(self, ray_session, tmp_path):
+        mgr = CheckpointManager(str(tmp_path), {"x": 1})
+        empty = pa.schema([("a", pa.int64()), ("b", pa.string())]).empty_table()
+        mgr.save("s", ray_session.data.from_arrow(empty))
+        out = mgr.load("s").materialize()
+        assert out.count() == 0
+        assert out.schema().names == ["a", "b"]
+
     def test_missing_success_means_incomplete(self, ray_session, tmp_path):
         mgr = CheckpointManager(str(tmp_path), {"x": 1})
         mgr.save("s", ray_session.data.from_pandas(pd.DataFrame({"a": [1]})))
@@ -83,23 +91,86 @@ class TestCheckpointManager:
         )
 
 
+#: every size-threshold path forced to its scale side
+FORCED_SCALE = PipelineConfig(
+    jaccard_threshold=0.8,
+    band_exchange_broadcast_limit=0,
+    pair_dedupe_broadcast_limit=0,
+    broadcast_verify_limit=0,
+)
+
+
+def _sorted_table(ds, keys: list[str]) -> pa.Table:
+    import ray
+
+    blocks = [b for b in ray.get(ds.to_arrow_refs()) if len(b)]
+    return pa.concat_tables(blocks).sort_by([(k, "ascending") for k in keys])
+
+
 class TestResumablePipeline:
     @pytest.fixture(scope="class")
     def corpus_ds(self, ray_session):
         return ray_session.data.from_pandas(synthetic_code_corpus(120, seed=3))
 
-    def test_checkpointed_equals_direct(self, ray_session, corpus_ds, tmp_path):
-        cfg = PipelineConfig(jaccard_threshold=0.8)
+    @pytest.mark.parametrize(
+        "cfg",
+        [PipelineConfig(jaccard_threshold=0.8), FORCED_SCALE],
+        ids=["default", "forced_scale"],
+    )
+    def test_checkpointed_equals_direct(
+        self, ray_session, corpus_ds, tmp_path, cfg
+    ):
+        """Bit-identical signatures, pairs and labels, every column, on
+        both sides of the band-exchange, pair-dedupe and verify
+        thresholds."""
         direct = NearDupPipeline(cfg).run_on(corpus_ds)
         ckpt = NearDupPipeline(cfg).run_checkpointed(corpus_ds, str(tmp_path))
-        d = direct.pairs.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        c = ckpt.pairs.to_pandas().sort_values(["a", "b"]).reset_index(drop=True)
-        pd.testing.assert_frame_equal(
-            d[["a", "b", "jaccard"]], c[["a", "b", "jaccard"]]
+        for name, keys in (
+            ("signatures", ["file_id"]),
+            ("pairs", ["a", "b"]),
+            ("labels", ["file_id"]),
+        ):
+            d = _sorted_table(getattr(direct, name), keys)
+            c = _sorted_table(getattr(ckpt, name), keys)
+            assert d.column_names == c.column_names, name
+            for col in d.column_names:
+                assert d.column(col).type == c.column(col).type, (name, col)
+                assert d.column(col).to_pylist() == c.column(col).to_pylist(), (
+                    name,
+                    col,
+                )
+        assert direct.pairs.count() > 0
+
+    def test_checkpointed_runs_fused_exchange_and_prestart(
+        self, ray_session, corpus_ds, tmp_path, monkeypatch
+    ):
+        """At scale the checkpointed run takes the same stage calls as
+        run_on: the band exchange fuses the explode (a premap over the
+        signature blocks) and the verify split is prestarted once."""
+        from duplicate_finder_ray.stages import exchange
+        from duplicate_finder_ray.stages import neardup as nd_stages
+
+        band_premaps, prestarts = [], []
+        real_exchange = exchange.hash_exchange
+        real_prestart = nd_stages.prestart_verify_split
+
+        def recording_exchange(source, part_of, *args, premap=None, **kwargs):
+            if part_of.__qualname__.startswith("candidate_pairs."):
+                band_premaps.append(premap)
+            return real_exchange(source, part_of, *args, premap=premap, **kwargs)
+
+        def recording_prestart(*args, **kwargs):
+            prestarts.append(1)
+            return real_prestart(*args, **kwargs)
+
+        monkeypatch.setattr(exchange, "hash_exchange", recording_exchange)
+        monkeypatch.setattr(nd_stages, "prestart_verify_split", recording_prestart)
+        res = NearDupPipeline(FORCED_SCALE).run_checkpointed(
+            corpus_ds, str(tmp_path)
         )
-        dl = direct.labels.to_pandas().sort_values("file_id").reset_index(drop=True)
-        cl = ckpt.labels.to_pandas().sort_values("file_id").reset_index(drop=True)
-        pd.testing.assert_frame_equal(dl, cl)
+        assert res.pairs.count() > 0
+        assert len(band_premaps) == 1 and band_premaps[0] is not None
+        assert len(prestarts) == 1
 
     def test_resume_skips_completed_stages(self, ray_session, corpus_ds, tmp_path):
         cfg = PipelineConfig(jaccard_threshold=0.8)
