@@ -2288,10 +2288,6 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
         [("lang", pa.string()), ("n_docs", pa.int64()), ("n_dup_docs", pa.int64())]
     )
 
-    def digest_part(tbl: pa.Table, p: int) -> np.ndarray:
-        h = tbl.column("h1").to_numpy().astype(np.uint64)
-        return (h % np.uint64(p)).astype(np.int64)
-
     def lang_partials(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -2325,7 +2321,7 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
 
     partials = hash_exchange(
         docs.map_batches(slim, batch_format="pyarrow"),
-        digest_part,
+        "h1",
         16,
         lang_partials,
         part_schema.empty_table(),
@@ -4646,9 +4642,6 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
 
     empty = pa.schema([("l_suppkey", pa.int64())]).empty_table()
 
-    def part_of(tbl: pa.Table, n: int) -> np.ndarray:
-        return (tbl.column("l_orderkey").to_numpy() % n).astype(np.int64)
-
     def reduce_fn(_p: int, part: pa.Table) -> pa.Table:
         if len(part) == 0:
             return empty
@@ -4668,7 +4661,7 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
             {"l_suppkey": pa.array(sel["l_suppkey"].to_numpy(np.int64))}
         )
 
-    waiting = hash_exchange(ls_f, part_of, 8, reduce_fn, empty)
+    waiting = hash_exchange(ls_f, "l_orderkey", 8, reduce_fn, empty)
     cnt = waiting.groupby("l_suppkey").aggregate(Count(alias_name="numwait"))
     named = rel.broadcast_hash_join(
         cnt,
@@ -9706,12 +9699,6 @@ def q_leakage_free_split(sf_dir: str) -> ray.data.Dataset:
         [("file_id", pa.string()), ("component", pa.string())]
     )
 
-    def fid_part(tbl: pa.Table, p: int) -> np.ndarray:
-        from duplicate_finder_ray.functions.hashing import stable_hash_array
-
-        f = tbl.column("file_id").to_numpy(zero_copy_only=False).astype(object)
-        return (stable_hash_array(f) % np.uint64(p)).astype(np.int64)
-
     def pick_min_prio(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -9724,7 +9711,7 @@ def q_leakage_free_split(sf_dir: str) -> ray.data.Dataset:
         return tbl.filter(pa.array(first)).select(["file_id", "component"])
 
     full = hash_exchange(
-        both, fid_part, 16, pick_min_prio, out_schema.empty_table()
+        both, "file_id", 16, pick_min_prio, out_schema.empty_table()
     )
     return split_assign(
         full, "component", [("train", "cd"), ("val", "e6")], "test"

@@ -288,16 +288,11 @@ def connected_components(
 
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
-    def node_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return _hash_buckets(
-            tbl.column("a").to_numpy(zero_copy_only=False), n
-        ).astype(np.int64)
-
     def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
         return dedupe(tbl.select(["a", "b"]).to_pandas())
 
     return hash_exchange(
-        edges, node_part, num_buckets, dedupe_reduce,
+        edges, "a", num_buckets, dedupe_reduce,
         _LABELS_SCHEMA.empty_table(),
     )
 

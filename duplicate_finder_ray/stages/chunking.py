@@ -257,11 +257,6 @@ def chunk_share_pairs(
         [("a", pa.uint64()), ("b", pa.uint64()), ("n", pa.int64())]
     )
 
-    def h_part(tbl: pa.Table, p: int) -> np.ndarray:
-        return (
-            tbl.column("h").to_numpy().astype(np.uint64) % np.uint64(p)
-        ).astype(np.int64)
-
     def pairs_kernel(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -292,20 +287,12 @@ def chunk_share_pairs(
         )
 
     partials = hash_exchange(
-        slim, h_part, num_partitions, pairs_kernel, part_schema.empty_table()
+        slim, "h", num_partitions, pairs_kernel, part_schema.empty_table()
     )
 
     out_schema = pa.schema(
         [("a", pa.int64()), ("b", pa.int64()), ("n_shared_chunks", pa.int64())]
     )
-    _MIX = np.uint64(0x9E3779B97F4A7C15)
-
-    def pair_part(tbl: pa.Table, p: int) -> np.ndarray:
-        a = tbl.column("a").to_numpy().astype(np.uint64)
-        b = tbl.column("b").to_numpy().astype(np.uint64)
-        with np.errstate(over="ignore"):
-            key = (a * _MIX) ^ b
-        return (pd.util.hash_array(key) % np.uint64(p)).astype(np.int64)
 
     def sum_kernel(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -329,7 +316,7 @@ def chunk_share_pairs(
         )
 
     return hash_exchange(
-        partials, pair_part, num_partitions, sum_kernel, out_schema.empty_table()
+        partials, ["a", "b"], num_partitions, sum_kernel, out_schema.empty_table()
     )
 
 
@@ -452,14 +439,6 @@ def reassemble_chunks(
 
     out_schema = pa.schema([(id_col, pa.int64()), (out_col, pa.string())])
 
-    def part_of(tbl: pa.Table, n: int) -> np.ndarray:
-        import pandas as pd  # noqa: F811 — worker-side import
-
-        v = tbl.column(id_col).to_numpy()
-        return (
-            pd.util.hash_array(np.ascontiguousarray(v)) % np.uint64(n)
-        ).astype(np.int64)
-
     def rebuild(_p: int, part: pa.Table) -> pa.Table:
         df = (
             part.select([id_col, "chunk_idx", "chunk_text"])
@@ -490,5 +469,5 @@ def reassemble_chunks(
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     return hash_exchange(
-        chunks, part_of, n_parts, rebuild, out_schema.empty_table()
+        chunks, id_col, n_parts, rebuild, out_schema.empty_table()
     )

@@ -37,7 +37,6 @@ import ray.data
 
 from duplicate_finder_ray.functions.hashing import sha256_hex_array
 from duplicate_finder_ray.stages.exchange import hash_exchange
-from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 _SLIM_SCHEMA = pa.schema(
     [
@@ -96,12 +95,6 @@ def clone_groups_type2(
 
     slim = code.map_batches(fingerprint, batch_format="pyarrow")
 
-    def clone_part(tbl: pa.Table, n: int) -> np.ndarray:
-        h = stable_hash_array(
-            np.asarray(tbl.column("clone_id").to_pylist(), dtype=object)
-        )
-        return (h % np.uint64(n)).astype(np.int64)
-
     def group_rows(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return _GROUP_SCHEMA.empty_table()
@@ -122,5 +115,5 @@ def clone_groups_type2(
         )
 
     return hash_exchange(
-        slim, clone_part, num_partitions, group_rows, _GROUP_SCHEMA.empty_table()
+        slim, "clone_id", num_partitions, group_rows, _GROUP_SCHEMA.empty_table()
     )

@@ -22,7 +22,6 @@ import ray.data
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.relational import _md5_prefix_u64
 from duplicate_finder_ray.stages.repostats import _group_starts
-from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 
 def key_skew_report(
@@ -179,10 +178,6 @@ def snapshot_diff(
             out = out + "\x00" + p.astype(object)
         return out
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        h = stable_hash_array(np.asarray(joined_key(tbl), dtype=object))
-        return (h % np.uint64(p)).astype(np.int64)
-
     def classify(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -221,7 +216,7 @@ def snapshot_diff(
         )
 
     partials = hash_exchange(
-        slim, part_of, num_partitions, classify, part_schema.empty_table()
+        slim, key_cols, num_partitions, classify, part_schema.empty_table()
     )
     totals = partials.groupby("status").aggregate(Sum("n", alias_name="n_keys"))
     return totals.filter(expr="n_keys > 0")

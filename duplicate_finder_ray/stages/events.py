@@ -242,11 +242,6 @@ def sessionize(
     arithmetic over the session-start positions. No per-user Python
     call, no sort-based groupby barrier."""
     gap_us = gap_minutes * 60_000_000
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -269,10 +264,6 @@ def sessionize(
                 "event_id": pc.cast(batch["event_id"], pa.int64()),
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def sessions_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -314,7 +305,7 @@ def sessionize(
         to_us, batch_format="pyarrow"
     )
     return hash_exchange(
-        slim, user_part, num_partitions, sessions_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, sessions_partition, out_schema.empty_table()
     )
 
 
@@ -334,11 +325,6 @@ def running_totals(
     global cumsum minus the per-user offset at each user's first row).
     No per-user Python call; cents make distributed summation
     order-independent."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -363,10 +349,6 @@ def running_totals(
                 "v_cents": v_cents,
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def cumsum_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -404,7 +386,7 @@ def running_totals(
         ["event_id", "ts", "user_id", "value"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, user_part, num_partitions, cumsum_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, cumsum_partition, out_schema.empty_table()
     )
 
 
@@ -421,11 +403,6 @@ def lag_deltas(
     Same two-level execution as ``running_totals``: ONE barrier-free
     hash exchange by ``hash(user_id) % P``, then a vectorized lexsort +
     shift-by-one kernel per partition — no per-user Python call."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -445,10 +422,6 @@ def lag_deltas(
                 "event_id": pc.cast(batch["event_id"], pa.int64()),
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def lag_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -483,7 +456,7 @@ def lag_deltas(
         prep, batch_format="pyarrow"
     )
     return hash_exchange(
-        slim, user_part, num_partitions, lag_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, lag_partition, out_schema.empty_table()
     )
 
 
@@ -508,11 +481,6 @@ def dedup_retry_events(
     partitions). No per-key Python."""
     if window_us < 0:
         raise ValueError("window_us must be non-negative")
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -534,10 +502,6 @@ def dedup_retry_events(
                 "event_id": pc.cast(batch["event_id"], pa.int64()),
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def kernel(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -576,7 +540,7 @@ def dedup_retry_events(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, user_part, num_partitions, kernel, out_schema.empty_table()
+        slim, "user_id", num_partitions, kernel, out_schema.empty_table()
     )
 
 
@@ -595,11 +559,6 @@ def rolling_sum_rows(
     user's first row — one vectorized pass, any window size."""
     if window <= 0:
         raise ValueError("window must be positive")
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -622,10 +581,6 @@ def rolling_sum_rows(
                 "v_cents": v_cents,
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def window_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -659,7 +614,7 @@ def rolling_sum_rows(
         ["event_id", "ts", "user_id", "value"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, user_part, num_partitions, window_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, window_partition, out_schema.empty_table()
     )
 
 
@@ -677,11 +632,6 @@ def event_sequences(
     pandas C-loop groupby-agg over the partition (a Python str.join per
     USER, not per event — cost bounded by users/P per task, and each
     output row is inherently a per-user Python string)."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -701,10 +651,6 @@ def event_sequences(
                 "event_type": batch["event_type"],
             }
         )
-
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
 
     def seq_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -734,7 +680,7 @@ def event_sequences(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, user_part, num_partitions, seq_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, seq_partition, out_schema.empty_table()
     )
 
 
@@ -750,11 +696,6 @@ def user_first_last(
     (vectorized lexsort + edge masks), so the exchange carries
     O(users × blocks) rows, never the event stream; then the same
     kernel picks the global boundaries per partition."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -802,10 +743,6 @@ def user_first_last(
         )
         return tbl.take(pa.array(order[edge]))
 
-    def user_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        return (pd.util.hash_array(u.copy()) % np.uint64(n)).astype(np.int64)
-
     def pick_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
         if n == 0:
@@ -840,7 +777,7 @@ def user_first_last(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(partial, batch_format="pyarrow")
     return hash_exchange(
-        slim, user_part, num_partitions, pick_partition, out_schema.empty_table()
+        slim, "user_id", num_partitions, pick_partition, out_schema.empty_table()
     )
 
 
@@ -861,11 +798,6 @@ def windowed_distinct(
     row-locally; no corpus-wide shuffle ever carries the stream."""
     if window_us <= 0:
         raise ValueError("window_us must be positive")
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
 
     out_schema = pa.schema(
         [
@@ -915,14 +847,6 @@ def windowed_distinct(
             return out_schema.empty_table()
         return _first_rows(tbl)
 
-    def key_part(tbl: pa.Table, n: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy()
-        w = tbl.column("window_start_us").to_numpy()
-        return (
-            (pd.util.hash_array(u.copy()) ^ pd.util.hash_array(w.copy()))
-            % np.uint64(n)
-        ).astype(np.int64)
-
     def pick_partition(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -934,7 +858,11 @@ def windowed_distinct(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, key_part, num_partitions, pick_partition, out_schema.empty_table()
+        slim,
+        ["user_id", "window_start_us"],
+        num_partitions,
+        pick_partition,
+        out_schema.empty_table(),
     )
 
 
@@ -1074,10 +1002,6 @@ def retention_cohorts(
         distinct_user_bucket, batch_format="pyarrow"
     )
 
-    def user_part(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("u").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(u.copy()) % np.uint64(p)).astype(np.int64)
-
     def cohort_partials(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1104,7 +1028,7 @@ def retention_cohorts(
         )
 
     partials = hash_exchange(
-        slim, user_part, num_partitions, cohort_partials,
+        slim, "u", num_partitions, cohort_partials,
         part_schema.empty_table(),
     )
     return (
@@ -1180,10 +1104,6 @@ def session_funnel(
         ["user_id", "event_id", "ts", "event_type"]
     ).map_batches(slim, batch_format="pyarrow")
 
-    def user_part(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("u").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(u.copy()) % np.uint64(p)).astype(np.int64)
-
     def funnel_partition(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -1230,7 +1150,7 @@ def session_funnel(
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     return hash_exchange(
-        slim_ds, user_part, num_partitions, funnel_partition,
+        slim_ds, "u", num_partitions, funnel_partition,
         out_schema.empty_table(),
     )
 
@@ -1288,10 +1208,6 @@ def event_transitions(
         ["user_id", "ts", "event_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
 
-    def user_part(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(u.copy()) % np.uint64(p)).astype(np.int64)
-
     def transition_partials(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) < 2:
             return part_schema.empty_table()
@@ -1328,7 +1244,7 @@ def event_transitions(
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     partials = hash_exchange(
-        slim, user_part, num_partitions, transition_partials,
+        slim, "user_id", num_partitions, transition_partials,
         part_schema.empty_table(),
     )
     return partials.groupby(["from_type", "to_type"]).aggregate(
@@ -1393,10 +1309,6 @@ def user_peak_rate(
         count_partials, batch_format="pyarrow"
     )
 
-    def user_part(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("u").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(u.copy()) % np.uint64(p)).astype(np.int64)
-
     def peak_per_user(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -1421,7 +1333,7 @@ def user_peak_rate(
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     return hash_exchange(
-        slim, user_part, num_partitions, peak_per_user,
+        slim, "u", num_partitions, peak_per_user,
         out_schema.empty_table(),
     )
 
@@ -1484,10 +1396,6 @@ def session_cooccurrence(
         ["user_id", "event_id", "ts", "event_type"]
     ).map_batches(slim, batch_format="pyarrow")
 
-    def user_part(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("u").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(u.copy()) % np.uint64(p)).astype(np.int64)
-
     def cooccur_partition(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1537,7 +1445,7 @@ def session_cooccurrence(
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     partials = hash_exchange(
-        slim_ds, user_part, num_partitions, cooccur_partition,
+        slim_ds, "u", num_partitions, cooccur_partition,
         part_schema.empty_table(),
     )
     return partials.groupby(["type_a", "type_b"]).aggregate(
@@ -1701,10 +1609,6 @@ def daily_new_users(events: ray.data.Dataset, n_parts: int = 16) -> ray.data.Dat
         user_min_partial, batch_format="pyarrow"
     )
 
-    def by_user(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy().astype(np.uint64)
-        return (u % np.uint64(p)).astype(np.int64)
-
     def day_counts(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1722,7 +1626,7 @@ def daily_new_users(events: ray.data.Dataset, n_parts: int = 16) -> ray.data.Dat
         )
 
     per_day = (
-        hash_exchange(slim, by_user, n_parts, day_counts, part_schema.empty_table())
+        hash_exchange(slim, "user_id", n_parts, day_counts, part_schema.empty_table())
         .groupby("day_us")
         .aggregate(Sum("n", alias_name="n_new_users"))
         .materialize()  # days-cardinality tiny
@@ -1797,10 +1701,6 @@ def inactive_users(
         return ray.data.from_arrow(slim_schema.empty_table())
     threshold = int(corpus_max) - cutoff_s * 1_000_000
 
-    def by_user(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy().astype(np.uint64)
-        return (u % np.uint64(p)).astype(np.int64)
-
     def user_max(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return slim_schema.empty_table()
@@ -1818,7 +1718,7 @@ def inactive_users(
             }
         )
 
-    return hash_exchange(slim, by_user, n_parts, user_max, slim_schema.empty_table())
+    return hash_exchange(slim, "user_id", n_parts, user_max, slim_schema.empty_table())
 
 
 def hourly_autocorr(events: ray.data.Dataset, lag: int = 1) -> ray.data.Dataset:
@@ -1925,10 +1825,6 @@ def rolling_active_users(
         )
     max_day = int(corpus_max)
 
-    def by_user(tbl: pa.Table, p: int) -> np.ndarray:
-        u = tbl.column("user_id").to_numpy().astype(np.uint64)
-        return (u % np.uint64(p)).astype(np.int64)
-
     def window_counts(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1959,7 +1855,9 @@ def rolling_active_users(
         )
 
     return (
-        hash_exchange(slim, by_user, n_parts, window_counts, part_schema.empty_table())
+        hash_exchange(
+            slim, "user_id", n_parts, window_counts, part_schema.empty_table()
+        )
         .groupby("day_us")
         .aggregate(Sum("n", alias_name="n_active"))
     )

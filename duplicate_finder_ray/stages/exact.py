@@ -35,7 +35,6 @@ import ray.data
 from ray.data.aggregate import Count, Max, Sum
 
 from duplicate_finder_ray.config import PipelineConfig
-from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 #: columns that flow into the shuffle (content intentionally absent)
 MEMBER_COLS = ["file_id", "repo", "path", "commit", "lang", "size", "sha256"]
@@ -181,18 +180,10 @@ def duplicate_members(
 
         from duplicate_finder_ray.stages.exchange import hash_exchange
 
-        def part_of(tbl: pa.Table, n: int) -> np.ndarray:
-            # vectorized fixed-key siphash — never per-row crc32 Python
-            # loops on a shuffle-key path, never salted builtin hash()
-            h = stable_hash_array(
-                tbl.column("sha256").to_numpy(zero_copy_only=False)
-            )
-            return (h % np.uint64(n)).astype(np.int64)
-
         def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
             return emit_partition(tbl.to_pandas())
 
-        return hash_exchange(ds, part_of, num_parts, reduce_fn, _EMPTY_MEMBERS)
+        return hash_exchange(ds, "sha256", num_parts, reduce_fn, _EMPTY_MEMBERS)
 
     def finalize(sub: pd.DataFrame, group_id: str) -> pd.DataFrame:
         sub = sub.copy()
@@ -305,10 +296,6 @@ def keepers_by_depth(
             }
         )
 
-    def part_of(tbl: pa.Table, n: int) -> np.ndarray:
-        g = tbl.column("group_id").to_numpy(zero_copy_only=False)
-        return (stable_hash_array(g) % np.uint64(n)).astype(np.int64)
-
     def kernel(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -327,5 +314,5 @@ def keepers_by_depth(
         ["file_id", "repo", "path", "commit", "group_id"]
     ).map_batches(prep, batch_format="pyarrow")
     return hash_exchange(
-        slim, part_of, num_partitions, kernel, out_schema.empty_table()
+        slim, "group_id", num_partitions, kernel, out_schema.empty_table()
     )

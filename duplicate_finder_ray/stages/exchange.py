@@ -14,14 +14,22 @@ every payload byte is copied exactly once and crosses a (real
 cluster's) network exactly once, with zero barriers between the split
 and reduce waves — Ray schedules reduces as their inputs appear.
 
+Partitioning: callers name the key column(s) and ``partition_ids`` —
+the one hashing kernel — maps each row to its partition. A hand-written
+``(table, n) -> ids`` partitioner is still accepted, for the few
+exchanges whose partition index itself means something (precomputed
+bucket ids, range partitions, replayable or salted assignment, shard
+arithmetic the reduce reads).
+
 Scale shape: blocks × n_parts small objects (sub-tables) in the object
 store; each reduce task zero-copy reads its ``blocks`` inputs. Keep
-``n_parts`` a small multiple of cluster parallelism.
+``n_parts`` a small multiple of cluster parallelism
+(``default_partitions``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 
 import numpy as np
 import pyarrow as pa
@@ -29,28 +37,110 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from duplicate_finder_ray.functions.hashing import stable_hash_array
+
+# hash of a null key in a numeric column (a null string key hashes as
+# the object ``None`` does under stable_hash_array)
+_NULL_HASH = np.uint64(0)
+# multiplier folding per-column hashes into one (64-bit FNV prime)
+_MIX = np.uint64(0x100000001B3)
+
+
+def default_partitions() -> int:
+    """The engine's default exchange width: two partitions per cluster
+    CPU, at least 8; 16 when no session answers."""
+    try:
+        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
+    except ray.exceptions.RayError:
+        return 16
+
+
+def _column_hash(col: pa.ChunkedArray) -> np.ndarray:
+    """uint64 hash per cell of one key column, a function of the cell's
+    value alone."""
+    t = col.type
+    if (
+        pa.types.is_string(t)
+        or pa.types.is_large_string(t)
+        or pa.types.is_binary(t)
+        or pa.types.is_large_binary(t)
+    ):
+        return stable_hash_array(col.to_numpy(zero_copy_only=False))
+    if pa.types.is_floating(t):
+        vals = col.cast(pa.float64()).fill_null(0).to_numpy() + 0.0  # -0.0 → 0.0
+        vals[np.isnan(vals)] = np.nan  # one NaN bit pattern
+    elif pa.types.is_integer(t) or pa.types.is_boolean(t) or pa.types.is_temporal(t):
+        if pa.types.is_temporal(t) and t.bit_width == 32:  # date32, time32
+            col = col.cast(pa.int32())
+        # one width for every integer type; nulls filled first so a
+        # block with nulls is not turned into float64 by to_numpy
+        vals = col.cast(pa.int64(), safe=False).fill_null(0).to_numpy()
+    else:
+        raise TypeError(f"cannot hash key column of type {t}")
+    h = stable_hash_array(vals)
+    if col.null_count:
+        h[col.is_null().to_numpy(zero_copy_only=False)] = _NULL_HASH
+    return h
+
+
+def partition_ids(tbl: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:
+    """Partition id in ``[0, n)`` for every row of ``tbl``: the hash of
+    the ``keys`` columns' values, modulo ``n``.
+
+    - One string or binary column gives exactly
+      ``stable_hash_array(col.to_numpy(zero_copy_only=False)) % n``.
+    - Numeric columns hash by value (every integer width as int64,
+      floats as float64); several columns fold their hashes in order.
+    - The id depends only on the row's key values — never on its block
+      or its neighbours. A null key goes to one fixed partition, and a
+      non-null value lands in the same partition whether or not its
+      block holds nulls.
+    """
+    h = _column_hash(tbl.column(keys[0]))
+    for k in keys[1:]:
+        h = h * _MIX ^ _column_hash(tbl.column(k))
+    return (h % np.uint64(n)).astype(np.int64)
+
 
 def hash_exchange(
     source: ray.data.Dataset,
-    part_of: Callable[[pa.Table, int], np.ndarray],
-    n_parts: int,
+    part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
+    n_parts: int | None,
     reduce_fn: Callable[[int, pa.Table], pa.Table],
     empty: pa.Table,
     premap: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
-    """Partition ``source`` by ``part_of(table, n_parts)`` (an int
-    array in [0, n_parts)) and apply ``reduce_fn(part_idx, rows)`` to
-    each partition's concatenated rows. Returns a Dataset of the reduce
-    outputs (one block per partition). ``empty`` supplies the output
-    schema for empty partitions.
+    """Partition ``source`` by key and apply ``reduce_fn(part_idx,
+    rows)`` to each partition's concatenated rows. Returns a Dataset of
+    the reduce outputs (one block per partition). ``empty`` supplies the
+    output schema for empty partitions.
+
+    ``part_of``: the key column name, or a list of names — rows with
+    equal key values meet in one partition, chosen by
+    ``partition_ids``. Use this form whenever the reduce's output for a
+    key group depends neither on the partition index nor on which other
+    groups share the partition. Pass a callable ``part_of(table,
+    n_parts)`` returning an int array in ``[0, n_parts)`` only when the
+    partition index itself carries meaning (precomputed ids, range
+    partitioning, a replayable assignment, shard arithmetic).
+
+    ``n_parts``: the number of partitions; ``None`` means
+    ``default_partitions()``.
 
     ``premap``: optional per-block transform applied INSIDE the split
     task before partitioning — fuses a row-expanding map (e.g. LSH band
     explosion) into the exchange so its output never materializes as an
     intermediate dataset: the expanded rows are born and partitioned in
     the same task, saving one full object-store write + read of the
-    expanded table. ``part_of`` sees the premapped rows. An empty
-    premap output must still carry the premapped schema."""
+    expanded table. Keys (or ``part_of``) see the premapped rows. An
+    empty premap output must still carry the premapped schema."""
+    if n_parts is None:
+        n_parts = default_partitions()
+    keys = None
+    if isinstance(part_of, str):
+        keys = [part_of]
+    elif not callable(part_of):
+        keys = list(part_of)
     blocks = source.materialize().to_arrow_refs()
     if not blocks:
         return ray.data.from_arrow(empty)
@@ -62,7 +152,10 @@ def hash_exchange(
         if len(block) == 0 or block.num_columns == 0:
             parts = [block.slice(0, 0)] * n_parts
         else:
-            pid = np.asarray(part_of(block, n_parts))
+            if keys is not None:
+                pid = partition_ids(block, keys, n_parts)
+            else:
+                pid = np.asarray(part_of(block, n_parts))
             # enforce the [0, n_parts) contract loudly: block.filter
             # would silently DROP rows a buggy partitioner sends out of
             # range, corrupting results with no error

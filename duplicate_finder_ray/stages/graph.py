@@ -36,17 +36,10 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.exchange import default_partitions, hash_exchange
 from duplicate_finder_ray.stages.neardup import bucket_pairs_arrays
 
 _H_SEED = b"graph-node"
-
-
-def _default_parts() -> int:
-    try:
-        return max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-    except Exception:
-        return 16
 
 
 def pair_degrees(
@@ -237,7 +230,7 @@ def triangle_count(
     Each triangle {x, y, z} is counted exactly once — only its
     (deg, id)-minimal vertex emits the wedge that closes it.
     """
-    n_parts = num_partitions or _default_parts()
+    n_parts = num_partitions or default_partitions()
 
     def to_hashed(t: pa.Table) -> pa.Table:
         if a_col not in t.column_names:  # empty-filter 0-column block
@@ -271,11 +264,6 @@ def triangle_count(
 
     deg_parts = edges.map_batches(deg_partial, batch_format="pyarrow")
 
-    def node_part(t: pa.Table, n: int) -> np.ndarray:
-        return (
-            t.column("node").to_numpy(zero_copy_only=False) % np.uint64(n)
-        ).astype(np.int64)
-
     def deg_reduce(p: int, t: pa.Table) -> pa.Table:
         nodes = t.column("node").to_numpy(zero_copy_only=False)
         degs = t.column("deg").to_numpy(zero_copy_only=False)
@@ -285,7 +273,7 @@ def triangle_count(
             {"node": pa.array(uniq, pa.uint64()), "deg": pa.array(total)}
         )
 
-    degrees = hash_exchange(deg_parts, node_part, n_parts, deg_reduce, _DEG_U)
+    degrees = hash_exchange(deg_parts, "node", n_parts, deg_reduce, _DEG_U)
 
     # -- rounds 2+3: attach deg(u), deg(v) via co-located merges -------
     def _attach(edge_ds: ray.data.Dataset, key: str, out: str, empty: pa.Table):
@@ -397,11 +385,6 @@ def triangle_count(
     oriented = oriented.materialize()
 
     # -- round 4: wedges per source partition --------------------------
-    def src_part(t: pa.Table, n: int) -> np.ndarray:
-        return (
-            t.column("u").to_numpy(zero_copy_only=False) % np.uint64(n)
-        ).astype(np.int64)
-
     def wedge_reduce(p: int, t: pa.Table) -> pa.Table:
         src = t.column("u").to_numpy(zero_copy_only=False)
         dst = t.column("v").to_numpy(zero_copy_only=False)
@@ -410,7 +393,7 @@ def triangle_count(
             {"u": pa.array(wa, pa.uint64()), "v": pa.array(wb, pa.uint64())}
         )
 
-    wedges = hash_exchange(oriented, src_part, n_parts, wedge_reduce, _EDGE_U)
+    wedges = hash_exchange(oriented, "u", n_parts, wedge_reduce, _EDGE_U)
 
     # -- round 5: wedge ∩ edge membership on the unordered pair key ----
     def tag(kind: int):
@@ -435,12 +418,6 @@ def triangle_count(
         oriented.map_batches(tag(1), batch_format="pyarrow")
     )
 
-    def pair_part(t: pa.Table, n: int) -> np.ndarray:
-        u = t.column("u").to_numpy(zero_copy_only=False)
-        v = t.column("v").to_numpy(zero_copy_only=False)
-        mixed = (u * np.uint64(0x9E3779B97F4A7C15)) ^ v
-        return (mixed % np.uint64(n)).astype(np.int64)
-
     def match_reduce(p: int, t: pa.Table) -> pa.Table:
         kind = t.column("__kind").to_numpy(zero_copy_only=False)
         df = pd.DataFrame(
@@ -457,7 +434,7 @@ def triangle_count(
             n = len(w.merge(e, on=["u", "v"], how="inner"))
         return pa.table({"n": pa.array([n], pa.int64())})
 
-    counts = hash_exchange(both, pair_part, n_parts, match_reduce, _CNT)
+    counts = hash_exchange(both, ["u", "v"], n_parts, match_reduce, _CNT)
     total = int(
         sum(r["n"] for r in counts.take_all())
     )  # ≤ n_parts rows — driver-safe
@@ -491,7 +468,7 @@ def pagerank(
     17/20 = 0.85)."""
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    n_parts = num_partitions or _default_parts()
+    n_parts = num_partitions or default_partitions()
     degrees = pair_degrees(pairs, a_col, b_col).materialize()
     n_nodes = degrees.count()
     if n_nodes == 0:
@@ -613,7 +590,7 @@ def kcore_peel(
         raise ValueError("k must be positive")
     if rounds <= 0:
         raise ValueError("rounds must be positive")
-    n_parts = n_parts or _default_parts()
+    n_parts = n_parts or default_partitions()
     edges = pairs.select_columns([a_col, b_col])
     for _ in range(rounds):
         keep = (

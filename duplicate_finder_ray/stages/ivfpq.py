@@ -160,10 +160,6 @@ def ivfpq_adc_topk(
     code_schema = pa.schema(code_fields)
     n_tags = m + 1
 
-    def by_id(tbl: pa.Table, p: int) -> np.ndarray:
-        v = tbl.column(id_col).to_numpy().astype(np.uint64)
-        return (v % np.uint64(p)).astype(np.int64)
-
     def pivot(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return code_schema.empty_table()
@@ -187,7 +183,7 @@ def ivfpq_adc_topk(
         return pa.table(cols)
 
     codes = hash_exchange(
-        rows, by_id, n_parts, pivot, code_schema.empty_table()
+        rows, id_col, n_parts, pivot, code_schema.empty_table()
     ).materialize()
 
     # ---- 3. query side: probes + per-cell residual LUTs -------------

@@ -515,12 +515,6 @@ def interval_overlap_join(
         explode(0, l_id), batch_format="pyarrow"
     ).union(right.map_batches(explode(1, r_id), batch_format="pyarrow"))
 
-    def part_of(tbl: pa.Table, n: int) -> np.ndarray:
-        c = tbl.column("__cell").to_numpy()
-        return (
-            pd.util.hash_array(np.ascontiguousarray(c)) % np.uint64(n)
-        ).astype(np.int64)
-
     def pair_cells(_p: int, part: pa.Table) -> pa.Table:
         side = part.column("__side").to_numpy()
         df = pd.DataFrame(
@@ -550,5 +544,5 @@ def interval_overlap_join(
         )
 
     return hash_exchange(
-        tagged, part_of, n_parts, pair_cells, out_schema.empty_table()
+        tagged, "__cell", n_parts, pair_cells, out_schema.empty_table()
     )

@@ -404,7 +404,7 @@ def candidate_pairs(
     free similarity signal).
 
     TWO-LEVEL grouping: the shuffle key is a coarse partition id
-    (``band_hash % P``), and the real (band, band_hash) bucketing runs
+    (``hash(band_hash) % P``), and the real (band, band_hash) bucketing runs
     VECTORIZED (pandas C groupby) inside each partition. A naive
     ``groupby(band, band_hash).map_groups`` pays a Python call per
     bucket — ~3 ms × millions of buckets; this pays P calls total.
@@ -504,18 +504,12 @@ def candidate_pairs(
 
     # --- scale path: barrier-free hash exchange (stages/exchange.py) ---
     # band_hash already folds the band index in, so it alone is the
-    # bucket key; partitioning by band_hash % P keeps buckets whole.
+    # bucket key; keying the exchange on band_hash keeps buckets whole.
     # Ray Data's sort-based groupby would sample+sort the 16-byte rows
     # for an order nothing needs; the raw-task exchange has no barrier
     # and each reduce runs the SAME vectorized kernel the fused path
     # uses (path equality is test-guarded).
     from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    def band_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return (
-            tbl.column("band_hash").to_numpy().astype(np.uint64)
-            % np.uint64(n)
-        ).astype(np.int64)
 
     def emit_reduce(p: int, tbl: pa.Table) -> pa.Table:
         a, b, sz = bucket_pairs_arrays(
@@ -535,7 +529,7 @@ def candidate_pairs(
         )
 
     pairs = hash_exchange(
-        source, band_part, num_parts, emit_reduce, _EMPTY_PAIRS, premap=premap
+        source, "band_hash", num_parts, emit_reduce, _EMPTY_PAIRS, premap=premap
     )
     return _dedupe_candidates(pairs, cfg, num_parts)
 
@@ -610,13 +604,6 @@ def _dedupe_candidates(
     # single-task path uses.
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
-    def pair_part(tbl: pa.Table, n: int) -> np.ndarray:
-        av = tbl.column("a").to_numpy().astype(np.uint64)
-        bv = tbl.column("b").to_numpy().astype(np.uint64)
-        with np.errstate(over="ignore"):
-            h = pd.util.hash_array(av * np.uint64(0x9E3779B97F4A7C15) ^ bv)
-        return (h % np.uint64(n)).astype(np.int64)
-
     def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
         return dedupe_pair_arrays(
             tbl.column("a").to_numpy().astype(np.uint64),
@@ -625,7 +612,7 @@ def _dedupe_candidates(
         )
 
     return hash_exchange(
-        raw, pair_part, num_parts, dedupe_reduce, CAND_SCHEMA.empty_table()
+        raw, ["a", "b"], num_parts, dedupe_reduce, CAND_SCHEMA.empty_table()
     )
 
 
@@ -1305,11 +1292,6 @@ def simhash_candidate_pairs(
             }
         )
 
-    def bkey_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return (
-            tbl.column("bkey").to_numpy().astype(np.uint64) % np.uint64(n)
-        ).astype(np.int64)
-
     def emit_partition(p: int, tbl: pa.Table) -> pa.Table:
         # vectorized bucketing across ALL of the partition's buckets:
         # run-lengths over the sorted (bkey, file_id) frame, triu pair
@@ -1356,19 +1338,6 @@ def simhash_candidate_pairs(
             }
         )
 
-    def pair_part(tbl: pa.Table, n: int) -> np.ndarray:
-        # key on the FULL (a, b) pair — keying on a alone would funnel a
-        # hub file's pairs into one partition
-        ha = stable_hash_array(
-            tbl.column("a").to_numpy(zero_copy_only=False).astype(object)
-        )
-        hb = stable_hash_array(
-            tbl.column("b").to_numpy(zero_copy_only=False).astype(object)
-        )
-        with np.errstate(over="ignore"):
-            h = ha * np.uint64(0x9E3779B97F4A7C15) ^ hb
-        return (h % np.uint64(n)).astype(np.int64)
-
     def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
         agg = (
             tbl.to_pandas()
@@ -1386,15 +1355,15 @@ def simhash_candidate_pairs(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
+    from duplicate_finder_ray.stages.exchange import (
+        default_partitions,
+        hash_exchange,
+    )
 
-    try:
-        n_parts = max(4, int(ray.cluster_resources().get("CPU", 8))) * 2
-    except Exception:
-        n_parts = 16
+    n_parts = default_partitions()
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    pairs = hash_exchange(exploded, bkey_part, n_parts, emit_partition, _EMPTY_OUT)
-    return hash_exchange(pairs, pair_part, n_parts, dedupe_reduce, _EMPTY_OUT)
+    pairs = hash_exchange(exploded, "bkey", n_parts, emit_partition, _EMPTY_OUT)
+    return hash_exchange(pairs, ["a", "b"], n_parts, dedupe_reduce, _EMPTY_OUT)
 
 
 # ---------------------------------------------------------------------------

@@ -81,10 +81,6 @@ def novelty_counts(
         slim, batch_format="pyarrow"
     )
 
-    def h_part(tbl: pa.Table, p: int) -> np.ndarray:
-        h = tbl.column("h").to_numpy().astype(np.uint64)
-        return (h % np.uint64(p)).astype(np.int64)
-
     def doc_partials(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return _PART.empty_table()
@@ -116,7 +112,7 @@ def novelty_counts(
     from ray.data.aggregate import Sum
 
     partials = hash_exchange(
-        slim_ds, h_part, num_partitions, doc_partials, _PART.empty_table()
+        slim_ds, "h", num_partitions, doc_partials, _PART.empty_table()
     )
     return partials.groupby("doc_id").aggregate(
         Sum("n_shingles", alias_name="n_shingles"),

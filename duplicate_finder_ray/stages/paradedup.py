@@ -159,10 +159,6 @@ def paragraph_dedup(
         slim_keys, batch_format="pyarrow"
     )
 
-    def digest_part(tbl: pa.Table, p: int) -> np.ndarray:
-        h = tbl.column("h1").to_numpy().astype(np.uint64)
-        return (h % np.uint64(p)).astype(np.int64)
-
     def global_first(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return _KEPT_SCHEMA.empty_table()
@@ -179,7 +175,7 @@ def paragraph_dedup(
         )
 
     kept = hash_exchange(
-        slim, digest_part, P, global_first, _KEPT_SCHEMA.empty_table()
+        slim, "h1", P, global_first, _KEPT_SCHEMA.empty_table()
     )
 
     # ---- pass 2: co-partition docs + kept keys by doc_id, rebuild ----
@@ -219,10 +215,6 @@ def paragraph_dedup(
         .map_batches(tag_docs, batch_format="pyarrow")
         .union(kept.map_batches(tag_kept, batch_format="pyarrow"))
     )
-
-    def doc_part(tbl: pa.Table, p: int) -> np.ndarray:
-        d = tbl.column("doc").to_numpy().astype(np.uint64)
-        return (pd.util.hash_array(d.copy()) % np.uint64(p)).astype(np.int64)
 
     out_schema = pa.schema(
         [
@@ -288,4 +280,4 @@ def paragraph_dedup(
             }
         )
 
-    return hash_exchange(both, doc_part, P, rebuild, out_schema.empty_table())
+    return hash_exchange(both, "doc", P, rebuild, out_schema.empty_table())

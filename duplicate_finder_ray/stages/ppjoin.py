@@ -130,11 +130,6 @@ def prefix_filter_candidates(
 
     prefix_rows = sigs.map_batches(emit_prefix, batch_format="pyarrow")
 
-    def part_by_token(tbl: pa.Table, p: int) -> np.ndarray:
-        return (tbl.column("token").to_numpy().astype(np.uint64) % np.uint64(p)).astype(
-            np.int64
-        )
-
     def expand_pairs(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return CAND_SCHEMA.empty_table()
@@ -180,15 +175,8 @@ def prefix_filter_candidates(
         )
 
     raw_pairs = hash_exchange(
-        prefix_rows, part_by_token, parts, expand_pairs, CAND_SCHEMA.empty_table()
+        prefix_rows, "token", parts, expand_pairs, CAND_SCHEMA.empty_table()
     )
-
-    def part_by_pair(tbl: pa.Table, p: int) -> np.ndarray:
-        a = tbl.column("a").to_numpy().astype(np.uint64)
-        b = tbl.column("b").to_numpy().astype(np.uint64)
-        # mix BOTH endpoints so hub docs spread over partitions
-        h = a * np.uint64(0x9E3779B97F4A7C15) ^ b
-        return (h % np.uint64(p)).astype(np.int64)
 
     def dedupe(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -213,7 +201,7 @@ def prefix_filter_candidates(
         )
 
     return hash_exchange(
-        raw_pairs, part_by_pair, parts, dedupe, CAND_SCHEMA.empty_table()
+        raw_pairs, ["a", "b"], parts, dedupe, CAND_SCHEMA.empty_table()
     )
 
 

@@ -136,10 +136,6 @@ def _pivot_codes(
     out_schema = pa.schema(out_fields)
     rows = tagged[0].union(*tagged[1:]) if len(tagged) > 1 else tagged[0]
 
-    def by_id(tbl: pa.Table, p: int) -> np.ndarray:
-        v = tbl.column(id_col).to_numpy().astype(np.uint64)
-        return (v % np.uint64(p)).astype(np.int64)
-
     def pivot(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -159,7 +155,7 @@ def _pivot_codes(
         cols["qerr"] = pa.array(d2.reshape(-1, m).sum(axis=1), pa.int64())
         return pa.table(cols)
 
-    return hash_exchange(rows, by_id, n_parts, pivot, out_schema.empty_table())
+    return hash_exchange(rows, id_col, n_parts, pivot, out_schema.empty_table())
 
 
 def pq_adc_topk(

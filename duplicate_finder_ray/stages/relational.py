@@ -165,10 +165,9 @@ def asof_join(
     keys at once — no per-key Python).
     """
     if num_buckets is None:
-        try:
-            num_buckets = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_buckets = 16
+        from duplicate_finder_ray.stages.exchange import default_partitions
+
+        num_buckets = default_partitions()
     lschema = left.schema()
     ltypes = dict(zip(lschema.names, lschema.types))
     lcols = [c for c in lschema.names]
@@ -823,35 +822,35 @@ def ntile_partitioned(
         [(c, types[c]) for c in names] + [(out_col, pa.int64())]
     )
 
-    def by_part(tbl: pa.Table, p: int) -> np.ndarray:
-        v = tbl.column(part_col).to_numpy(zero_copy_only=False)
-        return (pd.util.hash_array(np.ascontiguousarray(v)) % np.uint64(p)).astype(
-            np.int64
-        )
-
     def assign(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
-        df = tbl.to_pandas()
-        df = df.sort_values(
-            [part_col, *order_cols], kind="mergesort"
-        ).reset_index(drop=True)
-        sizes = df.groupby(part_col, sort=False).size().to_numpy()
+        # Arrow sort and dictionary codes, not pandas: pandas' string
+        # hash table NUL-truncates, so its multi-key sort and groupby
+        # would merge "x\0a" with "x\0b" (see stable_hash_array)
+        tbl = tbl.select(names).sort_by(
+            [(c, "ascending") for c in (part_col, *order_cols)]
+        )
+        g = pc.dictionary_encode(
+            tbl.column(part_col).combine_chunks(), null_encoding="encode"
+        ).indices.to_numpy()
+        first = np.flatnonzero(np.r_[True, g[1:] != g[:-1]])
+        sizes = np.diff(np.append(first, len(g)))
         cnt = np.repeat(sizes, sizes)
-        starts = np.repeat(np.cumsum(sizes) - sizes, sizes)
-        i = np.arange(len(df), dtype=np.int64) - starts
+        starts = np.repeat(first, sizes)
+        i = np.arange(len(tbl), dtype=np.int64) - starts
         q, r = cnt // n, cnt % n
         big = r * (q + 1)  # rows covered by the (q+1)-sized buckets
         bucket = np.where(
             i < big, i // (q + 1), r + (i - big) // np.maximum(q, 1)
         ) + 1
-        df[out_col] = bucket.astype(np.int64)
-        return pa.Table.from_pandas(df, preserve_index=False).cast(out_schema)
+        out = tbl.append_column(out_col, pa.array(bucket.astype(np.int64)))
+        return out.cast(out_schema)
 
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     return hash_exchange(
-        ds, by_part, num_partitions, assign, out_schema.empty_table()
+        ds, part_col, num_partitions, assign, out_schema.empty_table()
     )
 
 
@@ -1166,22 +1165,12 @@ def rank_dense_per_group(
     then a vectorized lexsort + change-point kernel per partition (no
     per-group Python call; skew bound = hottest group's rows, the same
     documented bound as sessionize/running_totals)."""
-    if num_partitions is None:
-        try:
-            num_partitions = max(8, int(ray.cluster_resources().get("CPU", 8)) * 2)
-        except Exception:
-            num_partitions = 16
-
     base = ds.schema()
     names = list(base.names)
     empty = pa.schema(
         [(n, base.types[i]) for i, n in enumerate(names)]
         + [("rnk", pa.int64()), ("drnk", pa.int64())]
     ).empty_table()
-
-    def group_part(tbl: pa.Table, n: int) -> np.ndarray:
-        g = tbl.column(group_col).to_numpy(zero_copy_only=False)
-        return (pd.util.hash_array(g.copy()) % np.uint64(n)).astype(np.int64)
 
     def rank_partition(p: int, tbl: pa.Table) -> pa.Table:
         n = len(tbl)
@@ -1211,7 +1200,7 @@ def rank_dense_per_group(
 
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
-    return hash_exchange(ds, group_part, num_partitions, rank_partition, empty)
+    return hash_exchange(ds, group_col, num_partitions, rank_partition, empty)
 
 # --------------------------------------------------------------------------
 # 2-D Pareto frontier (skyline)

@@ -26,7 +26,6 @@ import ray.data
 from ray.data.aggregate import Sum
 
 from duplicate_finder_ray.stages.exchange import hash_exchange
-from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 
 def _codes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -37,12 +36,6 @@ def _codes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     return pc.dictionary_encode(col).indices.to_numpy(zero_copy_only=False)
-
-
-def _str_part(col: pa.ChunkedArray, n_parts: int) -> np.ndarray:
-    """Deterministic partition ids for a string key column."""
-    h = stable_hash_array(np.asarray(col.to_pylist(), dtype=object))
-    return (h % np.uint64(n_parts)).astype(np.int64)
 
 
 def _group_starts(sorted_keys: np.ndarray) -> np.ndarray:
@@ -81,9 +74,6 @@ def repo_overlap_pairs(
     out_schema = pa.schema(
         [("repo_a", pa.string()), ("repo_b", pa.string()), ("n", pa.int64())]
     )
-
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("sha256"), p)
 
     def emit_pairs(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -129,7 +119,7 @@ def repo_overlap_pairs(
         )
 
     partials = hash_exchange(
-        slim, part_of, num_partitions, emit_pairs, out_schema.empty_table()
+        slim, "sha256", num_partitions, emit_pairs, out_schema.empty_table()
     )
     return (
         partials.groupby(["repo_a", "repo_b"])
@@ -167,9 +157,6 @@ def vendored_content(
         ]
     )
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("sha256"), p)
-
     def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -203,7 +190,7 @@ def vendored_content(
         )
 
     return hash_exchange(
-        slim, part_of, num_partitions, reduce_fn, out_schema.empty_table()
+        slim, "sha256", num_partitions, reduce_fn, out_schema.empty_table()
     )
 
 
@@ -256,14 +243,6 @@ def dup_dir_groups(
         slim, batch_format="pyarrow"
     )
 
-    def dir_part(tbl: pa.Table, p: int) -> np.ndarray:
-        key = pc.binary_join_element_wise(
-            tbl.column("repo").cast(pa.string()),
-            tbl.column("dir").cast(pa.string()),
-            "\x00",
-        )
-        return _str_part(pa.chunked_array([key]), p)
-
     def fingerprint(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -296,11 +275,8 @@ def dup_dir_groups(
         )
 
     per_dir = hash_exchange(
-        slim_ds, dir_part, num_partitions, fingerprint, out_schema.empty_table()
+        slim_ds, ["repo", "dir"], num_partitions, fingerprint, out_schema.empty_table()
     )
-
-    def hash_part(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("dir_hash"), p)
 
     def keep_groups(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -315,7 +291,7 @@ def dup_dir_groups(
         )
 
     return hash_exchange(
-        per_dir, hash_part, num_partitions, keep_groups, out_schema.empty_table()
+        per_dir, "dir_hash", num_partitions, keep_groups, out_schema.empty_table()
     )
 
 
@@ -330,9 +306,6 @@ def repo_content_counts(
         raise ValueError("num_partitions must be positive")
     slim = files.select_columns(["repo", "sha256"])
     out_schema = pa.schema([("repo", pa.string()), ("n_contents", pa.int64())])
-
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("repo"), p)
 
     def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -359,7 +332,7 @@ def repo_content_counts(
         )
 
     return hash_exchange(
-        slim, part_of, num_partitions, reduce_fn, out_schema.empty_table()
+        slim, "repo", num_partitions, reduce_fn, out_schema.empty_table()
     )
 
 
@@ -449,9 +422,6 @@ def dup_rate_by_size(
         ]
     )
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("sha256"), p)
-
     def bucket_partials(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -480,7 +450,7 @@ def dup_rate_by_size(
         )
 
     partials = hash_exchange(
-        slim, part_of, num_partitions, bucket_partials, part_schema.empty_table()
+        slim, "sha256", num_partitions, bucket_partials, part_schema.empty_table()
     )
     totals = partials.groupby("size_digits").aggregate(
         Sum("n_files", alias_name="n_files"),
@@ -725,9 +695,6 @@ def dedup_summary(
 
     slim = files.select_columns(["sha256", "size"])
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        return _str_part(tbl.column("sha256"), p)
-
     def summarize(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -751,7 +718,7 @@ def dedup_summary(
         )
 
     partials = hash_exchange(
-        slim, part_of, num_partitions, summarize, part_schema.empty_table()
+        slim, "sha256", num_partitions, summarize, part_schema.empty_table()
     )
     agg = partials.to_pandas().sum()
     return pd.DataFrame([{c: int(agg[c]) for c in part_schema.names}])

@@ -90,10 +90,6 @@ def semdedup(
         extra_cols=[vec_col],
     )
 
-    def cluster_part(tbl: pa.Table, p: int) -> np.ndarray:
-        g = tbl.column(group_col).to_numpy().astype(np.uint64)
-        return (g % np.uint64(p)).astype(np.int64)
-
     def dedup_partition(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return OUT_SCHEMA.empty_table()
@@ -171,7 +167,7 @@ def semdedup(
 
     return hash_exchange(
         assigned,
-        cluster_part,
+        group_col,
         num_partitions,
         dedup_partition,
         OUT_SCHEMA.empty_table(),

@@ -46,6 +46,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from duplicate_finder_ray.stages.exchange import default_partitions, hash_exchange
+
 PAIRS_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("score", pa.float64())]
 )
@@ -632,10 +634,7 @@ def lsh_cosine_pairs(
     if slim.count() == 0:
         return ray.data.from_arrow(_EMPTY)
     shard_refs = _shard_matrices(slim, n_shards)
-    try:
-        num_parts = max(4, int(ray.cluster_resources().get("CPU", 8))) * 2
-    except Exception:
-        num_parts = 16
+    num_parts = default_partitions()
 
     def sign_batch(batch: pa.Table) -> pa.Table:
         m = _normalize(_matrix(batch))
@@ -704,17 +703,10 @@ def lsh_cosine_pairs(
     # duplicates (a pair's shard route is a pure function of (a, b),
     # so all its copies land in one partition) and verifies with exact
     # cosine against exactly two shard matrices.
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    def bkey_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return (
-            tbl.column("bkey").to_numpy().astype(np.uint64) % np.uint64(n)
-        ).astype(np.int64)
-
     def emit_reduce(p: int, tbl: pa.Table) -> pa.Table:
         return emit_partition(tbl.to_pandas())
 
-    pairs = hash_exchange(signed, bkey_part, num_parts, emit_reduce, _EMPTY_CAND)
+    pairs = hash_exchange(signed, "bkey", num_parts, emit_reduce, _EMPTY_CAND)
 
     def spair_part(tbl: pa.Table, n: int) -> np.ndarray:
         a = tbl.column("a").to_numpy(zero_copy_only=False).astype(np.int64)

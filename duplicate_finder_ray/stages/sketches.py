@@ -30,7 +30,6 @@ import pyarrow as pa
 
 import ray
 import ray.data
-from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 
 def tdigest_compress(
@@ -154,10 +153,6 @@ def grouped_quantiles_sketch(
             schema=part_schema,
         )
 
-    def group_part(tbl: pa.Table, n: int) -> np.ndarray:
-        g = tbl.column(group_col).to_numpy(zero_copy_only=False).astype(object)
-        return (stable_hash_array(g) % np.uint64(n)).astype(np.int64)
-
     def finalize(p: int, tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
         out: dict[str, list] = {group_col: []}
@@ -184,5 +179,5 @@ def grouped_quantiles_sketch(
         partial, batch_format="pandas"
     )
     return hash_exchange(
-        partials, group_part, num_partitions, finalize, out_schema.empty_table()
+        partials, group_col, num_partitions, finalize, out_schema.empty_table()
     )

@@ -239,10 +239,6 @@ def grouped_vector_mean(
         partial, batch_format="pyarrow"
     )
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        g = tbl.column(group_col).to_numpy().astype(np.uint64)
-        return (g % np.uint64(p)).astype(np.int64)
-
     def reduce_means(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return out_schema.empty_table()
@@ -274,7 +270,7 @@ def grouped_vector_mean(
         )
 
     return hash_exchange(
-        partials, part_of, 16, reduce_means, out_schema.empty_table()
+        partials, group_col, 16, reduce_means, out_schema.empty_table()
     )
 
 

@@ -1361,10 +1361,6 @@ def dup_ngram_stats(
         ]
     )
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        h = tbl.column("h").to_numpy().astype(np.uint64)
-        return (h % np.uint64(p)).astype(np.int64)
-
     def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1384,7 +1380,7 @@ def dup_ngram_stats(
         )
 
     partials = hash_exchange(
-        rows, part_of, num_partitions, reduce_fn, part_schema.empty_table()
+        rows, "h", num_partitions, reduce_fn, part_schema.empty_table()
     )
 
     # doc-keyed final sum ALSO rides the barrier-free exchange: the
@@ -1398,10 +1394,6 @@ def dup_ngram_stats(
             ("n_dup_13grams", pa.int64()),
         ]
     )
-
-    def doc_part(tbl: pa.Table, p: int) -> np.ndarray:
-        d = tbl.column("doc_id").to_numpy().astype(np.uint64)
-        return (d % np.uint64(p)).astype(np.int64)
 
     def doc_sum(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -1423,7 +1415,7 @@ def dup_ngram_stats(
         )
 
     return hash_exchange(
-        partials, doc_part, num_partitions, doc_sum, out_schema.empty_table()
+        partials, "doc_id", num_partitions, doc_sum, out_schema.empty_table()
     )
 
 
@@ -1491,10 +1483,6 @@ def unigram_xent(
         ]
     )
 
-    def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-        t = tbl.column("t").to_numpy(zero_copy_only=False).astype(object)
-        return (stable_hash_array(t) % np.uint64(p)).astype(np.int64)
-
     def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
@@ -1531,7 +1519,7 @@ def unigram_xent(
         return pa.concat_tables([out, stat])
 
     partials = hash_exchange(
-        rows, part_of, num_partitions, reduce_fn, part_schema.empty_table()
+        rows, "t", num_partitions, reduce_fn, part_schema.empty_table()
     ).materialize()
 
     stats = (
@@ -1546,10 +1534,6 @@ def unigram_xent(
             ("xent", pa.float64()),
         ]
     )
-
-    def doc_part(tbl: pa.Table, p: int) -> np.ndarray:
-        d = tbl.column("doc_id").to_numpy().astype(np.int64)
-        return (d.astype(np.uint64) % np.uint64(p)).astype(np.int64)
 
     def doc_finalize(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -1569,7 +1553,7 @@ def unigram_xent(
     # barrier-free doc-keyed finish (see dup_ngram_stats note)
     return hash_exchange(
         partials.filter(expr="doc_id >= 0"),
-        doc_part,
+        "doc_id",
         num_partitions,
         doc_finalize,
         out_schema.empty_table(),
@@ -1631,10 +1615,6 @@ def duplicated_passages(
 
     pos_schema = pa.schema([("doc_id", pa.int64()), ("pos", pa.int64())])
 
-    def h_part(tbl: pa.Table, p: int) -> np.ndarray:
-        h = tbl.column("h").to_numpy().astype(np.uint64)
-        return (h % np.uint64(p)).astype(np.int64)
-
     def dup_positions(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return pos_schema.empty_table()
@@ -1660,7 +1640,7 @@ def duplicated_passages(
         )
 
     dup_pos = hash_exchange(
-        rows, h_part, num_partitions, dup_positions, pos_schema.empty_table()
+        rows, "h", num_partitions, dup_positions, pos_schema.empty_table()
     )
 
     out_schema = pa.schema(
@@ -1671,10 +1651,6 @@ def duplicated_passages(
             ("span_tokens", pa.int64()),
         ]
     )
-
-    def doc_part(tbl: pa.Table, p: int) -> np.ndarray:
-        d = tbl.column("doc_id").to_numpy().astype(np.uint64)
-        return (d % np.uint64(p)).astype(np.int64)
 
     def merge_spans(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -1702,7 +1678,7 @@ def duplicated_passages(
         )
 
     return hash_exchange(
-        dup_pos, doc_part, num_partitions, merge_spans, out_schema.empty_table()
+        dup_pos, "doc_id", num_partitions, merge_spans, out_schema.empty_table()
     )
 
 
@@ -1736,10 +1712,6 @@ def corpus_diversity(
             num_cpus=1,
         ).select_columns(["h"])
 
-        def part_of(tbl: pa.Table, p: int) -> np.ndarray:
-            h = tbl.column("h").to_numpy().astype(np.uint64)
-            return (h % np.uint64(p)).astype(np.int64)
-
         def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
             if len(tbl) == 0:
                 return part_schema.empty_table()
@@ -1752,7 +1724,7 @@ def corpus_diversity(
             )
 
         agg = hash_exchange(
-            rows, part_of, num_partitions, reduce_fn, part_schema.empty_table()
+            rows, "h", num_partitions, reduce_fn, part_schema.empty_table()
         ).sum(["total", "distinct"])
         total = int(agg["sum(total)"])
         distinct = int(agg["sum(distinct)"])

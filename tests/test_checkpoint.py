@@ -155,7 +155,7 @@ class TestResumablePipeline:
         real_prestart = nd_stages.prestart_verify_split
 
         def recording_exchange(source, part_of, *args, premap=None, **kwargs):
-            if part_of.__qualname__.startswith("candidate_pairs."):
+            if part_of == "band_hash":  # the LSH band exchange's key
                 band_premaps.append(premap)
             return real_exchange(source, part_of, *args, premap=premap, **kwargs)
 

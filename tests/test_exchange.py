@@ -1,16 +1,23 @@
-"""Unit tests for the barrier-free hash-exchange primitive."""
+"""Unit tests for the barrier-free hash-exchange primitive and its
+key-hashing kernel."""
 
 import numpy as np
 import pyarrow as pa
+import pytest
 
 import ray.data
 
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.exchange import (
+    default_partitions,
+    hash_exchange,
+    partition_ids,
+)
 
 _EMPTY = pa.schema([("k", pa.int64()), ("n", pa.int64())]).empty_table()
 
 
-def _make_fns():
+def _make_fns(form: str):
     # closures, not module-level functions: workers can't import the
     # tests package, and closures pickle by value
     def part(tbl: pa.Table, n: int) -> np.ndarray:
@@ -22,29 +29,38 @@ def _make_fns():
             {"k": pa.array(ks, pa.int64()), "n": pa.array(counts, pa.int64())}
         )
 
-    return part, count_reduce
+    return (part if form == "callable" else "k"), count_reduce
+
+
+_FORMS = pytest.mark.parametrize("form", ["callable", "key"])
 
 
 class TestHashExchange:
-    def test_counts_match_groupby(self, ray_session):
+    @_FORMS
+    def test_counts_match_groupby(self, ray_session, form):
         rng = np.random.default_rng(0)
         ks = rng.integers(0, 50, size=10_000)
         ds = ray_session.data.from_arrow(
             pa.table({"k": pa.array(ks, pa.int64())})
         ).repartition(7)
-        part, count_reduce = _make_fns()
+        part, count_reduce = _make_fns(form)
         out = hash_exchange(ds, part, 5, count_reduce, _EMPTY).take_all()
         got = {r["k"]: r["n"] for r in out}
         want = dict(zip(*np.unique(ks, return_counts=True)))
         assert got == {int(k): int(v) for k, v in want.items()}
 
-    def test_partitions_are_disjoint_and_complete(self, ray_session):
+    @_FORMS
+    def test_partitions_are_disjoint_and_complete(self, ray_session, form):
         ks = np.arange(1000)
         ds = ray_session.data.from_arrow(pa.table({"k": pa.array(ks, pa.int64())}))
 
         def tag_reduce(p: int, tbl: pa.Table) -> pa.Table:
             kv = tbl.column("k").to_numpy()
-            assert (kv % 4 == p).all()  # every row landed in its partition
+            # every row landed in its partition
+            if form == "callable":
+                assert (kv % 4 == p).all()
+            else:
+                assert (partition_ids(tbl, ["k"], 4) == p).all()
             return pa.table(
                 {
                     "k": pa.array(kv, pa.int64()),
@@ -52,16 +68,17 @@ class TestHashExchange:
                 }
             )
 
-        part, _ = _make_fns()
+        part, _ = _make_fns(form)
         out = hash_exchange(ds, part, 4, tag_reduce, _EMPTY).take_all()
         seen = sorted(r["k"] for r in out)
         assert seen == list(range(1000))
 
-    def test_empty_source_keeps_schema(self, ray_session):
+    @_FORMS
+    def test_empty_source_keeps_schema(self, ray_session, form):
         ds = ray_session.data.from_arrow(
             pa.table({"k": pa.array([], pa.int64())})
         )
-        part, count_reduce = _make_fns()
+        part, count_reduce = _make_fns(form)
         out = hash_exchange(ds, part, 3, count_reduce, _EMPTY)
         assert out.count() == 0
         assert out.schema().names == ["k", "n"]
@@ -70,8 +87,6 @@ class TestHashExchange:
         # the old behavior silently dropped rows whose pid fell outside
         # [0, n_parts) — a buggy partitioner must be an error, not data
         # loss
-        import pytest
-
         ds = ray_session.data.from_arrow(
             pa.table({"k": pa.array([1, 2, 3], pa.int64())})
         )
@@ -79,7 +94,7 @@ class TestHashExchange:
         def bad_part(tbl: pa.Table, n: int) -> np.ndarray:
             return tbl.column("k").to_numpy().astype(np.int64)  # 3 >= n
 
-        _, count_reduce = _make_fns()
+        _, count_reduce = _make_fns("callable")
         with pytest.raises(Exception, match="outside"):
             hash_exchange(ds, bad_part, 3, count_reduce, _EMPTY).take_all()
 
@@ -91,10 +106,125 @@ class TestHashExchange:
                 ds, negative_part, 3, count_reduce, _EMPTY
             ).take_all()
 
-    def test_single_partition(self, ray_session):
+    @_FORMS
+    def test_single_partition(self, ray_session, form):
         ds = ray_session.data.from_arrow(
             pa.table({"k": pa.array([1, 1, 2], pa.int64())})
         )
-        part, count_reduce = _make_fns()
+        part, count_reduce = _make_fns(form)
         out = hash_exchange(ds, part, 1, count_reduce, _EMPTY).take_all()
         assert {r["k"]: r["n"] for r in out} == {1: 2, 2: 1}
+
+    def test_multi_column_key_and_default_width(self, ray_session):
+        # (g, k) groups split across three blocks meet in one reduce;
+        # n_parts=None resolves to default_partitions()
+        blocks = [
+            pa.table({"g": ["a", "b", "a"], "k": pa.array([1, 1, 2], pa.int64())}),
+            pa.table({"g": ["a", "b"], "k": pa.array([1, 1], pa.int64())}),
+            pa.table({"g": ["a"], "k": pa.array([2], pa.int64())}),
+        ]
+        ds = ray_session.data.from_arrow(blocks)
+
+        def group_count(p: int, tbl: pa.Table) -> pa.Table:
+            df = tbl.to_pandas().groupby(["g", "k"]).size().reset_index()
+            return pa.table(
+                {
+                    "g": pa.array(df["g"], pa.string()),
+                    "k": pa.array(df["k"], pa.int64()),
+                    "n": pa.array(df[0], pa.int64()),
+                }
+            )
+
+        empty = pa.schema(
+            [("g", pa.string()), ("k", pa.int64()), ("n", pa.int64())]
+        ).empty_table()
+        out = hash_exchange(ds, ["g", "k"], None, group_count, empty)
+        assert out.num_blocks() == default_partitions()
+        got = sorted((r["g"], r["k"], r["n"]) for r in out.take_all())
+        assert got == [("a", 1, 2), ("a", 2, 2), ("b", 1, 2)]
+
+
+_NS = [1, 2, 3, 7, 16, 64, 1000]
+
+
+def _ids(values, key_type=None, n=16) -> np.ndarray:
+    return partition_ids(pa.table({"k": pa.array(values, key_type)}), ["k"], n)
+
+
+class TestPartitionIds:
+    """The key-hashing kernel: ids are a function of the key values
+    alone, whatever block a row sits in."""
+
+    @pytest.mark.parametrize("n", _NS)
+    def test_same_value_same_id_whatever_the_neighbours(self, n):
+        blocks = [
+            ["x\0a", "x\0b", "y"],
+            ["x\0b"],
+            ["x\0b", "x\0c", "x\0b", "z", None],
+            ["q"] * 50 + ["x\0b"],
+        ]
+        ids = [dict(zip(b, _ids(b, pa.string(), n))) for b in blocks]
+        assert len({d["x\0b"] for d in ids}) == 1
+        ints = [[5, 7], [7, 5, 5, 1 << 40], [5]]
+        iids = [dict(zip(b, _ids(b, pa.int64(), n))) for b in ints]
+        assert len({d[5] for d in iids}) == 1
+
+    def test_values_differing_after_nul_hash_apart(self):
+        # a full-buffer hash: keys equal up to the NUL are still
+        # different keys
+        got = _ids(["x\0a", "x\0b", "x\0c"], pa.string(), n=1 << 62)
+        assert len(set(got)) == 3
+
+    @pytest.mark.parametrize("n", _NS)
+    def test_int_key_ignores_nulls_in_its_block(self, n):
+        clean = _ids([1, 2, 3, 1 << 50], pa.int64(), n)
+        holey = _ids([1, None, 3, None, 1 << 50], pa.int64(), n)
+        assert list(holey[[0, 2, 4]]) == list(clean[[0, 2, 3]])
+        assert holey[1] == holey[3] == _ids([None, 9], pa.int64(), n)[0]
+
+    @pytest.mark.parametrize("n", _NS)
+    def test_integer_widths_agree(self, n):
+        want = _ids([0, 1, 300, 70_000], pa.int64(), n)
+        for t in (pa.int32(), pa.uint32(), pa.uint64()):
+            assert list(_ids([0, 1, 300, 70_000], t, n)) == list(want)
+
+    @pytest.mark.parametrize("n", _NS)
+    def test_multi_column_keys_colocate_equal_tuples(self, n):
+        a = pa.table(
+            {"s": ["u", "v", "u", "w"], "i": pa.array([1, 1, 2, 3], pa.int64())}
+        )
+        b = pa.table(
+            {"s": ["w", "u", "u"], "i": pa.array([3, 2, 1], pa.int64())}
+        )
+        ia = partition_ids(a, ["s", "i"], n)
+        ib = partition_ids(b, ["s", "i"], n)
+        assert ia[0] == ib[2] and ia[2] == ib[1] and ia[3] == ib[0]
+
+    @pytest.mark.parametrize("n", _NS)
+    @pytest.mark.parametrize("t", [pa.string(), pa.large_string(), pa.binary()])
+    def test_single_string_column_is_the_stable_hash_formula(self, n, t):
+        vals = ["", "abc", "x\0b", None, "é" * 9]
+        if t == pa.binary():
+            vals = [None if v is None else v.encode() for v in vals]
+        col = pa.chunked_array([pa.array(vals[:2], t), pa.array(vals[2:], t)])
+        want = (
+            stable_hash_array(col.to_numpy(zero_copy_only=False)) % np.uint64(n)
+        ).astype(np.int64)
+        got = partition_ids(pa.table({"k": col}), ["k"], n)
+        assert list(got) == list(want)
+
+    @pytest.mark.parametrize("n", _NS)
+    def test_ids_in_range(self, n):
+        rng = np.random.default_rng(n)
+        tbl = pa.table(
+            {
+                "i": pa.array(rng.integers(-(1 << 62), 1 << 62, 500)),
+                "f": pa.array(rng.normal(size=500)),
+                "s": pa.array([str(x) for x in rng.integers(0, 99, 500)]),
+                "b": pa.array(rng.integers(0, 2, 500).astype(bool)),
+            }
+        )
+        for keys in (["i"], ["f"], ["s"], ["b"], ["s", "i", "f"]):
+            ids = partition_ids(tbl, keys, n)
+            assert ids.dtype == np.int64 and len(ids) == len(tbl)
+            assert ids.min() >= 0 and ids.max() < n

@@ -421,3 +421,34 @@ class TestParetoFrontier:
         ds = _ds({"x": pa.array([1.0]), "y": pa.array([2], pa.int64())})
         with pytest.raises(ValueError):
             rel.pareto_frontier(ds, "x", "y")
+
+
+class TestNulKeyGroups:
+    """Keys that differ only after an embedded NUL are different groups,
+    and one group's rows meet in one reduce whichever blocks they start
+    in."""
+
+    @pytest.mark.parametrize("fn", ["rank_dense_per_group", "ntile_partitioned"])
+    def test_nul_key_group_is_not_split(self, ray_session, fn):
+        blocks = [
+            pa.table({"g": ["x\0a", "x\0b", "x\0b"], "v": pa.array([1, 5, 3])}),
+            pa.table({"g": ["x\0b", "x\0b", "x\0a"], "v": pa.array([4, 2, 6])}),
+        ]
+        if fn == "rank_dense_per_group":
+            col = "rnk"  # descending by v within each group
+            want = {("x\0a", 6): 1, ("x\0a", 1): 2, ("x\0b", 5): 1,
+                    ("x\0b", 4): 2, ("x\0b", 3): 3, ("x\0b", 2): 4}
+        else:
+            col = "bucket"  # NTILE(4) ascending by v within each group
+            want = {("x\0a", 1): 1, ("x\0a", 6): 2, ("x\0b", 2): 1,
+                    ("x\0b", 3): 2, ("x\0b", 4): 3, ("x\0b", 5): 4}
+
+        def run(ds, n):
+            if fn == "rank_dense_per_group":
+                return rel.rank_dense_per_group(ds, "g", "v", num_partitions=n)
+            return rel.ntile_partitioned(ds, "g", ["v"], 4, num_partitions=n)
+
+        for n in (1, 2, 4, 8, 16):
+            out = run(ray.data.from_arrow(blocks), n).take_all()
+            got = {(r["g"], r["v"]): r[col] for r in out}
+            assert got == want, n
