@@ -406,7 +406,7 @@ def run_scaling() -> None:
 
 def hw_ceiling(w_lo: int = 8, w_hi: int = 32) -> dict:
     """Ray-free hardware ceiling for the 8→32-CPU proxy: the signature
-    kernel (tokenize → shingle-hash → MinHash/SimHash, the pipeline's
+    kernel (tokenize → shingle-hash → MinHash, the pipeline's
     dominant cost) run under plain multiprocessing at 8 and 32
     processes. It is memory-bandwidth-bound: per-process throughput
     drops ~50% at 32 concurrent processes on this box, capping ANY
@@ -440,11 +440,11 @@ def hw_ceiling(w_lo: int = 8, w_hi: int = 32) -> dict:
 
 def _hw_kernel_work(n_docs: int) -> float:
     import numpy as np
+    import pyarrow as pa
 
     from duplicate_finder_ray.functions.shingles import (
         Shingler,
         batch_minhash,
-        batch_simhash,
         minhash_params,
     )
 
@@ -453,14 +453,14 @@ def _hw_kernel_work(n_docs: int) -> float:
         " ".join(f"w{rng.integers(0, 5000)}" for _ in range(120))
         for _ in range(2000)
     ]
-    texts = (texts * (n_docs // 2000 + 1))[:n_docs]
+    col = pa.array((texts * (n_docs // 2000 + 1))[:n_docs], pa.string())
     sh = Shingler(k=5)
     a, b = minhash_params(128, 42)
     wk: dict = {}
+    # the SignatureStage kernel at its default: Arrow column in, MinHash out
     t0 = time.perf_counter()
-    flat, offs = sh.shingle_hashes_batch(texts)
+    flat, offs = sh.shingle_hashes_batch_column(col)
     batch_minhash(flat, offs, a, b, work=wk)
-    batch_simhash(flat, offs, work=wk)
     return n_docs / (time.perf_counter() - t0)
 
 

@@ -7,11 +7,16 @@ Charikar 2002 SimHash; Leskovec/Rajaraman/Ullman MMDS ch.3 LSH banding).
 
 Design for the hot path:
 
-* token→uint64 ids come from an 8-byte blake2b digest, memoised in a
-  per-instance vocab dict — a ``Shingler`` lives inside a map_batches
-  ACTOR so the cache amortises across batches (stateful-stage rule);
+* token→uint64 ids come from an 8-byte blake2b digest. The batch
+  kernels look tokens up in a per-instance Arrow memo of known tokens
+  (one ``pc.index_in`` per batch, no per-token Python strings); only
+  the misses' distinct values are turned into Python strings and
+  digested. The memo is filled once, up to ``_MEMO_MAX`` entries. A
+  ``Shingler`` lives inside a map_batches ACTOR, so the memo amortises
+  across batches (stateful-stage rule);
 * k-token shingle hashes are a vectorized rolling mix over the token-id
-  array (uint64 wraparound multiply-xor), deduped with ``np.unique``;
+  array (uint64 wraparound multiply-xor), deduped per doc after a
+  radix sort on a narrow doc index;
 * MinHash signatures use the classic universal-hash family
   ``min((a_i * s + b_i) mod 2^64)`` evaluated as one numpy outer
   product per document;
@@ -29,13 +34,22 @@ import hashlib
 import re
 
 import numpy as np
-import pandas as pd
+import pyarrow as pa
+import pyarrow.compute as pc
 
 _MIX = np.uint64(0x9E3779B97F4A7C15)  # 64-bit golden-ratio odd constant
 _U64 = np.uint64
 _U64_MAX = np.uint64(0xFFFFFFFFFFFFFFFF)
 
 _TOKEN_RE = re.compile(r"\w+", re.UNICODE)
+
+#: entries in a ``Shingler``'s Arrow token memo. ``pc.index_in``
+#: rebuilds its value-set hash table on every call (0.036 s per
+#: 170 k-token batch at 100 k entries, 0.73 s at 3 M), so the memo is
+#: filled once up to this size and then frozen: a high-cardinality
+#: stream pays a bounded lookup plus digests for its misses, never a
+#: lookup that grows with the stream.
+_MEMO_MAX = 1 << 17
 
 
 def token_id(token: str) -> int:
@@ -82,7 +96,12 @@ class Shingler:
         self.mode = mode
         self.token_hash = token_hash
         self._hash_one = token_id if token_hash == "blake2b" else token_id_md5
+        #: memo of the per-doc reference path (:meth:`shingle_hashes`)
         self._vocab: dict[str, int] = {}
+        #: memo of the batch kernels: known tokens and their ids, filled
+        #: once up to ``_MEMO_MAX`` entries (see :meth:`_ids_arrow`)
+        self._memo_tokens = pa.array([], pa.large_string())
+        self._memo_ids = np.empty(0, dtype=np.uint64)
 
     def _ids(self, units: list[str]) -> np.ndarray:
         vocab = self._vocab
@@ -127,26 +146,6 @@ class Shingler:
     def shingle_set(self, text: str) -> set[int]:
         return set(self.shingle_hashes(text).tolist())
 
-    def _ids_batch(self, units: list[str]) -> np.ndarray:
-        """Vectorized twin of ``_ids`` for one batch's flattened token
-        stream: ``pd.factorize`` (C hash table) collapses the stream to
-        its distinct tokens, the Python loop + blake2b run only over
-        those distinct values (source batches repeat tokens heavily),
-        and the memoised vocab still carries hits across batches."""
-        if not units:
-            return np.empty(0, dtype=np.uint64)
-        codes, uniques = pd.factorize(np.asarray(units, dtype=object))
-        vocab = self._vocab
-        hash_one = self._hash_one
-        uid = np.empty(len(uniques), dtype=np.uint64)
-        for i, u in enumerate(uniques):
-            h = vocab.get(u)
-            if h is None:
-                h = hash_one(u)
-                vocab[u] = h
-            uid[i] = h
-        return uid[codes]
-
     def shingle_hashes_batch(
         self, texts: list[str | None]
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -159,25 +158,18 @@ class Shingler:
         mask and the per-doc dedupe are all whole-batch numpy passes —
         the per-doc Python loop only tokenizes.
         """
-        n_docs = len(texts)
-        units_per_doc = [self.units(t if t is not None else "") for t in texts]
-        counts = np.fromiter(
-            (len(u) for u in units_per_doc), dtype=np.int64, count=n_docs
-        )
-        ids = self._ids_batch([u for doc in units_per_doc for u in doc])
-        return self._csr_from_ids(ids, counts, n_docs)
+        return self._csr_from_ids(*self._token_ids_list(texts))
 
     def shingle_hashes_batch_column(
-        self, col: "pa.Array | pa.ChunkedArray", ascii_only: bool = False
+        self, col: pa.Array | pa.ChunkedArray, ascii_only: bool = False
     ) -> tuple[np.ndarray, np.ndarray]:
         r"""Arrow-native twin of :meth:`shingle_hashes_batch` taking the
         string column directly. For ALL-ASCII token-mode batches the
-        tokenize runs as RE2 split + dictionary-encode entirely in
-        Arrow C — no per-doc Python regex, no per-token Python string
-        objects (the dominant cost of the signature stage). Non-ASCII
-        batches fall back to the Python tokenizer, whose ``\w`` is
-        Unicode-aware where RE2's is ASCII (bit-identity over arbitrary
-        unicode is property-tested).
+        tokenize runs as an RE2 split in Arrow C and the token ids come
+        from the Arrow memo — no per-doc Python regex, no Python string
+        per token. Non-ASCII batches fall back to the Python tokenizer,
+        whose ``\w`` is Unicode-aware where RE2's is ASCII (bit-identity
+        over arbitrary unicode is property-tested).
 
         ``ascii_only=True`` selects SQL-parity tokenization instead:
         tokens are maximal ``[A-Za-z0-9_]+`` runs for EVERY row —
@@ -185,85 +177,25 @@ class Shingler:
         ``regexp_extract_all(text, '[A-Za-z0-9_]+')`` (both engines run
         RE2 over UTF-8). Used by oracle-gated stages (decontamination)
         whose shingle sets must be provably identical to SQL's."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
-        if isinstance(col, pa.ChunkedArray):
-            col = col.combine_chunks()
-        is_text = pa.types.is_string(col.type) or pa.types.is_large_string(
-            col.type
-        )
-        if self.mode != "token" or not is_text or len(col) == 0:
-            return self.shingle_hashes_batch(col.to_pylist())
-        if self.token_hash == "md5":
-            ascii_only = True  # the md5 family IS the SQL-parity config
-        arr = pc.fill_null(col, "")
-        if not ascii_only:
-            # ASCII gate: bytes == codepoints for every row ⇒ RE2's \W+
-            # split equals python re's unicode \w+ findall
-            ascii_ok = pc.all(
-                pc.equal(pc.binary_length(arr), pc.utf8_length(arr))
-            ).as_py()
-            if not ascii_ok:
-                return self.shingle_hashes_batch(col.to_pylist())
-        n_docs = len(arr)
-        split = pc.split_pattern_regex(arr, r"[^0-9A-Za-z_]+")
-        flat = pc.list_flatten(split)
-        parent = pc.list_parent_indices(split).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "")
-        flat = flat.filter(keep)
-        parent = parent[keep.to_numpy(zero_copy_only=False)]
-        counts = np.bincount(parent, minlength=n_docs).astype(np.int64)
-        if len(flat) == 0:
-            return np.empty(0, dtype=np.uint64), np.zeros(
-                n_docs + 1, dtype=np.int64
-            )
-        enc = pc.dictionary_encode(flat)
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniques = enc.dictionary.to_pylist()
-        vocab = self._vocab
-        hash_one = self._hash_one
-        uid = np.empty(len(uniques), dtype=np.uint64)
-        for i, u in enumerate(uniques):  # digest DISTINCT tokens only
-            h = vocab.get(u)
-            if h is None:
-                h = hash_one(u)
-                vocab[u] = h
-            uid[i] = h
-        return self._csr_from_ids(uid[codes], counts, n_docs)
+        return self._csr_from_ids(*self._token_ids_column(col, ascii_only))
 
     def shingle_positions_batch_column(
-        self, col: "pa.Array | pa.ChunkedArray", ascii_only: bool = False
+        self, col: pa.Array | pa.ChunkedArray, ascii_only: bool = False
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Positional twin of :meth:`shingle_hashes_batch_column` —
         NO per-doc dedupe; returns (flat uint64 hashes, flat int64
         0-based window positions within each doc, offsets[n_docs+1]).
         Needed by span-level consumers (duplicated-passage extraction)
         where WHERE a gram sits matters, not just membership."""
-        import pyarrow as pa
-
-        flat_ids, counts = self._token_ids_column(col, ascii_only)
+        ids, counts = self._token_ids_column(col, ascii_only)
+        wh, wd, valid = self._windows(ids, counts)
         n_docs = len(counts)
-        n = len(flat_ids)
-        k = self.k
-        empty = (
-            np.empty(0, dtype=np.uint64),
-            np.empty(0, dtype=np.int64),
-            np.zeros(n_docs + 1, dtype=np.int64),
-        )
-        if n < k:
-            return empty
-        ids = flat_ids
-        with np.errstate(over="ignore"):
-            h = ids[: n - k + 1].copy()
-            for j in range(1, k):
-                h = (h * _MIX) ^ ids[j : n - k + j + 1]
-        doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
-        start_doc = doc_of[: n - k + 1]
-        valid = doc_of[k - 1 :] == start_doc
-        wh, wd = h[valid], start_doc[valid]
         if len(wh) == 0:
-            return empty
+            return (
+                wh,
+                np.empty(0, dtype=np.int64),
+                np.zeros(n_docs + 1, dtype=np.int64),
+            )
         doc_off = np.zeros(n_docs, dtype=np.int64)
         np.cumsum(counts[:-1], out=doc_off[1:])
         wpos = np.nonzero(valid)[0] - doc_off[wd]
@@ -272,97 +204,137 @@ class Shingler:
         return wh, wpos, offsets
 
     def _token_ids_column(
-        self, col: "pa.Array | pa.ChunkedArray", ascii_only: bool
+        self, col: pa.Array | pa.ChunkedArray, ascii_only: bool
     ) -> tuple[np.ndarray, np.ndarray]:
-        """(flat token-id stream, per-doc token counts) — the shared
-        front half of the batch kernels (tokenize + digest)."""
-        import pyarrow as pa
-        import pyarrow.compute as pc
-
+        """(flat token-id stream, per-doc token counts) — tokenize +
+        digest, the front half of every column kernel."""
         if isinstance(col, pa.ChunkedArray):
             col = col.combine_chunks()
         is_text = pa.types.is_string(col.type) or pa.types.is_large_string(
             col.type
         )
         n_docs = len(col)
-        if self.mode != "token" or not is_text or n_docs == 0:
-            units_per_doc = [
-                self.units(t if t is not None else "")
-                for t in (col.to_pylist() if n_docs else [])
-            ]
-            counts = np.fromiter(
-                (len(u) for u in units_per_doc), dtype=np.int64, count=n_docs
-            )
-            return (
-                self._ids_batch([u for doc in units_per_doc for u in doc]),
-                counts,
-            )
-        if self.token_hash == "md5":
-            ascii_only = True
-        arr = pc.fill_null(col, "")
-        if not ascii_only:
-            ascii_ok = pc.all(
-                pc.equal(pc.binary_length(arr), pc.utf8_length(arr))
-            ).as_py()
-            if not ascii_ok:
-                units_per_doc = [self.units(t) for t in arr.to_pylist()]
-                counts = np.fromiter(
-                    (len(u) for u in units_per_doc), dtype=np.int64, count=n_docs
+        if self.mode == "token" and is_text and n_docs:
+            arr = pc.fill_null(col, "")
+            # ASCII gate: bytes == codepoints for every row ⇒ RE2's \W+
+            # split equals python re's unicode \w+ findall; the md5
+            # family IS the SQL-parity (ascii_only) config
+            if (
+                ascii_only
+                or self.token_hash == "md5"
+                or pc.all(
+                    pc.equal(pc.binary_length(arr), pc.utf8_length(arr))
+                ).as_py()
+            ):
+                split = pc.split_pattern_regex(arr, r"[^0-9A-Za-z_]+")
+                flat = pc.list_flatten(split)
+                parent = pc.list_parent_indices(split).to_numpy(
+                    zero_copy_only=False
                 )
-                return (
-                    self._ids_batch([u for doc in units_per_doc for u in doc]),
-                    counts,
-                )
-        split = pc.split_pattern_regex(arr, r"[^0-9A-Za-z_]+")
-        flat = pc.list_flatten(split)
-        parent = pc.list_parent_indices(split).to_numpy(zero_copy_only=False)
-        keep = pc.not_equal(flat, "")
-        flat = flat.filter(keep)
-        parent = parent[keep.to_numpy(zero_copy_only=False)]
-        counts = np.bincount(parent, minlength=n_docs).astype(np.int64)
-        if len(flat) == 0:
-            return np.empty(0, dtype=np.uint64), counts
-        enc = pc.dictionary_encode(flat)
-        codes = enc.indices.to_numpy(zero_copy_only=False).astype(np.int64)
-        uniques = enc.dictionary.to_pylist()
-        vocab = self._vocab
-        hash_one = self._hash_one
-        uid = np.empty(len(uniques), dtype=np.uint64)
-        for i, u in enumerate(uniques):
-            hh = vocab.get(u)
-            if hh is None:
-                hh = hash_one(u)
-                vocab[u] = hh
-            uid[i] = hh
-        return uid[codes], counts
+                keep = pc.not_equal(flat, "")
+                parent = parent[keep.to_numpy(zero_copy_only=False)]
+                counts = np.bincount(parent, minlength=n_docs).astype(np.int64)
+                return self._ids_arrow(flat.filter(keep)), counts
+        return self._token_ids_list(col.to_pylist())
 
-    def _csr_from_ids(
-        self, ids: np.ndarray, counts: np.ndarray, n_docs: int
+    def _token_ids_list(
+        self, texts: list[str | None]
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Rolling k-window hash + cross-doc mask + per-doc dedupe over a
-        flattened token-id stream — shared by both tokenize paths."""
+        """The Python-tokenizer twin of :meth:`_token_ids_column` (line
+        and char modes, non-ASCII token batches, plain lists)."""
+        units_per_doc = [self.units(t if t is not None else "") for t in texts]
+        counts = np.fromiter(
+            (len(u) for u in units_per_doc), dtype=np.int64, count=len(texts)
+        )
+        flat = pa.array(
+            [u for doc in units_per_doc for u in doc], pa.large_string()
+        )
+        return self._ids_arrow(flat), counts
+
+    def _ids_arrow(self, tokens: pa.Array) -> np.ndarray:
+        """uint64 id per token of an Arrow string array. Memo hits are
+        one ``pc.index_in`` against the known tokens; only the misses
+        are dictionary-encoded, and only their distinct values become
+        Python strings and are digested. New distinct tokens enter the
+        memo until it holds ``_MEMO_MAX`` entries."""
+        out = np.empty(len(tokens), dtype=np.uint64)
+        if len(tokens) == 0:
+            return out
+        if len(self._memo_ids):
+            pos = pc.fill_null(
+                pc.index_in(tokens, value_set=self._memo_tokens), -1
+            ).to_numpy()
+            hit = pos >= 0
+            out[hit] = self._memo_ids[pos[hit]]
+            if hit.all():
+                return out
+            miss = ~hit
+            tokens = tokens.filter(pa.array(miss))
+        else:
+            miss = slice(None)
+        enc = pc.dictionary_encode(tokens)
+        hash_one = self._hash_one
+        uid = np.fromiter(
+            (hash_one(u) for u in enc.dictionary.to_pylist()),
+            dtype=np.uint64,
+            count=len(enc.dictionary),
+        )
+        out[miss] = uid[enc.indices.to_numpy()]
+        room = _MEMO_MAX - len(self._memo_ids)
+        if room > 0:
+            self._memo_tokens = pa.concat_arrays(
+                [
+                    self._memo_tokens,
+                    enc.dictionary[:room].cast(pa.large_string()),
+                ]
+            )
+            self._memo_ids = np.concatenate([self._memo_ids, uid[:room]])
+        return out
+
+    def _windows(
+        self, ids: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Rolling k-window hashes over a flat token-id stream, keeping
+        the windows that lie inside one doc: (hashes, doc of each kept
+        window, mask of kept windows over all window starts)."""
         n = len(ids)
         k = self.k
-        empty_offsets = np.zeros(n_docs + 1, dtype=np.int64)
         if n < k:
-            return np.empty(0, dtype=np.uint64), empty_offsets
+            return (
+                np.empty(0, dtype=np.uint64),
+                np.empty(0, dtype=np.int64),
+                np.empty(0, dtype=bool),
+            )
         with np.errstate(over="ignore"):
             h = ids[: n - k + 1].copy()
             for j in range(1, k):
                 h = (h * _MIX) ^ ids[j : n - k + j + 1]
-        doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), counts)
+        doc_of = np.repeat(np.arange(len(counts), dtype=np.int64), counts)
         start_doc = doc_of[: n - k + 1]
-        valid = doc_of[k - 1 :] == start_doc  # window inside one doc
-        wh, wd = h[valid], start_doc[valid]
+        valid = doc_of[k - 1 :] == start_doc
+        return h[valid], start_doc[valid], valid
+
+    def _csr_from_ids(
+        self, ids: np.ndarray, counts: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Rolling k-window hash + per-doc dedupe over a flattened
+        token-id stream, shared by every batch kernel."""
+        n_docs = len(counts)
+        wh, wd, _ = self._windows(ids, counts)
+        offsets = np.zeros(n_docs + 1, dtype=np.int64)
         if len(wh) == 0:
-            return np.empty(0, dtype=np.uint64), empty_offsets
-        order = np.lexsort((wh, wd))
+            return wh, offsets
+        # (doc, hash) order without a two-key lexsort: sort by hash, then
+        # a stable sort by the doc index in its narrowest unsigned dtype,
+        # which numpy sorts by radix
+        order = np.argsort(wh)
+        narrow = wd.astype(np.min_scalar_type(n_docs))
+        order = order[np.argsort(narrow[order], kind="stable")]
         wh, wd = wh[order], wd[order]
         first = np.empty(len(wh), dtype=bool)
         first[0] = True
         np.logical_or(wd[1:] != wd[:-1], wh[1:] != wh[:-1], out=first[1:])
         wh, wd = wh[first], wd[first]
-        offsets = np.zeros(n_docs + 1, dtype=np.int64)
         np.cumsum(np.bincount(wd, minlength=n_docs), out=offsets[1:])
         return wh, offsets
 

@@ -5,8 +5,8 @@ composition of four named stages, shared by ``run_on`` and
 ``run_checkpointed``:
 
     signatures  SignatureStage actor pool over (file_id, content):
-                MinHash K perms + SimHash, plus the shingle sets in
-                exact verify mode
+                MinHash K perms, plus the shingle sets in exact verify
+                mode (SimHash only through ``signatures_for``)
     candidates  LSH band exchange. Small inputs: one task lexsorts the
                 band rows. At scale: ``hash_exchange`` over the
                 signature blocks with the band explosion fused into its
@@ -39,7 +39,8 @@ from duplicate_finder_ray.stages.derive import add_identity
 
 @dataclass
 class NearDupResult:
-    signatures: ray.data.Dataset   # file_id, minhash, simhash, n_shingles
+    #: file_id, fid, minhash, n_shingles (+ shingles in exact verify mode)
+    signatures: ray.data.Dataset
     #: a, b, n_bands, jaccard, n_inter, n_union — exact Jaccard plus the
     #: integer set sizes in verify_mode="exact"; MinHash estimate (and
     #: -1 sentinels for the sizes) in "estimate" mode
@@ -55,17 +56,25 @@ class NearDupPipeline:
     def __init__(self, cfg: PipelineConfig | None = None) -> None:
         self.cfg = cfg or PipelineConfig()
 
-    def signatures_for(self, ds: ray.data.Dataset) -> ray.data.Dataset:
+    def signatures_for(
+        self, ds: ray.data.Dataset, simhash: bool = False
+    ) -> ray.data.Dataset:
         """(repo,path,commit,lang,content) → signature table. Content is
-        dropped inside the actor stage; only (file_id, sigs) flow on."""
-        return self._signatures(ds, emit_shingles=False)
+        dropped inside the actor stage; only (file_id, sigs) flow on.
+        ``simhash=True`` adds the 64-bit SimHash fingerprint column."""
+        return self._signatures(ds, emit_shingles=False, emit_simhash=simhash)
 
     def _signatures(
-        self, ds: ray.data.Dataset, emit_shingles: bool
+        self,
+        ds: ray.data.Dataset,
+        emit_shingles: bool,
+        emit_simhash: bool = False,
     ) -> ray.data.Dataset:
         ds = ds.map_batches(add_identity, batch_format="pyarrow")
         ds = ds.select_columns(["file_id", "content"])
-        return neardup.signatures(ds, self.cfg, emit_shingles=emit_shingles)
+        return neardup.signatures(
+            ds, self.cfg, emit_shingles=emit_shingles, emit_simhash=emit_simhash
+        )
 
     def _compose(self, ds: ray.data.Dataset, stage) -> NearDupResult:
         """The pipeline, once: ``stage(name, make, extra=None)`` runs

@@ -202,7 +202,9 @@ def q_minhash_signatures(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 
     cfg = _md5_sig_config()
-    sigs = NearDupPipeline(cfg).signatures_for(code_files_from_documents(sf_dir))
+    sigs = NearDupPipeline(cfg).signatures_for(
+        code_files_from_documents(sf_dir), simhash=True
+    )
 
     def explode(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.greater(batch["n_shingles"], 0))
@@ -364,7 +366,9 @@ def q_simhash_pairs(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.neardup import simhash_candidate_pairs
 
     cfg = _md5_sig_config()
-    sigs = NearDupPipeline(cfg).signatures_for(code_files_from_documents(sf_dir))
+    sigs = NearDupPipeline(cfg).signatures_for(
+        code_files_from_documents(sf_dir), simhash=True
+    )
     return simhash_candidate_pairs(sigs, cfg, max_hamming=3)
 
 

@@ -2,14 +2,14 @@
 pairs → verified pairs.
 
 North_rule extension (no counterpart in the reference, which is
-exact-only — SURVEY.md §2.5): MinHash shingle signatures and SimHash
-fingerprints per file, LSH banding to generate candidate pairs, and
-signature-based verification at threshold τ.
+exact-only — SURVEY.md §2.5): MinHash shingle signatures per file
+(SimHash fingerprints on request), LSH banding to generate candidate
+pairs, and signature-based verification at threshold τ.
 
 Execution shape:
 
 * ``SignatureStage`` is a CALLABLE CLASS → Ray actor pool. The shingler
-  vocab cache and the (a, b) permutation tables are built once per actor
+  token memo and the (a, b) permutation tables are built once per actor
   (``__init__``), then every batch reuses them (stateful-stage rule,
   ray_guide 'Stateful stages = actor pools').
 * Band explosion is a stateless vectorized map_batches (n_docs × bands
@@ -111,7 +111,7 @@ def effective_parallelism(cfg: PipelineConfig) -> int:
     starves or deadlocks small sessions."""
     try:
         cpus = int(ray.cluster_resources().get("CPU", cfg.parallelism))
-    except Exception:
+    except ray.exceptions.RayError:
         cpus = cfg.parallelism
     return max(2, min(cfg.parallelism, cpus))
 
@@ -128,11 +128,18 @@ def pool_size(cfg: PipelineConfig) -> int:
 
 
 class SignatureStage:
-    """Actor-pool stage: content → (minhash list<uint64>[K], simhash
-    uint64, n_shingles). Shingler vocab + permutation tables persist
-    across batches."""
+    """Actor-pool stage: content → (fid, minhash list<uint64>[K],
+    n_shingles), plus the deduped shingle set (``emit_shingles``) and
+    the SimHash fingerprint (``emit_simhash``) for the consumers that
+    read them. Shingler memo + permutation tables persist across
+    batches."""
 
-    def __init__(self, cfg: PipelineConfig, emit_shingles: bool = False) -> None:
+    def __init__(
+        self,
+        cfg: PipelineConfig,
+        emit_shingles: bool = False,
+        emit_simhash: bool = False,
+    ) -> None:
         self.shingler = Shingler(
             k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=cfg.token_hash
         )
@@ -142,12 +149,13 @@ class SignatureStage:
         #: shingling is the expensive part, so exact-verify reuses these
         #: instead of a SECOND full content read+shingle pass
         self.emit_shingles = emit_shingles
+        #: only the SimHash queries read the fingerprint
+        self.emit_simhash = emit_simhash
         #: persistent kernel workspaces — fresh large temps fault pages
         #: at single-digit MB/s in this sandbox; actor state reuses them
         self._work: dict = {}
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        n = len(batch)
         # whole-batch CSR kernels (shingle_hashes_batch_column /
         # batch_minhash / batch_simhash) — bit-identical to the per-doc
         # functions (property-tested); ASCII token batches tokenize
@@ -156,45 +164,55 @@ class SignatureStage:
             batch.column("content")
         )
         sigs = batch_minhash(flat, offsets, self.a, self.b, work=self._work)
-        simhashes = batch_simhash(flat, offsets, work=self._work)
-        n_shingles = np.diff(offsets)
         out = batch.drop_columns(["content"])
-        out = out.append_column(
-            "fid",
-            pa.array(
-                fid_of(batch.column("file_id").to_numpy(zero_copy_only=False)),
-                pa.uint64(),
-            ),
-        )
+        out = out.append_column("fid", _fid_column(batch))
         out = out.append_column(
             "minhash",
             pa.FixedSizeListArray.from_arrays(
                 pa.array(sigs.reshape(-1), type=pa.uint64()), self.num_perms
             ),
         )
-        out = out.append_column("simhash", pa.array(simhashes, type=pa.uint64()))
-        out = out.append_column("n_shingles", pa.array(n_shingles, type=pa.int64()))
-        if self.emit_shingles:
-            # the CSR form IS the large_binary layout (uint64-LE values,
-            # byte offsets = 8 × set offsets) — build the column
-            # zero-copy from the kernel's buffers
-            shingle_col = pa.LargeBinaryArray.from_buffers(
-                pa.large_binary(),
-                n,
-                [None, pa.py_buffer(offsets * 8), pa.py_buffer(flat)],
+        if self.emit_simhash:
+            simhashes = batch_simhash(flat, offsets, work=self._work)
+            out = out.append_column(
+                "simhash", pa.array(simhashes, type=pa.uint64())
             )
-            out = out.append_column("shingles", shingle_col)
+        out = out.append_column(
+            "n_shingles", pa.array(np.diff(offsets), type=pa.int64())
+        )
+        if self.emit_shingles:
+            out = out.append_column("shingles", _shingle_column(flat, offsets))
         return out
 
 
+def _fid_column(batch: pa.Table) -> pa.Array:
+    ids = batch.column("file_id").to_numpy(zero_copy_only=False)
+    return pa.array(fid_of(ids), pa.uint64())
+
+
+def _shingle_column(flat: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """Per-doc shingle sets as ``large_binary`` (uint64-LE values). The
+    CSR form IS that layout — byte offsets are 8 × set offsets — so the
+    column is built zero-copy from the kernel's buffers. (Binary, not
+    list: pyarrow's hash join rejects list-typed payload columns.)"""
+    return pa.LargeBinaryArray.from_buffers(
+        pa.large_binary(),
+        len(offsets) - 1,
+        [None, pa.py_buffer(offsets * 8), pa.py_buffer(flat)],
+    )
+
+
 def signatures(
-    ds: ray.data.Dataset, cfg: PipelineConfig, emit_shingles: bool = False
+    ds: ray.data.Dataset,
+    cfg: PipelineConfig,
+    emit_shingles: bool = False,
+    emit_simhash: bool = False,
 ) -> ray.data.Dataset:
     """Run the signature actor pool over a dataset bearing
     (file_id, content)."""
     return ds.map_batches(
         SignatureStage,
-        fn_constructor_args=(cfg, emit_shingles),
+        fn_constructor_args=(cfg, emit_shingles, emit_simhash),
         batch_format="pyarrow",
         batch_size=cfg.derive_batch_size,
         concurrency=pool_size(cfg),
@@ -744,8 +762,8 @@ def verify_pairs(
 
 
 class ShingleSetStage:
-    """Actor-pool stage: (file_id, content) → (file_id, shingles
-    list<uint64>) for exact-Jaccard verification of candidate endpoints
+    """Actor-pool stage: (file_id, content) → (fid, file_id, shingles
+    large_binary) for exact-Jaccard verification of candidate endpoints
     only (never run over the full corpus)."""
 
     def __init__(self, cfg: PipelineConfig) -> None:
@@ -754,20 +772,14 @@ class ShingleSetStage:
         )
 
     def __call__(self, batch: pa.Table) -> pa.Table:
-        contents = batch.column("content").to_pylist()
-        arrays = [
-            self.shingler.shingle_hashes(t if t is not None else "")
-            for t in contents
-        ]
-        # serialized as binary (uint64 little-endian bytes): pyarrow's
-        # hash join rejects list-typed payload columns
-        shingle_col = pa.array([a.tobytes() for a in arrays], pa.large_binary())
-        ids = batch.column("file_id").to_numpy(zero_copy_only=False)
+        flat, offsets = self.shingler.shingle_hashes_batch_column(
+            batch.column("content")
+        )
         return pa.table(
             {
-                "fid": pa.array(fid_of(ids), pa.uint64()),
+                "fid": _fid_column(batch),
                 "file_id": batch["file_id"],
-                "shingles": shingle_col,
+                "shingles": _shingle_column(flat, offsets),
             }
         )
 
@@ -900,8 +912,7 @@ def verify_pairs_exact(
         ).map_batches(probe, batch_format="pyarrow")
     else:
         def add_fid(batch: pa.Table) -> pa.Table:
-            ids = batch.column("file_id").to_numpy(zero_copy_only=False)
-            return batch.append_column("fid", pa.array(fid_of(ids), pa.uint64()))
+            return batch.append_column("fid", _fid_column(batch))
 
         cand = (
             code_with_id.select_columns(["file_id", "content"])

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 
 from duplicate_finder_ray.config import PipelineConfig
-from duplicate_finder_ray.functions.shingles import Shingler, exact_jaccard
+from duplicate_finder_ray.functions.shingles import Shingler, exact_jaccard, simhash64
 from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 from duplicate_finder_ray.sources.code_table import synthetic_code_corpus
 from duplicate_finder_ray.stages import cc, neardup
@@ -193,9 +193,64 @@ class TestNearDupPipeline:
 
     def test_signature_table_shape(self, corpus_ds):
         cfg = PipelineConfig()
-        sigs = NearDupPipeline(cfg).signatures_for(corpus_ds).to_pandas()
+        sigs = NearDupPipeline(cfg).signatures_for(corpus_ds, simhash=True).to_pandas()
         assert {"file_id", "minhash", "simhash", "n_shingles"} <= set(sigs.columns)
         assert all(len(m) == cfg.minhash_perms for m in sigs["minhash"][:5])
+
+    def test_simhash_only_on_request(self, corpus, corpus_ds):
+        cfg = PipelineConfig()
+        pipe = NearDupPipeline(cfg)
+        assert "simhash" not in pipe.signatures_for(corpus_ds).schema().names
+        with_shingles = pipe._signatures(corpus_ds, emit_shingles=True)
+        assert "simhash" not in with_shingles.schema().names
+        sigs = pipe.signatures_for(corpus_ds, simhash=True).to_pandas()
+        content = dict(
+            zip(
+                corpus["repo"] + ":" + corpus["path"] + "@" + corpus["commit"],
+                corpus["content"],
+            )
+        )
+        sh = Shingler(k=cfg.shingle_k, mode=cfg.shingle_mode)
+        assert len(sigs) == len(corpus)
+        for file_id, fp in zip(sigs["file_id"], sigs["simhash"]):
+            assert int(fp) == simhash64(sh.shingle_hashes(content[file_id]))
+
+
+class TestShingleSetStage:
+    @pytest.mark.parametrize("token_hash", ["blake2b", "md5"])
+    def test_bytes_equal_per_doc_reference(self, token_hash):
+        """The verify path's shingle sets (no ``shingles`` column on the
+        endpoints) come from the batch kernel; their bytes must be the
+        per-doc reference's, for ASCII (Arrow tokenizer) and mixed
+        (Python tokenizer) batches through one stage instance."""
+        import pyarrow as pa
+
+        cfg = PipelineConfig(token_hash=token_hash)
+        stage = neardup.ShingleSetStage(cfg)
+        ref = Shingler(k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=token_hash)
+        ascii_texts = [
+            "def f(x): return x + 1 if x else alpha beta gamma",
+            "",
+            None,
+            "a b",
+            "def f(x): return x + 2 if x else alpha beta gamma",
+        ]
+        mixed = ascii_texts + ["héllo wörld ß a b c d e f g 中文 h i"]
+        for texts in (ascii_texts, mixed, ascii_texts):
+            file_ids = [f"o/r:f{i}.py@c" for i in range(len(texts))]
+            out = stage(
+                pa.table(
+                    {"file_id": file_ids, "content": pa.array(texts, pa.string())}
+                )
+            )
+            assert out.column_names == ["fid", "file_id", "shingles"]
+            assert out["shingles"].type == pa.large_binary()
+            assert out["shingles"].to_pylist() == [
+                ref.shingle_hashes(t or "").tobytes() for t in texts
+            ]
+            np.testing.assert_array_equal(
+                out["fid"].to_numpy(), neardup.fid_of(np.array(file_ids, dtype=object))
+            )
 
 
 class TestBucketCap:
@@ -481,7 +536,7 @@ class TestSimHashPairs:
         )
         cfg = PipelineConfig()
         ds = ray_session.data.from_pandas(df)
-        sigs = NearDupPipeline(cfg).signatures_for(ds)
+        sigs = NearDupPipeline(cfg).signatures_for(ds, simhash=True)
         pairs = neardup.simhash_candidate_pairs(sigs, cfg, max_hamming=3).to_pandas()
         assert len(pairs) == 1
         assert pairs["hamming"].iloc[0] == 0

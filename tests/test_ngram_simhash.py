@@ -93,7 +93,7 @@ def test_simhash_pairs_match_brute_force(ray_session, salad_corpus):
         }
     )
     sigs = NearDupPipeline(cfg).signatures_for(
-        ray_session.data.from_pandas(code)
+        ray_session.data.from_pandas(code), simhash=True
     ).materialize()
     got_df = simhash_candidate_pairs(sigs, cfg, max_hamming=3).to_pandas()
     got = set(zip(got_df["a"], got_df["b"]))

@@ -317,3 +317,114 @@ class TestColumnTokenizePath:
             np.testing.assert_array_equal(f1, f2)
 
         check()
+
+
+def _assert_matches_per_doc(sh, texts, ascii_only=False):
+    """``sh``'s column kernel against a fresh per-doc reference."""
+    import pyarrow as pa
+
+    flat, offs = sh.shingle_hashes_batch_column(
+        pa.array(texts, pa.string()), ascii_only=ascii_only
+    )
+    ref = Shingler(k=sh.k, mode=sh.mode, token_hash=sh.token_hash)
+    assert len(offs) == len(texts) + 1
+    for i, t in enumerate(texts):
+        np.testing.assert_array_equal(
+            flat[offs[i] : offs[i + 1]], ref.shingle_hashes(t or "")
+        )
+
+
+def _assert_memo_consistent(sh, bound):
+    from duplicate_finder_ray.functions.shingles import token_id_md5
+
+    tokens = sh._memo_tokens.to_pylist()
+    assert len(tokens) == len(sh._memo_ids) <= bound
+    assert len(set(tokens)) == len(tokens)
+    one = token_id if sh.token_hash == "blake2b" else token_id_md5
+    assert [one(t) for t in tokens] == sh._memo_ids.tolist()
+
+
+def _docs(rng, words, n_docs, max_len=30):
+    docs = [
+        " ".join(rng.choice(words, size=rng.integers(0, max_len)).tolist())
+        for _ in range(n_docs)
+    ]
+    # null, empty and fewer-than-k-token docs in every batch
+    return docs + [None, "", "one two"]
+
+
+class TestTokenMemo:
+    """One ``Shingler`` reused across many batches, as in a
+    ``SignatureStage`` actor, must equal the per-doc reference whatever
+    its memo holds."""
+
+    def test_memo_filling_full_and_past_bound(self, monkeypatch):
+        from duplicate_finder_ray.functions import shingles
+
+        monkeypatch.setattr(shingles, "_MEMO_MAX", 40)
+        rng = np.random.default_rng(3)
+        sh = Shingler(k=3)
+        sizes = []
+        # 12-word vocab (filling), then 400 words: the memo fills up,
+        # then later batches miss a frozen memo
+        for vocab in [12, 12, 400, 400, 400, 400]:
+            words = np.array([f"w{i}" for i in range(vocab)])
+            _assert_matches_per_doc(sh, _docs(rng, words, 30))
+            _assert_memo_consistent(sh, 40)
+            sizes.append(len(sh._memo_ids))
+        assert sizes[0] == sizes[1] == 14  # the 12 words, "one", "two"
+        assert sizes[2:] == [40] * 4
+
+    @pytest.mark.parametrize("bound", [None, 25])
+    def test_ascii_and_non_ascii_batches_share_memo(self, monkeypatch, bound):
+        from duplicate_finder_ray.functions import shingles
+
+        if bound is not None:
+            monkeypatch.setattr(shingles, "_MEMO_MAX", bound)
+        ascii_words = np.array(["foo", "bar", "baz", "qux", "x1", "y_2", "café"])
+        uni_words = np.array(["héllo", "wörld", "中文", "foo", "bar", "ß", "x1"])
+        rng = np.random.default_rng(4)
+        sh = Shingler(k=2)
+        for trial in range(8):
+            words = uni_words if trial % 2 else ascii_words[:-1]
+            _assert_matches_per_doc(sh, _docs(rng, words, 20))
+            _assert_memo_consistent(sh, bound or shingles._MEMO_MAX)
+        # both tokenize paths filled the one memo
+        assert {"héllo", "baz"} <= set(sh._memo_tokens.to_pylist())
+
+    def test_md5_family_ascii_only(self, monkeypatch):
+        from duplicate_finder_ray.functions import shingles
+
+        monkeypatch.setattr(shingles, "_MEMO_MAX", 10)
+        words = np.array(["alpha", "beta", "gämma", "δelta", "x_1", "中", "z9"])
+        rng = np.random.default_rng(5)
+        sh = Shingler(k=2, token_hash="md5")
+        for _ in range(6):
+            texts = _docs(rng, words, 15)
+            # the md5 family tokenizes ASCII-only whatever the flag says
+            _assert_matches_per_doc(sh, texts, ascii_only=True)
+            _assert_matches_per_doc(sh, texts, ascii_only=False)
+            _assert_memo_consistent(sh, 10)
+
+    def test_empty_batches(self):
+        import pyarrow as pa
+
+        sh = Shingler(k=3)
+        for texts in ([], [None], ["", None, "a b"]):
+            flat, offs = sh.shingle_hashes_batch_column(pa.array(texts, pa.string()))
+            assert len(flat) == 0
+            assert offs.tolist() == [0] * (len(texts) + 1)
+        assert len(sh._memo_ids) == 2  # "a", "b"
+
+    @pytest.mark.parametrize("n_docs", [200, 300, 70_000])
+    def test_doc_index_widths(self, n_docs):
+        """The per-doc sort narrows the doc index to uint8, uint16 or
+        uint32 by batch size; every width must give the reference."""
+        rng = np.random.default_rng(n_docs)
+        words = np.array([f"t{i}" for i in range(50)])
+        texts = [
+            " ".join(rng.choice(words, size=rng.integers(0, 8)).tolist())
+            for _ in range(n_docs)
+        ]
+        texts[-1] = None
+        _assert_matches_per_doc(Shingler(k=2), texts)
