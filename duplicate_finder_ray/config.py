@@ -125,10 +125,12 @@ class PipelineConfig:
     dry_run: bool = False
 
     # ---- exact-dedup execution knobs ----------------------------------
-    #: "fused": one pass computes size+sha256, size-prefilter trims the
-    #: shuffle. "two_pass": pass 1 sizes only, broadcast candidate sizes,
-    #: pass 2 hashes only candidates (reference's hash-work-avoidance,
-    #: duplicate_finder.py:42-48,186-189 — pays a second content read).
+    #: "fused": one pass computes size+sha256 and feeds the members
+    #: exchange directly (the members reduce drops singletons, so a size
+    #: prefilter could not change the output). "two_pass": pass 1 sizes
+    #: only, broadcast candidate sizes, pass 2 hashes only candidates
+    #: (reference's hash-work-avoidance, duplicate_finder.py:42-48,186-189
+    #: — pays a second content read).
     prefilter_mode: str = "fused"
     #: map_batches batch size for content-heavy derivations.
     derive_batch_size: int = 1024
@@ -234,7 +236,7 @@ class PipelineConfig:
         self.output_path = normalize_file_path(self.output_path)
         self.delete_report_path = normalize_file_path(self.delete_report_path)
         self.parallelism = normalize_parallelism(self.parallelism)
-        if self.prefilter_mode not in ("fused", "two_pass", "off"):
+        if self.prefilter_mode not in ("fused", "two_pass"):
             raise ValueError(f"invalid prefilter_mode: {self.prefilter_mode}")
         if self.verify_mode not in ("exact", "estimate"):
             raise ValueError(f"invalid verify_mode: {self.verify_mode}")

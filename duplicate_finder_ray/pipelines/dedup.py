@@ -1,10 +1,16 @@
 """The exact-dedup pipeline — Ray-Data-native analogue of the reference's
 ``DuplicateFinder.run`` (/root/reference/duplicate_finder/duplicate_finder.py:21-110).
 
-Lifecycle (SURVEY.md §3.4): read → derive identity/size/sha256 (stateless
-map_batches, zero-copy Arrow) → glob + size filters → size-prefilter
-broadcast semi-join → groupby(size, sha256) → membership/groups/decisions
-tables → optional sorts → parquet sinks + text report renderer.
+Lifecycle (SURVEY.md §3.4): read → derive identity/size (stateless
+map_batches, zero-copy Arrow) → glob + size filters → sha256 → one hash
+exchange on the digest → membership table → optional sorts → groups as
+the keeper-row projection → parquet sinks + text report renderer.
+
+The reference's size prefilter exists to avoid hashing. Here sha256 is
+computed in the same pass as the size, and the members reduce drops
+every singleton, so the default path runs no prefilter;
+``prefilter_mode="two_pass"`` keeps it, hashing only rows whose size
+repeats.
 
 Everything stays lazy/streaming until a sink or a small driver-side
 collect; ``content`` is projected away before any shuffle.
@@ -23,12 +29,7 @@ from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.sizes import format_size
 from duplicate_finder_ray.sources.code_table import read_code_table
 from duplicate_finder_ray.stages import exact
-from duplicate_finder_ray.stages.derive import (
-    add_identity,
-    add_identity_and_sha256,
-    add_sha256,
-    drop_content,
-)
+from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
 from duplicate_finder_ray.stages.filters import make_glob_filter, make_size_filter
 
 
@@ -56,14 +57,13 @@ class DedupPipeline:
     # -- stage composition -------------------------------------------
 
     def prepare(self, ds: ray.data.Dataset) -> ray.data.Dataset:
-        """Filters + identity/size/sha256 derivation (pre-shuffle half).
+        """Filters + identity/size derivation (pre-shuffle half).
 
         Stage order mirrors the reference: glob/size filters trim rows
-        BEFORE hashing (duplicate_finder.py:30-53). In fused mode sha256
-        is computed in the same single pass over content; in two_pass
-        mode hashing happens after the size prefilter so size-unique rows
-        are never hashed (the reference's work-avoidance, at the cost of
-        a second content read)."""
+        BEFORE hashing (duplicate_finder.py:30-53). ``run_on`` appends
+        sha256 — after the size prefilter in two_pass mode, so
+        size-unique rows are never hashed (the reference's
+        work-avoidance, at the cost of a second content read)."""
         cfg = self.cfg
         ds = ds.map_batches(
             add_identity, batch_format="pyarrow", batch_size=cfg.derive_batch_size
@@ -80,36 +80,17 @@ class DedupPipeline:
         cfg = self.cfg
         metrics: dict = {"prefilter_mode": cfg.prefilter_mode}
         ds = self.prepare(ds)
-
         if cfg.prefilter_mode == "two_pass":
             sizes = exact.candidate_sizes(ds)
             metrics["candidate_sizes"] = int(len(sizes))
             if len(sizes) == 0:
                 return self._empty_result(metrics)
             ds = exact.apply_size_prefilter(ds, sizes)
-            ds = ds.map_batches(
-                add_sha256, batch_format="pyarrow", batch_size=cfg.derive_batch_size
-            )
-            if not cfg.verify_content:
-                ds = ds.map_batches(drop_content, batch_format="pyarrow")
-        else:
-            ds = ds.map_batches(
-                add_sha256, batch_format="pyarrow", batch_size=cfg.derive_batch_size
-            )
-            if not cfg.verify_content:
-                # content is done after hashing: project it away and
-                # MATERIALIZE the slim digest table (identity+size+sha ≈
-                # a few hundred bytes/row). Both consumers below
-                # (candidate_sizes and the members groupby) read it;
-                # left lazy, each would re-read + re-hash all content.
-                ds = ds.map_batches(drop_content, batch_format="pyarrow")
-                ds = ds.materialize()
-            if cfg.prefilter_mode == "fused":
-                sizes = exact.candidate_sizes(ds)
-                metrics["candidate_sizes"] = int(len(sizes))
-                if len(sizes) == 0:
-                    return self._empty_result(metrics)
-                ds = exact.apply_size_prefilter(ds, sizes)
+        ds = ds.map_batches(
+            add_sha256, batch_format="pyarrow", batch_size=cfg.derive_batch_size
+        )
+        if not cfg.verify_content:
+            ds = ds.map_batches(drop_content, batch_format="pyarrow")
 
         members = exact.duplicate_members(ds, cfg)
         if cfg.sort_by_group_size:
@@ -121,9 +102,9 @@ class DedupPipeline:
 
     @staticmethod
     def _empty_result(metrics: dict) -> DedupResult:
-        """Schema-stable empty result for inputs with no duplicate sizes —
-        a prefilter that empties the stream must not erase the output
-        schema (an empty groupby block otherwise loses it)."""
+        """Schema-stable empty result for a two_pass run with no
+        duplicate sizes — a prefilter that empties the stream must not
+        erase the output schema."""
         members = ray.data.from_arrow(exact.MEMBERS_SCHEMA.empty_table())
         groups = ray.data.from_arrow(exact.GROUPS_SCHEMA.empty_table())
         return DedupResult(members=members, groups=groups, metrics=metrics)

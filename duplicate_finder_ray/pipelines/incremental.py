@@ -45,10 +45,7 @@ import ray
 import ray.data
 
 from duplicate_finder_ray.config import PipelineConfig
-from duplicate_finder_ray.stages.derive import (
-    add_identity_and_sha256,
-    drop_content,
-)
+from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
 
 MEMBERS_SCHEMA = pa.schema(
     [
@@ -72,9 +69,11 @@ class IncrementalResult:
 
 
 def _digests(ds: ray.data.Dataset) -> ray.data.Dataset:
-    return ds.map_batches(
-        add_identity_and_sha256, batch_format="pyarrow"
-    ).map_batches(drop_content, batch_format="pyarrow")
+    return (
+        ds.map_batches(add_identity, batch_format="pyarrow")
+        .map_batches(add_sha256, batch_format="pyarrow")
+        .map_batches(drop_content, batch_format="pyarrow")
+    )
 
 
 _DIG_COLS = ["file_id", "repo", "path", "commit", "size", "sha256"]

@@ -65,13 +65,6 @@ def add_sha256(batch: pa.Table) -> pa.Table:
     return batch.append_column("sha256", sha256_hex_array(batch["content"]))
 
 
-def add_identity_and_sha256(batch: pa.Table) -> pa.Table:
-    """Fused single-pass derivation (prefilter_mode="fused"): one read of
-    the content column yields size AND sha256, so the size prefilter can
-    trim the groupby shuffle without a second pass over 100 TB of input."""
-    return add_sha256(add_identity(batch))
-
-
 def drop_content(batch: pa.Table) -> pa.Table:
     """Project the heavy ``content`` column away as soon as a stage no
     longer needs it — blocks entering the shuffle carry only identities,

@@ -1,40 +1,45 @@
-"""Exact duplicate detection: size prefilter → sha256 groupby → groups.
+"""Exact duplicate detection: sha256 → one hash exchange → groups.
 
 Reproduces the reference's pipeline semantics (SURVEY.md §1.2):
 
-* candidate ⇔ same size (reference duplicate_finder.py:166,176-196),
-  duplicate ⇔ same sha256 (:199-239);
+* duplicate ⇔ same size and same sha256 (reference
+  duplicate_finder.py:166,176-239);
 * groups are member-sorted lexicographically; the keeper is the
   lexicographic minimum (:246-250,309);
-* singleton groups are not duplicates (:248-249);
+* singleton groups are not duplicates (:248-249) — the members reduce
+  drops them, which is all the reference's size prefilter decides once
+  the digest is already computed;
 * optional byte-exact verification refines hash groups (:427-463) —
   implemented CORRECTLY here (distinct subgroup ids per refined
   partition), unlike the reference's re-merge flaw (SURVEY.md §2.4).
 
 Scale notes (100 TB / 10^12 rows):
 
-* The heavy ``content`` column is dropped before any shuffle; only
-  ``(file_id, repo, path, commit, lang, size, sha256)`` rows move.
-* The size prefilter is a broadcast semi-join: per-batch partial counts
-  feed a small ``groupby(size)`` whose >1 keys are ``ray.put`` once and
-  probed with vectorized ``np.isin`` inside map_batches — raw rows never
-  shuffle for the prefilter.
-* The sha256 groupby shuffle is skew-free by construction (crypto-hash
-  keys); group fan-in is bounded by real duplicate multiplicity.
+* The heavy ``content`` column is dropped before any shuffle (unless
+  verifying); only ``(file_id, repo, path, commit, lang, size, sha256)``
+  rows move.
+* Members cost ONE exchange keyed on the digest — skew-free by
+  construction (crypto-hash keys); group fan-in is bounded by real
+  duplicate multiplicity. The groups table is a per-block projection of
+  the keeper rows, never a second shuffle.
+* ``candidate_sizes`` / ``apply_size_prefilter`` are the reference's
+  hash-avoiding prefilter, used by ``prefilter_mode="two_pass"``: a
+  broadcast semi-join probed with vectorized ``np.isin`` — raw rows
+  never shuffle for it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
+from ray.data.aggregate import Count, Sum
 
 from duplicate_finder_ray.config import PipelineConfig
+from duplicate_finder_ray.stages.exchange import hash_exchange
 
 #: columns that flow into the shuffle (content intentionally absent)
 MEMBER_COLS = ["file_id", "repo", "path", "commit", "lang", "size", "sha256"]
@@ -116,9 +121,7 @@ def apply_size_prefilter(ds: ray.data.Dataset, sizes: np.ndarray) -> ray.data.Da
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-def duplicate_members(
-    ds: ray.data.Dataset, cfg: PipelineConfig, group_on_size: bool = True
-) -> ray.data.Dataset:
+def duplicate_members(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
     """Exploded duplicate-membership table (the scale-friendly form of the
     reference's ``list[list[str]]`` result).
 
@@ -131,91 +134,60 @@ def duplicate_members(
     ``sorted(group)`` — keeper is rank 0. With verify_content, hash groups
     are refined to byte-identical subgroups with distinct
     ``group_id = sha256 ["#" k]`` (fixes the reference's re-merge flaw,
-    duplicate_finder.py:443-461).
+    duplicate_finder.py:443-461): k numbers the surviving subgroups in
+    order of first appearance in the tuple-sorted hash group.
 
-    One shuffle, key (size, sha256) — uniform, content never moves unless
-    verifying. Each group is processed by one worker; duplicate groups are
-    small (real-world multiplicity), so no per-group memory hazard.
+    ONE barrier-free hash exchange on hash(sha256) % P
+    (stages/exchange.py) — every (size, sha256) group lands in one
+    partition — then fully vectorized pandas group kernels inside each
+    partition. A naive groupby(size, sha).map_groups pays a Python call
+    per GROUP, and Ray Data's sort-based groupby pays a sample barrier +
+    full sort for an order nothing needs. Content moves only when
+    verifying, and is dropped before emitting.
     """
-    keys = ["size", "sha256"] if group_on_size else ["sha256"]
-    verify = cfg.verify_content
+    keys = ["size", "sha256"]
+    group_keys = [*keys, "content_id"] if cfg.verify_content else keys
 
-    if not verify:
-        # fast path: ONE coarse barrier-free hash exchange on
-        # siphash(sha256) % P (stages/exchange.py), then fully
-        # vectorized pandas group kernels inside each partition — a
-        # naive groupby(size, sha).map_groups pays a Python call per
-        # GROUP (milliseconds × thousands of groups), and Ray Data's
-        # sort-based groupby("pkey") paid a sample barrier + full sort
-        # of the slim digest table for an order nothing needs (the same
-        # fixed scaling term the verify shard exchange eliminated —
-        # measured 9.2× on slim doc-keyed finishes).
-        num_parts = max(8, cfg.parallelism)
-
-        def emit_partition(part: pd.DataFrame) -> pa.Table:
-            # rank on the (repo, path, commit) TUPLE, not the joined
-            # file_id string: 'LICENSE' vs 'LICENSE.txt' must order the
-            # way the reference's raw-path sort does ('@' terminator in
-            # file_id sorts after '.', flipping the keeper otherwise)
-            part = part.sort_values(
-                [*keys, "repo", "path", "commit"], kind="mergesort"
-            )
-            grp = part.groupby(keys, sort=False)
-            n = grp["file_id"].transform("size").astype("int64")
-            part = part.assign(n_files=n)
-            part = part[part["n_files"] >= 2]
-            if len(part) == 0:
-                return _EMPTY_MEMBERS
-            grp2 = part.groupby(keys, sort=False)
-            part = part.assign(
-                rank=grp2.cumcount().astype("int64"),
-                group_id=part["sha256"],
-            )
-            part = part.assign(is_keeper=part["rank"] == 0)
-            return pa.Table.from_pandas(
-                part[[f.name for f in MEMBERS_SCHEMA]],
-                schema=MEMBERS_SCHEMA,
-                preserve_index=False,
-            )
-
-        from duplicate_finder_ray.stages.exchange import hash_exchange
-
-        def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
-            return emit_partition(tbl.to_pandas())
-
-        return hash_exchange(ds, "sha256", num_parts, reduce_fn, _EMPTY_MEMBERS)
-
-    def finalize(sub: pd.DataFrame, group_id: str) -> pd.DataFrame:
-        sub = sub.copy()
-        if "content" in sub.columns:
-            sub = sub.drop(columns=["content"])
-        sub["group_id"] = group_id
-        sub["n_files"] = np.int64(len(sub))
-        sub["rank"] = np.arange(len(sub), dtype=np.int64)
-        sub["is_keeper"] = sub["rank"] == 0
-        return sub[[f.name for f in MEMBERS_SCHEMA]]
-
-    def emit_group(group: pd.DataFrame) -> pa.Table:
-        if len(group) < 2:
+    def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
+        if cfg.verify_content:
+            # content compared by Arrow dictionary code: pandas' string
+            # hash table truncates at NUL and would merge 'x\0a' and
+            # 'x\0b'
+            codes = pc.dictionary_encode(tbl["content"].combine_chunks()).indices
+            tbl = tbl.drop_columns(["content"]).append_column("content_id", codes)
+        # rank on the (repo, path, commit) TUPLE, not the joined
+        # file_id string: 'LICENSE' vs 'LICENSE.txt' must order the
+        # way the reference's raw-path sort does ('@' terminator in
+        # file_id sorts after '.', flipping the keeper otherwise)
+        part = tbl.to_pandas().sort_values(
+            [*keys, "repo", "path", "commit"], kind="mergesort"
+        )
+        grp = part.groupby(group_keys, sort=False)
+        part = part.assign(
+            n_files=grp["file_id"].transform("size").astype("int64"),
+            rank=grp.cumcount().astype("int64"),
+        )
+        part = part[part["n_files"] >= 2]
+        if len(part) == 0:
             return _EMPTY_MEMBERS
-        group = group.sort_values(["repo", "path", "commit"], kind="mergesort")
-        sha = group["sha256"].iloc[0]
-        if verify and "content" in group.columns:
-            frames = []
-            k = 0
-            for _, sub in group.groupby("content", sort=False):
-                if len(sub) < 2:
-                    continue
-                frames.append(finalize(sub, sha if k == 0 else f"{sha}#{k}"))
-                k += 1
-            if not frames:
-                return _EMPTY_MEMBERS
-            out = pd.concat(frames, ignore_index=True)
-        else:
-            out = finalize(group, sha)
-        return pa.Table.from_pandas(out, schema=MEMBERS_SCHEMA, preserve_index=False)
+        gid = part["sha256"]
+        if cfg.verify_content:
+            # k = how many subgroups of the hash group start at or
+            # before this subgroup's first row, minus one
+            n_started = (part["rank"] == 0).groupby(
+                [part[c] for c in keys], sort=False
+            ).cumsum()
+            k = (n_started - 1).groupby(
+                [part[c] for c in group_keys], sort=False
+            ).transform("first")
+            gid = gid.where(k == 0, gid + "#" + k.astype(str))
+        part = part.assign(group_id=gid, is_keeper=part["rank"] == 0)
+        return pa.Table.from_pandas(
+            part[MEMBERS_SCHEMA.names], schema=MEMBERS_SCHEMA, preserve_index=False
+        )
 
-    return ds.groupby(keys).map_groups(emit_group, batch_format="pandas")
+    num_parts = max(8, cfg.parallelism)
+    return hash_exchange(ds, "sha256", num_parts, reduce_fn, _EMPTY_MEMBERS)
 
 
 GROUPS_SCHEMA = pa.schema(
@@ -226,15 +198,17 @@ GROUPS_SCHEMA = pa.schema(
 def groups_from_members(members: ray.data.Dataset) -> ray.data.Dataset:
     """Collapse membership to one row per group ``(group_id, size,
     n_files)`` (reference result shape, duplicate_finder.py:241-255; the
-    member lists stay exploded for scale). Unioned with a typed empty
-    block so a zero-duplicate corpus keeps the output schema (Ray's
-    groupby-aggregate over an empty stream otherwise yields a
-    schema-less Dataset)."""
-    agg = members.groupby("group_id").aggregate(
-        Max("size", alias_name="size"),
-        Count(alias_name="n_files"),
+    member lists stay exploded for scale). Every group — each verified
+    ``#k`` subgroup included — has exactly one rank-0 row carrying its
+    ``size`` and ``n_files``, so this is a keeper-row projection: one
+    map, no shuffle. Unioned with a typed empty block so a
+    zero-duplicate corpus keeps the output schema (a filter over an
+    empty stream otherwise yields a schema-less Dataset)."""
+    groups = members.map_batches(
+        lambda t: t.filter(t["is_keeper"]).select(GROUPS_SCHEMA.names),
+        batch_format="pyarrow",
     )
-    return agg.union(ray.data.from_arrow(GROUPS_SCHEMA.empty_table()))
+    return groups.union(ray.data.from_arrow(GROUPS_SCHEMA.empty_table()))
 
 
 def keepers_only(members: ray.data.Dataset) -> ray.data.Dataset:
@@ -307,8 +281,6 @@ def keepers_by_depth(
         return pa.Table.from_pandas(
             k[[f.name for f in out_schema]], schema=out_schema, preserve_index=False
         )
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
 
     slim = members.select_columns(
         ["file_id", "repo", "path", "commit", "group_id"]

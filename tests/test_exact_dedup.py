@@ -9,6 +9,7 @@ import pytest
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.pipelines.dedup import DedupPipeline, render_text_report
+from duplicate_finder_ray.stages import exact
 
 
 def brute_force_groups(df: pd.DataFrame) -> dict[str, list[str]]:
@@ -23,6 +24,24 @@ def brute_force_groups(df: pd.DataFrame) -> dict[str, list[str]]:
         for c, v in by_content.items()
         if len(v) > 1
     }
+
+
+def assert_groups_aggregate_members(res) -> None:
+    """The groups table is exactly the per-group_id aggregate of the
+    members table: max size and member count."""
+    members = res.members.to_pandas()
+    groups = res.groups.to_pandas()
+    assert list(res.groups.schema().names) == ["group_id", "size", "n_files"]
+    if len(members) == 0:
+        assert len(groups) == 0
+        return
+    want = (
+        members.groupby("group_id")
+        .agg(size=("size", "max"), n_files=("file_id", "count"))
+        .reset_index()
+    )
+    got = groups.sort_values("group_id").reset_index(drop=True)
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
 
 
 @pytest.fixture()
@@ -96,11 +115,25 @@ class TestExactGroups:
 
     def test_prefilter_modes_agree(self, run):
         base = run(prefilter_mode="fused").members.to_pandas()
-        for mode in ("two_pass", "off"):
-            other = run(prefilter_mode=mode).members.to_pandas()
-            a = base.sort_values("file_id").reset_index(drop=True)
-            b = other.sort_values("file_id").reset_index(drop=True)
-            pd.testing.assert_frame_equal(a, b)
+        other = run(prefilter_mode="two_pass").members.to_pandas()
+        a = base.sort_values("file_id").reset_index(drop=True)
+        b = other.sort_values("file_id").reset_index(drop=True)
+        pd.testing.assert_frame_equal(a, b)
+
+    def test_off_prefilter_mode_rejected(self):
+        with pytest.raises(ValueError, match="prefilter_mode"):
+            PipelineConfig(prefilter_mode="off")
+
+    def test_default_run_skips_size_prefilter(self, run, monkeypatch):
+        """sha256 is computed before any prefilter could run and the
+        members reduce drops singletons, so the default path never
+        collects candidate sizes."""
+
+        def boom(ds):
+            raise AssertionError("default run called candidate_sizes")
+
+        monkeypatch.setattr(exact, "candidate_sizes", boom)
+        assert run().members.count() > 0
 
     def test_exclude_pattern_removes_file(self, run):
         # reference :79-87 / test_cli_args.py:53-59: excluding one side of
@@ -142,11 +175,13 @@ class TestExactGroups:
         pd.testing.assert_frame_equal(plain, verified)
 
     def test_groups_table(self, run):
-        res = run()
-        groups = res.groups.to_pandas()
-        members = res.members.to_pandas()
-        assert set(groups["group_id"]) == set(members["group_id"])
-        assert groups["n_files"].sum() == len(members)
+        assert_groups_aggregate_members(run())
+
+    @pytest.mark.parametrize(
+        "option", ["sort_by_group_size", "sort_by_file_size", "verify_content"]
+    )
+    def test_groups_equal_member_aggregate(self, run, option):
+        assert_groups_aggregate_members(run(**{option: True}))
 
     def test_deletion_tally(self, run, tiny_corpus):
         res = run()
@@ -170,8 +205,8 @@ class TestExactGroups:
 
 class TestEmptyInputs:
     def test_no_duplicates_keeps_schema(self, ray_session):
-        """A prefilter that empties the stream must not erase the output
-        schema (found by probing: empty groupby loses schema)."""
+        """A members reduce that emits no rows must not erase the
+        output schema (found by probing: empty groupby loses schema)."""
         df = pd.DataFrame(
             {
                 "repo": ["a/b", "c/d"],
@@ -186,6 +221,69 @@ class TestEmptyInputs:
         assert "group_id" in schema.names and "is_keeper" in schema.names
         assert res.members.count() == 0
         assert res.tally() == {"n_deleted": 0, "bytes_freed": 0}
+
+    def test_zero_row_corpus(self, ray_session):
+        df = pd.DataFrame(
+            {c: pd.Series([], dtype=str) for c in ("repo", "path", "commit", "content")}
+        )
+        res = DedupPipeline(PipelineConfig()).run_on(ray_session.data.from_pandas(df))
+        assert res.members.count() == 0
+        assert_groups_aggregate_members(res)
+
+
+class TestVerifyContentSubgroups:
+    def test_forged_collision_splits_into_subgroups(self, ray_session):
+        """Rows sharing (size, sha256) but not content — a forged hash
+        collision — split into byte-identical subgroups: ``sha`` then
+        ``sha#1`` in order of first appearance among the (repo, path,
+        commit)-sorted rows; a singleton content drops out; ranks and
+        keepers restart per subgroup. Contents that differ only after an
+        embedded NUL stay apart."""
+        import pyarrow as pa
+
+        sha, size = "f" * 64, 3
+        rows = [  # (path, content): contents differ only after a NUL
+            ("a.py", "x\0b"),
+            ("b.py", "x\0a"),
+            ("c.py", "x\0c"),  # singleton content: not a duplicate
+            ("d.py", "x\0b"),
+            ("e.py", "x\0a"),
+            ("f.py", "x\0b"),
+        ]
+        tbl = pa.table(
+            {
+                "file_id": [f"r:{p}@c" for p, _ in rows],
+                "repo": ["r"] * len(rows),
+                "path": [p for p, _ in rows],
+                "commit": ["c"] * len(rows),
+                "lang": ["py"] * len(rows),
+                "size": pa.array([size] * len(rows), pa.int64()),
+                "sha256": [sha] * len(rows),
+                "content": [c for _, c in rows],
+            }
+        )
+        # shuffle the input so the kernel's own sort decides the order
+        ds = ray_session.data.from_arrow(tbl.take([5, 2, 0, 4, 1, 3]))
+        members = exact.duplicate_members(
+            ds, PipelineConfig(verify_content=True)
+        ).to_pandas()
+        got = sorted(
+            zip(
+                members["path"],
+                members["group_id"],
+                members["n_files"],
+                members["rank"],
+                members["is_keeper"],
+            )
+        )
+        assert got == [
+            ("a.py", sha, 3, 0, True),
+            ("b.py", f"{sha}#1", 2, 0, True),
+            ("d.py", sha, 3, 1, False),
+            ("e.py", f"{sha}#1", 2, 1, False),
+            ("f.py", sha, 3, 2, False),
+        ]
+        assert "content" not in members.columns
 
 
 class TestMinimalSchema:
@@ -224,6 +322,7 @@ class TestMinimalSchema:
         schema = res.groups.schema()
         assert schema.names == ["group_id", "size", "n_files"]
         assert res.groups.count() == 0
+        assert_groups_aggregate_members(res)
 
 
 class TestSorts:
