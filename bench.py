@@ -109,11 +109,11 @@ def run_bench() -> dict:
     ray.data.read_parquet(corpus).map_batches(
         lambda b: b.slice(0, 1), batch_format="pyarrow"
     ).count()
-    # ... and the ACTOR path: a tiny end-to-end near-dup run leaves a
-    # pool of idle worker processes with the engine's imports loaded,
-    # which Ray then reuses for the real run's actor pools — the same
-    # per-session import cost, paid once here instead of inside the
-    # timed section.
+    # ... and the near-dup path: a tiny end-to-end run leaves a pool of
+    # idle worker processes with the engine's imports (and warm
+    # signature-kernel caches) loaded, which Ray then reuses for the
+    # real run's tasks — the same per-session import cost, paid once
+    # here instead of inside the timed section.
     warm = ray.data.read_parquet(corpus).limit(2000).materialize()
     NearDupPipeline(PipelineConfig()).run_on(warm).labels.count()
 
@@ -457,7 +457,7 @@ def _hw_kernel_work(n_docs: int) -> float:
     sh = Shingler(k=5)
     a, b = minhash_params(128, 42)
     wk: dict = {}
-    # the SignatureStage kernel at its default: Arrow column in, MinHash out
+    # the signature kernel at its default: Arrow column in, MinHash out
     t0 = time.perf_counter()
     flat, offs = sh.shingle_hashes_batch_column(col)
     batch_minhash(flat, offs, a, b, work=wk)

@@ -7,19 +7,21 @@ Charikar 2002 SimHash; Leskovec/Rajaraman/Ullman MMDS ch.3 LSH banding).
 
 Design for the hot path:
 
+* the Arrow tokenizer maps every byte outside ``[0-9A-Za-z_]`` to a
+  space through a 256-entry table and splits on whitespace;
 * token→uint64 ids come from an 8-byte blake2b digest. The batch
   kernels look tokens up in a per-instance Arrow memo of known tokens
   (one ``pc.index_in`` per batch, no per-token Python strings); only
-  the misses' distinct values are turned into Python strings and
-  digested. The memo is filled once, up to ``_MEMO_MAX`` entries. A
-  ``Shingler`` lives inside a map_batches ACTOR, so the memo amortises
-  across batches (stateful-stage rule);
+  the misses' distinct values are digested, from slices of the Arrow
+  data buffer. The memo is filled once, up to ``_MEMO_MAX`` entries. A
+  ``Shingler`` is cached per worker process, so the memo amortises
+  across batches and jobs;
 * k-token shingle hashes are a vectorized rolling mix over the token-id
   array (uint64 wraparound multiply-xor), deduped per doc after a
   radix sort on a narrow doc index;
 * MinHash signatures use the classic universal-hash family
-  ``min((a_i * s + b_i) mod 2^64)`` evaluated as one numpy outer
-  product per document;
+  ``min((a_i * s + b_i) mod 2^64)`` evaluated over (perms × shingles)
+  tiles, reduced per document with ``np.minimum.reduceat``;
 * LSH band keys mix each signature row-block into one uint64, vectorized
   across the whole batch at once.
 
@@ -68,6 +70,63 @@ def token_id_md5(token: str) -> int:
     SQL emulates with HUGEINT limb products) bit-for-bit; blake2b stays
     the production default."""
     return int.from_bytes(hashlib.md5(token.encode("utf-8")).digest()[8:], "little")
+
+
+def _value_offsets(arr: pa.Array) -> np.ndarray:
+    """The ``len(arr) + 1`` value offsets of a string or large_string
+    array into its data buffer, from the array's slice offset on."""
+    off_type = np.int64 if pa.types.is_large_string(arr.type) else np.int32
+    return np.frombuffer(
+        arr.buffers()[1], dtype=off_type, count=arr.offset + len(arr) + 1
+    )[arr.offset :]
+
+
+def _digest_ids(values: pa.Array, token_hash: str) -> np.ndarray:
+    """:func:`token_id` (or :func:`token_id_md5`) of every value of an
+    Arrow string array, digesting slices of its data buffer — no Python
+    string and no int per value."""
+    if len(values) == 0:
+        return np.empty(0, dtype=np.uint64)
+    bounds = _value_offsets(values).tolist()
+    data = values.buffers()[2]
+    view = memoryview(data if data is not None else b"")
+    if token_hash == "blake2b":
+        blake2b = hashlib.blake2b
+        digests = [
+            blake2b(view[i:j], digest_size=8).digest()
+            for i, j in zip(bounds, bounds[1:])
+        ]
+    else:
+        md5 = hashlib.md5
+        digests = [md5(view[i:j]).digest()[8:] for i, j in zip(bounds, bounds[1:])]
+    return np.frombuffer(b"".join(digests), dtype="<u8")
+
+
+#: byte map of the Arrow tokenizer: token bytes ``[0-9A-Za-z_]`` map to
+#: themselves, every other byte (UTF-8 lead and continuation bytes
+#: included) to an ASCII space
+_TOKEN_LUT = np.full(256, ord(" "), dtype=np.uint8)
+for _c in b"0123456789ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_":
+    _TOKEN_LUT[_c] = _c
+
+
+def _separators_to_spaces(arr: pa.Array) -> pa.Array:
+    """``arr`` (string or large_string, no nulls) with every byte
+    outside ``[0-9A-Za-z_]`` replaced by a space, so that
+    ``pc.ascii_split_whitespace`` yields the ``[^0-9A-Za-z_]+`` split.
+    Only the bytes the (possibly sliced) array spans are mapped."""
+    offsets = _value_offsets(arr)
+    lo, hi = int(offsets[0]), int(offsets[-1])
+    mapped = (
+        _TOKEN_LUT[
+            np.frombuffer(arr.buffers()[2], dtype=np.uint8, count=hi - lo, offset=lo)
+        ]
+        if hi > lo
+        else np.empty(0, dtype=np.uint8)
+    )
+    return pa.Array.from_buffers(
+        arr.type, len(arr), [None, pa.py_buffer(offsets - lo), pa.py_buffer(mapped)]
+    )
 
 
 class Shingler:
@@ -165,18 +224,19 @@ class Shingler:
     ) -> tuple[np.ndarray, np.ndarray]:
         r"""Arrow-native twin of :meth:`shingle_hashes_batch` taking the
         string column directly. For ALL-ASCII token-mode batches the
-        tokenize runs as an RE2 split in Arrow C and the token ids come
-        from the Arrow memo — no per-doc Python regex, no Python string
-        per token. Non-ASCII batches fall back to the Python tokenizer,
-        whose ``\w`` is Unicode-aware where RE2's is ASCII (bit-identity
-        over arbitrary unicode is property-tested).
+        tokenize is a byte-table map plus a whitespace split in Arrow C
+        and the token ids come from the Arrow memo — no per-doc Python
+        regex, no Python string per token. Non-ASCII batches fall back
+        to the Python tokenizer, whose ``\w`` is Unicode-aware
+        (bit-identity over arbitrary unicode is property-tested).
 
         ``ascii_only=True`` selects SQL-parity tokenization instead:
         tokens are maximal ``[A-Za-z0-9_]+`` runs for EVERY row —
-        non-ASCII codepoints act as separators — exactly DuckDB's
-        ``regexp_extract_all(text, '[A-Za-z0-9_]+')`` (both engines run
-        RE2 over UTF-8). Used by oracle-gated stages (decontamination)
-        whose shingle sets must be provably identical to SQL's."""
+        non-ASCII bytes act as separators — exactly DuckDB's
+        ``regexp_extract_all(text, '[A-Za-z0-9_]+')`` (RE2 over UTF-8,
+        where no non-ASCII codepoint is in the class). Used by
+        oracle-gated stages (decontamination) whose shingle sets must be
+        provably identical to SQL's."""
         return self._csr_from_ids(*self._token_ids_column(col, ascii_only))
 
     def shingle_positions_batch_column(
@@ -216,9 +276,10 @@ class Shingler:
         n_docs = len(col)
         if self.mode == "token" and is_text and n_docs:
             arr = pc.fill_null(col, "")
-            # ASCII gate: bytes == codepoints for every row ⇒ RE2's \W+
-            # split equals python re's unicode \w+ findall; the md5
-            # family IS the SQL-parity (ascii_only) config
+            # ASCII gate: bytes == codepoints for every row ⇒ splitting
+            # on every byte outside [0-9A-Za-z_] equals python re's
+            # unicode \w+ findall; the md5 family IS the SQL-parity
+            # (ascii_only) config
             if (
                 ascii_only
                 or self.token_hash == "md5"
@@ -226,7 +287,7 @@ class Shingler:
                     pc.equal(pc.binary_length(arr), pc.utf8_length(arr))
                 ).as_py()
             ):
-                split = pc.split_pattern_regex(arr, r"[^0-9A-Za-z_]+")
+                split = pc.ascii_split_whitespace(_separators_to_spaces(arr))
                 flat = pc.list_flatten(split)
                 parent = pc.list_parent_indices(split).to_numpy(
                     zero_copy_only=False
@@ -254,9 +315,10 @@ class Shingler:
     def _ids_arrow(self, tokens: pa.Array) -> np.ndarray:
         """uint64 id per token of an Arrow string array. Memo hits are
         one ``pc.index_in`` against the known tokens; only the misses
-        are dictionary-encoded, and only their distinct values become
-        Python strings and are digested. New distinct tokens enter the
-        memo until it holds ``_MEMO_MAX`` entries."""
+        are dictionary-encoded, and only their distinct values are
+        digested, straight from the dictionary's data buffer. New
+        distinct tokens enter the memo until it holds ``_MEMO_MAX``
+        entries."""
         out = np.empty(len(tokens), dtype=np.uint64)
         if len(tokens) == 0:
             return out
@@ -273,12 +335,7 @@ class Shingler:
         else:
             miss = slice(None)
         enc = pc.dictionary_encode(tokens)
-        hash_one = self._hash_one
-        uid = np.fromiter(
-            (hash_one(u) for u in enc.dictionary.to_pylist()),
-            dtype=np.uint64,
-            count=len(enc.dictionary),
-        )
+        uid = _digest_ids(enc.dictionary, self.token_hash)
         out[miss] = uid[enc.indices.to_numpy()]
         room = _MEMO_MAX - len(self._memo_ids)
         if room > 0:
@@ -360,12 +417,11 @@ def minhash_signature(
     return hashed.min(axis=0)
 
 
-#: row-block length for the CSR batch kernels: buffers stay ~2 MB —
-#: cache-resident AND, critically, REUSED. Fresh large allocations pay
-#: first-touch page faults at single-digit MB/s in sandboxed kernels
-#: (measured: a one-shot 20 MB broadcast temp costs ~3 s the first
-#: time, 10 ms once its pages exist) — so the kernels write into
-#: persistent workspaces handed down by the calling actor.
+#: row-block length for the CSR batch kernels, whose buffers are
+#: REUSED: fresh large allocations can pay first-touch page faults at
+#: single-digit MB/s (measured: a one-shot 20 MB broadcast temp cost
+#: ~3 s the first time, 10 ms once its pages existed) — so the kernels
+#: write into persistent workspaces handed down by the caller.
 _ROW_BLOCK = 8192
 
 
@@ -391,34 +447,39 @@ def batch_minhash(
     ``Shingler.shingle_hashes_batch``) — (n_docs, K) uint64, identical
     to :func:`minhash_signature` per doc (empty set → all-max sentinel).
 
-    Blocked evaluation: ``_ROW_BLOCK × 32``-perm tiles computed into a
-    persistent workspace (``work`` — pass the same dict across batches,
-    e.g. an actor attribute) with ``np.minimum.reduceat`` per tile and a
-    min-merge into the output for docs spanning blocks."""
+    Perms-major evaluation: each ``K × _ROW_BLOCK`` tile of
+    ``a * s + b`` is computed in place in a persistent workspace
+    (``work`` — pass the same dict across batches) and reduced along
+    its rows with one ``np.minimum.reduceat``; a doc that spans tiles
+    is min-merged into its column of the (K, n_docs) result."""
     n_docs = len(offsets) - 1
     num_perms = len(a)
-    out = np.full((n_docs, num_perms), _U64_MAX, dtype=np.uint64)
+    out = np.full((num_perms, n_docs), _U64_MAX, dtype=np.uint64)
     n = len(flat)
     if n == 0:
-        return out
+        return np.ascontiguousarray(out.T)
     doc_of = np.repeat(np.arange(n_docs, dtype=np.int64), np.diff(offsets))
-    chunk = 32
-    mul = _workspace(work, "minhash_mul", (_ROW_BLOCK, chunk), np.uint64)
+    first = np.empty(n, dtype=bool)
+    first[0] = True
+    np.not_equal(doc_of[1:], doc_of[:-1], out=first[1:])
+    tile = _workspace(work, "minhash_tile", (num_perms, _ROW_BLOCK), np.uint64)
+    col_a, col_b = a[:, None], b[:, None]
     with np.errstate(over="ignore"):
         for r0 in range(0, n, _ROW_BLOCK):
             r1 = min(r0 + _ROW_BLOCK, n)
-            m = r1 - r0
-            blk = flat[r0:r1, None]
-            docs = doc_of[r0:r1]
-            bstarts = np.nonzero(np.r_[True, docs[1:] != docs[:-1]])[0]
-            rows = docs[bstarts]  # strictly increasing ⇒ unique
-            for c in range(0, num_perms, chunk):
-                w = min(chunk, num_perms - c)
-                np.multiply(blk, a[None, c : c + w], out=mul[:m, :w])
-                np.add(mul[:m, :w], b[None, c : c + w], out=mul[:m, :w])
-                mins = np.minimum.reduceat(mul[:m, :w], bstarts, axis=0)
-                out[rows, c : c + w] = np.minimum(out[rows, c : c + w], mins)
-    return out
+            t = tile[:num_perms, : r1 - r0]
+            np.multiply(col_a, flat[None, r0:r1], out=t)
+            np.add(t, col_b, out=t)
+            starts = np.flatnonzero(first[r0:r1])
+            spans = not first[r0]  # the tile opens inside the last doc
+            if spans:
+                starts = np.r_[0, starts]
+            rows = doc_of[r0 + starts]
+            mins = np.minimum.reduceat(t, starts, axis=1)
+            if spans:
+                np.minimum(mins[:, 0], out[:, rows[0]], out=mins[:, 0])
+            out[:, rows] = mins
+    return np.ascontiguousarray(out.T)
 
 
 def batch_simhash(

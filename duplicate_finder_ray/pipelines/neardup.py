@@ -4,9 +4,10 @@ North_rule flagship extension (SURVEY.md §3.4 lower half). One
 composition of four named stages, shared by ``run_on`` and
 ``run_checkpointed``:
 
-    signatures  SignatureStage actor pool over (file_id, content):
-                MinHash K perms, plus the shingle sets in exact verify
-                mode (SimHash only through ``signatures_for``)
+    signatures  signature task map over (file_id, content), fused with
+                the identity map: MinHash K perms, plus the shingle sets
+                in exact verify mode (SimHash only through
+                ``signatures_for``)
     candidates  LSH band exchange. Small inputs: one task lexsorts the
                 band rows. At scale: ``hash_exchange`` over the
                 signature blocks with the band explosion fused into its
@@ -60,7 +61,7 @@ class NearDupPipeline:
         self, ds: ray.data.Dataset, simhash: bool = False
     ) -> ray.data.Dataset:
         """(repo,path,commit,lang,content) → signature table. Content is
-        dropped inside the actor stage; only (file_id, sigs) flow on.
+        dropped inside the signature tasks; only (file_id, sigs) flow on.
         ``simhash=True`` adds the 64-bit SimHash fingerprint column."""
         return self._signatures(ds, emit_shingles=False, emit_simhash=simhash)
 

@@ -26,6 +26,7 @@ import hashlib
 import numpy as np
 import pandas as pd
 import pyarrow as pa
+import pyarrow.dataset as pads
 
 import ray.data
 
@@ -96,8 +97,17 @@ def _derive_code_files_batch(batch: pa.Table) -> pa.Table:
 
 def read_code_table(path: str, columns: list[str] | None = None) -> ray.data.Dataset:
     """Read a Parquet code table, pruning to the requested columns at the
-    read (row-group/column pushdown — never load what a stage won't use)."""
-    return ray.data.read_parquet(path, columns=columns)
+    read (row-group/column pushdown — never load what a stage won't use).
+
+    Blocks are read with the file schema minus its metadata: a
+    pandas-written file's metadata blob makes each block schema
+    unhashable, which sends every block concat down Ray's slow schema
+    unification (with a logged warning each time)."""
+    schema = pads.dataset(path, format="parquet").schema.remove_metadata()
+    if columns is not None:
+        # partition columns are not in the file schema; the read adds them
+        schema = pa.schema([schema.field(c) for c in columns if c in schema.names])
+    return ray.data.read_parquet(path, columns=columns, schema=schema)
 
 
 def code_files_from_documents(sf_dir: str) -> ray.data.Dataset:

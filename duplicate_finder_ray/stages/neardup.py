@@ -8,10 +8,12 @@ pairs, and signature-based verification at threshold τ.
 
 Execution shape:
 
-* ``SignatureStage`` is a CALLABLE CLASS → Ray actor pool. The shingler
-  token memo and the (a, b) permutation tables are built once per actor
-  (``__init__``), then every batch reuses them (stateful-stage rule,
-  ray_guide 'Stateful stages = actor pools').
+* ``signature_batch`` is a plain function mapped as Ray tasks, fused
+  with the identity map and projection upstream. The shingler token
+  memo, the (a, b) permutation tables and the kernel workspaces live in
+  per-worker-process ``functools.lru_cache`` entries keyed on the config
+  fields the kernel reads, so every batch — and every later job on the
+  same worker — reuses them without an actor pool's start-up.
 * Band explosion is a stateless vectorized map_batches (n_docs × bands
   rows out).
 * Candidate generation is ONE shuffle on ``(band, band_hash)`` — the
@@ -36,6 +38,7 @@ Execution shape:
 
 from __future__ import annotations
 
+import functools
 import logging
 import warnings
 
@@ -116,73 +119,60 @@ def effective_parallelism(cfg: PipelineConfig) -> int:
     return max(2, min(cfg.parallelism, cpus))
 
 
-def pool_size(cfg: PipelineConfig) -> int:
-    """FIXED actor-pool size for compute stages: session CPUs minus
-    headroom for the source read tasks. Fixed beats autoscaling here —
-    Ray's (1, N) pool ramps up one actor at a time and spends most of a
-    short stage below capacity (measured: 10s → 5.6s on the signature
-    stage at 32 CPUs); reserving a slice of CPUs keeps the upstream read
-    from starving (a full-width pool deadlocks the stage)."""
-    par = effective_parallelism(cfg)
-    return max(2, par - max(2, par // 8))
+@functools.lru_cache(maxsize=4)
+def _shingler(k: int, mode: str, token_hash: str) -> Shingler:
+    """This worker process's ``Shingler`` for one shingle config: its
+    token memo persists across the batches and jobs the process runs."""
+    return Shingler(k=k, mode=mode, token_hash=token_hash)
 
 
-class SignatureStage:
-    """Actor-pool stage: content → (fid, minhash list<uint64>[K],
-    n_shingles), plus the deduped shingle set (``emit_shingles``) and
-    the SimHash fingerprint (``emit_simhash``) for the consumers that
-    read them. Shingler memo + permutation tables persist across
-    batches."""
+@functools.lru_cache(maxsize=4)
+def _minhash_tables(perms: int, seed: int) -> tuple[np.ndarray, np.ndarray, dict]:
+    """This worker process's permutation tables ``(a, b)`` and the
+    kernel workspaces they fill (reused: fresh large temps can fault
+    pages at single-digit MB/s)."""
+    a, b = minhash_params(perms, seed)
+    return a, b, {}
 
-    def __init__(
-        self,
-        cfg: PipelineConfig,
-        emit_shingles: bool = False,
-        emit_simhash: bool = False,
-    ) -> None:
-        self.shingler = Shingler(
-            k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=cfg.token_hash
-        )
-        self.a, self.b = minhash_params(cfg.minhash_perms, cfg.minhash_seed)
-        self.num_perms = cfg.minhash_perms
-        #: also emit the deduped shingle set (uint64-LE bytes) per row —
-        #: shingling is the expensive part, so exact-verify reuses these
-        #: instead of a SECOND full content read+shingle pass
-        self.emit_shingles = emit_shingles
-        #: only the SimHash queries read the fingerprint
-        self.emit_simhash = emit_simhash
-        #: persistent kernel workspaces — fresh large temps fault pages
-        #: at single-digit MB/s in this sandbox; actor state reuses them
-        self._work: dict = {}
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        # whole-batch CSR kernels (shingle_hashes_batch_column /
-        # batch_minhash / batch_simhash) — bit-identical to the per-doc
-        # functions (property-tested); ASCII token batches tokenize
-        # entirely in Arrow C (no per-token Python strings)
-        flat, offsets = self.shingler.shingle_hashes_batch_column(
-            batch.column("content")
-        )
-        sigs = batch_minhash(flat, offsets, self.a, self.b, work=self._work)
-        out = batch.drop_columns(["content"])
-        out = out.append_column("fid", _fid_column(batch))
-        out = out.append_column(
-            "minhash",
-            pa.FixedSizeListArray.from_arrays(
-                pa.array(sigs.reshape(-1), type=pa.uint64()), self.num_perms
-            ),
-        )
-        if self.emit_simhash:
-            simhashes = batch_simhash(flat, offsets, work=self._work)
-            out = out.append_column(
-                "simhash", pa.array(simhashes, type=pa.uint64())
-            )
-        out = out.append_column(
-            "n_shingles", pa.array(np.diff(offsets), type=pa.int64())
-        )
-        if self.emit_shingles:
-            out = out.append_column("shingles", _shingle_column(flat, offsets))
-        return out
+def signature_batch(
+    batch: pa.Table,
+    cfg: PipelineConfig,
+    emit_shingles: bool = False,
+    emit_simhash: bool = False,
+) -> pa.Table:
+    """Signature kernel over one (file_id, content) batch →
+    (file_id, fid, minhash list<uint64>[K], n_shingles), plus the
+    deduped shingle set (``emit_shingles``: exact verify reuses it
+    instead of a second content read + shingle pass) and the SimHash
+    fingerprint (``emit_simhash``) for the consumers that read them.
+    Kernel state comes from the per-process caches, keyed on exactly
+    the config fields the kernel reads."""
+    shingler = _shingler(cfg.shingle_k, cfg.shingle_mode, cfg.token_hash)
+    a, b, work = _minhash_tables(cfg.minhash_perms, cfg.minhash_seed)
+    # whole-batch CSR kernels (shingle_hashes_batch_column /
+    # batch_minhash / batch_simhash) — bit-identical to the per-doc
+    # functions (property-tested); ASCII token batches tokenize
+    # entirely in Arrow C (no per-token Python strings)
+    flat, offsets = shingler.shingle_hashes_batch_column(batch.column("content"))
+    sigs = batch_minhash(flat, offsets, a, b, work=work)
+    out = batch.drop_columns(["content"])
+    out = out.append_column("fid", _fid_column(batch))
+    out = out.append_column(
+        "minhash",
+        pa.FixedSizeListArray.from_arrays(
+            pa.array(sigs.reshape(-1), type=pa.uint64()), len(a)
+        ),
+    )
+    if emit_simhash:
+        simhashes = batch_simhash(flat, offsets, work=work)
+        out = out.append_column("simhash", pa.array(simhashes, type=pa.uint64()))
+    out = out.append_column(
+        "n_shingles", pa.array(np.diff(offsets), type=pa.int64())
+    )
+    if emit_shingles:
+        out = out.append_column("shingles", _shingle_column(flat, offsets))
+    return out
 
 
 def _fid_column(batch: pa.Table) -> pa.Array:
@@ -208,14 +198,19 @@ def signatures(
     emit_shingles: bool = False,
     emit_simhash: bool = False,
 ) -> ray.data.Dataset:
-    """Run the signature actor pool over a dataset bearing
-    (file_id, content)."""
+    """Map :func:`signature_batch` over a dataset bearing
+    (file_id, content) as plain tasks, which Ray fuses with the maps
+    upstream; the per-process kernel caches outlive the job, so no job
+    pays for actor start-up or a cold token memo."""
     return ds.map_batches(
-        SignatureStage,
-        fn_constructor_args=(cfg, emit_shingles, emit_simhash),
+        signature_batch,
+        fn_kwargs={
+            "cfg": cfg,
+            "emit_shingles": emit_shingles,
+            "emit_simhash": emit_simhash,
+        },
         batch_format="pyarrow",
         batch_size=cfg.derive_batch_size,
-        concurrency=pool_size(cfg),
         num_cpus=1,
     )
 
@@ -761,27 +756,20 @@ def verify_pairs(
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-class ShingleSetStage:
-    """Actor-pool stage: (file_id, content) → (fid, file_id, shingles
-    large_binary) for exact-Jaccard verification of candidate endpoints
-    only (never run over the full corpus)."""
-
-    def __init__(self, cfg: PipelineConfig) -> None:
-        self.shingler = Shingler(
-            k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=cfg.token_hash
-        )
-
-    def __call__(self, batch: pa.Table) -> pa.Table:
-        flat, offsets = self.shingler.shingle_hashes_batch_column(
-            batch.column("content")
-        )
-        return pa.table(
-            {
-                "fid": _fid_column(batch),
-                "file_id": batch["file_id"],
-                "shingles": _shingle_column(flat, offsets),
-            }
-        )
+def shingle_set_batch(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
+    """(file_id, content) → (fid, file_id, shingles large_binary) for
+    exact-Jaccard verification of candidate endpoints only (never run
+    over the full corpus); shares the per-process ``Shingler`` cache
+    with :func:`signature_batch`."""
+    shingler = _shingler(cfg.shingle_k, cfg.shingle_mode, cfg.token_hash)
+    flat, offsets = shingler.shingle_hashes_batch_column(batch.column("content"))
+    return pa.table(
+        {
+            "fid": _fid_column(batch),
+            "file_id": batch["file_id"],
+            "shingles": _shingle_column(flat, offsets),
+        }
+    )
 
 
 def prestart_verify_split(
@@ -849,8 +837,8 @@ def verify_pairs_exact(
        in one remote task and broadcast the sorted array;
     2. semi-join: filter the signature table to endpoint rows inside
        map_batches (searchsorted probe — content does NOT shuffle);
-    3. shingle sets come from the signature pass (or an actor-pool
-       re-shingle when absent), CSR-indexed by fid;
+    3. shingle sets come from the signature pass (or a re-shingle
+       task map when absent), CSR-indexed by fid;
     4. vectorized-per-pair exact Jaccard, filter ≥ τ, translate fids
        back to strings via the file_ids the CSR already carries.
 
@@ -920,11 +908,10 @@ def verify_pairs_exact(
             .map_batches(probe, batch_format="pyarrow")
         )
         shingle_sets = cand.map_batches(
-            ShingleSetStage,
-            fn_constructor_args=(cfg,),
+            shingle_set_batch,
+            fn_kwargs={"cfg": cfg},
             batch_format="pyarrow",
             batch_size=cfg.derive_batch_size,
-            concurrency=pool_size(cfg),
             num_cpus=1,
         )
 

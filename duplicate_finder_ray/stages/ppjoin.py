@@ -62,7 +62,7 @@ _PREFIX_SCHEMA = pa.schema(
 
 def _shingle_views(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
     """Zero-copy (offsets-in-u64, flat-u64) views over a large_binary
-    column of uint64-LE shingle sets (the SignatureStage layout)."""
+    column of uint64-LE shingle sets (the signature pass's layout)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     if len(col) == 0:

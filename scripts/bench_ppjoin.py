@@ -19,7 +19,7 @@ the TRUE >= tau pair set is exactly {(3k, 3k+1)}: n/3 pairs, all
 jaccard == 1.0, asserted.
 
 Note: the probe runs the shipped end-to-end ppjoin_pairs, which rides
-the shared SignatureStage; minhash_perms is set to 16 because PPJoin
+the shared signature pass; minhash_perms is set to 16 because PPJoin
 never reads the MinHash column (it needs only the shingle sets) and
 the default 128-permutation signature would bill LSH's cost to this
 operator.

@@ -231,6 +231,39 @@ class TestEmptyInputs:
         assert_groups_aggregate_members(res)
 
 
+class TestReadCodeTable:
+    @pytest.mark.parametrize("columns", [None, ["repo", "content"]])
+    def test_blocks_carry_no_schema_metadata(self, ray_session, tmp_path, columns):
+        """A pandas-written table's metadata blob makes block schemas
+        unhashable (Ray's schema unification then warns on every
+        concat); the read drops it and keeps the data."""
+        from duplicate_finder_ray.sources.code_table import read_code_table
+
+        df = pd.DataFrame(
+            {
+                "repo": [f"o/r{i % 3}" for i in range(40)],
+                "path": [f"f{i}.py" for i in range(40)],
+                "commit": ["c" * 40] * 40,
+                "lang": ["python"] * 40,
+                "content": [f"x = {i % 7}\n" for i in range(40)],
+            }
+        )
+        for part in range(4):
+            df.iloc[part * 10 : part * 10 + 10].to_parquet(
+                tmp_path / f"part-{part}.parquet"
+            )
+        ds = read_code_table(str(tmp_path), columns=columns)
+        blocks = [ray_session.get(r) for r in ds.materialize().to_arrow_refs()]
+        assert blocks and all(b.schema.metadata is None for b in blocks)
+        cols = columns or list(df.columns)
+        assert ds.schema().names == cols
+        got = pd.concat([b.to_pandas() for b in blocks]).sort_values(cols)
+        want = df[cols].sort_values(cols)
+        pd.testing.assert_frame_equal(
+            got.reset_index(drop=True), want.reset_index(drop=True)
+        )
+
+
 class TestVerifyContentSubgroups:
     def test_forged_collision_splits_into_subgroups(self, ray_session):
         """Rows sharing (size, sha256) but not content — a forged hash

@@ -222,11 +222,10 @@ class TestShingleSetStage:
         """The verify path's shingle sets (no ``shingles`` column on the
         endpoints) come from the batch kernel; their bytes must be the
         per-doc reference's, for ASCII (Arrow tokenizer) and mixed
-        (Python tokenizer) batches through one stage instance."""
+        (Python tokenizer) batches through one cached ``Shingler``."""
         import pyarrow as pa
 
         cfg = PipelineConfig(token_hash=token_hash)
-        stage = neardup.ShingleSetStage(cfg)
         ref = Shingler(k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=token_hash)
         ascii_texts = [
             "def f(x): return x + 1 if x else alpha beta gamma",
@@ -238,10 +237,11 @@ class TestShingleSetStage:
         mixed = ascii_texts + ["héllo wörld ß a b c d e f g 中文 h i"]
         for texts in (ascii_texts, mixed, ascii_texts):
             file_ids = [f"o/r:f{i}.py@c" for i in range(len(texts))]
-            out = stage(
+            out = neardup.shingle_set_batch(
                 pa.table(
                     {"file_id": file_ids, "content": pa.array(texts, pa.string())}
-                )
+                ),
+                cfg,
             )
             assert out.column_names == ["fid", "file_id", "shingles"]
             assert out["shingles"].type == pa.large_binary()
@@ -251,6 +251,74 @@ class TestShingleSetStage:
             np.testing.assert_array_equal(
                 out["fid"].to_numpy(), neardup.fid_of(np.array(file_ids, dtype=object))
             )
+
+
+class TestSignatureKernelCache:
+    #: back to back, each config differs from the one before in exactly
+    #: one field the kernel reads
+    CONFIGS = [
+        {},
+        {"shingle_k": 3},
+        {"shingle_k": 3, "token_hash": "md5"},
+        {"shingle_k": 3, "token_hash": "md5", "shingle_mode": "char"},
+        {"shingle_k": 3, "token_hash": "md5", "shingle_mode": "char",
+         "minhash_perms": 64},
+        {"shingle_k": 3, "token_hash": "md5", "shingle_mode": "char",
+         "minhash_perms": 64, "minhash_seed": 7},
+        {"shingle_k": 3, "token_hash": "md5", "minhash_perms": 64,
+         "minhash_seed": 7},
+        {"shingle_k": 3, "minhash_perms": 64, "minhash_seed": 7},
+        {"minhash_perms": 64, "minhash_seed": 7},
+        {"minhash_seed": 7},
+        {},
+    ]
+
+    @staticmethod
+    def _reference(texts, cfg):
+        """A fresh in-process kernel: new ``Shingler``, new tables."""
+        import pyarrow as pa
+
+        from duplicate_finder_ray.functions.shingles import (
+            batch_minhash,
+            minhash_params,
+        )
+
+        sh = Shingler(k=cfg.shingle_k, mode=cfg.shingle_mode, token_hash=cfg.token_hash)
+        flat, offs = sh.shingle_hashes_batch_column(pa.array(texts, pa.string()))
+        a, b = minhash_params(cfg.minhash_perms, cfg.minhash_seed)
+        sets = [flat[offs[i] : offs[i + 1]].tobytes() for i in range(len(texts))]
+        return batch_minhash(flat, offs, a, b), sets
+
+    def test_back_to_back_configs(self, ray_session, corpus):
+        """The per-process kernel caches are keyed on every config field
+        the kernel reads: jobs (and in-process batches) run back to back
+        with configs one field apart each equal a fresh kernel."""
+        import pyarrow as pa
+
+        ds = ray_session.data.from_pandas(
+            corpus.assign(file_id=corpus["repo"] + ":" + corpus["path"])[
+                ["file_id", "content"]
+            ]
+        ).repartition(8)
+        texts = corpus["content"].tolist()
+        file_ids = (corpus["repo"] + ":" + corpus["path"]).tolist()
+        batch = pa.table({"file_id": file_ids, "content": pa.array(texts, pa.string())})
+        for overrides in self.CONFIGS:
+            cfg = PipelineConfig(**overrides)
+            sigs, sets = self._reference(texts, cfg)
+            local = neardup.signature_batch(batch, cfg, emit_shingles=True)
+            np.testing.assert_array_equal(
+                np.stack(local["minhash"].to_numpy(zero_copy_only=False)), sigs
+            )
+            assert local["shingles"].to_pylist() == sets, overrides
+            got = (
+                neardup.signatures(ds, cfg, emit_shingles=True)
+                .to_pandas()
+                .set_index("file_id")
+                .loc[file_ids]
+            )
+            np.testing.assert_array_equal(np.stack(got["minhash"].to_numpy()), sigs)
+            assert got["shingles"].tolist() == sets, overrides
 
 
 class TestBucketCap:

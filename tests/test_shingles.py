@@ -144,7 +144,7 @@ class TestBanding:
 
 class TestBatchKernels:
     """The CSR batch kernels must be bit-identical to the per-doc
-    functions — SignatureStage routes every signature through them."""
+    functions — the signature pass routes every signature through them."""
 
     def test_batch_matches_per_doc_all_modes(self):
         from duplicate_finder_ray.functions.shingles import (
@@ -354,9 +354,9 @@ def _docs(rng, words, n_docs, max_len=30):
 
 
 class TestTokenMemo:
-    """One ``Shingler`` reused across many batches, as in a
-    ``SignatureStage`` actor, must equal the per-doc reference whatever
-    its memo holds."""
+    """One ``Shingler`` reused across many batches, as in a signature
+    worker's kernel cache, must equal the per-doc reference whatever its
+    memo holds."""
 
     def test_memo_filling_full_and_past_bound(self, monkeypatch):
         from duplicate_finder_ray.functions import shingles
@@ -428,3 +428,181 @@ class TestTokenMemo:
         ]
         texts[-1] = None
         _assert_matches_per_doc(Shingler(k=2), texts)
+
+
+def _regex_tokens(arr):
+    """The reference tokenizer: RE2's ``[^0-9A-Za-z_]+`` split, empty
+    tokens dropped."""
+    import pyarrow.compute as pc
+
+    split = pc.split_pattern_regex(pc.fill_null(arr, ""), r"[^0-9A-Za-z_]+")
+    return [[t for t in row if t] for row in split.to_pylist()]
+
+
+def _lut_tokens(arr):
+    """The production tokenizer: byte-table map + whitespace split,
+    empty tokens dropped."""
+    import pyarrow.compute as pc
+
+    from duplicate_finder_ray.functions.shingles import _separators_to_spaces
+
+    split = pc.ascii_split_whitespace(_separators_to_spaces(pc.fill_null(arr, "")))
+    return [[t for t in row if t] for row in split.to_pylist()]
+
+
+_TOKENIZER_TEXTS = [
+    "def f(x): return x+1",
+    None,
+    "",
+    "!!! ... ;;; ()",
+    "  leading and trailing  ",
+    "--x--",
+    "tab\there\rcr\vvt\fff\nnl",
+    "héllo wörld_ß 中文x y",
+    "snake_case CamelCase 42abc",
+    None,
+    "é",
+    "a",
+]
+
+
+class TestByteTableTokenizer:
+    """The byte-table split must give the RE2 split's tokens on every
+    path that tokenizes in Arrow."""
+
+    @pytest.mark.parametrize("large", [False, True])
+    @pytest.mark.parametrize("lo,hi", [(0, None), (1, None), (3, 9), (7, 8), (5, 5)])
+    def test_split_equals_regex(self, large, lo, hi):
+        import pyarrow as pa
+
+        typ = pa.large_string() if large else pa.string()
+        arr = pa.array(_TOKENIZER_TEXTS, typ)
+        arr = arr.slice(lo, None if hi is None else hi - lo)
+        assert arr.offset == lo
+        assert _lut_tokens(arr) == _regex_tokens(arr)
+
+    def test_split_property(self):
+        import pyarrow as pa
+
+        from hypothesis import given, settings
+        from hypothesis import strategies as st
+
+        alphabet = st.sampled_from(list("aZ9_ \t\r\n\v\f.-+é中ß€") + ["\x00"])
+
+        @settings(max_examples=80, deadline=None)
+        @given(
+            st.lists(st.one_of(st.none(), st.text(alphabet, max_size=30)), max_size=8),
+            st.integers(0, 8),
+            st.booleans(),
+        )
+        def check(texts, lo, large):
+            arr = pa.array(texts, pa.large_string() if large else pa.string())
+            arr = arr.slice(min(lo, len(arr)))
+            assert _lut_tokens(arr) == _regex_tokens(arr)
+
+        check()
+
+    @pytest.mark.parametrize(
+        "token_hash,ascii_only", [("blake2b", True), ("md5", False), ("md5", True)]
+    )
+    def test_non_ascii_bytes_are_separators(self, token_hash, ascii_only):
+        """ASCII-only tokenization (the flag, or the md5 family) splits
+        at every non-ASCII byte: the token ids are the digests of the
+        RE2 tokens, on a sliced column."""
+        import pyarrow as pa
+
+        from duplicate_finder_ray.functions.shingles import token_id_md5
+
+        one = token_id if token_hash == "blake2b" else token_id_md5
+        arr = pa.array(["skip"] + _TOKENIZER_TEXTS, pa.string()).slice(1)
+        ids, counts = Shingler(k=2, token_hash=token_hash)._token_ids_column(
+            arr, ascii_only
+        )
+        ref = _regex_tokens(arr)
+        assert counts.tolist() == [len(r) for r in ref]
+        assert ids.tolist() == [one(t) for r in ref for t in r]
+        assert "héllo" not in [t for r in ref for t in r]  # really split
+
+
+class TestMinHashTile:
+    """``batch_minhash`` evaluates (perms × shingles) tiles; every
+    layout must equal the per-doc ``minhash_signature``."""
+
+    @staticmethod
+    def _check(sizes, num_perms=32, work=None, seed=0):
+        from duplicate_finder_ray.functions.shingles import (
+            batch_minhash,
+            minhash_signature,
+        )
+
+        rng = np.random.default_rng(seed)
+        offsets = np.zeros(len(sizes) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=offsets[1:])
+        flat = rng.integers(0, 2**64, size=int(offsets[-1]), dtype=np.uint64)
+        a, b = minhash_params(num_perms, seed + 1)
+        sigs = batch_minhash(flat, offsets, a, b, work=work)
+        assert sigs.shape == (len(sizes), num_perms)
+        assert sigs.flags.c_contiguous
+        for i in range(len(sizes)):
+            np.testing.assert_array_equal(
+                sigs[i], minhash_signature(flat[offsets[i] : offsets[i + 1]], a, b)
+            )
+
+    def test_doc_spanning_tiles(self):
+        from duplicate_finder_ray.functions.shingles import _ROW_BLOCK
+
+        # a doc over three tiles between docs that straddle tile edges
+        self._check([_ROW_BLOCK - 3, 2 * _ROW_BLOCK + 10, 5, _ROW_BLOCK, 1])
+
+    def test_runs_of_empty_docs(self):
+        from duplicate_finder_ray.functions.shingles import _ROW_BLOCK
+
+        self._check([0, 0, 3, 0, 0, 0, _ROW_BLOCK + 7, 0, 1, 0, 0])
+
+    def test_one_doc_and_empty_batches(self):
+        self._check([17])
+        self._check([0])
+        self._check([])
+
+    def test_workspace_reused_across_widths(self):
+        work: dict = {}
+        for num_perms in (128, 16, 64):
+            self._check([40, 0, 9000, 3], num_perms=num_perms, work=work)
+        assert work["minhash_tile"].shape[0] == 128
+
+
+class TestMissDigests:
+    """Miss digests read straight from Arrow buffers must equal the
+    per-token ``token_id`` / ``token_id_md5``."""
+
+    TOKENS = ["foo", "", "héllo", "中文", "x_1", "ß", "a" * 300, "foo"]
+
+    @pytest.mark.parametrize("token_hash", ["blake2b", "md5"])
+    @pytest.mark.parametrize("large", [False, True])
+    def test_digest_ids(self, token_hash, large):
+        import pyarrow as pa
+
+        from duplicate_finder_ray.functions.shingles import _digest_ids, token_id_md5
+
+        one = token_id if token_hash == "blake2b" else token_id_md5
+        typ = pa.large_string() if large else pa.string()
+        arr = pa.array(["skip", "me"] + self.TOKENS, typ)
+        for values in (arr, arr.slice(2), arr.slice(3, 2), arr.slice(8, 0)):
+            got = _digest_ids(values, token_hash)
+            assert got.dtype == np.uint64
+            assert got.tolist() == [one(t) for t in values.to_pylist()]
+
+    @pytest.mark.parametrize("token_hash", ["blake2b", "md5"])
+    def test_ids_arrow_list_path(self, token_hash):
+        """Non-ASCII tokens reach ``_ids_arrow`` through the Python
+        tokenizer; cold and warm memo both give the digests."""
+        from duplicate_finder_ray.functions.shingles import token_id_md5
+
+        one = token_id if token_hash == "blake2b" else token_id_md5
+        sh = Shingler(k=2, token_hash=token_hash)
+        texts = ["héllo wörld 中文 foo", None, "ß x_1 héllo new"]
+        for _ in range(2):
+            ids, counts = sh._token_ids_list(texts)
+            units = [u for t in texts for u in sh.units(t or "")]
+            assert counts.sum() == len(units)
+            assert ids.tolist() == [one(u) for u in units]
