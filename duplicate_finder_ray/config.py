@@ -176,7 +176,7 @@ class PipelineConfig:
     #: and a ~3 s lexsort in one task). Beyond it, the distributed
     #: two-level shuffle dedupe keeps the 10^12-scale shape.
     pair_dedupe_broadcast_limit: int = 20_000_000
-    #: band-row threshold (docs_with_shingles × lsh_bands; 16 B/row)
+    #: band-row threshold (signature rows × resolved bands; 16 B/row)
     #: below which LSH bucketing + pair emission + cross-band dedupe run
     #: FUSED in one remote lexsort task — zero shuffle barriers on small
     #: inputs. 8M rows ≈ 128 MB and a ~1 s lexsort; past it the

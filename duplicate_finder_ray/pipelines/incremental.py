@@ -166,15 +166,18 @@ class IncrementalNearDupResult:
 class IncrementalNearDup:
     """Near-dup detection for a NEW batch against a baseline SIGNATURE
     table (the `NearDupResult.signatures` a prior run persisted with
-    ``emit_shingles=True`` — fid, minhash, n_shingles, shingles).
+    ``emit_shingles=True`` — fid, bands, n_shingles, shingles; its
+    ``bands`` must come from the same band count as this config, which
+    the explode checks).
 
     Only the increment is shingled/hashed. The baseline streams twice,
     both passes trivially parallel with no shuffle: once through the
-    band-explode + broadcast-membership probe (which bands collide with
-    the increment's), once through the verify stage's endpoint probe
-    (which shingle sets are needed). At 10^12-file scale partition the
-    stored signature table by ``fid % S`` and by band range to prune
-    both streams to touched partitions."""
+    band-explode (a flatten of the stored band keys) + broadcast-
+    membership probe (which bands collide with the increment's), once
+    through the verify stage's endpoint filter (which shingle sets are
+    needed). At 10^12-file scale partition the stored signature table
+    by ``fid % S`` and by band range to prune both streams to touched
+    partitions."""
 
     def __init__(self, cfg: PipelineConfig | None = None) -> None:
         self.cfg = cfg or PipelineConfig()

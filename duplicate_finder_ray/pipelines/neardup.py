@@ -5,17 +5,20 @@ composition of four named stages, shared by ``run_on`` and
 ``run_checkpointed``:
 
     signatures  signature task map over (file_id, content), fused with
-                the identity map: MinHash K perms, plus the shingle sets
-                in exact verify mode (SimHash only through
-                ``signatures_for``)
-    candidates  LSH band exchange. Small inputs: one task lexsorts the
-                band rows. At scale: ``hash_exchange`` over the
-                signature blocks with the band explosion fused into its
-                split tasks. Hot buckets capped; pairs deduped across
-                bands with a band-collision count
-    verified    exact Jaccard over fid-keyed shingle CSRs: one broadcast
-                CSR for few endpoints, else fid-sharded CSRs whose split
-                is prestarted under the candidates stage
+                the identity map: the LSH band keys of the K-perm
+                MinHash, plus the shingle sets in exact verify mode or
+                the MinHash itself in estimate mode (SimHash only
+                through ``signatures_for``)
+    candidates  LSH band exchange over the signature blocks, the band
+                explosion running inside its tasks (no band-row
+                dataset). Small inputs: one task explodes and lexsorts.
+                At scale: ``hash_exchange`` with the explosion fused
+                into its split tasks. Hot buckets capped; pairs deduped
+                across bands with a band-collision count
+    verified    exact Jaccard over fid-keyed shingle CSRs built from the
+                signature blocks' endpoint rows: one broadcast CSR for
+                few endpoints, else fid-sharded CSRs whose split is
+                prestarted under the candidates stage
     labels      connected components: one local task up to
                 ``cc_local_threshold`` edges, else iterative hash-to-min
                 contraction rounds
@@ -40,7 +43,8 @@ from duplicate_finder_ray.stages.derive import add_identity
 
 @dataclass
 class NearDupResult:
-    #: file_id, fid, minhash, n_shingles (+ shingles in exact verify mode)
+    #: file_id, fid, bands (LSH band keys), n_shingles, plus shingles in
+    #: exact verify mode or minhash in estimate mode
     signatures: ray.data.Dataset
     #: a, b, n_bands, jaccard, n_inter, n_union — exact Jaccard plus the
     #: integer set sizes in verify_mode="exact"; MinHash estimate (and
@@ -58,23 +62,31 @@ class NearDupPipeline:
         self.cfg = cfg or PipelineConfig()
 
     def signatures_for(
-        self, ds: ray.data.Dataset, simhash: bool = False
+        self, ds: ray.data.Dataset, simhash: bool = False, minhash: bool = False
     ) -> ray.data.Dataset:
         """(repo,path,commit,lang,content) → signature table. Content is
         dropped inside the signature tasks; only (file_id, sigs) flow on.
-        ``simhash=True`` adds the 64-bit SimHash fingerprint column."""
-        return self._signatures(ds, emit_shingles=False, emit_simhash=simhash)
+        ``simhash=True`` adds the 64-bit SimHash fingerprint column,
+        ``minhash=True`` the K-wide MinHash signature."""
+        return self._signatures(
+            ds, emit_shingles=False, emit_simhash=simhash, emit_minhash=minhash
+        )
 
     def _signatures(
         self,
         ds: ray.data.Dataset,
         emit_shingles: bool,
         emit_simhash: bool = False,
+        emit_minhash: bool = False,
     ) -> ray.data.Dataset:
         ds = ds.map_batches(add_identity, batch_format="pyarrow")
         ds = ds.select_columns(["file_id", "content"])
         return neardup.signatures(
-            ds, self.cfg, emit_shingles=emit_shingles, emit_simhash=emit_simhash
+            ds,
+            self.cfg,
+            emit_shingles=emit_shingles,
+            emit_simhash=emit_simhash,
+            emit_minhash=emit_minhash,
         )
 
     def _compose(self, ds: ray.data.Dataset, stage) -> NearDupResult:
@@ -84,9 +96,13 @@ class NearDupPipeline:
         cfg = self.cfg
         exact = cfg.verify_mode == "exact"
         # exact mode carries the shingle sets through the signature pass
-        # so verification never re-reads or re-shingles content
+        # so verification never re-reads or re-shingles content;
+        # estimate mode carries the MinHash it compares instead
         sigs = stage(
-            "signatures", lambda: self._signatures(ds, emit_shingles=exact)
+            "signatures",
+            lambda: self._signatures(
+                ds, emit_shingles=exact, emit_minhash=not exact
+            ),
         )  # reused: bands + verify endpoint lookups
         prestarted = None
 
@@ -104,12 +120,9 @@ class NearDupPipeline:
                 and sigs.count() > cfg.broadcast_verify_limit
             ):
                 prestarted = neardup.prestart_verify_split(sigs, cfg)
-            # sigs_source lets candidate_pairs fuse the band explosion
-            # into the exchange split tasks at scale (the band rows stay
-            # lazy and are never materialized on that path)
-            return neardup.candidate_pairs(
-                neardup.explode_bands(sigs, cfg), cfg, sigs_source=sigs
-            )
+            # the band explosion runs inside the candidate tasks over
+            # the signature blocks; no band-row dataset is built
+            return neardup.candidate_pairs(None, cfg, sigs_source=sigs)
 
         candidates = stage("candidates", make_candidates)
         verified = stage(

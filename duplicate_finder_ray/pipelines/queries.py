@@ -203,7 +203,7 @@ def q_minhash_signatures(sf_dir: str) -> ray.data.Dataset:
 
     cfg = _md5_sig_config()
     sigs = NearDupPipeline(cfg).signatures_for(
-        code_files_from_documents(sf_dir), simhash=True
+        code_files_from_documents(sf_dir), simhash=True, minhash=True
     )
 
     def explode(batch: pa.Table) -> pa.Table:

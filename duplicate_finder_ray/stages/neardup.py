@@ -13,11 +13,16 @@ Execution shape:
   memo, the (a, b) permutation tables and the kernel workspaces live in
   per-worker-process ``functools.lru_cache`` entries keyed on the config
   fields the kernel reads, so every batch — and every later job on the
-  same worker — reuses them without an actor pool's start-up.
-* Band explosion is a stateless vectorized map_batches (n_docs × bands
-  rows out).
-* Candidate generation is ONE shuffle on ``(band, band_hash)`` — the
-  skewed shuffle of this engine — or, below
+  same worker — reuses them without an actor pool's start-up. The
+  task folds the MinHash signature into its LSH band keys, so the
+  signature table carries ``bands`` (b uint64 per doc), not the K-wide
+  ``minhash`` column; that column is emitted only on request
+  (estimate-mode verify, the signature queries).
+* Candidate generation reads the signature blocks directly: the band
+  explosion (flatten ``bands``, repeat fids — n_docs × bands rows) runs
+  inside the candidate tasks, so the band rows never materialize. At
+  scale that is ONE shuffle on ``band_hash`` — the skewed shuffle of
+  this engine — with the explosion as the split-side premap; below
   ``band_exchange_broadcast_limit`` band rows, one fused remote lexsort
   task with zero barriers. Hot buckets (license headers, generated
   code) are capped per emission task at the ``band_pair_budget``-derived
@@ -30,7 +35,8 @@ Execution shape:
   up for capped buckets.
 * Pair verification re-reads NOTHING: exact mode scores candidate pairs
   against the shingle sets already emitted by the signature pass,
-  assembled into CSR buffers in remote tasks (broadcast below
+  assembled into CSR buffers in remote tasks straight from the
+  signature blocks, keeping endpoint rows only (broadcast below
   ``broadcast_verify_limit`` endpoints, a ``fid % n_shards``-partitioned
   shard exchange above it); estimate mode hash-joins the minhash columns
   and filters on the Jaccard estimate ≥ τ.
@@ -59,6 +65,12 @@ from duplicate_finder_ray.functions.shingles import (
     batch_simhash,
     simhash_band_keys,
 )
+
+#: layout of the signature table :func:`signature_batch` emits. Part of
+#: every checkpoint's config hash, so a stage written under another
+#: layout is recomputed, never loaded. 2: LSH ``bands`` per row,
+#: ``minhash`` only on request (1 carried ``minhash`` and no ``bands``).
+SIGNATURE_FORMAT = 2
 
 #: candidate pairs flow as compact uint64 surrogate ids ("fid" =
 #: fixed-key siphash64 of file_id) — the skewed band exchange and the
@@ -140,14 +152,18 @@ def signature_batch(
     cfg: PipelineConfig,
     emit_shingles: bool = False,
     emit_simhash: bool = False,
+    emit_minhash: bool = False,
 ) -> pa.Table:
     """Signature kernel over one (file_id, content) batch →
-    (file_id, fid, minhash list<uint64>[K], n_shingles), plus the
-    deduped shingle set (``emit_shingles``: exact verify reuses it
-    instead of a second content read + shingle pass) and the SimHash
-    fingerprint (``emit_simhash``) for the consumers that read them.
-    Kernel state comes from the per-process caches, keyed on exactly
-    the config fields the kernel reads."""
+    (file_id, fid, bands list<uint64>[b], n_shingles): the LSH band
+    keys of the MinHash signature at ``cfg.resolved_lsh_bands`` bands,
+    computed in the task so the K-wide signature never leaves it. On
+    request it also emits the signature itself (``emit_minhash``:
+    estimate verify and the signature queries read it), the deduped
+    shingle set (``emit_shingles``: exact verify reuses it instead of a
+    second content read + shingle pass) and the SimHash fingerprint
+    (``emit_simhash``). Kernel state comes from the per-process caches,
+    keyed on exactly the config fields the kernel reads."""
     shingler = _shingler(cfg.shingle_k, cfg.shingle_mode, cfg.token_hash)
     a, b, work = _minhash_tables(cfg.minhash_perms, cfg.minhash_seed)
     # whole-batch CSR kernels (shingle_hashes_batch_column /
@@ -156,14 +172,12 @@ def signature_batch(
     # entirely in Arrow C (no per-token Python strings)
     flat, offsets = shingler.shingle_hashes_batch_column(batch.column("content"))
     sigs = batch_minhash(flat, offsets, a, b, work=work)
+    num_bands = cfg.resolved_lsh_bands
     out = batch.drop_columns(["content"])
     out = out.append_column("fid", _fid_column(batch))
-    out = out.append_column(
-        "minhash",
-        pa.FixedSizeListArray.from_arrays(
-            pa.array(sigs.reshape(-1), type=pa.uint64()), len(a)
-        ),
-    )
+    out = out.append_column("bands", _u64_rows(band_keys(sigs, num_bands)))
+    if emit_minhash:
+        out = out.append_column("minhash", _u64_rows(sigs))
     if emit_simhash:
         simhashes = batch_simhash(flat, offsets, work=work)
         out = out.append_column("simhash", pa.array(simhashes, type=pa.uint64()))
@@ -171,8 +185,15 @@ def signature_batch(
         "n_shingles", pa.array(np.diff(offsets), type=pa.int64())
     )
     if emit_shingles:
-        out = out.append_column("shingles", _shingle_column(flat, offsets))
+        out = out.append_column("shingles", _u64_binary(flat, offsets))
     return out
+
+
+def _u64_rows(m: np.ndarray) -> pa.Array:
+    """(n, w) uint64 matrix → ``fixed_size_list<uint64>[w]``."""
+    return pa.FixedSizeListArray.from_arrays(
+        pa.array(m.reshape(-1), type=pa.uint64()), m.shape[1]
+    )
 
 
 def _fid_column(batch: pa.Table) -> pa.Array:
@@ -180,11 +201,12 @@ def _fid_column(batch: pa.Table) -> pa.Array:
     return pa.array(fid_of(ids), pa.uint64())
 
 
-def _shingle_column(flat: np.ndarray, offsets: np.ndarray) -> pa.Array:
-    """Per-doc shingle sets as ``large_binary`` (uint64-LE values). The
-    CSR form IS that layout — byte offsets are 8 × set offsets — so the
-    column is built zero-copy from the kernel's buffers. (Binary, not
-    list: pyarrow's hash join rejects list-typed payload columns.)"""
+def _u64_binary(flat: np.ndarray, offsets: np.ndarray) -> pa.Array:
+    """Per-row uint64 runs (CSR ``flat``/``offsets``: shingle sets,
+    signatures) as ``large_binary`` of uint64-LE values. The CSR form IS
+    that layout — byte offsets are 8 × element offsets — so the column
+    is built zero-copy from the kernel's buffers. (Binary, not list:
+    pyarrow's hash join rejects list-typed payload columns.)"""
     return pa.LargeBinaryArray.from_buffers(
         pa.large_binary(),
         len(offsets) - 1,
@@ -197,6 +219,7 @@ def signatures(
     cfg: PipelineConfig,
     emit_shingles: bool = False,
     emit_simhash: bool = False,
+    emit_minhash: bool = False,
 ) -> ray.data.Dataset:
     """Map :func:`signature_batch` over a dataset bearing
     (file_id, content) as plain tasks, which Ray fuses with the maps
@@ -208,6 +231,7 @@ def signatures(
             "cfg": cfg,
             "emit_shingles": emit_shingles,
             "emit_simhash": emit_simhash,
+            "emit_minhash": emit_minhash,
         },
         batch_format="pyarrow",
         batch_size=cfg.derive_batch_size,
@@ -215,39 +239,40 @@ def signatures(
     )
 
 
-def _minhash_matrix(batch: pa.Table) -> np.ndarray:
-    col = batch.column("minhash")
+def _u64_matrix(batch: pa.Table, name: str) -> np.ndarray:
+    """A ``fixed_size_list<uint64>`` column as an (n, w) matrix."""
+    col = batch.column(name)
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
     # copy=False: the flattened uint64 child array is already the right
-    # dtype — an unconditional astype would copy the whole signature
-    # block (this sandbox faults fresh pages at ~80 MB/s)
+    # dtype — an unconditional astype would copy the whole column
+    # (fresh pages fault at ~80 MB/s on a small shared host)
     flat = col.flatten().to_numpy(zero_copy_only=False).astype(
         np.uint64, copy=False
     )
-    return flat.reshape(len(batch), -1)
+    return flat.reshape(len(batch), col.type.list_size)
 
 
 def explode_bands(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
-    """(fid, minhash) → (band_hash, fid) × num_bands rows. Docs with
-    zero shingles are excluded — the empty-set sentinel signature would
-    otherwise bucket all short docs together.
-
-    The exchange rows are TWO uint64s: band_keys() folds the band index
-    into the hash itself, and the file identity travels as the compact
-    fid surrogate, not the file_id string — the skewed exchange moves
-    bands × corpus rows, so every byte here is multiplied by both."""
+    """Signature table → (band_hash, fid) × num_bands rows as a
+    standalone dataset (the incremental probe and the band-rows form of
+    :func:`candidate_pairs`; the pipeline explodes inside its candidate
+    tasks instead)."""
     return ds.map_batches(
         make_band_explode(cfg), batch_format="pyarrow"
     )
 
 
 def make_band_explode(cfg: PipelineConfig):
-    """The (fid, minhash, n_shingles) → (band_hash, fid) × bands kernel,
-    shared by ``explode_bands`` (standalone map_batches) and the fused
-    band exchange (``hash_exchange`` premap — the exploded rows are
-    born inside the split task and never materialize as an
-    intermediate dataset)."""
+    """The (fid, bands, n_shingles) → (band_hash, fid) × bands kernel:
+    it flattens the signature table's band keys and repeats the fids.
+    Docs with zero shingles are excluded — the empty-set sentinel
+    signature would otherwise bucket all short docs together.
+
+    The exchange rows are TWO uint64s: band_keys() folds the band index
+    into the hash itself, and the file identity travels as the compact
+    fid surrogate, not the file_id string — the skewed exchange moves
+    bands × corpus rows, so every byte here is multiplied by both."""
     num_bands = cfg.resolved_lsh_bands
 
     def explode(batch: pa.Table) -> pa.Table:
@@ -260,8 +285,12 @@ def make_band_explode(cfg: PipelineConfig):
                     "fid": pa.array([], pa.uint64()),
                 }
             )
-        sigs = _minhash_matrix(batch)
-        keys = band_keys(sigs, num_bands)  # (n, bands)
+        keys = _u64_matrix(batch, "bands")
+        if keys.shape[1] != num_bands:
+            raise ValueError(
+                f"signature table carries {keys.shape[1]} band keys per "
+                f"row, the config resolves {num_bands} bands"
+            )
         fids = batch.column("fid").to_numpy().astype(np.uint64)
         return pa.table(
             {
@@ -408,7 +437,7 @@ def dedupe_pair_arrays(
 
 
 def candidate_pairs(
-    band_rows: ray.data.Dataset,
+    band_rows: ray.data.Dataset | None,
     cfg: PipelineConfig,
     sigs_source: ray.data.Dataset | None = None,
 ) -> ray.data.Dataset:
@@ -416,121 +445,84 @@ def candidate_pairs(
     deduped across bands with a band-collision count (``n_bands`` — a
     free similarity signal).
 
+    Input: the signature table as ``sigs_source`` (then ``band_rows`` is
+    never read and may be None) — the band explosion runs inside the
+    candidate tasks over the signature blocks, so the bands × corpus
+    (band_hash, fid) rows never materialize as an intermediate dataset.
+    Without it, the standalone band rows of :func:`explode_bands`.
+
     TWO-LEVEL grouping: the shuffle key is a coarse partition id
-    (``hash(band_hash) % P``), and the real (band, band_hash) bucketing runs
-    VECTORIZED (pandas C groupby) inside each partition. A naive
-    ``groupby(band, band_hash).map_groups`` pays a Python call per
-    bucket — ~3 ms × millions of buckets; this pays P calls total.
+    (``hash(band_hash) % P``), and the real bucketing runs VECTORIZED
+    (one lexsort) inside each partition — a per-bucket
+    ``groupby().map_groups`` would pay a Python call per bucket.
     band_hash is uniform (mixed uint64), so partitions balance; hot
     BUCKETS inside a partition are capped at ``band_bucket_cap`` (or
-    the ``band_pair_budget``-derived cap when it is None — the
-    default, which truncates NOTHING while a task's pair volume fits
-    the budget) with the true bucket size recorded on every emitted
-    pair and a loud warning whenever a cap binds (never silent).
+    the ``band_pair_budget``-derived cap when it is None — the default,
+    which truncates NOTHING while a task's pair volume fits the budget)
+    with the true bucket size recorded on every emitted pair and a loud
+    warning whenever a cap binds (never silent).
     """
     cap = cfg.band_bucket_cap
     budget = cfg.band_pair_budget
     num_parts = effective_parallelism(cfg) * 2
-
-    # FUSED-EXPLODE EXCHANGE: when the caller hands the MATERIALIZED
-    # signature table and its band-row volume is certain to exceed the
-    # fused-lexsort limit, run the band exchange directly over the
-    # signature blocks with the explode kernel as the split-side premap
-    # — the exploded (band_hash, fid) table is born inside the split
-    # tasks and never materializes as an intermediate dataset (saves a
-    # full object-store write + read of bands × corpus rows).
-    n_docs = None
     if sigs_source is not None:
-        try:
-            n_docs = sigs_source.count()  # metadata on materialized ds
-        except Exception:
-            pass
-    if (
-        n_docs is not None
-        and n_docs * cfg.resolved_lsh_bands > cfg.band_exchange_broadcast_limit
-    ):
-        explode_fn = make_band_explode(cfg)
-
-        def premap(block: pa.Table) -> pa.Table:
-            cols = [
-                c
-                for c in ("fid", "minhash", "n_shingles")
-                if c in block.column_names
-            ]
-            return explode_fn(block.select(cols))
-
-        source = sigs_source
+        source = sigs_source.materialize()
+        explode = make_band_explode(cfg)
+        # an upper bound: zero-shingle docs explode to no rows
+        n_band_rows = source.count() * cfg.resolved_lsh_bands
     else:
-        premap = None
-        # SMALL-INPUT FUSED PATH: below ``band_exchange_broadcast_limit``
-        # band rows (2 uint64 cols — 16 B/row), ONE remote task lexsorts
-        # the whole exchange, emits capped pairs per bucket run AND
-        # dedupes them across bands in the same pass — zero shuffle
-        # barriers (the sort-shuffle's sample/exchange fixed cost is
-        # CPU-count-independent and dominates small inputs). Past the
-        # limit the exchange below remains the 10^12-scale shape. Same
-        # pattern as the pair-dedupe broadcast path; both record the
-        # true bucket_size.
         source = band_rows.materialize()
-        try:
-            n_band_rows = source.count()
-        except Exception:
-            n_band_rows = None
-        if (
-            n_band_rows is not None
-            and n_band_rows <= cfg.band_exchange_broadcast_limit
-        ):
-            out_parts = int(min(num_parts, max(1, n_band_rows // 10_000 + 1)))
+        explode = None
+        n_band_rows = source.count()
 
-            @ray.remote
-            def fused_bucket_pairs(*blocks: pa.Table):
-                empty = CAND_SCHEMA.empty_table()
-                blocks = tuple(
-                    b for b in blocks if "band_hash" in b.column_names and len(b)
-                )
-                if not blocks:
-                    outs = [empty] * out_parts
-                    return outs[0] if out_parts == 1 else tuple(outs)
-                tbl = pa.concat_tables(blocks)
-                a, b, sz = bucket_pairs_arrays(
-                    tbl.column("band_hash").to_numpy().astype(np.uint64),
-                    tbl.column("fid").to_numpy().astype(np.uint64),
-                    cap,
-                    budget,
-                )
-                if len(a) == 0:
-                    outs = [empty] * out_parts
-                    return outs[0] if out_parts == 1 else tuple(outs)
-                out = dedupe_pair_arrays(a, b, sz)
-                step = (len(out) + out_parts - 1) // out_parts
-                outs = [out.slice(i * step, step) for i in range(out_parts)]
-                outs = [o if len(o) else empty for o in outs]
-                return outs[0] if out_parts == 1 else tuple(outs)
-
-            refs = source.to_arrow_refs()
-            out_refs = fused_bucket_pairs.options(num_returns=out_parts).remote(
-                *refs
-            )
-            if out_parts == 1:
-                out_refs = [out_refs]
-            return ray.data.from_arrow_refs(list(out_refs))
-
-    # --- scale path: barrier-free hash exchange (stages/exchange.py) ---
-    # band_hash already folds the band index in, so it alone is the
-    # bucket key; keying the exchange on band_hash keeps buckets whole.
-    # Ray Data's sort-based groupby would sample+sort the 16-byte rows
-    # for an order nothing needs; the raw-task exchange has no barrier
-    # and each reduce runs the SAME vectorized kernel the fused path
-    # uses (path equality is test-guarded).
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    def emit_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        a, b, sz = bucket_pairs_arrays(
+    def band_arrays(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return bucket_pairs_arrays(
             tbl.column("band_hash").to_numpy().astype(np.uint64),
             tbl.column("fid").to_numpy().astype(np.uint64),
             cap,
             budget,
         )
+
+    if n_band_rows <= cfg.band_exchange_broadcast_limit:
+        # SMALL-INPUT FUSED PATH: ONE remote task explodes and lexsorts
+        # the band rows (2 uint64 cols — 16 B/row), emits capped pairs
+        # per bucket run AND dedupes them across bands in the same pass
+        # — zero shuffle barriers (the exchange's fixed cost is
+        # CPU-count-independent and dominates small inputs). Same
+        # pattern as the pair-dedupe broadcast path; both record the
+        # true bucket_size.
+        out_parts = int(min(num_parts, max(1, n_band_rows // 10_000 + 1)))
+
+        @ray.remote
+        def fused_bucket_pairs(*blocks: pa.Table):
+            # empty blocks can surface with a bare zero-column schema
+            blocks = [b for b in blocks if len(b)]
+            if explode is not None:
+                blocks = [explode(b) for b in blocks]
+            blocks = [b.select(["band_hash", "fid"]) for b in blocks if len(b)]
+            if not blocks:
+                return _task_outputs(CAND_SCHEMA.empty_table(), out_parts)
+            a, b, sz = band_arrays(pa.concat_tables(blocks))
+            return _task_outputs(dedupe_pair_arrays(a, b, sz), out_parts)
+
+        return _from_task_outputs(
+            fused_bucket_pairs.options(num_returns=out_parts).remote(
+                *source.to_arrow_refs()
+            ),
+            out_parts,
+        )
+
+    # --- scale path: barrier-free hash exchange (stages/exchange.py) ---
+    # band_hash already folds the band index in, so it alone is the
+    # bucket key; keying the exchange on band_hash keeps buckets whole.
+    # With a signature source the explode is the split-side premap: the
+    # band rows are born inside the split tasks. Each reduce runs the
+    # SAME vectorized kernel the fused path uses (path equality is
+    # test-guarded).
+    from duplicate_finder_ray.stages.exchange import hash_exchange
+
+    def emit_reduce(p: int, tbl: pa.Table) -> pa.Table:
+        a, b, sz = band_arrays(tbl)
         if len(a) == 0:
             return _EMPTY_PAIRS
         return pa.table(
@@ -542,9 +534,31 @@ def candidate_pairs(
         )
 
     pairs = hash_exchange(
-        source, "band_hash", num_parts, emit_reduce, _EMPTY_PAIRS, premap=premap
+        source, "band_hash", num_parts, emit_reduce, _EMPTY_PAIRS, premap=explode
     )
     return _dedupe_candidates(pairs, cfg, num_parts)
+
+
+def _task_outputs(tbl: pa.Table, n: int):
+    """``tbl`` cut into ``n`` contiguous slices, the return value of a
+    ``num_returns=n`` task (slices past the end are typed and empty)."""
+    step = max(1, -(-len(tbl) // n))
+    outs = tuple(tbl.slice(i * step, step) for i in range(n))
+    return outs[0] if n == 1 else outs
+
+
+def _from_task_outputs(refs, n: int) -> ray.data.Dataset:
+    """The Dataset over a ``num_returns=n`` task's ``_task_outputs``."""
+    return ray.data.from_arrow_refs([refs] if n == 1 else list(refs))
+
+
+def _dedupe_table(tbl: pa.Table) -> pa.Table:
+    """:func:`dedupe_pair_arrays` over a raw (a, b, bucket_size) table."""
+    return dedupe_pair_arrays(
+        tbl.column("a").to_numpy().astype(np.uint64),
+        tbl.column("b").to_numpy().astype(np.uint64),
+        tbl.column("bucket_size").to_numpy().astype(np.int64),
+    )
 
 
 def _dedupe_candidates(
@@ -552,63 +566,34 @@ def _dedupe_candidates(
 ) -> ray.data.Dataset:
     """Cross-band dedupe of the band exchange's raw (a, b, bucket_size)
     pairs into candidate pairs with their band-collision count."""
-    # dedupe pairs across bands. The raw (pre-dedupe) pair table is
-    # orders of magnitude smaller than the band exchange, so up to
-    # ``pair_dedupe_broadcast_limit`` rows ONE remote task lexsorts the
-    # uint64 pairs and reduces runs with np.maximum.reduceat — replacing
-    # a whole sort-shuffle barrier (its fixed cost is CPU-count
-    # independent and was a measured scaling-efficiency drag). The
-    # result is split into ``num_parts`` blocks so downstream scoring
-    # parallelizes. Past the limit, the distributed two-level shuffle
-    # path below remains the 10^12-scale shape.
+    # The raw (pre-dedupe) pair table is orders of magnitude smaller
+    # than the band exchange, so up to ``pair_dedupe_broadcast_limit``
+    # rows ONE remote task runs the dedupe kernel — replacing a whole
+    # exchange barrier (its fixed cost is CPU-count independent and was
+    # a measured scaling-efficiency drag). The result is split into
+    # ``num_parts`` blocks so downstream scoring parallelizes. Past the
+    # limit, the distributed exchange below is the 10^12-scale shape.
     raw = pairs.materialize()
-    try:
-        n_raw = raw.count()
-    except Exception:
-        n_raw = None
+    n_raw = raw.count()
 
-    if n_raw is not None and n_raw <= cfg.pair_dedupe_broadcast_limit:
+    if n_raw <= cfg.pair_dedupe_broadcast_limit:
         out_parts = int(min(num_parts, max(1, n_raw // 1_000 + 1)))
 
         @ray.remote
         def dedupe_task(*blocks: pa.Table):
-            empty = CAND_SCHEMA.empty_table()
-            blocks = tuple(
-                b for b in blocks if "a" in b.column_names and len(b)
-            )
+            blocks = [b for b in blocks if "a" in b.column_names and len(b)]
             if not blocks:
-                outs = [empty] * out_parts
-                return outs[0] if out_parts == 1 else tuple(outs)
-            tbl = pa.concat_tables(blocks)
-            a = tbl.column("a").to_numpy().astype(np.uint64)
-            b = tbl.column("b").to_numpy().astype(np.uint64)
-            sz = tbl.column("bucket_size").to_numpy().astype(np.int64)
-            order = np.lexsort((b, a))
-            a, b, sz = a[order], b[order], sz[order]
-            first = np.empty(len(a), dtype=bool)
-            first[0] = True
-            np.logical_or(a[1:] != a[:-1], b[1:] != b[:-1], out=first[1:])
-            starts = np.nonzero(first)[0]
-            n_bands = np.diff(np.append(starts, len(a))).astype(np.int64)
-            bucket = np.maximum.reduceat(sz, starts)
-            out = pa.table(
-                {
-                    "a": pa.array(a[starts], pa.uint64()),
-                    "b": pa.array(b[starts], pa.uint64()),
-                    "n_bands": pa.array(n_bands),
-                    "bucket_size": pa.array(bucket),
-                }
+                return _task_outputs(CAND_SCHEMA.empty_table(), out_parts)
+            return _task_outputs(
+                _dedupe_table(pa.concat_tables(blocks)), out_parts
             )
-            step = (len(out) + out_parts - 1) // out_parts
-            outs = [out.slice(i * step, step) for i in range(out_parts)]
-            outs = [o if len(o) else empty for o in outs]
-            return outs[0] if out_parts == 1 else tuple(outs)
 
-        refs = raw.to_arrow_refs()
-        out_refs = dedupe_task.options(num_returns=out_parts).remote(*refs)
-        if out_parts == 1:
-            out_refs = [out_refs]
-        return ray.data.from_arrow_refs(list(out_refs))
+        return _from_task_outputs(
+            dedupe_task.options(num_returns=out_parts).remote(
+                *raw.to_arrow_refs()
+            ),
+            out_parts,
+        )
 
     # distributed fallback: barrier-free hash exchange keyed on the
     # FULL (a, b) pair (fixed-key siphash mix — a hub file that
@@ -617,15 +602,12 @@ def _dedupe_candidates(
     # single-task path uses.
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
-    def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        return dedupe_pair_arrays(
-            tbl.column("a").to_numpy().astype(np.uint64),
-            tbl.column("b").to_numpy().astype(np.uint64),
-            tbl.column("bucket_size").to_numpy().astype(np.int64),
-        )
-
     return hash_exchange(
-        raw, ["a", "b"], num_parts, dedupe_reduce, CAND_SCHEMA.empty_table()
+        raw,
+        ["a", "b"],
+        num_parts,
+        lambda p, tbl: _dedupe_table(tbl),
+        CAND_SCHEMA.empty_table(),
     )
 
 
@@ -700,15 +682,20 @@ def verify_pairs(
     (small) pair table and the signature table shuffle, never content.
     """
     num_partitions = effective_parallelism(cfg)
+    k = cfg.minhash_perms
 
     def serialize(batch: pa.Table) -> pa.Table:
-        # binary payload: the bucketed hash join rejects list columns
-        sig = _minhash_matrix(batch)
+        # binary payload (the bucketed hash join rejects list columns),
+        # built zero-copy over the signature matrix: row i is bytes
+        # [i·K·8, (i+1)·K·8) of the flat uint64 buffer
+        sig = np.ascontiguousarray(_u64_matrix(batch, "minhash"))
         return pa.table(
             {
                 "fid": batch["fid"],
                 "file_id": batch["file_id"],
-                "sig": pa.array([row.tobytes() for row in sig], pa.large_binary()),
+                "sig": _u64_binary(
+                    sig.reshape(-1), np.arange(len(sig) + 1, dtype=np.int64) * k
+                ),
             }
         )
 
@@ -731,13 +718,9 @@ def verify_pairs(
     def score(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return VERIFIED_SCHEMA.empty_table()
-        sa = np.stack(
-            [np.frombuffer(x, np.uint64) for x in batch.column("minhash_a").to_pylist()]
-        )
-        sb = np.stack(
-            [np.frombuffer(x, np.uint64) for x in batch.column("minhash_b").to_pylist()]
-        )
-        est = (sa == sb).mean(axis=1)
+        sa = _csr_views(batch.column("minhash_a").combine_chunks())[1]
+        sb = _csr_views(batch.column("minhash_b").combine_chunks())[1]
+        est = (sa.reshape(-1, k) == sb.reshape(-1, k)).mean(axis=1)
         fa = batch.column("fa").to_numpy(zero_copy_only=False)
         fb = batch.column("fb").to_numpy(zero_copy_only=False)
         swap = fa > fb
@@ -767,7 +750,7 @@ def shingle_set_batch(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
         {
             "fid": _fid_column(batch),
             "file_id": batch["file_id"],
-            "shingles": _shingle_column(flat, offsets),
+            "shingles": _u64_binary(flat, offsets),
         }
     )
 
@@ -835,10 +818,12 @@ def verify_pairs_exact(
 
     1. collect the distinct pair endpoints (uint64, small vs corpus)
        in one remote task and broadcast the sorted array;
-    2. semi-join: filter the signature table to endpoint rows inside
-       map_batches (searchsorted probe — content does NOT shuffle);
+    2. semi-join: the CSR build (and, sharded, the split task) keeps
+       only the endpoint rows of the signature blocks (searchsorted
+       probe — content does NOT shuffle, no endpoint dataset is
+       written);
     3. shingle sets come from the signature pass (or a re-shingle
-       task map when absent), CSR-indexed by fid;
+       task map over the endpoint rows when absent), CSR-indexed by fid;
     4. vectorized-per-pair exact Jaccard, filter ≥ τ, translate fids
        back to strings via the file_ids the CSR already carries.
 
@@ -847,8 +832,6 @@ def verify_pairs_exact(
     at all (ray_guide: broadcast the small side). The bucketed-join
     path remains the 10^12-scale shape.
     """
-    import pyarrow.compute as pc
-
     # distinct pair endpoints, computed in ONE remote task over the pair
     # blocks (driver reads back only the count — the sorted uint64 array
     # stays in the object store for the probe tasks)
@@ -890,29 +873,30 @@ def verify_pairs_exact(
         keep = (ep[pos] == ids) if len(ep) else np.zeros(len(ids), dtype=bool)
         return batch.filter(pa.array(keep))
 
-    source_cols = code_with_id.schema().names
-    has_shingles = "shingles" in source_cols
+    has_shingles = "shingles" in code_with_id.schema().names
     if has_shingles:
-        # the signature pass already carried the shingle sets — filter to
-        # the endpoints; content is never re-read or re-shingled
-        shingle_sets = code_with_id.select_columns(
-            ["fid", "file_id", "shingles"]
-        ).map_batches(probe, batch_format="pyarrow")
+        # the signature pass already carried the shingle sets: the CSR
+        # builds read the signature blocks themselves and their endpoint
+        # filter is the semi-join — content is never re-read or
+        # re-shingled, and no endpoint-slice dataset is written
+        sets_blocks = code_with_id.materialize().to_arrow_refs()
     else:
         def add_fid(batch: pa.Table) -> pa.Table:
             return batch.append_column("fid", _fid_column(batch))
 
-        cand = (
+        sets_blocks = (
             code_with_id.select_columns(["file_id", "content"])
             .map_batches(add_fid, batch_format="pyarrow")
             .map_batches(probe, batch_format="pyarrow")
-        )
-        shingle_sets = cand.map_batches(
-            shingle_set_batch,
-            fn_kwargs={"cfg": cfg},
-            batch_format="pyarrow",
-            batch_size=cfg.derive_batch_size,
-            num_cpus=1,
+            .map_batches(
+                shingle_set_batch,
+                fn_kwargs={"cfg": cfg},
+                batch_format="pyarrow",
+                batch_size=cfg.derive_batch_size,
+                num_cpus=1,
+            )
+            .materialize()
+            .to_arrow_refs()
         )
 
     threshold = cfg.jaccard_threshold
@@ -925,11 +909,9 @@ def verify_pairs_exact(
         # heavy data; every scoring task reads the CSR zero-copy from
         # plasma. Right up to the per-node memory budget; beyond it the
         # sharded path below keeps the same kernel.
-        sets_blocks = shingle_sets.materialize()
-        refs = sets_blocks.to_arrow_refs()
         sets_ref = (
-            _build_csr_task.remote(None, 0, None, *refs)
-            if refs
+            _build_csr_task.remote(None, 0, endpoints_ref, *sets_blocks)
+            if sets_blocks
             else ray.put(_EMPTY_CSR)
         )
 
@@ -967,31 +949,17 @@ def verify_pairs_exact(
     # no sampling, and on a multi-node cluster each byte crosses the
     # network once.
     #
-    # When the source already carries the shingle sets, the endpoint
-    # PROBE is fused into the split task itself (one pass: filter +
-    # shard in the same block visit) — the previous separate probe
-    # map_batches + materialize re-wrote the endpoint slice of the
-    # multi-GB signature table through the object store once more for
-    # no structural gain (round-3 fixed-term trim on the verify stage).
+    # The endpoint PROBE and the column projection are fused into the
+    # split task itself (one pass: filter + shard in the same block
+    # visit), so the signature payload is never materialized again. A
+    # prestarted split wave already ran, overlapped under candidate
+    # generation, unfiltered; the CSR builds apply the endpoint filter
+    # either way.
     prestarted_used = (
         prestarted is not None
         and has_shingles
         and prestarted.get("n_shards") == max(4, effective_parallelism(cfg))
     )
-    if prestarted_used:
-        # split wave already ran, overlapped under candidate
-        # generation; builds below apply the endpoint filter instead
-        sets_blocks = None
-        fuse_probe = False
-    elif has_shingles:
-        # callers pass the already-materialized signature table; the
-        # column projection happens inside the split task (zero-copy
-        # Arrow select), so NO new materialization of the payload at all
-        sets_blocks = code_with_id.materialize().to_arrow_refs()
-        fuse_probe = True
-    else:
-        sets_blocks = shingle_sets.materialize().to_arrow_refs()
-        fuse_probe = False
 
     @ray.remote
     def split_block(block: pa.Table):
@@ -1006,9 +974,7 @@ def verify_pairs_exact(
             )
             parts = [empty] * n_shards
         else:
-            block = block.select(cols)
-            if fuse_probe:
-                block = probe(block)
+            block = probe(block.select(cols))
             fid = block.column("fid").to_numpy().astype(np.uint64)
             shard = (fid % np.uint64(n_shards)).astype(np.int64)
             parts = [
@@ -1026,12 +992,9 @@ def verify_pairs_exact(
         if n_shards == 1:
             split_refs = [[r] for r in split_refs]
     empty_ref = ray.put(_EMPTY_CSR)
-    # fused-probe split already endpoint-filtered; prestarted split did
-    # not (endpoints were unknown at split time), so its builds filter
-    build_ep = endpoints_ref if prestarted_used else None
     shard_refs = {
         s: _build_csr_task.remote(
-            s, n_shards, build_ep, *[row[s] for row in split_refs]
+            s, n_shards, endpoints_ref, *[row[s] for row in split_refs]
         )
         for s in range(n_shards)
     }

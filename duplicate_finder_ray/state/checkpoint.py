@@ -17,7 +17,9 @@ Design:
   checkpointing at all: duplicate_finder.py reruns from scratch).
 * The config hash keys the directory, so changing any pipeline knob
   invalidates all checkpoints automatically; stale stages from other
-  configs are never silently reused.
+  configs are never silently reused. The hash also folds in the
+  signature table's format tag, so a table written under an older
+  layout is recomputed rather than loaded.
 * Lineage rows double as per-stage metrics (rows/bytes per partition,
   wall-clock per stage) and are queryable as a Dataset via
   ``lineage_table()``.
@@ -37,6 +39,8 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray.data
+
+from duplicate_finder_ray.stages import neardup
 
 _MANIFEST = "_SUCCESS"
 
@@ -58,7 +62,14 @@ class CheckpointManager:
 
     def __init__(self, root: str, cfg: Any) -> None:
         self.root = root
-        self.cfg_hash = config_hash(cfg)
+        # what a stage's files mean depends on the config AND on the
+        # engine's table layouts
+        self.cfg_hash = config_hash(
+            {
+                "config": config_hash(cfg),
+                "signature_format": neardup.SIGNATURE_FORMAT,
+            }
+        )
         os.makedirs(root, exist_ok=True)
 
     # -- paths --------------------------------------------------------

@@ -20,9 +20,9 @@ jaccard == 1.0, asserted.
 
 Note: the probe runs the shipped end-to-end ppjoin_pairs, which rides
 the shared signature pass; minhash_perms is set to 16 because PPJoin
-never reads the MinHash column (it needs only the shingle sets) and
-the default 128-permutation signature would bill LSH's cost to this
-operator.
+never reads the LSH band keys (it needs only the shingle sets) and
+the default 128-permutation MinHash behind them would bill LSH's cost
+to this operator.
 
 Usage: python scripts/bench_ppjoin.py [n_docs] — prints one JSON line.
 """

@@ -172,6 +172,33 @@ class TestResumablePipeline:
         assert len(band_premaps) == 1 and band_premaps[0] is not None
         assert len(prestarts) == 1
 
+    def test_signature_format_change_recomputes(
+        self, ray_session, corpus_ds, tmp_path, monkeypatch
+    ):
+        """A signatures stage written under another signature-table
+        layout is recomputed, not loaded; the same layout resumes."""
+        from duplicate_finder_ray.stages import neardup as nd_stages
+
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        root = str(tmp_path)
+        calls = []
+        real_signatures = nd_stages.signatures
+        fmt = nd_stages.SIGNATURE_FORMAT
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return real_signatures(*args, **kwargs)
+
+        monkeypatch.setattr(nd_stages, "signatures", counting)
+        monkeypatch.setattr(nd_stages, "SIGNATURE_FORMAT", fmt - 1)
+        old = NearDupPipeline(cfg).run_checkpointed(corpus_ds, root)
+        monkeypatch.setattr(nd_stages, "SIGNATURE_FORMAT", fmt)
+        new = NearDupPipeline(cfg).run_checkpointed(corpus_ds, root)
+        assert len(calls) == 2
+        assert old.metrics["config_hash"] != new.metrics["config_hash"]
+        NearDupPipeline(cfg).run_checkpointed(corpus_ds, root)
+        assert len(calls) == 2
+
     def test_resume_skips_completed_stages(self, ray_session, corpus_ds, tmp_path):
         cfg = PipelineConfig(jaccard_threshold=0.8)
         pipe = NearDupPipeline(cfg)

@@ -58,11 +58,12 @@ class TestNearDupPipeline:
     def test_join_path_matches_broadcast_path(self, corpus, corpus_ds):
         base = PipelineConfig(jaccard_threshold=0.8)
         joiny = PipelineConfig(jaccard_threshold=0.8, broadcast_verify_limit=0)
+        cols = ["a", "b", "n_bands", "jaccard", "n_inter", "n_union"]
         p1 = NearDupPipeline(base).run_on(corpus_ds).pairs.to_pandas()
         p2 = NearDupPipeline(joiny).run_on(corpus_ds).pairs.to_pandas()
-        k1 = set(map(tuple, np.sort(p1[["a", "b"]].to_numpy(), axis=1)))
-        k2 = set(map(tuple, np.sort(p2[["a", "b"]].to_numpy(), axis=1)))
-        assert k1 == k2
+        k1 = set(p1[cols].itertuples(index=False, name=None))
+        k2 = set(p2[cols].itertuples(index=False, name=None))
+        assert k1 == k2 and len(k1) > 0
 
     def test_prestarted_split_matches_inline_split(self, corpus, corpus_ds):
         """The overlapped (prestarted, unfiltered-split +
@@ -192,10 +193,98 @@ class TestNearDupPipeline:
         assert len(labels) == 2  # the unrelated doc is not in the pair graph
 
     def test_signature_table_shape(self, corpus_ds):
+        """The default table carries the LSH band keys, not the K-wide
+        MinHash; the MinHash and SimHash columns come on request."""
+        import pyarrow as pa
+
         cfg = PipelineConfig()
-        sigs = NearDupPipeline(cfg).signatures_for(corpus_ds, simhash=True).to_pandas()
-        assert {"file_id", "minhash", "simhash", "n_shingles"} <= set(sigs.columns)
+        pipe = NearDupPipeline(cfg)
+        bands = pa.list_(pa.uint64(), cfg.resolved_lsh_bands)
+        assert pipe.signatures_for(corpus_ds).schema().base_schema == pa.schema(
+            [
+                ("file_id", pa.string()),
+                ("fid", pa.uint64()),
+                ("bands", bands),
+                ("n_shingles", pa.int64()),
+            ]
+        )
+        exact = pipe._signatures(corpus_ds, emit_shingles=True).schema()
+        assert exact.names == ["file_id", "fid", "bands", "n_shingles", "shingles"]
+        assert exact.base_schema.field("bands").type == bands
+        sigs = pipe.signatures_for(corpus_ds, simhash=True, minhash=True).to_pandas()
+        assert list(sigs.columns) == [
+            "file_id", "fid", "bands", "minhash", "simhash", "n_shingles"
+        ]
         assert all(len(m) == cfg.minhash_perms for m in sigs["minhash"][:5])
+
+    @pytest.mark.parametrize("lsh_bands", [32, 0], ids=["b32", "auto"])
+    @pytest.mark.parametrize("token_hash", ["blake2b", "md5"])
+    def test_bands_are_band_keys_of_minhash(self, corpus, token_hash, lsh_bands):
+        """``bands`` equals ``band_keys(minhash, b)`` bit for bit."""
+        import pyarrow as pa
+
+        from duplicate_finder_ray.functions.shingles import band_keys
+
+        cfg = PipelineConfig(token_hash=token_hash, lsh_bands=lsh_bands)
+        batch = pa.table(
+            {
+                "file_id": (corpus["repo"] + ":" + corpus["path"]).tolist(),
+                "content": pa.array(corpus["content"].tolist(), pa.string()),
+            }
+        )
+        out = neardup.signature_batch(batch, cfg, emit_minhash=True)
+        minhash = np.stack(out["minhash"].to_numpy(zero_copy_only=False))
+        bands = np.stack(out["bands"].to_numpy(zero_copy_only=False))
+        assert minhash.shape == (len(corpus), cfg.minhash_perms)
+        assert bands.shape == (len(corpus), cfg.resolved_lsh_bands)
+        assert bands.dtype == np.uint64
+        np.testing.assert_array_equal(
+            bands, band_keys(minhash, cfg.resolved_lsh_bands)
+        )
+        # a table banded under another band count is refused, not misread
+        other = PipelineConfig(lsh_bands=16 if bands.shape[1] != 16 else 8)
+        with pytest.raises(ValueError, match="band keys per row"):
+            neardup.make_band_explode(other)(out)
+
+    def test_run_on_builds_no_band_row_dataset(self, corpus_ds, monkeypatch):
+        """The pipeline's candidates read the signature blocks; the
+        standalone band-row dataset is never built."""
+
+        def no_band_rows(*args, **kwargs):
+            raise AssertionError("explode_bands called")
+
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        expected = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
+        monkeypatch.setattr(neardup, "explode_bands", no_band_rows)
+        got = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
+        cols = ["a", "b", "n_bands", "jaccard"]
+        assert set(got[cols].itertuples(index=False, name=None)) == set(
+            expected[cols].itertuples(index=False, name=None)
+        )
+        assert len(got) > 0
+
+    def test_estimate_mode_equals_per_row_reference(self, corpus_ds):
+        """Estimate-mode verify keeps exactly the candidates whose
+        per-row MinHash agreement is ≥ τ, with that agreement as
+        ``jaccard``."""
+        cfg = PipelineConfig(jaccard_threshold=0.8, verify_mode="estimate")
+        res = NearDupPipeline(cfg).run_on(corpus_ds)
+        sigs = res.signatures.to_pandas()
+        row = {int(f): m for f, m in zip(sigs["fid"], sigs["minhash"])}
+        name = {int(f): n for f, n in zip(sigs["fid"], sigs["file_id"])}
+        cands = neardup.candidate_pairs(
+            None, cfg, sigs_source=res.signatures
+        ).to_pandas()
+        expected = set()
+        for a, b, n_bands in zip(cands["a"], cands["b"], cands["n_bands"]):
+            est = float(np.mean(row[int(a)] == row[int(b)]))
+            if est >= cfg.jaccard_threshold:
+                fa, fb = sorted((name[int(a)], name[int(b)]))
+                expected.add((fa, fb, int(n_bands), est, -1, -1))
+        got = res.pairs.to_pandas()
+        cols = ["a", "b", "n_bands", "jaccard", "n_inter", "n_union"]
+        assert set(got[cols].itertuples(index=False, name=None)) == expected
+        assert len(got) == len(expected) > 0
 
     def test_simhash_only_on_request(self, corpus, corpus_ds):
         cfg = PipelineConfig()
@@ -295,6 +384,8 @@ class TestSignatureKernelCache:
         with configs one field apart each equal a fresh kernel."""
         import pyarrow as pa
 
+        from duplicate_finder_ray.functions.shingles import band_keys
+
         ds = ray_session.data.from_pandas(
             corpus.assign(file_id=corpus["repo"] + ":" + corpus["path"])[
                 ["file_id", "content"]
@@ -303,21 +394,36 @@ class TestSignatureKernelCache:
         texts = corpus["content"].tolist()
         file_ids = (corpus["repo"] + ":" + corpus["path"]).tolist()
         batch = pa.table({"file_id": file_ids, "content": pa.array(texts, pa.string())})
-        for overrides in self.CONFIGS:
+        for i, overrides in enumerate(self.CONFIGS):
             cfg = PipelineConfig(**overrides)
             sigs, sets = self._reference(texts, cfg)
-            local = neardup.signature_batch(batch, cfg, emit_shingles=True)
+            bands = band_keys(sigs, cfg.resolved_lsh_bands)
+            local = neardup.signature_batch(
+                batch, cfg, emit_shingles=True, emit_minhash=True
+            )
             np.testing.assert_array_equal(
                 np.stack(local["minhash"].to_numpy(zero_copy_only=False)), sigs
             )
+            np.testing.assert_array_equal(
+                np.stack(local["bands"].to_numpy(zero_copy_only=False)), bands
+            )
             assert local["shingles"].to_pylist() == sets, overrides
+            # the job asks for the MinHash on every other config
+            with_minhash = i % 2 == 0
             got = (
-                neardup.signatures(ds, cfg, emit_shingles=True)
+                neardup.signatures(
+                    ds, cfg, emit_shingles=True, emit_minhash=with_minhash
+                )
                 .to_pandas()
                 .set_index("file_id")
                 .loc[file_ids]
             )
-            np.testing.assert_array_equal(np.stack(got["minhash"].to_numpy()), sigs)
+            np.testing.assert_array_equal(np.stack(got["bands"].to_numpy()), bands)
+            assert ("minhash" in got.columns) == with_minhash, overrides
+            if with_minhash:
+                np.testing.assert_array_equal(
+                    np.stack(got["minhash"].to_numpy()), sigs
+                )
             assert got["shingles"].tolist() == sets, overrides
 
 
