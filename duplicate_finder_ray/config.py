@@ -157,16 +157,17 @@ class PipelineConfig:
     lsh_target_recall: float = 0.995
     minhash_seed: int = 42
     jaccard_threshold: float = 0.8          # verify threshold τ
-    #: "exact": candidates re-shingled (broadcast semi-join on pair
-    #: endpoints, no content shuffle) and kept iff true Jaccard ≥ τ.
+    #: "exact": candidates kept iff the true Jaccard of the shingle
+    #: sets the signature pass carried is ≥ τ (semi-join on pair
+    #: endpoints, no content shuffle).
     #: "estimate": cheap MinHash-agreement filter at τ (σ ≈ 0.035 at
     #: K=128 — borderline pairs can flip; recall/precision tradeoff).
     verify_mode: str = "exact"
     #: endpoint-count threshold below which exact verification broadcasts
-    #: the shingle sets instead of hash-joining them (small-side rule).
+    #: the shingle sets instead of sharding them (small-side rule).
     #: 1M endpoints × ~1.5 KB shingle set ≈ 1.5 GB CSR in the object
     #: store — read zero-copy by every task, well within a worker's
-    #: budget on standard nodes; beyond it the bucketed join path keeps
+    #: budget on standard nodes; beyond it the sharded-CSR path keeps
     #: the 10^9-endpoint shape correct (if slower).
     broadcast_verify_limit: int = 1_000_000
     #: raw (pre-dedupe) pair-row threshold below which the cross-band

@@ -9,10 +9,25 @@ barrier is CPU-count-independent serial wall: replacing it on the
 exact-verify shard exchange measured 77 s → <2 s at 2.4 M docs, and the
 same shape applies to the LSH band exchange. This module is the
 documented "drop to raw Ray tasks where the Dataset API can't express
-the semantics" case: a map-side split + per-partition reduce in which
-every payload byte is copied exactly once and crosses a (real
-cluster's) network exactly once, with zero barriers between the split
-and reduce waves — Ray schedules reduces as their inputs appear.
+the semantics" case.
+
+Two waves, with no barrier between them:
+
+- the SPLIT wave (``split_wave``): one task per source block cuts the
+  block into ``n_parts`` sub-tables — one stable radix argsort of the
+  partition ids, one ``take``, ``n_parts`` slices — so every payload
+  byte is copied exactly once and crosses a (real cluster's) network
+  exactly once;
+- the REDUCE wave: one task per partition concatenates that
+  partition's sub-tables and applies the caller's reduce. Ray
+  schedules each reduce as its inputs appear.
+
+``hash_exchange`` is the two waves together. Call ``split_wave``
+directly when a partition is consumed by something other than a
+per-partition reduce into a Dataset — e.g. a per-shard build task whose
+output object many later tasks read (the exact-verify CSR shards, the
+cosine shard matrices), or a split launched early so it overlaps other
+work.
 
 Partitioning: callers name the key column(s) and ``partition_ids`` —
 the one hashing kernel — maps each row to its partition. A hand-written
@@ -102,6 +117,83 @@ def partition_ids(tbl: pa.Table, keys: Sequence[str], n: int) -> np.ndarray:
     return (h % np.uint64(n)).astype(np.int64)
 
 
+def _split_table(
+    block: pa.Table, pid: np.ndarray, n_parts: int
+) -> list[pa.Table]:
+    """The rows of ``block`` whose ``pid`` is ``p``, for each ``p`` in
+    ``[0, n_parts)``, each in block order: one stable argsort of the ids
+    (cast to the narrowest unsigned type, so numpy takes its radix
+    path), one ``take``, then ``n_parts`` zero-copy slices. The ids must
+    already lie in ``[0, n_parts)``."""
+    order = np.argsort(
+        pid.astype(np.min_scalar_type(n_parts - 1)), kind="stable"
+    )
+    bounds = np.zeros(n_parts + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pid, minlength=n_parts), out=bounds[1:])
+    grouped = block.take(order)
+    return [
+        grouped.slice(lo, hi - lo) for lo, hi in zip(bounds[:-1], bounds[1:])
+    ]
+
+
+def split_wave(
+    block_refs: Sequence[ray.ObjectRef],
+    part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
+    n_parts: int,
+    premap: Callable[[pa.Table], pa.Table] | None = None,
+) -> list[list[ray.ObjectRef]]:
+    """Launch one split task per block ref; returns the sub-table refs
+    as ``blocks × n_parts`` (row ``i`` holds block ``i``'s
+    ``n_parts`` sub-tables, in partition order).
+
+    ``part_of``: the key column name(s), hashed by ``partition_ids``,
+    or a callable ``part_of(table, n_parts)`` returning one int id in
+    ``[0, n_parts)`` per row. Ids out of range or of the wrong count
+    raise in the task instead of losing rows.
+
+    ``premap``: optional per-block transform applied INSIDE the split
+    task before partitioning — fuses a row-expanding or row-dropping
+    map (e.g. LSH band explosion, an endpoint filter) into the exchange
+    so its output never materializes as an intermediate dataset.
+    Partitioning sees the premapped rows. A block that is (or premaps
+    to) empty or zero-column yields ``n_parts`` empty sub-tables."""
+    keys = None
+    if isinstance(part_of, str):
+        keys = [part_of]
+    elif not callable(part_of):
+        keys = list(part_of)
+
+    @ray.remote
+    def split(block: pa.Table):
+        if premap is not None:
+            block = premap(block)
+        if len(block) == 0 or block.num_columns == 0:
+            parts = [block.slice(0, 0)] * n_parts
+        else:
+            if keys is not None:
+                pid = partition_ids(block, keys, n_parts)
+            else:
+                pid = np.asarray(part_of(block, n_parts)).astype(
+                    np.int64, copy=False
+                )
+            if len(pid) != len(block):
+                raise ValueError(
+                    f"partitioner returned {len(pid)} ids for "
+                    f"{len(block)} rows"
+                )
+            lo, hi = int(pid.min()), int(pid.max())
+            if lo < 0 or hi >= n_parts:
+                raise ValueError(
+                    f"partitioner produced ids outside [0, {n_parts}): "
+                    f"min={lo} max={hi}"
+                )
+            parts = _split_table(block, pid, n_parts)
+        return parts[0] if n_parts == 1 else tuple(parts)
+
+    refs = [split.options(num_returns=n_parts).remote(b) for b in block_refs]
+    return [[r] if n_parts == 1 else list(r) for r in refs]
+
+
 def hash_exchange(
     source: ray.data.Dataset,
     part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
@@ -127,57 +219,17 @@ def hash_exchange(
     ``n_parts``: the number of partitions; ``None`` means
     ``default_partitions()``.
 
-    ``premap``: optional per-block transform applied INSIDE the split
-    task before partitioning — fuses a row-expanding map (e.g. LSH band
-    explosion) into the exchange so its output never materializes as an
-    intermediate dataset: the expanded rows are born and partitioned in
-    the same task, saving one full object-store write + read of the
-    expanded table. Keys (or ``part_of``) see the premapped rows. An
-    empty premap output must still carry the premapped schema."""
+    ``premap``: as in ``split_wave`` — e.g. the LSH band explosion runs
+    here, so the expanded rows are born and partitioned in the same
+    task, saving one full object-store write + read of the expanded
+    table. An empty premap output must still carry the premapped
+    schema."""
     if n_parts is None:
         n_parts = default_partitions()
-    keys = None
-    if isinstance(part_of, str):
-        keys = [part_of]
-    elif not callable(part_of):
-        keys = list(part_of)
     blocks = source.materialize().to_arrow_refs()
     if not blocks:
         return ray.data.from_arrow(empty)
-
-    @ray.remote
-    def split(block: pa.Table):
-        if premap is not None:
-            block = premap(block)
-        if len(block) == 0 or block.num_columns == 0:
-            parts = [block.slice(0, 0)] * n_parts
-        else:
-            if keys is not None:
-                pid = partition_ids(block, keys, n_parts)
-            else:
-                pid = np.asarray(part_of(block, n_parts))
-            # enforce the [0, n_parts) contract loudly: block.filter
-            # would silently DROP rows a buggy partitioner sends out of
-            # range, corrupting results with no error
-            if len(pid) != len(block):
-                raise ValueError(
-                    f"partitioner returned {len(pid)} ids for "
-                    f"{len(block)} rows"
-                )
-            lo, hi = int(pid.min()), int(pid.max())
-            if lo < 0 or hi >= n_parts:
-                raise ValueError(
-                    f"partitioner produced ids outside [0, {n_parts}): "
-                    f"min={lo} max={hi}"
-                )
-            parts = [block.filter(pa.array(pid == p)) for p in range(n_parts)]
-        return parts[0] if n_parts == 1 else tuple(parts)
-
-    split_refs = [
-        split.options(num_returns=n_parts).remote(b) for b in blocks
-    ]
-    if n_parts == 1:
-        split_refs = [[r] for r in split_refs]
+    split_refs = split_wave(blocks, part_of, n_parts, premap)
 
     @ray.remote
     def reduce_part(p: int, *subs: pa.Table) -> pa.Table:

@@ -1,19 +1,16 @@
-"""Portable bucketed hash join + grouped aggregation built on the
-sort-based ``groupby().map_groups`` path.
+"""Equi-joins on the barrier-free hash exchange
+(``stages/exchange.py``).
 
 WHY NOT ``Dataset.join`` / hash-shuffle ``aggregate``: in Ray 2.49 the
 hash-shuffle operators emit ZERO-COLUMN pandas blocks for empty
 partitions; those blocks are invisible to map_batches (the UDF is never
 called on them) and make any downstream ``Dataset.join`` fail with
-'No match or multiple matches for key field reference'. The sort-based
-groupby path has no such issue, so this module implements the
-ray_guide's portable pattern — "add ``bucket = hash(key) % B`` to both
-sides, groupby(bucket), join matching buckets pairwise inside
-map_groups" — entirely on that path.
-
-Scale shape: one sort shuffle keyed by the (uniform, crc-derived)
-bucket id; within each bucket a pandas C merge. B should be a small
-multiple of cluster parallelism.
+'No match or multiple matches for key field reference'. Nor Ray Data's
+sort-based ``groupby().map_groups``: its sample/boundary barrier is
+serial wall that no CPU count removes. ``shuffle_hash_join`` tags both
+sides, exchanges every row once by ``hash(key) % n_parts`` and merges
+each partition with one pandas C merge; ``skew_join`` builds on it,
+and ``interval_overlap_join`` runs one exchange keyed on grid cells.
 """
 
 from __future__ import annotations
@@ -40,116 +37,6 @@ def _pa_type(t) -> pa.DataType:
         return pa.string()
 
 
-def _bucket_of(col: pa.ChunkedArray | pa.Array, num_buckets: int) -> pa.Array:
-    # vectorized fixed-key siphash (handles str and bytes object arrays);
-    # deterministic across processes, no per-row Python on the join path
-    vals = col.to_numpy(zero_copy_only=False)
-    h = stable_hash_array(np.asarray(vals, dtype=object))
-    return pa.array((h % np.uint64(num_buckets)).astype(np.int32), pa.int32())
-
-
-def bucketed_inner_join(
-    left: ray.data.Dataset,
-    right: ray.data.Dataset,
-    left_key: str,
-    right_key: str,
-    num_buckets: int,
-    left_cols: list[str] | None = None,
-    right_cols: list[str] | None = None,
-) -> ray.data.Dataset:
-    """Inner equi-join. Output columns: left columns + right columns
-    minus the right key (matching ``Dataset.join`` semantics we used).
-    Both sides are tagged, union'ed under one aligned schema, shuffled
-    once by bucket, and merged per bucket with pandas."""
-    lschema = left.schema()   # ray.data Schema wrapper: .names / .types
-    rschema = right.schema()
-    ltypes = {n: _pa_type(t) for n, t in zip(lschema.names, lschema.types)}
-    rtypes = {n: _pa_type(t) for n, t in zip(rschema.names, rschema.types)}
-    lcols = left_cols or list(lschema.names)
-    rcols = right_cols or list(rschema.names)
-    if left_key not in lcols:
-        lcols = [left_key, *lcols]
-    if right_key not in rcols:
-        rcols = [right_key, *rcols]
-    rpayload = [c for c in rcols if c != right_key]
-    overlap = set(lcols) & set(rpayload)
-    if overlap:
-        raise ValueError(f"join column collision: {sorted(overlap)}")
-
-    larrow = {n: ltypes[n] for n in lcols}
-    rarrow = {n: rtypes[n] for n in rpayload}
-    combined = pa.schema(
-        [("__key", pa.string()), ("__side", pa.int8())]
-        + [(n, larrow[n]) for n in lcols if n != left_key]
-        + [(n, rarrow[n]) for n in rpayload]
-    )
-
-    def tag(side: int, key: str, keep: list[str]):
-        def fn(batch: pa.Table) -> pa.Table:
-            arrays, names = [], []
-            names.append("__key")
-            arrays.append(batch.column(key).cast(pa.string()))
-            names.append("__side")
-            arrays.append(pa.array(np.full(len(batch), side, dtype=np.int8)))
-            for field in combined:
-                if field.name in ("__key", "__side"):
-                    continue
-                if field.name in batch.column_names and field.name in keep:
-                    arrays.append(batch.column(field.name).cast(field.type))
-                else:
-                    arrays.append(pa.nulls(len(batch), field.type))
-                names.append(field.name)
-            return pa.table(dict(zip(names, arrays)))
-
-        return fn
-
-    lt = left.map_batches(
-        tag(0, left_key, [c for c in lcols if c != left_key]), batch_format="pyarrow"
-    )
-    rt = right.map_batches(tag(1, right_key, rpayload), batch_format="pyarrow")
-    both = lt.union(rt)
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        return batch.append_column("__bucket", _bucket_of(batch["__key"], num_buckets))
-
-    both = both.map_batches(add_bucket, batch_format="pyarrow")
-
-    lpayload = [c for c in lcols if c != left_key]
-    out_schema = pa.schema(
-        [(left_key, larrow[left_key])]
-        + [(n, larrow[n]) for n in lpayload]
-        + [(n, rarrow[n]) for n in rpayload]
-    )
-
-    def merge(part: pa.Table) -> pa.Table:
-        # ARROW-NATIVE merge: only the (string) key column touches
-        # pandas — payload columns are gathered with Table.take, so the
-        # union's null padding never forces an arrow→pandas conversion
-        # (which silently turns nullable uint64 into lossy float64 and
-        # corrupts large fids, and object-copies binary payloads).
-        if "__side" not in part.column_names:  # empty zero-column block
-            return out_schema.empty_table()
-        side = part.column("__side").to_numpy()
-        lsel = np.nonzero(side == 0)[0]
-        rsel = np.nonzero(side == 1)[0]
-        if len(lsel) == 0 or len(rsel) == 0:
-            return out_schema.empty_table()
-        keys = part.column("__key").to_numpy(zero_copy_only=False)
-        m = pd.DataFrame({"k": keys[lsel], "i": lsel}).merge(
-            pd.DataFrame({"k": keys[rsel], "j": rsel}), on="k", how="inner"
-        )
-        if len(m) == 0:
-            return out_schema.empty_table()
-        lt = part.take(pa.array(m["i"].to_numpy()))
-        rt = part.take(pa.array(m["j"].to_numpy()))
-        arrays = [lt.column("__key").cast(larrow[left_key])]
-        arrays += [lt.column(n).cast(larrow[n]) for n in lpayload]
-        arrays += [rt.column(n).cast(rarrow[n]) for n in rpayload]
-        return pa.Table.from_arrays(arrays, schema=out_schema)
-
-    return both.groupby("__bucket").map_groups(merge, batch_format="pyarrow")
-
-
 def shuffle_hash_join(
     left: ray.data.Dataset,
     right: ray.data.Dataset,
@@ -164,15 +51,13 @@ def shuffle_hash_join(
 ) -> ray.data.Dataset:
     """Large × large equi-join on the barrier-free hash exchange.
 
-    WHY a second join: ``broadcast_hash_join`` requires one side to fit
-    in a single object (dimension tables); ``bucketed_inner_join`` rides
-    the sort-based groupby whose sample/boundary barrier is serial wall
-    that no CPU count removes. When BOTH sides are fact-scale the right
-    shape is a classic shuffle hash join: tag the sides, exchange every
-    row once by ``hash(key) % n_parts``, and run one vectorized pandas
-    C merge per partition — no sort, no barrier, payload crosses the
-    wire exactly once. Skew bound = hottest key's row count on each
-    side; keep ``n_parts`` a small multiple of cluster parallelism.
+    ``relational.broadcast_hash_join`` is the shape when one side fits
+    in a single object (dimension tables). When BOTH sides are fact-scale this is
+    the shape: tag the sides, exchange every row once by
+    ``hash(key) % n_parts``, and run one vectorized pandas C merge per
+    partition — no sort, no barrier, payload crosses the wire exactly
+    once. Skew bound = hottest key's row count on each side; keep
+    ``n_parts`` a small multiple of cluster parallelism.
 
     ``how``: 'inner', 'left' (unmatched left rows keep null right
     columns, including against an empty right side), 'semi' (left rows

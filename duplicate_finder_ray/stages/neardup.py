@@ -673,7 +673,7 @@ def verify_pairs(
     sigs: ray.data.Dataset,
     cfg: PipelineConfig,
 ) -> ray.data.Dataset:
-    """Attach both endpoints' signatures (two hash-partitioned joins on
+    """Attach both endpoints' MinHash rows (two shuffle hash joins on
     the uint64 fid) and keep pairs whose MinHash Jaccard estimate ≥ τ.
 
     Output: (a, b, n_bands, jaccard) with STRING ids — the joins carry
@@ -681,36 +681,18 @@ def verify_pairs(
     jaccard is the MinHash ESTIMATE (σ ≈ 0.035 at K=128). Only the
     (small) pair table and the signature table shuffle, never content.
     """
-    num_partitions = effective_parallelism(cfg)
-    k = cfg.minhash_perms
-
-    def serialize(batch: pa.Table) -> pa.Table:
-        # binary payload (the bucketed hash join rejects list columns),
-        # built zero-copy over the signature matrix: row i is bytes
-        # [i·K·8, (i+1)·K·8) of the flat uint64 buffer
-        sig = np.ascontiguousarray(_u64_matrix(batch, "minhash"))
-        return pa.table(
-            {
-                "fid": batch["fid"],
-                "file_id": batch["file_id"],
-                "sig": _u64_binary(
-                    sig.reshape(-1), np.arange(len(sig) + 1, dtype=np.int64) * k
-                ),
-            }
-        )
-
-    sig_cols = sigs.map_batches(serialize, batch_format="pyarrow")
-
-    from duplicate_finder_ray.stages.join import bucketed_inner_join
+    from duplicate_finder_ray.stages.join import shuffle_hash_join
     from duplicate_finder_ray.stages.util import rename_cols
 
+    n_parts = effective_parallelism(cfg)
+    payload = ["file_id", "minhash"]
     joined = rename_cols(
-        bucketed_inner_join(pairs, sig_cols, "a", "fid", num_partitions),
-        {"sig": "minhash_a", "file_id": "fa"},
+        shuffle_hash_join(pairs, sigs, "a", "fid", n_parts, right_cols=payload),
+        {"minhash": "minhash_a", "file_id": "fa"},
     )
     joined = rename_cols(
-        bucketed_inner_join(joined, sig_cols, "b", "fid", num_partitions),
-        {"sig": "minhash_b", "file_id": "fb"},
+        shuffle_hash_join(joined, sigs, "b", "fid", n_parts, right_cols=payload),
+        {"minhash": "minhash_b", "file_id": "fb"},
     )
 
     threshold = cfg.jaccard_threshold
@@ -718,9 +700,9 @@ def verify_pairs(
     def score(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return VERIFIED_SCHEMA.empty_table()
-        sa = _csr_views(batch.column("minhash_a").combine_chunks())[1]
-        sb = _csr_views(batch.column("minhash_b").combine_chunks())[1]
-        est = (sa.reshape(-1, k) == sb.reshape(-1, k)).mean(axis=1)
+        est = (
+            _u64_matrix(batch, "minhash_a") == _u64_matrix(batch, "minhash_b")
+        ).mean(axis=1)
         fa = batch.column("fa").to_numpy(zero_copy_only=False)
         fb = batch.column("fb").to_numpy(zero_copy_only=False)
         swap = fa > fb
@@ -739,30 +721,58 @@ def verify_pairs(
     return joined.map_batches(score, batch_format="pyarrow")
 
 
-def shingle_set_batch(batch: pa.Table, cfg: PipelineConfig) -> pa.Table:
-    """(file_id, content) → (fid, file_id, shingles large_binary) for
-    exact-Jaccard verification of candidate endpoints only (never run
-    over the full corpus); shares the per-process ``Shingler`` cache
-    with :func:`signature_batch`."""
-    shingler = _shingler(cfg.shingle_k, cfg.shingle_mode, cfg.token_hash)
-    flat, offsets = shingler.shingle_hashes_batch_column(batch.column("content"))
-    return pa.table(
-        {
-            "fid": _fid_column(batch),
-            "file_id": batch["file_id"],
-            "shingles": _u64_binary(flat, offsets),
-        }
+def _fid_shard(fids: np.ndarray, n_shards: int) -> np.ndarray:
+    """Exact-verify shard of each fid: ``fid % n_shards``. The shard
+    split places CSR rows by it and the pair routing looks CSRs up by
+    it, so the two cannot disagree."""
+    return (fids.astype(np.uint64) % np.uint64(n_shards)).astype(np.int64)
+
+
+def _sig_shard(tbl: pa.Table, n: int) -> np.ndarray:
+    return _fid_shard(tbl.column("fid").to_numpy(), n)
+
+
+def _in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
+    """Membership mask of ``ids`` in the sorted uint64 array."""
+    if len(sorted_ids) == 0:
+        return np.zeros(len(ids), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
+    return sorted_ids[pos] == ids
+
+
+def _verify_shards(cfg: PipelineConfig) -> int:
+    return max(4, effective_parallelism(cfg))
+
+
+def _shard_split(
+    sigs: ray.data.Dataset, n_shards: int, endpoints_ref=None
+) -> list[list]:
+    """The verify shard split: each signature block's (fid, file_id,
+    shingles) rows cut by ``_fid_shard`` on ``split_wave``, as
+    blocks × shards sub-table refs. With ``endpoints_ref`` (a ref to
+    the sorted uint64 endpoint array) the split keeps only endpoint
+    rows; without it, the CSR builds apply that filter."""
+    from duplicate_finder_ray.stages.exchange import split_wave
+
+    def premap(block: pa.Table) -> pa.Table:
+        if "fid" not in block.column_names:  # zero-column empty block
+            return block
+        block = block.select(["fid", "file_id", "shingles"])
+        if endpoints_ref is None:
+            return block
+        fids = block.column("fid").to_numpy().astype(np.uint64)
+        return block.filter(pa.array(_in_sorted(ray.get(endpoints_ref), fids)))
+
+    return split_wave(
+        sigs.materialize().to_arrow_refs(), _sig_shard, n_shards, premap
     )
 
 
-def prestart_verify_split(
-    code_with_id: ray.data.Dataset, cfg: PipelineConfig
-) -> dict:
-    """Launch the exact-verify shard SPLIT (payload partition of the
-    materialized signature table by ``fid % n_shards``) NOW, so it
-    overlaps candidate generation instead of serializing after it
-    (round-4 VERDICT item 2 — the split wave was a measured ~1.8 s
-    critical-path term at 32 CPUs on the 2.4 M scaling corpus).
+def prestart_verify_split(sigs: ray.data.Dataset, cfg: PipelineConfig) -> dict:
+    """Launch the exact-verify shard split of the signature table NOW,
+    so it overlaps candidate generation instead of serializing after it
+    (the split wave was a measured ~1.8 s critical-path term at 32 CPUs
+    on the 2.4 M scaling corpus).
 
     The prestarted split is UNFILTERED: pair endpoints are unknown
     until candidates finish, so the full signature payload is
@@ -772,49 +782,21 @@ def prestart_verify_split(
     corpus. Returns an opaque handle for ``verify_pairs_exact``'s
     ``prestarted=`` parameter; the handle is only honored when the
     sharded path is actually taken and shard counts match."""
-    n_shards = max(4, effective_parallelism(cfg))
-    sets_blocks = code_with_id.materialize().to_arrow_refs()
-
-    @ray.remote
-    def split_plain(block: pa.Table):
-        cols = ["fid", "file_id", "shingles"]
-        if "fid" not in block.column_names or len(block) == 0:
-            empty = pa.table(
-                {
-                    "fid": pa.array([], pa.uint64()),
-                    "file_id": pa.array([], pa.string()),
-                    "shingles": pa.array([], pa.large_binary()),
-                }
-            )
-            parts = [empty] * n_shards
-        else:
-            block = block.select(cols)
-            fid = block.column("fid").to_numpy().astype(np.uint64)
-            shard = (fid % np.uint64(n_shards)).astype(np.int64)
-            parts = [
-                block.filter(pa.array(shard == s)) for s in range(n_shards)
-            ]
-        return parts[0] if n_shards == 1 else tuple(parts)
-
-    split_refs = [
-        split_plain.options(num_returns=n_shards).remote(r)
-        for r in sets_blocks
-    ]
-    if n_shards == 1:
-        split_refs = [[r] for r in split_refs]
-    return {"n_shards": n_shards, "split_refs": split_refs}
+    n_shards = _verify_shards(cfg)
+    return {"n_shards": n_shards, "split_refs": _shard_split(sigs, n_shards)}
 
 
 def verify_pairs_exact(
     pairs: ray.data.Dataset,
-    code_with_id: ray.data.Dataset,
+    sigs: ray.data.Dataset,
     cfg: PipelineConfig,
     prestarted: dict | None = None,
 ) -> ray.data.Dataset:
     """Exact-Jaccard verification: keep pairs with true shingle Jaccard
-    ≥ τ. Pairs arrive as uint64 fids; output is (a, b, n_bands,
-    jaccard) with STRING file_ids (a < b lexicographically). Scale
-    shape:
+    ≥ τ. Pairs arrive as uint64 fids; ``sigs`` is a signature table
+    carrying ``shingles`` (``emit_shingles=True``). Output is (a, b,
+    n_bands, jaccard) with STRING file_ids (a < b lexicographically).
+    Scale shape:
 
     1. collect the distinct pair endpoints (uint64, small vs corpus)
        in one remote task and broadcast the sorted array;
@@ -822,20 +804,25 @@ def verify_pairs_exact(
        only the endpoint rows of the signature blocks (searchsorted
        probe — content does NOT shuffle, no endpoint dataset is
        written);
-    3. shingle sets come from the signature pass (or a re-shingle
-       task map over the endpoint rows when absent), CSR-indexed by fid;
+    3. the shingle sets come from the signature table, CSR-indexed by
+       fid;
     4. vectorized-per-pair exact Jaccard, filter ≥ τ, translate fids
        back to strings via the file_ids the CSR already carries.
 
-    When the endpoint set is small (≤ ``broadcast_limit``) the CSR is
-    broadcast and pairs are scored in a single map_batches — no joins
-    at all (ray_guide: broadcast the small side). The bucketed-join
-    path remains the 10^12-scale shape.
+    When the endpoint set is small (≤ ``broadcast_verify_limit``) the
+    CSR is broadcast and pairs are scored in a single map_batches — no
+    joins at all (ray_guide: broadcast the small side). Beyond it the
+    CSR is sharded by ``_fid_shard``: the 10^12-scale shape.
     """
+    if "shingles" not in sigs.schema().names:
+        raise ValueError(
+            "verify_pairs_exact needs a signature table with a 'shingles' "
+            "column (signatures(..., emit_shingles=True))"
+        )
     # distinct pair endpoints, computed in ONE remote task over the pair
     # blocks (driver reads back only the count — the sorted uint64 array
-    # stays in the object store for the probe tasks)
-    pairs_mat = pairs.materialize()
+    # stays in the object store for the split and CSR tasks)
+    pairs = pairs.materialize()
 
     @ray.remote(num_returns=2)
     def collect_endpoints(*blocks: pa.Table) -> tuple:
@@ -854,54 +841,15 @@ def verify_pairs_exact(
         )
         return len(uniq), uniq
 
-    count_ref, endpoints_ref = collect_endpoints.remote(*pairs_mat.to_arrow_refs())
+    count_ref, endpoints_ref = collect_endpoints.remote(*pairs.to_arrow_refs())
     n_endpoints = int(ray.get(count_ref))
     if n_endpoints == 0:
         # typed empty output: a map over 0-row blocks emits no blocks,
         # and a materialized blockless Dataset has no schema
         return ray.data.from_arrow(VERIFIED_SCHEMA.empty_table())
-    pairs = pairs_mat
-    broadcast_limit = cfg.broadcast_verify_limit
-
-    def probe(batch: pa.Table) -> pa.Table:
-        # membership via searchsorted against the broadcast SORTED
-        # uint64 array — integer compares, no object-array deserialize
-        ep = ray.get(endpoints_ref)
-        ids = batch.column("fid").to_numpy().astype(np.uint64)
-        pos = np.searchsorted(ep, ids)
-        pos[pos >= len(ep)] = 0
-        keep = (ep[pos] == ids) if len(ep) else np.zeros(len(ids), dtype=bool)
-        return batch.filter(pa.array(keep))
-
-    has_shingles = "shingles" in code_with_id.schema().names
-    if has_shingles:
-        # the signature pass already carried the shingle sets: the CSR
-        # builds read the signature blocks themselves and their endpoint
-        # filter is the semi-join — content is never re-read or
-        # re-shingled, and no endpoint-slice dataset is written
-        sets_blocks = code_with_id.materialize().to_arrow_refs()
-    else:
-        def add_fid(batch: pa.Table) -> pa.Table:
-            return batch.append_column("fid", _fid_column(batch))
-
-        sets_blocks = (
-            code_with_id.select_columns(["file_id", "content"])
-            .map_batches(add_fid, batch_format="pyarrow")
-            .map_batches(probe, batch_format="pyarrow")
-            .map_batches(
-                shingle_set_batch,
-                fn_kwargs={"cfg": cfg},
-                batch_format="pyarrow",
-                batch_size=cfg.derive_batch_size,
-                num_cpus=1,
-            )
-            .materialize()
-            .to_arrow_refs()
-        )
-
     threshold = cfg.jaccard_threshold
 
-    if n_endpoints <= broadcast_limit:
+    if n_endpoints <= cfg.broadcast_verify_limit:
         # --- broadcast path: ONE fid-keyed CSR in the object store ---
         # (radix-sortable uint64 keys, a sort permutation, and the
         # shingle/name payloads as ARROW columns — no payload sort, no
@@ -909,8 +857,9 @@ def verify_pairs_exact(
         # heavy data; every scoring task reads the CSR zero-copy from
         # plasma. Right up to the per-node memory budget; beyond it the
         # sharded path below keeps the same kernel.
+        sets_blocks = sigs.materialize().to_arrow_refs()
         sets_ref = (
-            _build_csr_task.remote(None, 0, endpoints_ref, *sets_blocks)
+            _build_csr_task.remote(endpoints_ref, *sets_blocks)
             if sets_blocks
             else ray.put(_EMPTY_CSR)
         )
@@ -924,96 +873,37 @@ def verify_pairs_exact(
         return pairs.map_batches(score_broadcast, batch_format="pyarrow")
 
     # --- sharded-CSR path (the 10^12-file scale shape) ---
-    # The endpoint shingle table is hash-partitioned ONCE by
-    # ``fid % n_shards`` (the only time payload crosses the exchange);
-    # each shard becomes its own CSR object built by a parallel remote
-    # task. Pairs — 20-byte rows — are then grouped by the
-    # (shard(a), shard(b)) pair so every scoring task zero-copy reads
-    # exactly TWO shard objects from plasma. Per-task memory is
-    # O(corpus/n_shards), the pair shuffle is payload-free, and on a
-    # multi-node cluster a shard is fetched only by the nodes that probe
-    # it. (The previous fallback hash-joined the shingle column onto
-    # both pair endpoints: the a-side payload rode the b-side shuffle
-    # and the join merge serialized behind object-store backpressure —
-    # measured unusable at 2.4M docs.)
-    n_shards = max(4, effective_parallelism(cfg))
-
-    # MAP-SIDE SPLIT EXCHANGE, not a groupby: Ray Data's sort-based
-    # groupby("shard") physically sorts the multi-GB shingle payload
-    # through a sample/boundary barrier — measured 77 s serial-ish at
-    # 2.4 M docs (vs ~2 s for everything else in this stage) and it was
-    # THE flat term pinning the 8→32-CPU scaling of the whole pipeline.
-    # Instead each endpoint block splits itself into n_shards sub-tables
-    # in parallel (every payload byte is copied exactly once, map-side),
-    # and each shard's CSR build consumes its own sub-objects — no sort,
-    # no sampling, and on a multi-node cluster each byte crosses the
-    # network once.
-    #
-    # The endpoint PROBE and the column projection are fused into the
-    # split task itself (one pass: filter + shard in the same block
-    # visit), so the signature payload is never materialized again. A
-    # prestarted split wave already ran, overlapped under candidate
-    # generation, unfiltered; the CSR builds apply the endpoint filter
-    # either way.
-    prestarted_used = (
-        prestarted is not None
-        and has_shingles
-        and prestarted.get("n_shards") == max(4, effective_parallelism(cfg))
-    )
-
-    @ray.remote
-    def split_block(block: pa.Table):
-        cols = ["fid", "file_id", "shingles"]
-        if "fid" not in block.column_names or len(block) == 0:
-            empty = pa.table(
-                {
-                    "fid": pa.array([], pa.uint64()),
-                    "file_id": pa.array([], pa.string()),
-                    "shingles": pa.array([], pa.large_binary()),
-                }
-            )
-            parts = [empty] * n_shards
-        else:
-            block = probe(block.select(cols))
-            fid = block.column("fid").to_numpy().astype(np.uint64)
-            shard = (fid % np.uint64(n_shards)).astype(np.int64)
-            parts = [
-                block.filter(pa.array(shard == s)) for s in range(n_shards)
-            ]
-        return parts[0] if n_shards == 1 else tuple(parts)
-
-    if prestarted_used:
+    # The endpoint shingle table is split ONCE by ``_fid_shard`` (the
+    # only time payload crosses the exchange; the endpoint probe and
+    # the column projection run inside the split task); each shard
+    # becomes its own CSR object built by a parallel remote task. Pairs
+    # — 20-byte rows — are then routed by the a-side shard so every
+    # scoring task zero-copy reads the two shard objects of each pair
+    # from plasma. Per-task memory is O(corpus/n_shards), the pair
+    # shuffle is payload-free, and on a multi-node cluster a shard is
+    # fetched only by the nodes that probe it. A prestarted split
+    # already ran, overlapped under candidate generation, unfiltered;
+    # the CSR builds apply the endpoint filter either way.
+    n_shards = _verify_shards(cfg)
+    if prestarted is not None and prestarted["n_shards"] == n_shards:
         split_refs = prestarted["split_refs"]
     else:
-        split_refs = [
-            split_block.options(num_returns=n_shards).remote(r)
-            for r in sets_blocks
-        ]
-        if n_shards == 1:
-            split_refs = [[r] for r in split_refs]
+        split_refs = _shard_split(sigs, n_shards, endpoints_ref)
     empty_ref = ray.put(_EMPTY_CSR)
     shard_refs = {
-        s: _build_csr_task.remote(
-            s, n_shards, endpoints_ref, *[row[s] for row in split_refs]
-        )
+        s: _build_csr_task.remote(endpoints_ref, *[row[s] for row in split_refs])
         for s in range(n_shards)
     }
 
     # Route pairs to scoring tasks by the A-SIDE shard via the
     # barrier-free hash exchange (one reduce task per sa); each reduce
     # sub-groups its rows by the b-side shard and scores group-at-a-time
-    # against (csr_a, csr_b). Ray Data's sort-based groupby("spair")
-    # previously paid a sample barrier + a full sort of the slim pair
-    # table for an order nothing needs — the same fixed term the band
-    # and members exchanges already eliminated. Zero-copy plasma reads
-    # mean touching up to n_shards CSR objects per task costs mmaps,
-    # not copies.
+    # against (csr_a, csr_b). Zero-copy plasma reads mean touching up to
+    # n_shards CSR objects per task costs mmaps, not copies.
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     def sa_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return (
-            tbl.column("a").to_numpy().astype(np.uint64) % np.uint64(n)
-        ).astype(np.int64)
+        return _fid_shard(tbl.column("a").to_numpy(), n)
 
     def score_reduce(sa: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
@@ -1021,7 +911,7 @@ def verify_pairs_exact(
         a = tbl.column("a").to_numpy().astype(np.uint64)
         b = tbl.column("b").to_numpy().astype(np.uint64)
         nb = tbl.column("n_bands").to_numpy().astype(np.int64)
-        sb_all = (b % np.uint64(n_shards)).astype(np.int64)
+        sb_all = _fid_shard(b, n_shards)
         csr_a = ray.get(shard_refs.get(sa, empty_ref))
         outs = []
         for sb in np.unique(sb_all):
@@ -1083,10 +973,9 @@ def _csr_views(col: pa.Array) -> tuple:
 
 
 @ray.remote
-def _build_csr_task(
-    shard, n_shards: int, endpoints, *blocks: pa.Table
-) -> tuple:
-    """fid-keyed CSR over (a shard of) the endpoint shingle table.
+def _build_csr_task(endpoints, *blocks: pa.Table) -> tuple:
+    """fid-keyed CSR over the endpoint rows of (a shard of) the
+    signature table's shingle sets.
 
     NO payload sort and NO numpy copy of the values: only the 8-byte
     keys are argsorted; an indirection array maps sorted-key position ->
@@ -1097,14 +986,11 @@ def _build_csr_task(
     sandbox's ~80 MB/s fresh-page fault cost — both measured at 10-45 s
     serial with every scoring task blocked behind.
 
-    ``shard``: None builds over all rows (broadcast path); an int keeps
-    only rows with ``fid % n_shards == shard`` (sharded path — blocks
-    arrive group-aligned, so the filter is usually a no-op).
-    ``endpoints``: optional sorted uint64 array — rows whose fid is not
-    in it are dropped BEFORE the argsort (the prestarted-split path
-    partitions the full signature payload because endpoints are
-    unknown at split time; this filter keeps the built CSR
-    endpoint-sized either way)."""
+    ``endpoints``: sorted uint64 array — rows whose fid is not in it
+    are dropped BEFORE the argsort (the prestarted split partitions the
+    full signature payload because endpoints are unknown at split time;
+    this filter keeps the built CSR endpoint-sized either way). Which
+    rows belong to which shard is the split's business alone."""
     blocks = tuple(b for b in blocks if "fid" in b.column_names and len(b))
     if not blocks:
         return _EMPTY_CSR
@@ -1112,22 +998,10 @@ def _build_csr_task(
         [b.select(["fid", "file_id", "shingles"]) for b in blocks]
     )
     fids = tbl.column("fid").to_numpy().astype(np.uint64)
-    if endpoints is not None and len(fids):
-        if len(endpoints):
-            pos = np.minimum(
-                np.searchsorted(endpoints, fids), len(endpoints) - 1
-            )
-            keep = endpoints[pos] == fids
-        else:
-            keep = np.zeros(len(fids), dtype=bool)
-        if not keep.all():
-            tbl = tbl.filter(pa.array(keep))
-            fids = fids[keep]
-    if shard is not None:
-        mask = (fids % np.uint64(n_shards)).astype(np.int64) == shard
-        if not mask.all():
-            tbl = tbl.filter(pa.array(mask))
-            fids = fids[mask]
+    keep = _in_sorted(endpoints, fids)
+    if not keep.all():
+        tbl = tbl.filter(pa.array(keep))
+        fids = fids[keep]
     order = np.argsort(fids, kind="stable").astype(np.int64)
     col = tbl.column("shingles").combine_chunks()
     if isinstance(col, pa.ChunkedArray):

@@ -46,7 +46,11 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from duplicate_finder_ray.stages.exchange import default_partitions, hash_exchange
+from duplicate_finder_ray.stages.exchange import (
+    default_partitions,
+    hash_exchange,
+    split_wave,
+)
 
 PAIRS_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("score", pa.float64())]
@@ -557,36 +561,23 @@ def _build_shard_matrix(*subs: pa.Table) -> tuple:
     return (ids, _normalize(_matrix(tbl)))
 
 
+def _vec_shard(vec_ids: np.ndarray, n_shards: int) -> np.ndarray:
+    """Shard of each vec_id: ``vec_id % n_shards``. The shard split
+    places vectors by it and the pair routing looks shards up by it."""
+    return vec_ids.astype(np.int64) % n_shards
+
+
+def _vec_id_shard(tbl: pa.Table, n: int) -> np.ndarray:
+    return _vec_shard(tbl.column("vec_id").to_numpy(), n)
+
+
 def _shard_matrices(slim_mat: ray.data.Dataset, n_shards: int) -> list:
-    """Hash-partition a materialized (vec_id, embedding) dataset by
-    ``vec_id % n_shards`` with a map-side split (each vector byte is
-    copied once, crosses a real cluster's network once — same shape as
-    the MinHash sharded-CSR verify, stages/neardup.py:777-880) and
-    build one normalized-matrix object per shard. Returns the list of
-    shard refs."""
-    blocks = slim_mat.to_arrow_refs()
-
-    @ray.remote
-    def split_block(block: pa.Table):
-        if len(block) == 0 or "vec_id" not in block.column_names:
-            empty = pa.table(
-                {"vec_id": pa.array([], pa.int64())}
-            )
-            parts = [empty] * n_shards
-        else:
-            block = block.select(["vec_id", "embedding"])
-            vid = block.column("vec_id").to_numpy().astype(np.int64)
-            shard = vid % n_shards
-            parts = [
-                block.filter(pa.array(shard == s)) for s in range(n_shards)
-            ]
-        return parts[0] if n_shards == 1 else tuple(parts)
-
-    split_refs = [
-        split_block.options(num_returns=n_shards).remote(b) for b in blocks
-    ]
-    if n_shards == 1:
-        split_refs = [[r] for r in split_refs]
+    """Split a materialized (vec_id, embedding) dataset by
+    ``_vec_shard`` on ``split_wave`` (each vector byte is copied once,
+    crosses a real cluster's network once — same shape as the MinHash
+    sharded-CSR verify) and build one normalized-matrix object per
+    shard. Returns the list of shard refs."""
+    split_refs = split_wave(slim_mat.to_arrow_refs(), _vec_id_shard, n_shards)
     return [
         _build_shard_matrix.remote(*[row[s] for row in split_refs])
         for s in range(n_shards)
@@ -709,9 +700,9 @@ def lsh_cosine_pairs(
     pairs = hash_exchange(signed, "bkey", num_parts, emit_reduce, _EMPTY_CAND)
 
     def spair_part(tbl: pa.Table, n: int) -> np.ndarray:
-        a = tbl.column("a").to_numpy(zero_copy_only=False).astype(np.int64)
-        b = tbl.column("b").to_numpy(zero_copy_only=False).astype(np.int64)
-        return (a % n_shards) * n_shards + (b % n_shards)
+        a = tbl.column("a").to_numpy(zero_copy_only=False)
+        b = tbl.column("b").to_numpy(zero_copy_only=False)
+        return _vec_shard(a, n_shards) * n_shards + _vec_shard(b, n_shards)
 
     def verify_reduce(p: int, tbl: pa.Table) -> pa.Table:
         sa, sb = p // n_shards, p % n_shards

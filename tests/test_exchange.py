@@ -1,5 +1,5 @@
-"""Unit tests for the barrier-free hash-exchange primitive and its
-key-hashing kernel."""
+"""Unit tests for the barrier-free hash-exchange primitive, its split
+wave and its key-hashing kernel."""
 
 import numpy as np
 import pyarrow as pa
@@ -12,6 +12,7 @@ from duplicate_finder_ray.stages.exchange import (
     default_partitions,
     hash_exchange,
     partition_ids,
+    split_wave,
 )
 
 _EMPTY = pa.schema([("k", pa.int64()), ("n", pa.int64())]).empty_table()
@@ -142,6 +143,100 @@ class TestHashExchange:
         assert out.num_blocks() == default_partitions()
         got = sorted((r["g"], r["k"], r["n"]) for r in out.take_all())
         assert got == [("a", 1, 2), ("a", 2, 2), ("b", 1, 2)]
+
+
+def _payload_block(seed: int, rows: int) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 1000, rows)
+    return pa.table(
+        {
+            "k": pa.array(k, pa.int64()),
+            "s": pa.array(
+                [None if x % 11 == 0 else f"v{x}" for x in k], pa.string()
+            ),
+            "f": pa.array(rng.normal(size=rows)),
+            "blob": pa.array(
+                [bytes([x % 256]) * (x % 5) for x in k], pa.large_binary()
+            ),
+            "bands": pa.array(
+                [[int(x), int(x) * 3] for x in k], pa.list_(pa.uint64(), 2)
+            ),
+            "u": pa.array(rng.integers(0, 1 << 40, rows), pa.uint64()),
+        }
+    )
+
+
+def _split_blocks(case: str) -> list[pa.Table]:
+    blocks = [_payload_block(1, 700), _payload_block(2, 1)]
+    # a multi-chunk block
+    blocks.append(pa.concat_tables([_payload_block(3, 50), _payload_block(4, 80)]))
+    if case == "empty_block":
+        blocks.insert(1, _payload_block(5, 0))
+    elif case == "zero_column_block":
+        blocks.insert(1, pa.table({}))
+    return blocks
+
+
+class TestSplitWave:
+    """``split_wave``'s sub-tables equal the per-partition ``filter``
+    split they replace."""
+
+    @_FORMS
+    @pytest.mark.parametrize("n_parts", [1, 8, 64])
+    @pytest.mark.parametrize(
+        "case", ["plain", "empty_block", "zero_column_block", "premap_empties"]
+    )
+    def test_sub_tables_equal_filter_reference(
+        self, ray_session, form, n_parts, case
+    ):
+        blocks = _split_blocks(case)
+        premap = None
+        if case == "premap_empties":
+            # drops every row of the one-row block and some of the others
+            def premap(tbl: pa.Table) -> pa.Table:
+                return tbl.filter(pa.compute.greater(tbl["k"], 100))
+
+            blocks[1] = blocks[1].set_column(
+                0, "k", pa.array([7], pa.int64())
+            )
+        part, _ = _make_fns(form)
+        got = split_wave(
+            [ray_session.put(b) for b in blocks], part, n_parts, premap
+        )
+        assert len(got) == len(blocks)
+        for block, row in zip(blocks, got):
+            if premap is not None:
+                block = premap(block)
+            assert len(row) == n_parts
+            subs = ray_session.get(row)
+            if block.num_columns == 0:
+                assert all(len(t) == 0 for t in subs)
+                continue
+            pid = (
+                block.column("k").to_numpy() % n_parts
+                if form == "callable"
+                else partition_ids(block, ["k"], n_parts)
+            )
+            for p, sub in enumerate(subs):
+                want = block.filter(pa.array(pid == p))
+                assert sub.schema == want.schema
+                assert sub.equals(want), (p, len(sub), len(want))
+        if case == "premap_empties":
+            assert sum(len(t) for t in ray_session.get(got[1])) == 0
+
+    def test_bad_ids_fail_loudly(self, ray_session):
+        ref = ray_session.put(pa.table({"k": pa.array([1, 2, 3], pa.int64())}))
+
+        def short(tbl: pa.Table, n: int) -> np.ndarray:
+            return np.zeros(len(tbl) - 1, dtype=np.int64)
+
+        def too_high(tbl: pa.Table, n: int) -> np.ndarray:
+            return np.full(len(tbl), n, dtype=np.int64)
+
+        for fn, match in ((short, "2 ids for 3 rows"), (too_high, "outside")):
+            for n_parts in (1, 4):
+                with pytest.raises(Exception, match=match):
+                    ray_session.get(split_wave([ref], fn, n_parts)[0])
 
 
 _NS = [1, 2, 3, 7, 16, 64, 1000]

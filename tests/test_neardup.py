@@ -308,10 +308,10 @@ class TestNearDupPipeline:
 class TestShingleSetStage:
     @pytest.mark.parametrize("token_hash", ["blake2b", "md5"])
     def test_bytes_equal_per_doc_reference(self, token_hash):
-        """The verify path's shingle sets (no ``shingles`` column on the
-        endpoints) come from the batch kernel; their bytes must be the
-        per-doc reference's, for ASCII (Arrow tokenizer) and mixed
-        (Python tokenizer) batches through one cached ``Shingler``."""
+        """Exact verify reads its shingle sets from the signature
+        table's ``shingles`` column; its bytes must be the per-doc
+        reference's, for ASCII (Arrow tokenizer) and mixed (Python
+        tokenizer) batches through one cached ``Shingler``."""
         import pyarrow as pa
 
         cfg = PipelineConfig(token_hash=token_hash)
@@ -326,13 +326,13 @@ class TestShingleSetStage:
         mixed = ascii_texts + ["héllo wörld ß a b c d e f g 中文 h i"]
         for texts in (ascii_texts, mixed, ascii_texts):
             file_ids = [f"o/r:f{i}.py@c" for i in range(len(texts))]
-            out = neardup.shingle_set_batch(
+            out = neardup.signature_batch(
                 pa.table(
                     {"file_id": file_ids, "content": pa.array(texts, pa.string())}
                 ),
                 cfg,
+                emit_shingles=True,
             )
-            assert out.column_names == ["fid", "file_id", "shingles"]
             assert out["shingles"].type == pa.large_binary()
             assert out["shingles"].to_pylist() == [
                 ref.shingle_hashes(t or "").tobytes() for t in texts
@@ -340,6 +340,14 @@ class TestShingleSetStage:
             np.testing.assert_array_equal(
                 out["fid"].to_numpy(), neardup.fid_of(np.array(file_ids, dtype=object))
             )
+
+    def test_exact_verify_without_shingles_raises(self, corpus_ds):
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        sigs = NearDupPipeline(cfg).signatures_for(corpus_ds).materialize()
+        assert "shingles" not in sigs.schema().names
+        cands = neardup.candidate_pairs(None, cfg, sigs_source=sigs)
+        with pytest.raises(ValueError, match="shingles"):
+            neardup.verify_pairs_exact(cands, sigs, cfg)
 
 
 class TestSignatureKernelCache:

@@ -2,7 +2,9 @@
 ``stages/exchange.py::partition_ids`` hash them. A hand-written
 ``(pa.Table, int) -> np.ndarray`` partitioner in the package is allowed
 only where the partition index itself means something — each such
-function is listed below with the reason.
+function is listed below with the reason. And every payload split runs
+on ``stages/exchange.py::split_wave``: no comprehension in the package
+filters a table once per partition.
 
 Pure static scan: no Ray session."""
 
@@ -27,6 +29,8 @@ ALLOWED = {
         "nodes and edges route by raw id modulo n, read from two columns",
     "stages/join.py::shuffle_hash_join.part_of":
         "hot keys are salted over distinct partitions",
+    "stages/neardup.py::_sig_shard":
+        "verify CSR shards are fid % n, the shard the pair routing reads",
     "stages/neardup.py::verify_pairs_exact.sa_part":
         "the reduce reads the shard index from its partition id",
     "stages/rank.py::global_rank.part_of":
@@ -37,6 +41,8 @@ ALLOWED = {
         "both sides carry a precomputed bucket id",
     "stages/relational.py::salted_distinct_count.part_of":
         "a hot key's values fan out over salted partitions",
+    "stages/similarity.py::_vec_id_shard":
+        "shard matrices are vec_id % n, the shard the pair routing reads",
     "stages/similarity.py::lsh_cosine_pairs.spair_part":
         "the reduce reads the (shard, shard) pair from its partition id",
 }
@@ -66,11 +72,15 @@ def _partitioners(node: ast.AST, path: str, prefix: str = ""):
             yield from _partitioners(child, path, prefix)
 
 
+def _package_trees():
+    for f in sorted(PACKAGE.rglob("*.py")):
+        yield f.relative_to(PACKAGE).as_posix(), ast.parse(f.read_text())
+
+
 def package_partitioners() -> list[str]:
     found = []
-    for f in sorted(PACKAGE.rglob("*.py")):
-        rel = f.relative_to(PACKAGE).as_posix()
-        found.extend(_partitioners(ast.parse(f.read_text()), rel))
+    for rel, tree in _package_trees():
+        found.extend(_partitioners(tree, rel))
     return found
 
 
@@ -88,3 +98,41 @@ def test_allowlist_has_no_stale_entries():
     assert not stale, "allowlisted partitioners no longer exist:\n" + "\n".join(
         stale
     )
+
+
+def _per_partition_filters(tree: ast.AST, path: str):
+    """Comprehensions that call ``.filter(`` while iterating over
+    ``range(...)``: the hand-written per-partition split."""
+    comps = (ast.ListComp, ast.SetComp, ast.GeneratorExp, ast.DictComp)
+    for node in ast.walk(tree):
+        if not isinstance(node, comps):
+            continue
+        over_range = any(
+            isinstance(g.iter, ast.Call)
+            and isinstance(g.iter.func, ast.Name)
+            and g.iter.func.id == "range"
+            for g in node.generators
+        )
+        calls_filter = any(
+            isinstance(c, ast.Call)
+            and isinstance(c.func, ast.Attribute)
+            and c.func.attr == "filter"
+            for c in ast.walk(node)
+        )
+        if over_range and calls_filter:
+            yield f"{path}:{node.lineno}"
+
+
+def test_no_hand_written_split():
+    found = []
+    for rel, tree in _package_trees():
+        found.extend(_per_partition_filters(tree, rel))
+    assert not found, (
+        "split payload with stages/exchange.py::split_wave instead of one "
+        "filter per partition:\n" + "\n".join(found)
+    )
+
+
+def test_split_guard_sees_the_old_loop():
+    old = "parts = [block.filter(pa.array(pid == p)) for p in range(n)]"
+    assert list(_per_partition_filters(ast.parse(old), "x.py")) == ["x.py:1"]
