@@ -94,19 +94,18 @@ def run_bench() -> dict:
     # parallelism, 10× fewer shuffle objects.
     ctx.read_op_min_num_blocks = max(8, 2 * NUM_CPUS)
 
-    import ray.data
-
     from duplicate_finder_ray.config import PipelineConfig
     from duplicate_finder_ray.pipelines.dedup import DedupPipeline
     from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
     from duplicate_finder_ray.pipelines.queries import QUERIES
+    from duplicate_finder_ray.sources.code_table import read_code_table
 
     corpus = corpus_path()
     # Warm the page cache AND the worker pool: the first map_batches in
     # a fresh session pays the 32 worker-process spawns + their
     # ray/pandas/pyarrow imports (~7-10 s at 32 CPUs) — per-session
     # cost, not pipeline cost; a long-running cluster runs hot workers.
-    ray.data.read_parquet(corpus).map_batches(
+    read_code_table(corpus).map_batches(
         lambda b: b.slice(0, 1), batch_format="pyarrow"
     ).count()
     # ... and the near-dup path: a tiny end-to-end run leaves a pool of
@@ -114,7 +113,7 @@ def run_bench() -> dict:
     # signature-kernel caches) loaded, which Ray then reuses for the
     # real run's tasks — the same per-session import cost, paid once
     # here instead of inside the timed section.
-    warm = ray.data.read_parquet(corpus).limit(2000).materialize()
+    warm = read_code_table(corpus).limit(2000).materialize()
     NearDupPipeline(PipelineConfig()).run_on(warm).labels.count()
 
     queries: dict[str, float] = {}
@@ -128,11 +127,11 @@ def run_bench() -> dict:
     cfg = PipelineConfig()
 
     def exact_dedup():
-        res = DedupPipeline(cfg).run_on(ray.data.read_parquet(corpus))
+        res = DedupPipeline(cfg).run_on(read_code_table(corpus))
         return res.members.count()
 
     def near_dup():
-        res = NearDupPipeline(cfg).run_on(ray.data.read_parquet(corpus))
+        res = NearDupPipeline(cfg).run_on(read_code_table(corpus))
         return res.pairs.count() + res.labels.count()
 
     def exact_dedup_sfdocs():
@@ -482,10 +481,9 @@ def run_recall() -> None:
     ctx.enable_progress_bars = False
     ctx.read_op_min_num_blocks = max(8, 2 * NUM_CPUS)
 
-    import ray.data
-
     from duplicate_finder_ray.config import PipelineConfig
     from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
+    from duplicate_finder_ray.sources.code_table import read_code_table
     from duplicate_finder_ray.stages.neardup import shingle_set_jaccard_pairs
 
     global BENCH_ROWS
@@ -497,7 +495,7 @@ def run_recall() -> None:
         BENCH_ROWS = old_rows
 
     cfg = PipelineConfig()  # τ = 0.8, exact verify — the headline config
-    res = NearDupPipeline(cfg).run_on(ray.data.read_parquet(corpus))
+    res = NearDupPipeline(cfg).run_on(read_code_table(corpus))
     found_df = res.pairs.select_columns(["a", "b"]).to_pandas()
     found = set(map(tuple, found_df[["a", "b"]].to_numpy()))
 

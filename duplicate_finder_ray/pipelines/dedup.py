@@ -13,7 +13,10 @@ every singleton, so the default path runs no prefilter;
 repeats.
 
 Everything stays lazy/streaming until a sink or a small driver-side
-collect; ``content`` is projected away before any shuffle.
+collect; ``content`` is projected away before any shuffle. The exchange
+streams too: each derived block goes to its split task as soon as it
+is produced, so the digest table is never resident whole in the object
+store, and the derive runs once.
 """
 
 from __future__ import annotations

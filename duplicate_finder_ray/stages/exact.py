@@ -79,18 +79,16 @@ def candidate_sizes(ds: ray.data.Dataset) -> np.ndarray:
             {"size": pa.array(values, pa.int64()), "partial": pa.array(counts, pa.int64())}
         )
 
-    partials = ds.select_columns(["size"]).map_batches(
-        partial_counts, batch_format="pyarrow"
+    partials = (
+        ds.select_columns(["size"])
+        .map_batches(partial_counts, batch_format="pyarrow")
+        .materialize()
     )
     # final reduce: per-batch partials are tiny (one row per distinct
     # size per batch). Up to a few hundred blocks, summing them on the
     # driver skips a whole shuffle barrier; past that, the volume
     # (blocks × distinct sizes) warrants the distributed aggregate.
-    try:
-        many_blocks = ds.num_blocks() > 256
-    except Exception:
-        many_blocks = True
-    if many_blocks:
+    if partials.num_blocks() > 256:
         counts = partials.groupby("size").aggregate(Sum("partial", alias_name="n"))
         pdf = counts.to_pandas()
     else:

@@ -11,13 +11,16 @@ same shape applies to the LSH band exchange. This module is the
 documented "drop to raw Ray tasks where the Dataset API can't express
 the semantics" case.
 
-Two waves, with no barrier between them:
+Two waves, with no barrier before or between them:
 
 - the SPLIT wave (``split_wave``): one task per source block cuts the
   block into ``n_parts`` sub-tables — one stable radix argsort of the
   partition ids, one ``take``, ``n_parts`` slices — so every payload
   byte is copied exactly once and crosses a (real cluster's) network
-  exactly once;
+  exactly once. ``hash_exchange`` streams the source: each block goes
+  to its split task as soon as Ray Data produces it
+  (``iter_internal_ref_bundles``), and is freed once that task has cut
+  it. The source runs once and is never resident whole;
 - the REDUCE wave: one task per partition concatenates that
   partition's sub-tables and applies the caller's reduce. Ray
   schedules each reduce as its inputs appear.
@@ -36,21 +39,24 @@ exchanges whose partition index itself means something (precomputed
 bucket ids, range partitions, replayable or salted assignment, shard
 arithmetic the reduce reads).
 
-Scale shape: blocks × n_parts small objects (sub-tables) in the object
-store; each reduce task zero-copy reads its ``blocks`` inputs. Keep
-``n_parts`` a small multiple of cluster parallelism
-(``default_partitions``).
+Scale shape: blocks × n_parts small objects (sub-tables); each reduce
+task zero-copy reads its ``blocks`` inputs. A sub-table under Ray's
+100 KiB inline limit returns to the driver's memory store rather than
+the object store, so at small scale the store holds little more than
+the blocks in flight. Keep ``n_parts`` a small multiple of cluster
+parallelism (``default_partitions``).
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 
 import numpy as np
 import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 
@@ -137,14 +143,15 @@ def _split_table(
 
 
 def split_wave(
-    block_refs: Sequence[ray.ObjectRef],
+    block_refs: Iterable[ray.ObjectRef],
     part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
     n_parts: int,
     premap: Callable[[pa.Table], pa.Table] | None = None,
 ) -> list[list[ray.ObjectRef]]:
-    """Launch one split task per block ref; returns the sub-table refs
-    as ``blocks × n_parts`` (row ``i`` holds block ``i``'s
-    ``n_parts`` sub-tables, in partition order).
+    """Launch one split task per block ref, as each ref is drawn from
+    ``block_refs``; returns the sub-table refs as ``blocks × n_parts``
+    (row ``i`` holds block ``i``'s ``n_parts`` sub-tables, in partition
+    order). A block may be Arrow or pandas; sub-tables are Arrow.
 
     ``part_of``: the key column name(s), hashed by ``partition_ids``,
     or a callable ``part_of(table, n_parts)`` returning one int id in
@@ -164,7 +171,8 @@ def split_wave(
         keys = list(part_of)
 
     @ray.remote
-    def split(block: pa.Table):
+    def split(block):
+        block = BlockAccessor.for_block(block).to_arrow()
         if premap is not None:
             block = premap(block)
         if len(block) == 0 or block.num_columns == 0:
@@ -205,7 +213,9 @@ def hash_exchange(
     """Partition ``source`` by key and apply ``reduce_fn(part_idx,
     rows)`` to each partition's concatenated rows. Returns a Dataset of
     the reduce outputs (one block per partition). ``empty`` supplies the
-    output schema for empty partitions.
+    output schema for empty partitions, and is the whole output when
+    ``source`` yields no block. ``source`` runs once, streamed into the
+    split wave; an error in any of its blocks raises here.
 
     ``part_of``: the key column name, or a list of names — rows with
     equal key values meet in one partition, chosen by
@@ -226,10 +236,10 @@ def hash_exchange(
     schema."""
     if n_parts is None:
         n_parts = default_partitions()
-    blocks = source.materialize().to_arrow_refs()
-    if not blocks:
+    refs = (r for b in source.iter_internal_ref_bundles() for r in b.block_refs)
+    split_refs = split_wave(refs, part_of, n_parts, premap)
+    if not split_refs:
         return ray.data.from_arrow(empty)
-    split_refs = split_wave(blocks, part_of, n_parts, premap)
 
     @ray.remote
     def reduce_part(p: int, *subs: pa.Table) -> pa.Table:

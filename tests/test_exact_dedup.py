@@ -135,6 +135,26 @@ class TestExactGroups:
         monkeypatch.setattr(exact, "candidate_sizes", boom)
         assert run().members.count() > 0
 
+    def test_candidate_sizes_sums_few_blocks_on_driver(
+        self, ray_session, monkeypatch
+    ):
+        """A lazy input of a few blocks sums its per-batch partials on
+        the driver: no sort-based groupby runs, and the sizes equal a
+        pandas count."""
+        sizes = [5, 7, 7, 9, 5, 11, 0, 0, 3, 7, 12]
+        ds = ray_session.data.from_pandas(
+            [pd.DataFrame({"size": sizes[i::3]}) for i in range(3)]
+        ).map_batches(lambda b: b, batch_format="pyarrow")
+        assert type(ds) is ray_session.data.Dataset  # lazy, not materialized
+
+        def no_groupby(*args, **kwargs):
+            raise AssertionError("candidate_sizes ran a groupby")
+
+        monkeypatch.setattr(ray_session.data.Dataset, "groupby", no_groupby)
+        counts = pd.Series(sizes).value_counts()
+        want = sorted(counts[counts > 1].index)
+        assert exact.candidate_sizes(ds).tolist() == want
+
     def test_exclude_pattern_removes_file(self, run):
         # reference :79-87 / test_cli_args.py:53-59: excluding one side of
         # the planted pair dissolves its group

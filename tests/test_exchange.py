@@ -2,6 +2,7 @@
 wave and its key-hashing kernel."""
 
 import numpy as np
+import pandas as pd
 import pyarrow as pa
 import pytest
 
@@ -143,6 +144,74 @@ class TestHashExchange:
         assert out.num_blocks() == default_partitions()
         got = sorted((r["g"], r["k"], r["n"]) for r in out.take_all())
         assert got == [("a", 1, 2), ("a", 2, 2), ("b", 1, 2)]
+
+    @_FORMS
+    @pytest.mark.parametrize("rows", [0, 500])
+    def test_pandas_blocks_equal_arrow_blocks(self, ray_session, form, rows):
+        # the source's blocks reach the split tasks as Ray Data holds
+        # them, so pandas blocks must exchange like their Arrow twins
+        ks = np.arange(rows, dtype=np.int64) % 37
+        frames = [pd.DataFrame({"k": ks[i::3]}) for i in range(3)]
+        part, count_reduce = _make_fns(form)
+
+        def run(ds):
+            out = hash_exchange(ds, part, 4, count_reduce, _EMPTY)
+            assert out.schema().names == ["k", "n"]
+            return sorted((r["k"], r["n"]) for r in out.take_all())
+
+        from_pandas = run(ray_session.data.from_pandas(frames))
+        from_arrow = run(
+            ray_session.data.from_arrow(
+                [pa.Table.from_pandas(f, preserve_index=False) for f in frames]
+            )
+        )
+        assert from_pandas == from_arrow
+        assert sum(n for _, n in from_pandas) == rows
+
+    def test_failing_upstream_block_raises(self, ray_session):
+        # a lazy source that fails on one block is a loud error, never
+        # an exchange of the blocks that did arrive
+        ds = ray_session.data.from_arrow(
+            [pa.table({"k": pa.array([i, i + 10], pa.int64())}) for i in range(6)]
+        )
+
+        def poison(tbl: pa.Table) -> pa.Table:
+            if 3 in tbl.column("k").to_pylist():
+                raise RuntimeError("poisoned block")
+            return tbl
+
+        lazy = ds.map_batches(poison, batch_format="pyarrow", batch_size=None)
+        part, count_reduce = _make_fns("key")
+        with pytest.raises(Exception, match="poisoned block"):
+            hash_exchange(lazy, part, 3, count_reduce, _EMPTY)
+
+    @_FORMS
+    def test_lazy_source_is_never_materialized(
+        self, ray_session, monkeypatch, form
+    ):
+        # the split wave draws the source's blocks as Ray Data produces
+        # them; no copy of the whole source lands first
+        rng = np.random.default_rng(1)
+        ks = rng.integers(0, 50, size=5_000)
+        lazy = (
+            ray_session.data.from_arrow(
+                pa.table({"k": pa.array(ks, pa.int64())})
+            )
+            .repartition(6)
+            .map_batches(lambda t: t, batch_format="pyarrow")
+        )
+
+        def no_materialize(self):
+            raise AssertionError("hash_exchange materialized its source")
+
+        monkeypatch.setattr(
+            ray_session.data.Dataset, "materialize", no_materialize
+        )
+        part, count_reduce = _make_fns(form)
+        out = hash_exchange(lazy, part, 5, count_reduce, _EMPTY)
+        got = {r["k"]: r["n"] for r in out.take_all()}
+        want = dict(zip(*np.unique(ks, return_counts=True)))
+        assert got == {int(k): int(v) for k, v in want.items()}
 
 
 def _payload_block(seed: int, rows: int) -> pa.Table:
