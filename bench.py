@@ -9,6 +9,14 @@ data) cached as Parquet under /tmp, sized by $GRAFT_BENCH_ROWS
 (default 50_000), plus the driver tables in $GRAFT_SF_DIR (default
 /root/testdata/sf0.1) for the documents-derived pipelines.
 
+Count drift guard: the run's per-query row ``counts`` are checked
+against ``bench_counts.json``, keyed by ``"<GRAFT_BENCH_ROWS>/<basename
+of GRAFT_SF_DIR>"``. Any drift prints the query names to stderr and
+exits non-zero after the JSON line. Counts do not depend on
+``RAY_GRAFT_CPUS``. For an intended corpus or semantics change, run
+once with ``GRAFT_BENCH_RECORD_COUNTS=1`` to rewrite this key's entry.
+A key with no entry is reported on stderr and not checked.
+
 ``--scaling``: runs the same bench in FRESH processes at
 ``num_cpus=8`` and ``num_cpus=32`` on the same input (cluster-size
 proxy per BASELINE.md) and reports both throughputs + scaling
@@ -30,6 +38,7 @@ SF_DIR = os.environ.get("GRAFT_SF_DIR", "/root/testdata/sf0.1")
 NUM_CPUS = int(os.environ.get("RAY_GRAFT_CPUS", "32"))
 BENCH_ROWS = int(os.environ.get("GRAFT_BENCH_ROWS", "50000"))
 CORPUS_SEED = 42
+COUNTS_PATH = os.path.join(REPO, "bench_counts.json")
 
 
 CORPUS_SHARDS = 32
@@ -288,6 +297,40 @@ def run_bench() -> dict:
     return result
 
 
+def counts_key() -> str:
+    return f"{BENCH_ROWS}/{os.path.basename(SF_DIR)}"
+
+
+def check_counts(counts: dict[str, int]) -> list[str]:
+    """Drift of ``counts`` from the committed entry for this corpus key,
+    one line per drifting query (empty when none). With
+    ``GRAFT_BENCH_RECORD_COUNTS=1`` rewrites the entry instead."""
+    expected: dict[str, dict[str, int]] = {}
+    if os.path.exists(COUNTS_PATH):
+        with open(COUNTS_PATH) as f:
+            expected = json.load(f)
+    key = counts_key()
+    if os.environ.get("GRAFT_BENCH_RECORD_COUNTS"):
+        expected[key] = dict(sorted(counts.items()))
+        with open(COUNTS_PATH, "w") as f:
+            json.dump(dict(sorted(expected.items())), f, indent=2)
+            f.write("\n")
+        sys.stderr.write(f"bench: recorded counts for {key}\n")
+        return []
+    if key not in expected:
+        sys.stderr.write(
+            f"bench: no committed counts for {key}; not checked "
+            "(GRAFT_BENCH_RECORD_COUNTS=1 records them)\n"
+        )
+        return []
+    want = expected[key]
+    return [
+        f"{name}: expected {want.get(name)}, got {got}"
+        for name, got in counts.items()
+        if want.get(name) != got
+    ]
+
+
 #: scaling-proxy corpus: large enough that per-CPU work dominates the
 #: fixed per-session/per-shuffle overhead (~24 s measured) — at 600k
 #: rows a 32-CPU run is only ~19k rows/CPU and fixed overhead caps the
@@ -535,4 +578,13 @@ if __name__ == "__main__":
     elif "--recall" in sys.argv:
         run_recall()
     else:
-        print(json.dumps(run_bench()))
+        result = run_bench()
+        drift = check_counts(result["counts"])
+        print(json.dumps(result))
+        if drift:
+            sys.stderr.write(
+                f"bench: count drift for {counts_key()}:\n  "
+                + "\n  ".join(drift)
+                + "\n"
+            )
+            sys.exit(1)

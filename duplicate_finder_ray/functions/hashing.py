@@ -8,7 +8,8 @@ BASELINE.json requires (content-sha256 equality input vs output).
 
 All functions take/return Arrow structures and avoid Python-object
 conversion where pyarrow allows; the per-row ``hashlib`` call itself is a
-C-implemented digest over a zero-copy memoryview of the Arrow buffer.
+C-implemented digest over a zero-copy memoryview of the Arrow buffer, and
+the hex column is built from numpy buffers, not per-row strings.
 """
 
 from __future__ import annotations
@@ -20,37 +21,61 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 
+#: ASCII codes of the 16 lowercase hex digits, indexed by nibble
+_HEX_DIGITS = np.frombuffer(b"0123456789abcdef", dtype=np.uint8)
+
+
 def sha256_hex_array(column: pa.ChunkedArray | pa.Array) -> pa.Array:
     """SHA-256 hex digest for every cell of a string/binary column.
 
-    Nulls hash to null. Operates on the raw Arrow value buffers via
-    ``memoryview`` slices (no per-row Python ``bytes`` copy until hashlib
-    consumes it; ``hashlib.sha256`` accepts buffer objects directly).
+    Nulls hash to null. Each row's raw bytes are a ``memoryview`` slice
+    of the Arrow value buffer (``hashlib.sha256`` accepts buffer objects,
+    so no per-row ``bytes`` copy); the 32-byte ``digest()`` values are
+    joined once, hex-encoded through a 16-entry nibble table, and the
+    result is assembled from buffers at a fixed 64-byte stride — no
+    per-row Python ``str``.
     """
     chunks = column.chunks if isinstance(column, pa.ChunkedArray) else [column]
-    out: list[str | None] = []
+    digests: list[bytes] = []
+    valid_parts: list[np.ndarray] = []
+    null_digest = bytes(32)
+    sha = hashlib.sha256
     for chunk in chunks:
-        if pa.types.is_large_string(chunk.type) or pa.types.is_large_binary(chunk.type):
-            offsets = chunk.buffers()[1]
-            off = np.frombuffer(offsets, dtype=np.int64, count=len(chunk) + 1,
-                                offset=chunk.offset * 8)
-        else:
-            offsets = chunk.buffers()[1]
-            off = np.frombuffer(offsets, dtype=np.int32, count=len(chunk) + 1,
-                                offset=chunk.offset * 4)
+        if len(chunk) == 0:
+            continue
+        wide = pa.types.is_large_string(chunk.type) or pa.types.is_large_binary(chunk.type)
+        width = 8 if wide else 4
+        off = np.frombuffer(
+            chunk.buffers()[1],
+            dtype=np.int64 if wide else np.int32,
+            count=len(chunk) + 1,
+            offset=chunk.offset * width,
+        ).tolist()
         data = chunk.buffers()[2]
         view = memoryview(data) if data is not None else memoryview(b"")
-        if chunk.null_count == 0:
-            for i in range(len(chunk)):
-                out.append(hashlib.sha256(view[off[i]:off[i + 1]]).hexdigest())
-        else:
-            valid = chunk.is_valid().to_numpy(zero_copy_only=False)
-            for i in range(len(chunk)):
-                if valid[i]:
-                    out.append(hashlib.sha256(view[off[i]:off[i + 1]]).hexdigest())
-                else:
-                    out.append(None)
-    return pa.array(out, type=pa.string())
+        valid = chunk.is_valid().to_numpy(zero_copy_only=False)
+        digests += [
+            sha(view[a:b]).digest() if v else null_digest
+            for a, b, v in zip(off, off[1:], valid.tolist())
+        ]
+        valid_parts.append(valid)
+    n = len(digests)
+    raw = np.frombuffer(b"".join(digests), dtype=np.uint8).reshape(n, 32)
+    hexed = np.empty((n, 64), dtype=np.uint8)
+    hexed[:, 0::2] = _HEX_DIGITS[raw >> 4]
+    hexed[:, 1::2] = _HEX_DIGITS[raw & 0x0F]
+    offsets = np.arange(0, 64 * (n + 1), 64, dtype=np.int32)
+    valid = np.concatenate(valid_parts) if valid_parts else np.ones(0, dtype=bool)
+    null_count = int(n - valid.sum())
+    validity = (
+        pa.py_buffer(np.packbits(valid, bitorder="little")) if null_count else None
+    )
+    return pa.Array.from_buffers(
+        pa.string(),
+        n,
+        [validity, pa.py_buffer(offsets), pa.py_buffer(hexed)],
+        null_count=null_count,
+    )
 
 
 def utf8_byte_length(column: pa.ChunkedArray | pa.Array) -> pa.ChunkedArray | pa.Array:

@@ -20,8 +20,11 @@ Scale notes (100 TB / 10^12 rows):
   rows move.
 * Members cost ONE exchange keyed on the digest — skew-free by
   construction (crypto-hash keys); group fan-in is bounded by real
-  duplicate multiplicity. The groups table is a per-block projection of
-  the keeper rows, never a second shuffle.
+  duplicate multiplicity. Each partition reduces with one Arrow stable
+  sort plus numpy run-length passes (``members_kernel``), the same
+  kernel with or without content verification — no pandas round trip.
+  The groups table is a per-block projection of the keeper rows, never
+  a second shuffle.
 * ``candidate_sizes`` / ``apply_size_prefilter`` are the reference's
   hash-avoiding prefilter, used by ``prefilter_mode="two_pass"``: a
   broadcast semi-join probed with vectorized ``np.isin`` — raw rows
@@ -119,6 +122,89 @@ def apply_size_prefilter(ds: ray.data.Dataset, sizes: np.ndarray) -> ray.data.Da
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
+def _run_starts(*cols: pa.Array | np.ndarray) -> np.ndarray:
+    """True where a row's key tuple differs from the previous row's: the
+    first row of each run of equal keys in a sorted table (row 0 always
+    starts one)."""
+    starts = np.zeros(len(cols[0]), dtype=bool)
+    starts[:1] = True
+    for col in cols:
+        ne = pc.fill_null(pc.not_equal(col[1:], col[:-1]), True)
+        starts[1:] |= ne.to_numpy(zero_copy_only=False)
+    return starts
+
+
+def _rank_in_runs(starts: np.ndarray) -> np.ndarray:
+    """0, 1, 2, … restarting at every run start."""
+    idx = np.arange(len(starts))
+    return idx - np.maximum.accumulate(np.where(starts, idx, 0))
+
+
+def _sorted_order(tbl: pa.Table, keys: list[str]) -> pa.Array:
+    """Stable ascending sort on ``keys``, nulls last per key."""
+    return pc.sort_indices(
+        tbl, sort_keys=[(k, "ascending") for k in keys], null_placement="at_end"
+    )
+
+
+def members_kernel(tbl: pa.Table, verify_content: bool) -> pa.Table:
+    """One partition's duplicate members: ``tbl`` holds every row of
+    the (size, sha256) groups it touches (plus ``content`` iff
+    verifying); returns MEMBERS_SCHEMA rows in sorted order.
+
+    One stable sort on ``(size, sha256, repo, path, commit)`` — the
+    TUPLE, not the joined file_id string: 'LICENSE' vs 'LICENSE.txt'
+    must order the way the reference's raw-path sort does ('@' in
+    file_id sorts after '.', flipping the keeper otherwise). Hash groups
+    are runs of equal ``(sha256, size)``. When verifying, a stable
+    numpy sort by content dictionary code within each hash group makes
+    the byte-identical subgroups contiguous — codes, never string
+    hashing, so contents that differ only after a NUL stay apart.
+    ``n_files`` is the (sub)group's row count, ``rank`` its running
+    count in tuple order; ``#k`` numbers a hash group's surviving
+    subgroups by first appearance.
+    """
+    n = len(tbl)
+    order = _sorted_order(tbl, ["size", "sha256", "repo", "path", "commit"])
+    hash_starts = _run_starts(tbl["sha256"].take(order), tbl["size"].take(order))
+    group = np.cumsum(hash_starts) - 1
+    # (sub)groups are the runs that ``starts`` marks in ``perm`` order
+    if verify_content:
+        codes = pc.dictionary_encode(
+            tbl["content"].combine_chunks(), null_encoding="encode"
+        ).indices.take(order).to_numpy()
+        perm = np.lexsort((codes, group))
+        starts = _run_starts(group[perm], codes[perm])
+    else:
+        perm, starts = np.arange(n), hash_starts
+    sub = np.empty(n, dtype=np.int64)
+    sub[perm] = np.cumsum(starts) - 1
+    rank = np.empty(n, dtype=np.int64)
+    rank[perm] = _rank_in_runs(starts)
+    n_files = np.bincount(sub)[sub]
+    keep = n_files >= 2
+    if not keep.any():
+        return _EMPTY_MEMBERS
+    out = tbl.select(MEMBER_COLS).take(order.filter(pa.array(keep)))
+    rank, sub, group = rank[keep], sub[keep], group[keep]
+    gid = out["sha256"]
+    if verify_content:
+        # k = rank of the subgroup's first row among the surviving
+        # subgroups' first rows of the same hash group
+        is_first = rank == 0
+        k_of_sub = np.zeros(sub.max() + 1, dtype=np.int64)
+        k_of_sub[sub[is_first]] = _rank_in_runs(_run_starts(group[is_first]))
+        k = k_of_sub[sub]
+        suffixed = pc.binary_join_element_wise(
+            gid, pc.cast(pa.array(k), pa.string()), "#"
+        )
+        gid = pc.if_else(pa.array(k == 0), gid, suffixed)
+    return pa.Table.from_arrays(
+        [*out.columns, gid, pa.array(n_files[keep]), pa.array(rank), pa.array(rank == 0)],
+        names=MEMBERS_SCHEMA.names,
+    ).cast(MEMBERS_SCHEMA)
+
+
 def duplicate_members(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dataset:
     """Exploded duplicate-membership table (the scale-friendly form of the
     reference's ``list[list[str]]`` result).
@@ -137,52 +223,16 @@ def duplicate_members(ds: ray.data.Dataset, cfg: PipelineConfig) -> ray.data.Dat
 
     ONE barrier-free hash exchange on hash(sha256) % P
     (stages/exchange.py) — every (size, sha256) group lands in one
-    partition — then fully vectorized pandas group kernels inside each
-    partition. A naive groupby(size, sha).map_groups pays a Python call
-    per GROUP, and Ray Data's sort-based groupby pays a sample barrier +
-    full sort for an order nothing needs. Content moves only when
-    verifying, and is dropped before emitting.
+    partition — then ``members_kernel`` inside each partition: one
+    Arrow stable sort and numpy run-length passes, for both verify
+    modes; no pandas round trip. A naive groupby(size, sha).map_groups
+    pays a Python call per GROUP, and Ray Data's sort-based groupby pays
+    a sample barrier + full sort for an order nothing needs. Content
+    moves only when verifying, and is dropped before emitting.
     """
-    keys = ["size", "sha256"]
-    group_keys = [*keys, "content_id"] if cfg.verify_content else keys
 
     def reduce_fn(p: int, tbl: pa.Table) -> pa.Table:
-        if cfg.verify_content:
-            # content compared by Arrow dictionary code: pandas' string
-            # hash table truncates at NUL and would merge 'x\0a' and
-            # 'x\0b'
-            codes = pc.dictionary_encode(tbl["content"].combine_chunks()).indices
-            tbl = tbl.drop_columns(["content"]).append_column("content_id", codes)
-        # rank on the (repo, path, commit) TUPLE, not the joined
-        # file_id string: 'LICENSE' vs 'LICENSE.txt' must order the
-        # way the reference's raw-path sort does ('@' terminator in
-        # file_id sorts after '.', flipping the keeper otherwise)
-        part = tbl.to_pandas().sort_values(
-            [*keys, "repo", "path", "commit"], kind="mergesort"
-        )
-        grp = part.groupby(group_keys, sort=False)
-        part = part.assign(
-            n_files=grp["file_id"].transform("size").astype("int64"),
-            rank=grp.cumcount().astype("int64"),
-        )
-        part = part[part["n_files"] >= 2]
-        if len(part) == 0:
-            return _EMPTY_MEMBERS
-        gid = part["sha256"]
-        if cfg.verify_content:
-            # k = how many subgroups of the hash group start at or
-            # before this subgroup's first row, minus one
-            n_started = (part["rank"] == 0).groupby(
-                [part[c] for c in keys], sort=False
-            ).cumsum()
-            k = (n_started - 1).groupby(
-                [part[c] for c in group_keys], sort=False
-            ).transform("first")
-            gid = gid.where(k == 0, gid + "#" + k.astype(str))
-        part = part.assign(group_id=gid, is_keeper=part["rank"] == 0)
-        return pa.Table.from_pandas(
-            part[MEMBERS_SCHEMA.names], schema=MEMBERS_SCHEMA, preserve_index=False
-        )
+        return members_kernel(tbl, cfg.verify_content)
 
     num_parts = max(8, cfg.parallelism)
     return hash_exchange(ds, "sha256", num_parts, reduce_fn, _EMPTY_MEMBERS)
@@ -200,8 +250,11 @@ def groups_from_members(members: ray.data.Dataset) -> ray.data.Dataset:
     ``#k`` subgroup included — has exactly one rank-0 row carrying its
     ``size`` and ``n_files``, so this is a keeper-row projection: one
     map, no shuffle. Unioned with a typed empty block so a
-    zero-duplicate corpus keeps the output schema (a filter over an
-    empty stream otherwise yields a schema-less Dataset)."""
+    zero-duplicate corpus keeps the output schema: in Ray 2.49 a map
+    over only-empty blocks has schema ``None``, so without the union
+    ``test_zero_row_corpus`` and ``test_groups_schema_survives_empty``
+    fail. The union costs about 45 ms per count on exact_bulk; keep
+    it."""
     groups = members.map_batches(
         lambda t: t.filter(t["is_keeper"]).select(GROUPS_SCHEMA.names),
         batch_format="pyarrow",
@@ -243,9 +296,9 @@ def keepers_by_depth(
     re-selection over the members view.
 
     Scale shape: members rows are slim; ONE barrier-free hash exchange
-    by hash(group_id) co-locates each group, then a vectorized
-    mergesort + duplicated() first-per-group kernel — no per-group
-    Python."""
+    by hash(group_id) co-locates each group, then one stable Arrow sort
+    on ``(group_id, depth, repo, path, commit)`` keeps the first row of
+    each group_id run — no per-group Python."""
     out_schema = pa.schema(
         [
             ("file_id", pa.string()),
@@ -269,16 +322,9 @@ def keepers_by_depth(
         )
 
     def kernel(p: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return out_schema.empty_table()
-        df = tbl.to_pandas()
-        df = df.sort_values(
-            ["group_id", "depth", "repo", "path", "commit"], kind="mergesort"
-        )
-        k = df[~df["group_id"].duplicated()]
-        return pa.Table.from_pandas(
-            k[[f.name for f in out_schema]], schema=out_schema, preserve_index=False
-        )
+        order = _sorted_order(tbl, ["group_id", "depth", "repo", "path", "commit"])
+        first = order.filter(pa.array(_run_starts(tbl["group_id"].take(order))))
+        return tbl.select(out_schema.names).take(first).cast(out_schema)
 
     slim = members.select_columns(
         ["file_id", "repo", "path", "commit", "group_id"]

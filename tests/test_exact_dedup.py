@@ -339,6 +339,93 @@ class TestVerifyContentSubgroups:
         assert "content" not in members.columns
 
 
+def pandas_members_kernel(tbl, verify_content: bool):
+    """The members reduce as a pandas kernel (mergesort + groupby
+    transforms): the reference the Arrow kernel must reproduce."""
+    import pyarrow as pa
+    import pyarrow.compute as pc
+
+    keys = ["size", "sha256"]
+    group_keys = [*keys, "content_id"] if verify_content else keys
+    if verify_content:
+        codes = pc.dictionary_encode(tbl["content"].combine_chunks()).indices
+        tbl = tbl.drop_columns(["content"]).append_column("content_id", codes)
+    part = tbl.to_pandas().sort_values(
+        [*keys, "repo", "path", "commit"], kind="mergesort"
+    )
+    grp = part.groupby(group_keys, sort=False)
+    part = part.assign(
+        n_files=grp["file_id"].transform("size").astype("int64"),
+        rank=grp.cumcount().astype("int64"),
+    )
+    part = part[part["n_files"] >= 2]
+    if len(part) == 0:
+        return exact.MEMBERS_SCHEMA.empty_table()
+    gid = part["sha256"]
+    if verify_content:
+        n_started = (part["rank"] == 0).groupby(
+            [part[c] for c in keys], sort=False
+        ).cumsum()
+        k = (n_started - 1).groupby(
+            [part[c] for c in group_keys], sort=False
+        ).transform("first")
+        gid = gid.where(k == 0, gid + "#" + k.astype(str))
+    part = part.assign(group_id=gid, is_keeper=part["rank"] == 0)
+    return pa.Table.from_pandas(
+        part[exact.MEMBERS_SCHEMA.names],
+        schema=exact.MEMBERS_SCHEMA,
+        preserve_index=False,
+    )
+
+
+def random_partition(rng, n_rows: int):
+    """A seeded exchange partition: few distinct (sha, size) keys, one
+    sha carried by two sizes, NUL-bearing and empty contents, non-ASCII
+    repos, LICENSE next to LICENSE.txt, empty commits."""
+    import pyarrow as pa
+
+    shas = ["a" * 64, "b" * 64, "c" * 64]
+    keys = [(shas[0], 3), (shas[0], 7), (shas[1], 3), (shas[2], 0)]
+    repos = ["r", "ré", "日本", "r2"]
+    paths = ["LICENSE", "LICENSE.txt", "a/b.py", "b.py", "Ä.md"]
+    commits = ["", "c0", "c1"]
+    contents = ["", "x\0a", "x\0b", "x", "ü"]
+    rows = []
+    for _ in range(n_rows):
+        sha, size = keys[rng.integers(len(keys))]
+        repo = repos[rng.integers(len(repos))]
+        path = paths[rng.integers(len(paths))]
+        commit = commits[rng.integers(len(commits))]
+        rows.append(
+            (f"{repo}:{path}@{commit}", repo, path, commit, "txt", size, sha,
+             contents[rng.integers(len(contents))])
+        )
+    names = ["file_id", "repo", "path", "commit", "lang", "size", "sha256",
+             "content"]
+    cols = list(zip(*rows)) if rows else [[] for _ in names]
+    return pa.table(
+        {
+            name: pa.array(col, pa.int64() if name == "size" else pa.string())
+            for name, col in zip(names, cols)
+        }
+    )
+
+
+class TestMembersKernel:
+    @pytest.mark.parametrize("verify_content", [False, True])
+    def test_matches_pandas_kernel(self, verify_content):
+        import numpy as np
+
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            tbl = random_partition(rng, int(rng.integers(0, 61)))
+            if not verify_content:
+                tbl = tbl.drop_columns(["content"])
+            want = pandas_members_kernel(tbl, verify_content)
+            got = exact.members_kernel(tbl, verify_content)
+            assert got.equals(want), (got.to_pandas(), want.to_pandas())
+
+
 class TestMinimalSchema:
     def test_lang_column_optional(self, ray_session):
         """The library surface accepts the minimal (repo, path, commit,
@@ -498,3 +585,73 @@ class TestKeepersByDepth:
             if g not in want or key < want[g][0]:
                 want[g] = (key, fid)
         assert a == sorted((g, fid) for g, (_, fid) in want.items())
+
+
+def pandas_in_exchange_reduces(source: str) -> list[str]:
+    """Names of ``hash_exchange`` reduce functions in ``source`` that
+    reach ``to_pandas``/``from_pandas``, directly or through a function
+    of the same module they call by name."""
+    import ast
+
+    tree = ast.parse(source)
+    defs = {
+        node.name: node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef)
+    }
+
+    def reaches_pandas(name: str, seen: set[str]) -> bool:
+        if name in seen or name not in defs:
+            return False
+        seen.add(name)
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and node.attr in (
+                "to_pandas",
+                "from_pandas",
+            ):
+                return True
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and reaches_pandas(node.func.id, seen)
+            ):
+                return True
+        return False
+
+    found = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "hash_exchange"
+        ):
+            continue
+        reduce = [kw.value for kw in node.keywords if kw.arg == "reduce_fn"]
+        reduce = reduce or node.args[3:4]
+        if reduce and isinstance(reduce[0], ast.Name):
+            if reaches_pandas(reduce[0].id, set()):
+                found.append(reduce[0].id)
+    return found
+
+
+class TestExchangeReducesStayArrow:
+    def test_exact_reduces_never_convert_to_pandas(self):
+        from pathlib import Path
+
+        source = Path(exact.__file__).read_text()
+        assert "hash_exchange(" in source
+        assert pandas_in_exchange_reduces(source) == [], (
+            "an exchange reduce in stages/exact.py converts to pandas; "
+            "sort with pc.sort_indices and take runs instead"
+        )
+
+    def test_guard_sees_a_pandas_reduce(self):
+        old = (
+            "def helper(t):\n"
+            "    return t.to_pandas()\n"
+            "def kernel(p, tbl):\n"
+            "    return helper(tbl)\n"
+            "hash_exchange(ds, 'k', 8, kernel, empty)\n"
+            "hash_exchange(ds, 'k', 8, reduce_fn=kernel, empty=empty)\n"
+        )
+        assert pandas_in_exchange_reduces(old) == ["kernel", "kernel"]

@@ -65,6 +65,44 @@ class TestSha256:
         ]
 
 
+    _VALUES = ["", "abc", None, "héllo 世界", "x\0y", "", None, "Z" * 70]
+
+    @staticmethod
+    def _hexdigests(values):
+        return [
+            None if v is None else hashlib.sha256(v.encode("utf-8")).hexdigest()
+            for v in values
+        ]
+
+    @pytest.mark.parametrize("typ", [pa.string(), pa.large_string(), pa.binary()])
+    def test_matches_hashlib(self, typ):
+        values = self._VALUES
+        arr = pa.array(values, typ)
+        cases = [
+            (arr, values),
+            (arr.slice(3), values[3:]),
+            (arr.slice(1, 4), values[1:5]),
+            (pa.chunked_array([arr.slice(0, 3), arr.slice(3, 0), arr.slice(3)]), values),
+        ]
+        for column, want in cases:
+            out = sha256_hex_array(column)
+            out.validate(full=True)
+            assert out.type == pa.string()
+            assert out.null_count == want.count(None)
+            assert out.to_pylist() == self._hexdigests(want)
+
+    @pytest.mark.parametrize("typ", [pa.string(), pa.large_string()])
+    def test_zero_length_stays_typed(self, typ):
+        for column in (pa.array([], typ), pa.chunked_array([], typ)):
+            out = sha256_hex_array(column)
+            assert out.type == pa.string() and len(out) == 0
+
+    def test_all_null(self):
+        out = sha256_hex_array(pa.array([None, None], pa.string()))
+        out.validate(full=True)
+        assert out.to_pylist() == [None, None]
+
+
 class TestByteLength:
     def test_utf8_bytes(self):
         arr = pa.array(["abc", "世界", ""])
