@@ -17,8 +17,8 @@ accept/reject matrices):
   (reference :149-157);
 * parallelism ``None``/``<=0`` → ``min(32, os.cpu_count() or 8)``; values
   over 32 warn but are honored (reference :186-199);
-* directory paths resolve and must exist; plain file paths resolve without
-  an existence check (reference :129-147).
+* output file paths resolve without an existence check (reference
+  :142-147).
 """
 
 from __future__ import annotations
@@ -58,15 +58,6 @@ def banding_for(num_perms: int, tau: float, target_recall: float) -> int:
     return num_perms
 
 
-def normalize_dir_path(folder_path: str, must_exist: bool = True) -> str:
-    """Resolve a directory path; raise ValueError when missing (reference
-    duplicate_finder_config.py:129-140)."""
-    path = Path(folder_path).expanduser().resolve()
-    if must_exist and not path.is_dir():
-        raise ValueError(f"Provided path '{folder_path}' is not a directory.")
-    return str(path)
-
-
 def normalize_file_path(file_path: str | None) -> str | None:
     """Resolve an output-file path; None passes through (reference :142-147)."""
     if file_path is None:
@@ -103,9 +94,6 @@ class PipelineConfig:
     #: Parquet dataset path/URI of the code table (repo, path, commit,
     #: lang, content). Analogue of the reference's scan_folder_path.
     input_path: str | None = None
-    #: Validate that input_path exists at config time (like the
-    #: reference's dir check). Off when the Dataset is handed in directly.
-    validate_input_path: bool = False
 
     # ---- reference filter/sort/report knobs ---------------------------
     exclude_patterns: list[str] | None = None
@@ -183,7 +171,6 @@ class PipelineConfig:
     #: inputs. 8M rows ≈ 128 MB and a ~1 s lexsort; past it the
     #: two-level coarse-pkey shuffle keeps the 10^12-scale shape.
     band_exchange_broadcast_limit: int = 8_000_000
-    simhash_bits: int = 64
     #: candidate cap per LSH bucket. None (default) = derive the cap
     #: per emission task from ``band_pair_budget`` so nothing is
     #: truncated while the task's total pair volume fits the budget
@@ -228,8 +215,6 @@ class PipelineConfig:
             raise ValueError(
                 "sort_by_group_size and sort_by_file_size are mutually exclusive"
             )
-        if self.input_path is not None and self.validate_input_path:
-            self.input_path = normalize_dir_path(self.input_path)
         self.exclude_patterns = normalize_patterns(self.exclude_patterns)
         self.include_patterns = normalize_patterns(self.include_patterns)
         self.max_file_size = validate_size_string(self.max_file_size_str)

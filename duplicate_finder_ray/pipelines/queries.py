@@ -27,10 +27,12 @@ from duplicate_finder_ray.pipelines.dedup import DedupPipeline
 from duplicate_finder_ray.sources.code_table import (
     CODE_FILES_SQL,
     code_files_from_documents,
+    read_code_table,
 )
 from duplicate_finder_ray.stages import exact
 from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
 from duplicate_finder_ray.stages.filters import make_glob_filter, make_size_filter
+from duplicate_finder_ray.stages.util import group_aggregate
 
 # Shared SQL prelude: code_files + identity/size/sha256 derivation.
 _D_SQL = f"""
@@ -59,6 +61,12 @@ members AS (
   FROM d
 )
 """
+
+
+def _read(
+    sf_dir: str, table: str, columns: list[str] | None = None
+) -> ray.data.Dataset:
+    return read_code_table(f"{sf_dir}/{table}.parquet", columns)
 
 
 def _derived(sf_dir: str) -> ray.data.Dataset:
@@ -170,8 +178,8 @@ def q_token_counts(sf_dir: str) -> ray.data.Dataset:
             {"doc_id": batch["doc_id"], "n_tokens": pc.cast(n_tokens, pa.int64())}
         )
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(count_tokens, batch_format="pyarrow")
 
 
@@ -377,9 +385,7 @@ def q_ann_topk(sf_dir: str) -> ray.data.Dataset:
     (broadcast query matrix, per-batch local top-k, tiny global reduce)."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     topk = similarity.topk_neighbors(emb, query_ids=list(range(8)), k=10)
 
     def round_score(batch: pa.Table) -> pa.Table:
@@ -403,9 +409,7 @@ def q_ann_topk_ivf(sf_dir: str) -> ray.data.Dataset:
     tests/test_similarity.py."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     topk = similarity.ivf_topk_neighbors(
         emb,
         query_ids=list(range(8)),
@@ -430,9 +434,7 @@ def q_embedding_cosine_pairs(sf_dir: str) -> ray.data.Dataset:
     distributed baseline; the corpus matrix is broadcast once)."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     pairs = similarity.cosine_pairs(emb, threshold=0.4)
 
     def round_score(batch: pa.Table) -> pa.Table:
@@ -454,9 +456,7 @@ def q_embedding_lsh_pairs(sf_dir: str) -> ray.data.Dataset:
     (recall property also gated in tests/test_similarity.py)."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     n_tables, n_bits = similarity.hyperplane_params_for(0.4, 0.9999)
     pairs = similarity.lsh_cosine_pairs(
         emb, threshold=0.4, n_tables=n_tables, n_bits=n_bits
@@ -482,9 +482,7 @@ def q_incremental_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
     never re-scored against itself (the point of incremental mode)."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
 
     def split(batch: pa.Table, keep_inc: bool) -> pa.Table:
         vid = batch.column("vec_id").to_numpy()
@@ -516,7 +514,7 @@ def q_events_hourly(sf_dir: str) -> ray.data.Dataset:
     key + one distributed groupby; integer-cent sums ⇒ order-proof)."""
     from duplicate_finder_ray.stages import events as ev
 
-    return ev.hourly_rollup(ray.data.read_parquet(f"{sf_dir}/events.parquet"))
+    return ev.hourly_rollup(_read(sf_dir, "events"))
 
 
 def q_events_sessions(sf_dir: str) -> ray.data.Dataset:
@@ -524,7 +522,7 @@ def q_events_sessions(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import events as ev
 
     return ev.sessionize(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet"), gap_minutes=30
+        _read(sf_dir, "events"), gap_minutes=30
     )
 
 
@@ -580,8 +578,8 @@ def q_quality_scores(sf_dir: str) -> ray.data.Dataset:
     """Text quality metrics (prose-ness heuristics) per document."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.quality_scores, batch_format="pyarrow")
 
 
@@ -591,8 +589,8 @@ def q_language_id(sf_dir: str) -> ray.data.Dataset:
     tests/test_textstats.py)."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.language_id, batch_format="pyarrow")
 
 
@@ -618,9 +616,7 @@ def q_doc_fingerprints(sf_dir: str) -> ray.data.Dataset:
         )
 
     return (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(textstats.fingerprint_docs, batch_format="pyarrow")
         .map_batches(explode, batch_format="pyarrow")
     )
@@ -630,8 +626,8 @@ def q_token_counts_bpe(sf_dir: str) -> ray.data.Dataset:
     """Whitespace + BPE-ish token counts per document."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.token_counts, batch_format="pyarrow")
 
 
@@ -641,9 +637,7 @@ def _split_docs_code(sf_dir: str, increment: bool) -> ray.data.Dataset:
     deterministic and SQL-expressible on both sides."""
     from duplicate_finder_ray.sources.code_table import _derive_code_files_batch
 
-    ds = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    ds = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
 
     def pick(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy()
@@ -714,12 +708,8 @@ def q_join_segment_revenue(sf_dir: str) -> ray.data.Dataset:
     segment in exact integer cents."""
     from duplicate_finder_ray.stages import relational as rel
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-    )
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
-    )
+    orders = _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_mktsegment"])
     joined = rel.broadcast_hash_join(
         orders, cust, "o_custkey", "c_custkey", ["c_mktsegment"]
     )
@@ -734,9 +724,9 @@ def q_lineitem_pricing_summary(sf_dir: str) -> ray.data.Dataset:
     raw lineitems."""
     from duplicate_finder_ray.stages import relational as rel
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_returnflag", "l_linestatus", "l_quantity", "l_extendedprice"],
     )
     return rel.grouped_sum_rollup(
         li,
@@ -753,10 +743,7 @@ def q_asof_last_purchase(sf_dir: str) -> ray.data.Dataset:
 
     from duplicate_finder_ray.stages import relational as rel
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type", "value"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
 
     def prep(batch: pa.Table) -> pa.Table:
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
@@ -812,9 +799,7 @@ def q_range_join_price_buckets(sf_dir: str) -> ray.data.Dataset:
 
     from duplicate_finder_ray.stages import relational as rel
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_extendedprice"]
-    )
+    li = _read(sf_dir, "lineitem", ["l_extendedprice"])
 
     def to_cents(batch: pa.Table) -> pa.Table:
         return pa.table({"price_cents": rel.cents(batch["l_extendedprice"])})
@@ -836,7 +821,7 @@ def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import events as ev
 
     return ev.sliding_rollup(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet"),
+        _read(sf_dir, "events"),
         window_minutes=60,
         step_minutes=15,
     )
@@ -847,9 +832,7 @@ def q_topk_docs_per_lang(sf_dir: str) -> ray.data.Dataset:
     doc_id); per-batch local top-k combiner before the shuffle."""
     from duplicate_finder_ray.stages import relational as rel
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     top = rel.topk_per_group(docs, "lang", "n_chars", "doc_id", k=3)
     return top.select_columns(["lang", "rank", "doc_id", "n_chars"])
 
@@ -890,9 +873,7 @@ def q_sample_docs_md5(sf_dir: str) -> ray.data.Dataset:
     < 0x0d — reproducible at any parallelism, unlike random_sample."""
     from duplicate_finder_ray.stages import relational as rel
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "source"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "source"])
     return rel.deterministic_sample(docs, "doc_id", hex_lt="0d")
 
 
@@ -902,9 +883,7 @@ def q_doclen_quantiles(sf_dir: str) -> ray.data.Dataset:
     validated against."""
     from duplicate_finder_ray.stages import relational as rel
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "n_chars"])
     return rel.grouped_quantiles(
         docs, "lang", "n_chars", [("p50_x100", 0.5), ("p90_x100", 0.9)]
     )
@@ -922,9 +901,7 @@ def q_doclen_quantiles_sketch(sf_dir: str) -> ray.data.Dataset:
     the rank-error gate in tests/test_sketches.py takes over."""
     from duplicate_finder_ray.stages.sketches import grouped_quantiles_sketch
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "n_chars"])
     # Oracle-validity guard: the exact-quantile SQL is only a hash-match
     # twin while every lang group stays under the k1 no-compaction bound
     # (delta/pi values). If the gate corpus ever outgrows it, fail HERE
@@ -952,9 +929,7 @@ def q_top_tokens(sf_dir: str) -> ray.data.Dataset:
     vocabulary-keyed groupby, local-top-k final."""
     from duplicate_finder_ray.stages import textstats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = _read(sf_dir, "documents", ["text"])
     return textstats.top_tokens(docs, "text", k=20)
 
 
@@ -969,7 +944,7 @@ def q_cms_point_counts(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import textstats
     from duplicate_finder_ray.stages.cms import cms_point_counts
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read(sf_dir, "documents", ["text"])
     top = textstats.top_tokens(docs, "text", k=20).to_pandas()  # 20 rows
     return cms_point_counts(docs, "text", top["token"].tolist())
 
@@ -983,9 +958,7 @@ def q_bm25_topk(sf_dir: str) -> ray.data.Dataset:
     bit-for-bit including tie order."""
     from duplicate_finder_ray.stages.ir import bm25_topk
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return bm25_topk(docs, "doc_id", "text", ["dup", "hash", "merge"], topk=20)
 
 
@@ -997,13 +970,9 @@ def q_hybrid_search_rrf(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.ir import bm25_topk, rrf_fuse
     from duplicate_finder_ray.stages.pq import pq_adc_topk
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     lex = bm25_topk(docs, "doc_id", "text", ["dup", "hash", "merge"], topk=20)
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     vec = pq_adc_topk(
         emb, "vec_id", "embedding", dim=64, m=2, k=8,
         query_ids=[0], topk=20, iterations=2,
@@ -1017,9 +986,7 @@ def q_boolean_search(sf_dir: str) -> ray.data.Dataset:
     must-term frequencies — scan-side tf test, zero shuffle."""
     from duplicate_finder_ray.stages.ir import docs_with_all_terms
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return docs_with_all_terms(docs, "doc_id", "text", ["dup", "hash"], ["spark"])
 
 
@@ -1031,9 +998,7 @@ def q_rolling_active_users(sf_dir: str) -> ray.data.Dataset:
     partials leave; days past the corpus max omitted."""
     from duplicate_finder_ray.stages.events import rolling_active_users
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = _read(sf_dir, "events", ["user_id", "ts"])
     return rolling_active_users(events, window_days=3)
 
 
@@ -1046,9 +1011,7 @@ def q_top_tokens_approx(sf_dir: str) -> ray.data.Dataset:
     tests/test_textstats.py)."""
     from duplicate_finder_ray.stages import textstats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = _read(sf_dir, "documents", ["text"])
     top = textstats.approx_top_tokens(docs, "text", k=20)
     return top.select_columns(["token", "n", "rank"])
 
@@ -1059,9 +1022,7 @@ def q_distinct_tokens_per_lang(sf_dir: str) -> ray.data.Dataset:
     count)."""
     from duplicate_finder_ray.stages import textstats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["text", "lang"])
     return textstats.distinct_token_counts(docs, "text", "lang")
 
 
@@ -1070,8 +1031,8 @@ def q_normalize_text(sf_dir: str) -> ray.data.Dataset:
     whitespace, strip) — pure RE2 ops with a bit-identical SQL twin."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.normalize_text, batch_format="pyarrow")
 
 
@@ -1081,9 +1042,7 @@ def q_quality_prune(sf_dir: str) -> ray.data.Dataset:
     vectorized filter (the corpus never shuffles)."""
     from duplicate_finder_ray.stages import textstats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     return textstats.quality_prune(docs, frac=0.5, group_col="lang")
 
 
@@ -1141,9 +1100,7 @@ def q_dataset_split(sf_dir: str) -> ray.data.Dataset:
     the split a training pipeline must be able to replay exactly."""
     from duplicate_finder_ray.stages.relational import split_assign
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     return split_assign(
         docs, "doc_id", [("train", "cd"), ("val", "e6")], default="test"
     )
@@ -1156,12 +1113,8 @@ def q_shuffle_join_revenue(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_extendedprice"]
-    )
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_extendedprice"])
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = shuffle_hash_join(li, orders, "l_orderkey", "o_orderkey", 16)
     return rel.grouped_sum_rollup(
         joined, ["o_orderpriority"], {"l_extendedprice": "revenue_cents"}
@@ -1177,12 +1130,9 @@ def q_bloom_semi_lineitems(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.bloom import bloom_semi_join
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice"],
-    )
-    hot = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice"])
+    hot = _read(
+        sf_dir, "orders", ["o_orderkey", "o_totalprice"]
     ).filter(expr="o_totalprice > 400000.0")
     matched = bloom_semi_join(li, hot, "l_orderkey", "o_orderkey", 16)
     return rel.grouped_sum_rollup(
@@ -1195,9 +1145,7 @@ def q_repetition_stats(sf_dir: str) -> ray.data.Dataset:
     duplication) — integer counts so the oracle hash-matches."""
     from duplicate_finder_ray.stages.textstats import repetition_stats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return docs.map_batches(repetition_stats, batch_format="pyarrow")
 
 
@@ -1206,9 +1154,7 @@ def q_redact_props(sf_dir: str) -> ray.data.Dataset:
     payload plus a per-row replacement count."""
     from duplicate_finder_ray.stages.textstats import redact_text
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "props"]
-    )
+    ev = _read(sf_dir, "events", ["event_id", "props"])
     return ev.map_batches(
         lambda b: redact_text(
             b, [("[0-9]+", "<NUM>")], "props", "props_redacted", "event_id"
@@ -1224,12 +1170,9 @@ def q_anti_join_lineitems(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_extendedprice"],
-    )
-    hot = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_totalprice"]
+    li = _read(sf_dir, "lineitem", ["l_orderkey", "l_returnflag", "l_extendedprice"])
+    hot = _read(
+        sf_dir, "orders", ["o_orderkey", "o_totalprice"]
     ).filter(expr="o_totalprice > 400000.0")
     rest = shuffle_hash_join(
         li, hot, "l_orderkey", "o_orderkey", 16, how="anti"
@@ -1245,10 +1188,7 @@ def q_events_running_totals(sf_dir: str) -> ray.data.Dataset:
     numbers via one hash exchange + vectorized partition kernel."""
     from duplicate_finder_ray.stages.events import running_totals
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     return running_totals(ev)
 
 
@@ -1257,7 +1197,7 @@ def q_top_tokens_df(sf_dir: str) -> ray.data.Dataset:
     per-row dedupe partials, vocabulary-sized shuffle."""
     from duplicate_finder_ray.stages.textstats import top_tokens_by_df
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read(sf_dir, "documents", ["text"])
     return top_tokens_by_df(docs, "text", 20)
 
 
@@ -1266,9 +1206,7 @@ def q_stratified_sample_docs(sf_dir: str) -> ray.data.Dataset:
     more of the low-resource languages) — the data-mixing shape."""
     from duplicate_finder_ray.stages.relational import stratified_sample
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     return stratified_sample(
         docs, "doc_id", "lang", {"en": "20", "zh": "e0"}, default_hex_lt="99"
     )
@@ -1282,9 +1220,7 @@ def q_greedy_pack_documents(sf_dir: str) -> ray.data.Dataset:
     gated by a Python oracle in tests/test_chunk_ntile.py."""
     from duplicate_finder_ray.stages.chunking import greedy_pack
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(batch: pa.Table) -> pa.Table:
         trimmed = pc.utf8_trim_whitespace(batch["text"])
@@ -1315,9 +1251,7 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
         topk_per_group_by,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def norm_gate(batch: pa.Table) -> pa.Table:
         t = pc.utf8_lower(batch["text"])
@@ -1361,9 +1295,7 @@ def q_docs_rollup(sf_dir: str) -> ray.data.Dataset:
     partials for all levels, one level-tagged groupby."""
     from duplicate_finder_ray.stages.relational import grouped_rollup
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "text"])
 
     def prep(batch: pa.Table) -> pa.Table:
         n = pc.cast(pc.utf8_length(batch["text"]), pa.int64())
@@ -1387,9 +1319,7 @@ def q_user_event_pivot(sf_dir: str) -> ray.data.Dataset:
     one keys-sized aggregate sums the partials."""
     from duplicate_finder_ray.stages.relational import pivot_counts
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_type"])
     return pivot_counts(
         ev, "user_id", "event_type",
         ["click", "error", "purchase", "signup", "view"],
@@ -1434,9 +1364,7 @@ def q_full_join_custorders(sf_dir: str) -> ray.data.Dataset:
         )
 
     left = (
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_totalprice"]
-        )
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
         .map_batches(order_partial, batch_format="pyarrow")
         .groupby("o_custkey")
         .aggregate(
@@ -1458,9 +1386,9 @@ def q_full_join_custorders(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    right = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
+    right = _read(
+        sf_dir, "customer",
+        ["c_custkey", "c_mktsegment", "c_acctbal"],
     ).map_batches(cust_prep, batch_format="pyarrow")
 
     joined = shuffle_hash_join(
@@ -1488,9 +1416,7 @@ def q_chunk_share_pairs(sf_dir: str) -> ray.data.Dataset:
     count sum)."""
     from duplicate_finder_ray.stages.chunking import chunk_share_pairs
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return chunk_share_pairs(docs, "doc_id", "text", 32, 24)
 
 
@@ -1501,9 +1427,7 @@ def q_pack_documents(sf_dir: str) -> ray.data.Dataset:
     one scalar per block to the driver, per-block arithmetic)."""
     from duplicate_finder_ray.stages.chunking import pack_assignments
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def counts(batch: pa.Table) -> pa.Table:
         trimmed = pc.utf8_trim_whitespace(batch["text"])
@@ -1524,10 +1448,7 @@ def q_events_rolling_window(sf_dir: str) -> ray.data.Dataset:
     hash exchange + cumsum-difference kernel."""
     from duplicate_finder_ray.stages.events import rolling_sum_rows
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "value"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "value"])
     return rolling_sum_rows(ev, window=5)
 
 
@@ -1537,9 +1458,7 @@ def q_sample_n_per_lang(sf_dir: str) -> ray.data.Dataset:
     Bernoulli), engine-replayable, local-prune combiner."""
     from duplicate_finder_ray.stages.relational import sample_n_per_group
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     return sample_n_per_group(docs, "doc_id", "lang", 40)
 
 
@@ -1549,9 +1468,7 @@ def q_chunk_documents(sf_dir: str) -> ray.data.Dataset:
     shuffle-free, one vectorized map pass."""
     from duplicate_finder_ray.stages.chunking import chunk_documents
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return chunk_documents(docs, "doc_id", "text", chunk_tokens=64, stride=48)
 
 
@@ -1561,9 +1478,7 @@ def q_doc_quartiles(sf_dir: str) -> ray.data.Dataset:
     one hash exchange + arithmetic bucket kernel."""
     from duplicate_finder_ray.stages.relational import ntile_partitioned
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def slim(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1590,9 +1505,7 @@ def q_distinctive_terms(sf_dir: str) -> ray.data.Dataset:
     shuffle join, then the local-prune top-k combiner."""
     from duplicate_finder_ray.stages.textstats import distinctive_terms
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return distinctive_terms(docs, "doc_id", "text", k=3)
 
 
@@ -1602,9 +1515,7 @@ def q_event_mode(sf_dir: str) -> ray.data.Dataset:
     count partials, one tiny groupby, local-prune argmax."""
     from duplicate_finder_ray.stages.relational import grouped_mode
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_type"])
     return grouped_mode(ev, "user_id", "event_type")
 
 
@@ -1614,10 +1525,7 @@ def q_user_event_sequences(sf_dir: str) -> ray.data.Dataset:
     pandas C groupby join per partition."""
     from duplicate_finder_ray.stages.events import event_sequences
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     return event_sequences(ev)
 
 
@@ -1627,17 +1535,12 @@ def q_user_first_last(sf_dir: str) -> ray.data.Dataset:
     rows per user per block) then one users-sized exchange."""
     from duplicate_finder_ray.stages.events import user_first_last
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     return user_first_last(ev)
 
 
 def _doc_len_slim(sf_dir: str) -> ray.data.Dataset:
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "text"])
 
     def slim(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1670,9 +1573,7 @@ def q_lang_len_token_corr(sf_dir: str) -> ray.data.Dataset:
     partials, a groups-sized aggregate, fixed-IEEE finisher."""
     from duplicate_finder_ray.stages.stats import grouped_corr
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "text"])
 
     def slim(batch: pa.Table) -> pa.Table:
         trimmed = pc.utf8_trim_whitespace(batch["text"])
@@ -1701,9 +1602,7 @@ def q_docs_cube(sf_dir: str) -> ray.data.Dataset:
     (superset of docs_rollup's prefix levels)."""
     from duplicate_finder_ray.stages.relational import grouped_cube
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "source", "text"])
 
     def prep(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -1745,10 +1644,7 @@ def q_events_windowed_distinct(sf_dir: str) -> ray.data.Dataset:
     keys-sized exchange."""
     from duplicate_finder_ray.stages.events import windowed_distinct
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     return windowed_distinct(ev)
 
 
@@ -1758,9 +1654,7 @@ def q_value_histogram(sf_dir: str) -> ray.data.Dataset:
     partials, one (types × bins)-sized aggregate, sparse bins."""
     from duplicate_finder_ray.stages.stats import value_histogram
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
+    ev = _read(sf_dir, "events", ["event_type", "value"])
     return value_histogram(ev, "event_type", "value", 25_000_000)
 
 
@@ -1770,9 +1664,7 @@ def q_minmax_scale_docs(sf_dir: str) -> ray.data.Dataset:
     vectorized scaling pass, exact integer arithmetic."""
     from duplicate_finder_ray.stages.stats import minmax_scale
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang", "n_chars"])
     return minmax_scale(docs, "lang", "n_chars", ["doc_id", "lang", "n_chars"])
 
 
@@ -1782,7 +1674,7 @@ def q_top_bigrams(sf_dir: str) -> ray.data.Dataset:
     combiner, bigram-vocab-sized shuffle, local top-k merge."""
     from duplicate_finder_ray.stages.textstats import top_bigrams
 
-    docs = ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"])
+    docs = _read(sf_dir, "documents", ["text"])
     return top_bigrams(docs, "text", 30)
 
 
@@ -1792,9 +1684,7 @@ def q_funnel_signup_purchase(sf_dir: str) -> ray.data.Dataset:
     filter, per-batch min partials, one users-sized aggregate."""
     from duplicate_finder_ray.stages.events import funnel_conversions
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "ts"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_type", "ts"])
     return funnel_conversions(ev, "signup", "purchase")
 
 
@@ -1805,9 +1695,7 @@ def q_label_centroids(sf_dir: str) -> ray.data.Dataset:
     division mirroring SQL's integer `//`."""
     from duplicate_finder_ray.stages.stats import grouped_vector_mean
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["label", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["label", "embedding"])
     return grouped_vector_mean(emb, "label", "embedding")
 
 
@@ -1934,9 +1822,7 @@ def q_events_lag_deltas(sf_dir: str) -> ray.data.Dataset:
     first), via one hash exchange + vectorized shift kernel."""
     from duplicate_finder_ray.stages.events import lag_deltas
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "user_id"]
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id"])
     return lag_deltas(ev)
 
 
@@ -1951,9 +1837,7 @@ def q_decontaminate_docs(sf_dir: str) -> ray.data.Dataset:
 
     from duplicate_finder_ray.stages.decontam import decontaminate
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
 
     def split(keep_bench: bool):
         def f(batch: pa.Table) -> pa.Table:
@@ -2007,9 +1891,7 @@ def q_centroid_assign(sf_dir: str) -> ray.data.Dataset:
         nearest_centroid_assign,
     )
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
     cents = grouped_vector_mean(
         emb.select_columns(["label", "embedding"]), "label", "embedding"
     )
@@ -2049,9 +1931,7 @@ def q_paragraph_dedup(sf_dir: str) -> ray.data.Dataset:
     crosses one exchange; window payload rows never shuffle."""
     from duplicate_finder_ray.stages.paradedup import paragraph_dedup
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return paragraph_dedup(docs, "doc_id", "text", window_tokens=8)
 
 
@@ -2066,9 +1946,7 @@ def q_semdedup(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.semdedup import semdedup
     from duplicate_finder_ray.stages.stats import grouped_vector_mean
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "label", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "label", "embedding"])
     cents = grouped_vector_mean(
         emb.select_columns(["label", "embedding"]), "label", "embedding"
     )
@@ -2084,9 +1962,7 @@ def q_kmeans_clusters(sf_dir: str) -> ray.data.Dataset:
     shuffle."""
     from duplicate_finder_ray.stages.kmeans import kmeans_lattice
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return kmeans_lattice(emb, "vec_id", "embedding", k=8, iterations=2)
 
 
@@ -2098,9 +1974,7 @@ def q_pq_adc_topk(sf_dir: str) -> ray.data.Dataset:
     its chained-CTE twin."""
     from duplicate_finder_ray.stages.pq import pq_adc_topk
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return pq_adc_topk(
         emb, "vec_id", "embedding", dim=64, m=2, k=8,
         query_ids=[0, 1, 2, 3], topk=10, iterations=2,
@@ -2115,9 +1989,7 @@ def q_pq_codes(sf_dir: str) -> ray.data.Dataset:
     chained-CTE twin (float PQ could not be cross-engine-gated)."""
     from duplicate_finder_ray.stages.pq import pq_encode
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return pq_encode(emb, "vec_id", "embedding", dim=64, m=2, k=8, iterations=2)
 
 
@@ -2135,9 +2007,9 @@ def q_q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
 
     cutoff = pa.scalar(_dt.datetime(1998, 1, 1), pa.timestamp("us"))
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
     def li_rev_partials(batch: pa.Table) -> pa.Table:
@@ -2167,9 +2039,9 @@ def q_q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("rev", alias_name="revenue_units"))
     )
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate", "o_orderpriority"],
     )
 
     def order_filter(batch: pa.Table) -> pa.Table:
@@ -2184,8 +2056,8 @@ def q_q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_mktsegment"]
+    cust = _read(
+        sf_dir, "customer", ["c_custkey", "c_mktsegment"]
     ).filter(expr="c_mktsegment == 'BUILDING'")
     o_seg = rel.broadcast_hash_join(
         orders.map_batches(order_filter, batch_format="pyarrow"),
@@ -2215,9 +2087,7 @@ def q_trending_tokens(sf_dir: str) -> ray.data.Dataset:
     selector. Corpus token positions never shuffle."""
     from duplicate_finder_ray.stages.textstats import trending_tokens
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["ts", "props"]
-    )
+    ev = _read(sf_dir, "events", ["ts", "props"])
     return trending_tokens(ev, "ts", "props", window_us=3_600_000_000, k=5)
 
 
@@ -2228,9 +2098,7 @@ def q_retention_cohorts(sf_dir: str) -> ray.data.Dataset:
     event stream never shuffles."""
     from duplicate_finder_ray.stages.events import retention_cohorts
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "ts"])
     return retention_cohorts(ev)
 
 
@@ -2240,9 +2108,7 @@ def q_user_revenue_pivot(sf_dir: str) -> ray.data.Dataset:
     the count pivot, values quantized half-up to cents."""
     from duplicate_finder_ray.stages.relational import pivot_sums
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "event_type", "value"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_type", "value"])
     return pivot_sums(
         ev, "user_id", "event_type", "value",
         ["click", "error", "purchase", "signup", "view"],
@@ -2263,9 +2129,7 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.exchange import hash_exchange
     from duplicate_finder_ray.stages.paradedup import _md5_u128
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "text"])
 
     slim_schema = pa.schema(
         [("h1", pa.uint64()), ("h2", pa.uint64()), ("lang", pa.string())]
@@ -2309,17 +2173,16 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
         sizes = np.diff(np.append(starts, len(h1)))
         is_dup = np.empty(len(h1), dtype=bool)
         is_dup[order] = np.repeat(sizes > 1, sizes)
-        import pandas as pd
-
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "lang": tbl.column("lang").to_numpy(zero_copy_only=False),
-                "n_docs": np.int64(1),
+                "lang": tbl.column("lang"),
+                "n_docs": np.ones(len(h1), dtype=np.int64),
                 "n_dup_docs": is_dup.astype(np.int64),
             }
         )
-        g = df.groupby("lang", sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return group_aggregate(
+            t, ["lang"], [("n_docs", "sum"), ("n_dup_docs", "sum")]
+        )
 
     from ray.data.aggregate import Sum
 
@@ -2344,9 +2207,7 @@ def q_novelty_scores(sf_dir: str) -> ray.data.Dataset:
     division)."""
     from duplicate_finder_ray.stages.novelty import novelty_counts
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return novelty_counts(docs, "doc_id", "text", k=5)
 
 
@@ -2358,10 +2219,7 @@ def q_session_funnel(sf_dir: str) -> ray.data.Dataset:
     single vectorized pass."""
     from duplicate_finder_ray.stages.events import session_funnel
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
     return session_funnel(ev, "signup", "purchase")
 
 
@@ -2405,8 +2263,8 @@ def q_q5_supplier_volume(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    nation = ray.data.read_parquet(f"{sf_dir}/nation.parquet")
-    region = ray.data.read_parquet(f"{sf_dir}/region.parquet").filter(
+    nation = _read(sf_dir, "nation")
+    region = _read(sf_dir, "region").filter(
         expr="r_name == 'ASIA'"
     )
     asia = rel.broadcast_hash_join(
@@ -2414,18 +2272,14 @@ def q_q5_supplier_volume(sf_dir: str) -> ray.data.Dataset:
     )  # (n_nationkey, n_name, n_regionkey) for ASIA nations only
 
     supp = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        ),
+        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
         asia,
         "s_nationkey",
         "n_nationkey",
         ["n_name"],
     )
     cust = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_nationkey"]
-        ),
+        _read(sf_dir, "customer", ["c_custkey", "c_nationkey"]),
         asia,
         "c_nationkey",
         "n_nationkey",
@@ -2442,18 +2296,18 @@ def q_q5_supplier_volume(sf_dir: str) -> ray.data.Dataset:
         )
         return batch.filter(keep).select(["o_orderkey", "o_custkey"])
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(o_filter, batch_format="pyarrow")
     o_cust = rel.broadcast_hash_join(
         orders, cust, "o_custkey", "c_custkey", ["c_nationkey"]
     ).select_columns(["o_orderkey", "c_nationkey"])
 
     li = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
+        _read(
+            sf_dir, "lineitem",
+            ["l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"],
         ),
         supp,
         "l_suppkey",
@@ -2619,9 +2473,7 @@ def q_doclen_equidepth_hist(sf_dir: str) -> ray.data.Dataset:
 
     from duplicate_finder_ray.stages.rank import global_rank
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
     ranked = global_rank(docs, ["n_chars", "doc_id"], num_partitions=16)
     n = ranked.count()
 
@@ -2654,9 +2506,7 @@ def q_events_watermark(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.events import watermark_audit
 
     return watermark_audit(
-        ray.data.read_parquet(
-            f"{sf_dir}/events.parquet", columns=["event_id", "ts"]
-        )
+        _read(sf_dir, "events", ["event_id", "ts"])
     )
 
 
@@ -2667,8 +2517,8 @@ def q_compression_ratios(sf_dir: str) -> ray.data.Dataset:
     in tests."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.compression_ratios, batch_format="pyarrow")
 
 
@@ -2679,8 +2529,8 @@ def q_encoding_audit(sf_dir: str) -> ray.data.Dataset:
     integer ppm lattice ⇒ hash-match."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.encoding_audit, batch_format="pyarrow")
 
 
@@ -2690,9 +2540,7 @@ def q_pmi_bigrams(sf_dir: str) -> ray.data.Dataset:
     phrase detection; HUGEINT cross-multiply twin hash-matches."""
     from duplicate_finder_ray.stages.textstats import pmi_bigrams
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["text"]
-    )
+    docs = _read(sf_dir, "documents", ["text"])
     return pmi_bigrams(docs, "text", 30, min_n=3)
 
 
@@ -2705,10 +2553,7 @@ def q_dedup_retry_events(sf_dir: str) -> ray.data.Dataset:
     vectorized lexsort kernel."""
     from duplicate_finder_ray.stages.events import dedup_retry_events
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["event_id", "ts", "user_id", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type"])
     return dedup_retry_events(ev, window_us=14_400_000_000)
 
 
@@ -2730,8 +2575,8 @@ def q_line_stats(sf_dir: str) -> ray.data.Dataset:
     total/distinct lines, hottest line count, dup_line_ppm."""
     from duplicate_finder_ray.stages import textstats
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text"]
     ).map_batches(textstats.line_stats, batch_format="pyarrow")
 
 
@@ -2750,7 +2595,7 @@ def q_events_hourly_dense(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.events import hourly_dense
 
     return hourly_dense(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+        _read(sf_dir, "events", ["ts"])
     )
 
 
@@ -2815,8 +2660,8 @@ def q_lang_mismatch(sf_dir: str) -> ray.data.Dataset:
             ["doc_id", "lang", "lang_pred", "lang_score"]
         )
 
-    return ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
+    return _read(
+        sf_dir, "documents", ["doc_id", "text", "lang"]
     ).map_batches(audit, batch_format="pyarrow")
 
 
@@ -2827,7 +2672,7 @@ def q_token_freq_spectrum(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.textstats import token_freq_spectrum
 
     return token_freq_spectrum(
-        ray.data.read_parquet(f"{sf_dir}/documents.parquet", columns=["text"]),
+        _read(sf_dir, "documents", ["text"]),
         "text",
     )
 
@@ -2840,7 +2685,7 @@ def q_events_anomalous_hours(sf_dir: str) -> ray.data.Dataset:
     bit-identical (float variance would drift under reordering)."""
     from duplicate_finder_ray.stages.events import anomalous_hours
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    events = _read(sf_dir, "events", ["ts"])
     return anomalous_hours(events, k_sigma=3)
 
 
@@ -2852,9 +2697,7 @@ def q_daily_new_users(sf_dir: str) -> ray.data.Dataset:
     SQL twin."""
     from duplicate_finder_ray.stages.events import daily_new_users
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = _read(sf_dir, "events", ["user_id", "ts"])
     return daily_new_users(events)
 
 
@@ -2866,9 +2709,7 @@ def q_inactive_users(sf_dir: str) -> ray.data.Dataset:
     task."""
     from duplicate_finder_ray.stages.events import inactive_users
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    events = _read(sf_dir, "events", ["user_id", "ts"])
     return inactive_users(events, cutoff_s=6 * 3_600)
 
 
@@ -2879,7 +2720,7 @@ def q_events_hourly_autocorr(sf_dir: str) -> ray.data.Dataset:
     the micro-unit value bit-for-bit."""
     from duplicate_finder_ray.stages.events import hourly_autocorr
 
-    events = ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts"])
+    events = _read(sf_dir, "events", ["ts"])
     return hourly_autocorr(events, lag=1)
 
 
@@ -2891,9 +2732,7 @@ def q_ab_welch_t(sf_dir: str) -> ray.data.Dataset:
     micro-quantized, so the SQL twin matches bit-for-bit."""
     from duplicate_finder_ray.stages.stats import welch_t
 
-    events = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_type", "value"]
-    )
+    events = _read(sf_dir, "events", ["event_type", "value"])
 
     def cents(batch: pa.Table) -> pa.Table:
         v = batch.column("value").to_numpy()
@@ -2917,9 +2756,7 @@ def q_doclen_psi_drift(sf_dir: str) -> ray.data.Dataset:
     is an order-free integer sum in both engines."""
     from duplicate_finder_ray.stages.stats import psi_drift
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["source", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["source", "n_chars"])
     return psi_drift(docs, "source", "n_chars", "src0", "src1", bucket_width=16)
 
 
@@ -2932,9 +2769,7 @@ def q_zorder_zone_maps(sf_dir: str) -> ray.data.Dataset:
     observable proof the interleave worked."""
     from duplicate_finder_ray.stages.layout import zone_maps
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "n_chars"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
 
     def add_bucket(batch: pa.Table) -> pa.Table:
         ids = batch.column("doc_id").to_numpy().astype(np.int64)
@@ -2954,9 +2789,7 @@ def q_lang_source_chi2(sf_dir: str) -> ray.data.Dataset:
     of the full cross product contribute e."""
     from duplicate_finder_ray.stages.stats import chi2_contingency
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["lang", "source"]
-    )
+    docs = _read(sf_dir, "documents", ["lang", "source"])
     return chi2_contingency(docs, "lang", "source")
 
 
@@ -2967,7 +2800,7 @@ def q_events_seasonality(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.events import seasonality_profile
 
     return seasonality_profile(
-        ray.data.read_parquet(f"{sf_dir}/events.parquet", columns=["ts", "value"])
+        _read(sf_dir, "events", ["ts", "value"])
     )
 
 
@@ -2988,9 +2821,7 @@ def q_epoch_shuffle(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.relational import _md5_prefix_u64
 
     epoch = 1
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id"])
 
     def key(batch: pa.Table) -> pa.Table:
         s = pc.binary_join_element_wise(
@@ -3020,9 +2851,7 @@ def q_reassemble_docs(sf_dir: str) -> ray.data.Dataset:
         reassemble_chunks,
     )
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     chunks = chunk_documents(docs, "doc_id", "text", 64, 48)
     return reassemble_chunks(chunks, "doc_id", 64, 48, n_parts=16)
 
@@ -3056,9 +2885,7 @@ def q_purchase_error_overlaps(sf_dir: str) -> ray.data.Dataset:
 
         return fn
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["event_id", "ts", "event_type"]
-    )
+    ev = _read(sf_dir, "events", ["event_id", "ts", "event_type"])
     purchases = ev.map_batches(intervals("purchase"), batch_format="pyarrow")
     errors = ev.map_batches(intervals("error"), batch_format="pyarrow")
     pairs = interval_overlap_join(
@@ -3112,9 +2939,7 @@ def q_curriculum_phases(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.rank import global_rank
 
     q = (
-        ray.data.read_parquet(
-            f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-        )
+        _read(sf_dir, "documents", ["doc_id", "text"])
         .map_batches(textstats.quality_scores, batch_format="pyarrow")
         .select_columns(["doc_id", "quality_score"])
     )
@@ -3161,9 +2986,7 @@ def q_profile_documents(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.profile import profile_table
 
     cols = ["doc_id", "lang", "source", "n_chars"]
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=cols
-    )
+    docs = _read(sf_dir, "documents", cols)
     return profile_table(docs, cols)
 
 
@@ -3220,9 +3043,7 @@ def q_code_snapshot_diff(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.derive import add_sha256
     from duplicate_finder_ray.stages.diagnostics import snapshot_diff
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text", "lang"])
     left = (
         docs.map_batches(_derive_code_files_batch, batch_format="pyarrow")
         .map_batches(add_sha256, batch_format="pyarrow")
@@ -3296,9 +3117,9 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
     lo = pa.scalar(_dt.datetime(1996, 1, 1), pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1996, 7, 1), pa.timestamp("us"))
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     )
 
     def li_rev_partials(batch: pa.Table) -> pa.Table:
@@ -3323,10 +3144,7 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("rev", alias_name="rev"))
     )
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
 
     def order_window(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
@@ -3349,16 +3167,11 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
         .aggregate(Sum("rev", alias_name="revenue_units"))
     )
 
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_name", "c_nationkey"],
-    )
+    cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     withc = rel.broadcast_hash_join(
         per_cust, cust, "o_custkey", "c_custkey", ["c_name", "c_nationkey"]
     )
-    nation = ray.data.read_parquet(
-        f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-    )
+    nation = _read(sf_dir, "nation", ["n_nationkey", "n_name"])
     withn = rel.broadcast_hash_join(
         withc, nation, "c_nationkey", "n_nationkey", ["n_name"]
     )
@@ -3393,10 +3206,7 @@ def q_session_cooccurrence(sf_dir: str) -> ray.data.Dataset:
     pair expansion in one user-keyed exchange."""
     from duplicate_finder_ray.stages.events import session_cooccurrence
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
     return session_cooccurrence(ev)
 
 
@@ -3419,15 +3229,9 @@ def q_integrity_audit(sf_dir: str) -> Any:
 
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    )
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey"]
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
+    cust = _read(sf_dir, "customer", ["c_custkey"])
+    li = _read(sf_dir, "lineitem", ["l_orderkey"])
     orphan_orders = shuffle_hash_join(
         orders, cust, "o_custkey", "c_custkey", 8, how="anti"
     ).count()
@@ -3460,9 +3264,7 @@ def q_user_peak_rate(sf_dir: str) -> ray.data.Dataset:
     partials + one user-keyed exchange + vectorized argmax."""
     from duplicate_finder_ray.stages.events import user_peak_rate
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet", columns=["user_id", "ts"]
-    )
+    ev = _read(sf_dir, "events", ["user_id", "ts"])
     return user_peak_rate(ev)
 
 
@@ -3492,10 +3294,7 @@ def q_event_transitions(sf_dir: str) -> ray.data.Dataset:
     successor pairing; final aggregate is |types|² rows."""
     from duplicate_finder_ray.stages.events import event_transitions
 
-    ev = ray.data.read_parquet(
-        f"{sf_dir}/events.parquet",
-        columns=["user_id", "event_id", "ts", "event_type"],
-    )
+    ev = _read(sf_dir, "events", ["user_id", "event_id", "ts", "event_type"])
     return event_transitions(ev)
 
 
@@ -3524,9 +3323,9 @@ def q_q4_order_priority(sf_dir: str) -> ray.data.Dataset:
         )
         return batch.filter(keep).select(["o_orderkey", "o_orderpriority"])
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_orderpriority", "o_orderdate"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_orderpriority", "o_orderdate"],
     ).map_batches(o_filter, batch_format="pyarrow")
 
     def returned_keys(batch: pa.Table) -> pa.Table:
@@ -3536,8 +3335,8 @@ def q_q4_order_priority(sf_dir: str) -> ray.data.Dataset:
         # so collapse the ~4 lines/order before they cross the exchange
         return pa.table({"l_orderkey": pc.unique(keys)})
 
-    returned = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_returnflag"]
+    returned = _read(
+        sf_dir, "lineitem", ["l_orderkey", "l_returnflag"]
     ).map_batches(returned_keys, batch_format="pyarrow")
 
     sem = shuffle_hash_join(
@@ -3597,9 +3396,9 @@ def q_q6_forecast_revenue(sf_dir: str) -> "pd.DataFrame":
             }
         )
 
-    partials = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
+    partials = _read(
+        sf_dir, "lineitem",
+        ["l_shipdate", "l_discount", "l_quantity", "l_extendedprice"],
     ).map_batches(partial, batch_format="pyarrow")
     agg = partials.to_pandas()
     return pd.DataFrame(
@@ -3654,14 +3453,12 @@ def q_q12_priority_lines(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_returnflag", "l_shipdate"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_returnflag", "l_shipdate"],
     ).map_batches(li_partials, batch_format="pyarrow")
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderpriority"]
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderpriority"])
     joined = shuffle_hash_join(
         li, orders, "l_orderkey", "o_orderkey", 8,
         right_cols=["o_orderpriority"],
@@ -3722,16 +3519,14 @@ def q_q14_promo_revenue(sf_dir: str) -> "pd.DataFrame":
             ["l_partkey", "l_extendedprice", "l_discount"]
         )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_extendedprice", "l_discount", "l_shipdate"],
     ).map_batches(month_filter, batch_format="pyarrow")
 
     joined = rel.broadcast_hash_join(
         li,
-        ray.data.read_parquet(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-        ),
+        _read(sf_dir, "part", ["p_partkey", "p_type"]),
         "l_partkey",
         "p_partkey",
         ["p_type"],
@@ -3801,19 +3596,14 @@ def q_q18_large_orders(sf_dir: str) -> ray.data.Dataset:
         )
 
     qty = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_orderkey", "l_quantity"]
-        )
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
         .map_batches(qty_partials, batch_format="pyarrow")
         .groupby("l_orderkey")
         .aggregate(Sum("q", alias_name="total_qty"))
         .filter(expr="total_qty > 200")
     )
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_totalprice"],
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     joined = shuffle_hash_join(
         qty, orders, "l_orderkey", "o_orderkey", 8,
         right_cols=["o_custkey", "o_totalprice"],
@@ -3831,9 +3621,7 @@ def q_q18_large_orders(sf_dir: str) -> ray.data.Dataset:
 
     withc = rel.broadcast_hash_join(
         joined.map_batches(price_cents, batch_format="pyarrow"),
-        ray.data.read_parquet(
-            f"{sf_dir}/customer.parquet", columns=["c_custkey", "c_name"]
-        ),
+        _read(sf_dir, "customer", ["c_custkey", "c_name"]),
         "o_custkey",
         "c_custkey",
         ["c_name"],
@@ -3878,9 +3666,9 @@ def q_q22_lapsed_balances(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    seg = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet",
-        columns=["c_custkey", "c_mktsegment", "c_acctbal"],
+    seg = _read(
+        sf_dir, "customer",
+        ["c_custkey", "c_mktsegment", "c_acctbal"],
     ).map_batches(seg_filter, batch_format="pyarrow")
 
     stat_schema = pa.schema([("tot", pa.int64()), ("n", pa.int64())])
@@ -3931,8 +3719,8 @@ def q_q22_lapsed_balances(sf_dir: str) -> ray.data.Dataset:
             {"o_custkey": pc.unique(batch.filter(keep).column("o_custkey"))}
         )
 
-    recent = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderdate"]
+    recent = _read(
+        sf_dir, "orders", ["o_custkey", "o_orderdate"]
     ).map_batches(recent_keys, batch_format="pyarrow")
 
     lapsed = shuffle_hash_join(
@@ -3950,12 +3738,10 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
     integer lattice (qty half-up units, base cents, discounted revenue
     cent×pct, charge cent×pct×pct; Q1's avg columns are these sums ÷
     n_lines, derivable downstream without float drift). Shape: ONE
-    pruned scan; a per-batch pandas combiner collapses each block to
+    pruned scan; a per-batch Arrow combiner collapses each block to
     ≤|flag×status| partial rows, then a tiny multi-key groupby-sum —
     the fact table never shuffles."""
     import datetime as _dt
-
-    import pandas as pd
 
     from ray.data.aggregate import Sum
 
@@ -3973,34 +3759,30 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
             pa.scalar(100, pa.int64()), rel.cents(sel.column("l_tax"))
         )
         disc_cp = pc.multiply(base, keep_pct)
-        df = pd.DataFrame(
+        t = pa.table(
             {
-                "l_returnflag": sel.column("l_returnflag").to_pandas(),
-                "l_linestatus": sel.column("l_linestatus").to_pandas(),
+                "l_returnflag": sel.column("l_returnflag"),
+                "l_linestatus": sel.column("l_linestatus"),
                 "sum_qty": pc.cast(
                     pc.floor(pc.add(sel.column("l_quantity"), 0.5)),
                     pa.int64(),
-                ).to_numpy(),
-                "sum_base_cents": base.to_numpy(),
-                "sum_disc_cp": disc_cp.to_numpy(),
-                "sum_charge_cpp": pc.multiply(disc_cp, tax_pct).to_numpy(),
+                ),
+                "sum_base_cents": base,
+                "sum_disc_cp": disc_cp,
+                "sum_charge_cpp": pc.multiply(disc_cp, tax_pct),
+                "n_lines": np.ones(len(sel), dtype=np.int64),
             }
         )
-        g = df.groupby(
-            ["l_returnflag", "l_linestatus"], sort=False, as_index=False
-        ).agg(
-            sum_qty=("sum_qty", "sum"),
-            sum_base_cents=("sum_base_cents", "sum"),
-            sum_disc_cp=("sum_disc_cp", "sum"),
-            sum_charge_cpp=("sum_charge_cpp", "sum"),
-            n_lines=("sum_qty", "size"),
+        return group_aggregate(
+            t,
+            ["l_returnflag", "l_linestatus"],
+            [(c, "sum") for c in t.column_names[2:]],
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
 
     return (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=[
+        _read(
+            sf_dir, "lineitem",
+            [
                 "l_returnflag",
                 "l_linestatus",
                 "l_quantity",
@@ -4042,10 +3824,8 @@ def q_q7_nation_volume(sf_dir: str) -> ray.data.Dataset:
 
     def nation_map(key_out: str, name_out: str, table: str, key: str, nk: str):
         return rel.broadcast_hash_join(
-            ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=[key, nk]),
-            ray.data.read_parquet(
-                f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-            ),
+            _read(sf_dir, table, [key, nk]),
+            _read(sf_dir, "nation", ["n_nationkey", "n_name"]),
             nk,
             "n_nationkey",
             ["n_name"],
@@ -4081,9 +3861,9 @@ def q_q7_nation_volume(sf_dir: str) -> ray.data.Dataset:
         )
 
     li = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=[
+        _read(
+            sf_dir, "lineitem",
+            [
                 "l_orderkey",
                 "l_suppkey",
                 "l_extendedprice",
@@ -4119,9 +3899,7 @@ def q_q7_nation_volume(sf_dir: str) -> ray.data.Dataset:
         )
 
     combined = withsup.map_batches(combine, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_custkey"]
-    )
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey"])
     joined = shuffle_hash_join(
         combined, orders, "l_orderkey", "o_orderkey", 8, right_cols=["o_custkey"]
     )
@@ -4158,9 +3936,7 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    econ = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_type"]
-    ).map_batches(
+    econ = _read(sf_dir, "part", ["p_partkey", "p_type"]).map_batches(
         lambda b: b.filter(
             pc.equal(b.column("p_type"), pa.scalar("ECONOMY"))
         ).select(["p_partkey"]),
@@ -4169,19 +3945,15 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
 
     def region_map(key_out: str, reg_out: str, table: str, key: str, nk: str):
         withn = rel.broadcast_hash_join(
-            ray.data.read_parquet(f"{sf_dir}/{table}.parquet", columns=[key, nk]),
-            ray.data.read_parquet(
-                f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-            ),
+            _read(sf_dir, table, [key, nk]),
+            _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]),
             nk,
             "n_nationkey",
             ["n_regionkey"],
         )
         withr = rel.broadcast_hash_join(
             withn,
-            ray.data.read_parquet(
-                f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-            ),
+            _read(sf_dir, "region", ["r_regionkey", "r_name"]),
             "n_regionkey",
             "r_regionkey",
             ["r_name"],
@@ -4201,9 +3973,9 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
         batch_format="pyarrow",
     )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
     )
     li = rel.broadcast_hash_join(li, econ, "l_partkey", "p_partkey", [])
     li = rel.broadcast_hash_join(li, sup, "l_suppkey", "s_suppkey", ["supp_region"])
@@ -4253,9 +4025,9 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
             }
         )
 
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet",
-        columns=["o_orderkey", "o_custkey", "o_orderdate"],
+    orders = _read(
+        sf_dir, "orders",
+        ["o_orderkey", "o_custkey", "o_orderdate"],
     ).map_batches(o_filter, batch_format="pyarrow")
     joined = shuffle_hash_join(
         combined, orders, "l_orderkey", "o_orderkey", 8,
@@ -4317,16 +4089,12 @@ def q_q13_order_distribution(sf_dir: str) -> ray.data.Dataset:
         )
 
     counts = (
-        ray.data.read_parquet(
-            f"{sf_dir}/orders.parquet", columns=["o_custkey", "o_orderpriority"]
-        )
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
         .map_batches(o_partial, batch_format="pyarrow")
         .groupby("o_custkey")
         .aggregate(Sum("n", alias_name="n_orders"))
     )
-    cust = ray.data.read_parquet(
-        f"{sf_dir}/customer.parquet", columns=["c_custkey"]
-    )
+    cust = _read(sf_dir, "customer", ["c_custkey"])
     joined = shuffle_hash_join(
         cust, counts, "c_custkey", "o_custkey", 8,
         how="left", right_cols=["n_orders"],
@@ -4394,18 +4162,16 @@ def q_q15_top_supplier(sf_dir: str) -> "pd.DataFrame":
         )
 
     revenue = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
+        _read(
+            sf_dir, "lineitem",
+            ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
         )
         .map_batches(li_partial, batch_format="pyarrow")
         .groupby("l_suppkey")
         .aggregate(Sum("rev", alias_name="total_revenue_cp"))
         .to_pandas()  # supplier-dimension-sized
     )
-    names = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-    ).to_pandas()
+    names = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
     if len(revenue) == 0:
         return pd.DataFrame(
             columns=["s_suppkey", "s_name", "total_revenue_cp"]
@@ -4435,9 +4201,7 @@ def q_q17_small_qty_revenue(sf_dir: str) -> "pd.DataFrame":
 
     from duplicate_finder_ray.stages import relational as rel
 
-    pk = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-    ).map_batches(
+    pk = _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]).map_batches(
         lambda b: b.filter(
             pc.and_(
                 pc.equal(b.column("p_brand"), pa.scalar("Brand#1")),
@@ -4446,10 +4210,7 @@ def q_q17_small_qty_revenue(sf_dir: str) -> "pd.DataFrame":
         ).select(["p_partkey"]),
         batch_format="pyarrow",
     )
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_partkey", "l_quantity", "l_extendedprice"])
 
     def slim(batch: pa.Table) -> pa.Table:
         return pa.table(
@@ -4524,15 +4285,13 @@ def q_q19_bracket_revenue(sf_dir: str) -> "pd.DataFrame":
     )
     part_schema = pa.schema([("rev", pa.int64()), ("n_lines", pa.int64())])
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_quantity", "l_extendedprice", "l_discount"],
     )
     withp = rel.broadcast_hash_join(
         li,
-        ray.data.read_parquet(
-            f"{sf_dir}/part.parquet", columns=["p_partkey", "p_brand", "p_size"]
-        ),
+        _read(sf_dir, "part", ["p_partkey", "p_brand", "p_size"]),
         "l_partkey",
         "p_partkey",
         ["p_brand", "p_size"],
@@ -4623,14 +4382,12 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    ls = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_orderkey", "l_suppkey", "l_returnflag"],
+    ls = _read(
+        sf_dir, "lineitem",
+        ["l_orderkey", "l_suppkey", "l_returnflag"],
     ).map_batches(ls_partial, batch_format="pyarrow")
 
-    fkeys = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderstatus"]
-    ).map_batches(
+    fkeys = _read(sf_dir, "orders", ["o_orderkey", "o_orderstatus"]).map_batches(
         lambda b: pa.table(
             {
                 "o_orderkey": pc.unique(
@@ -4669,9 +4426,7 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
     cnt = waiting.groupby("l_suppkey").aggregate(Count(alias_name="numwait"))
     named = rel.broadcast_hash_join(
         cnt,
-        ray.data.read_parquet(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_name"]
-        ),
+        _read(sf_dir, "supplier", ["s_suppkey", "s_name"]),
         "l_suppkey",
         "s_suppkey",
         ["s_name"],
@@ -4707,21 +4462,16 @@ def q_q2_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
 
     eu = rel.broadcast_hash_join(
         rel.broadcast_hash_join(
-            ray.data.read_parquet(
-                f"{sf_dir}/supplier.parquet",
-                columns=["s_suppkey", "s_name", "s_nationkey", "s_acctbal"],
+            _read(
+                sf_dir, "supplier",
+                ["s_suppkey", "s_name", "s_nationkey", "s_acctbal"],
             ),
-            ray.data.read_parquet(
-                f"{sf_dir}/nation.parquet",
-                columns=["n_nationkey", "n_name", "n_regionkey"],
-            ),
+            _read(sf_dir, "nation", ["n_nationkey", "n_name", "n_regionkey"]),
             "s_nationkey",
             "n_nationkey",
             ["n_name", "n_regionkey"],
         ),
-        ray.data.read_parquet(
-            f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-        ),
+        _read(sf_dir, "region", ["r_regionkey", "r_name"]),
         "n_regionkey",
         "r_regionkey",
         ["r_name"],
@@ -4738,9 +4488,7 @@ def q_q2_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
         )(b.filter(pc.equal(b.column("r_name"), pa.scalar("EUROPE")))),
         batch_format="pyarrow",
     )
-    pk = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name", "p_type", "p_size"]
-    ).map_batches(
+    pk = _read(sf_dir, "part", ["p_partkey", "p_name", "p_type", "p_size"]).map_batches(
         lambda b: b.filter(
             pc.and_(
                 pc.equal(b.column("p_type"), pa.scalar("STANDARD")),
@@ -4750,10 +4498,7 @@ def q_q2_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
         batch_format="pyarrow",
     )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_extendedprice"],
-    )
+    li = _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey", "l_extendedprice"])
     li = rel.broadcast_hash_join(li, pk, "l_partkey", "p_partkey", [])
     li = rel.broadcast_hash_join(li, eu, "l_suppkey", "s_suppkey", [])
 
@@ -4831,9 +4576,7 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    pk = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name", "p_retailprice"]
-    ).map_batches(
+    pk = _read(sf_dir, "part", ["p_partkey", "p_name", "p_retailprice"]).map_batches(
         lambda b: (
             lambda sel: pa.table(
                 {
@@ -4845,12 +4588,8 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
         batch_format="pyarrow",
     )
     sup = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        ),
-        ray.data.read_parquet(
-            f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-        ),
+        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        _read(sf_dir, "nation", ["n_nationkey", "n_name"]),
         "s_nationkey",
         "n_nationkey",
         ["n_name"],
@@ -4861,9 +4600,9 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
         batch_format="pyarrow",
     )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=[
+    li = _read(
+        sf_dir, "lineitem",
+        [
             "l_orderkey",
             "l_partkey",
             "l_suppkey",
@@ -4907,9 +4646,7 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
         )
 
     combined = li.map_batches(combine, batch_format="pyarrow")
-    orders = ray.data.read_parquet(
-        f"{sf_dir}/orders.parquet", columns=["o_orderkey", "o_orderdate"]
-    ).map_batches(
+    orders = _read(sf_dir, "orders", ["o_orderkey", "o_orderdate"]).map_batches(
         lambda b: pa.table(
             {
                 "o_orderkey": b.column("o_orderkey"),
@@ -4944,12 +4681,8 @@ def q_q11_important_parts(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
 
     nsup = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_nationkey"]
-        ),
-        ray.data.read_parquet(
-            f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_name"]
-        ),
+        _read(sf_dir, "supplier", ["s_suppkey", "s_nationkey"]),
+        _read(sf_dir, "nation", ["n_nationkey", "n_name"]),
         "s_nationkey",
         "n_nationkey",
         ["n_name"],
@@ -4960,9 +4693,9 @@ def q_q11_important_parts(sf_dir: str) -> ray.data.Dataset:
         batch_format="pyarrow",
     )
     li = rel.broadcast_hash_join(
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet",
-            columns=["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
+        _read(
+            sf_dir, "lineitem",
+            ["l_partkey", "l_suppkey", "l_extendedprice", "l_discount"],
         ),
         nsup,
         "l_suppkey",
@@ -5024,9 +4757,9 @@ def q_q16_supplier_counts(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import relational as rel
 
     sizes = (1, 5, 10, 15, 20, 25)
-    attrs = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet",
-        columns=["p_partkey", "p_brand", "p_type", "p_size"],
+    attrs = _read(
+        sf_dir, "part",
+        ["p_partkey", "p_brand", "p_type", "p_size"],
     ).map_batches(
         lambda b: (
             lambda sel: pa.table(
@@ -5053,9 +4786,7 @@ def q_q16_supplier_counts(sf_dir: str) -> ray.data.Dataset:
         ),
         batch_format="pyarrow",
     )
-    ok = ray.data.read_parquet(
-        f"{sf_dir}/supplier.parquet", columns=["s_suppkey", "s_acctbal"]
-    ).map_batches(
+    ok = _read(sf_dir, "supplier", ["s_suppkey", "s_acctbal"]).map_batches(
         lambda b: b.filter(
             pc.greater_equal(b.column("s_acctbal"), pa.scalar(0.0))
         ).select(["s_suppkey"]),
@@ -5077,9 +4808,7 @@ def q_q16_supplier_counts(sf_dir: str) -> ray.data.Dataset:
         )
 
     pairs = (
-        ray.data.read_parquet(
-            f"{sf_dir}/lineitem.parquet", columns=["l_partkey", "l_suppkey"]
-        )
+        _read(sf_dir, "lineitem", ["l_partkey", "l_suppkey"])
         .map_batches(pair_partial, batch_format="pyarrow")
     )
     pairs = rel.broadcast_hash_join(pairs, ok, "l_suppkey", "s_suppkey", [])
@@ -5126,20 +4855,13 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
 
     af = rel.broadcast_hash_join(
         rel.broadcast_hash_join(
-            ray.data.read_parquet(
-                f"{sf_dir}/supplier.parquet",
-                columns=["s_suppkey", "s_name", "s_nationkey"],
-            ),
-            ray.data.read_parquet(
-                f"{sf_dir}/nation.parquet", columns=["n_nationkey", "n_regionkey"]
-            ),
+            _read(sf_dir, "supplier", ["s_suppkey", "s_name", "s_nationkey"]),
+            _read(sf_dir, "nation", ["n_nationkey", "n_regionkey"]),
             "s_nationkey",
             "n_nationkey",
             ["n_regionkey"],
         ),
-        ray.data.read_parquet(
-            f"{sf_dir}/region.parquet", columns=["r_regionkey", "r_name"]
-        ),
+        _read(sf_dir, "region", ["r_regionkey", "r_name"]),
         "n_regionkey",
         "r_regionkey",
         ["r_name"],
@@ -5149,9 +4871,7 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
         ).select(["s_suppkey", "s_name"]),
         batch_format="pyarrow",
     )
-    pk = ray.data.read_parquet(
-        f"{sf_dir}/part.parquet", columns=["p_partkey", "p_name"]
-    ).map_batches(
+    pk = _read(sf_dir, "part", ["p_partkey", "p_name"]).map_batches(
         lambda b: b.filter(pc.starts_with(b.column("p_name"), "small")).select(
             ["p_partkey"]
         ),
@@ -5185,9 +4905,9 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    li = ray.data.read_parquet(
-        f"{sf_dir}/lineitem.parquet",
-        columns=["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
+    li = _read(
+        sf_dir, "lineitem",
+        ["l_partkey", "l_suppkey", "l_quantity", "l_shipdate"],
     )
     li = rel.broadcast_hash_join(li, pk, "l_partkey", "p_partkey", [])
     li = rel.broadcast_hash_join(li, af, "l_suppkey", "s_suppkey", [])
@@ -9038,9 +8758,7 @@ def q_ivfpq_adc_topk(sf_dir: str) -> ray.data.Dataset:
     hash-matches one chained-CTE twin."""
     from duplicate_finder_ray.stages.ivfpq import ivfpq_adc_topk
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     return ivfpq_adc_topk(
         emb, "vec_id", "embedding", dim=64, m=2, k_coarse=8, k_sub=8,
         query_ids=[0, 1, 2, 3], topk=10, nprobe=3, iterations=2,
@@ -9460,9 +9178,7 @@ def q_dup_ngram_stats(sf_dir: str) -> ray.data.Dataset:
     and drop out on both sides."""
     from duplicate_finder_ray.stages.textstats import dup_ngram_stats
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return dup_ngram_stats(docs, "text", n=13)
 
 
@@ -9536,9 +9252,7 @@ def q_unigram_xent(sf_dir: str) -> ray.data.Dataset:
     order ulp differences."""
     from duplicate_finder_ray.stages.textstats import unigram_xent
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return unigram_xent(docs, "text")
 
 
@@ -9568,9 +9282,7 @@ def q_duplicated_passages(sf_dir: str) -> ray.data.Dataset:
     gaps-and-islands rule."""
     from duplicate_finder_ray.stages.textstats import duplicated_passages
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return duplicated_passages(docs, "text", n=13)
 
 
@@ -9768,9 +9480,7 @@ def q_corpus_diversity(sf_dir: str) -> "pa.Table":
     COUNT/COUNT DISTINCT; the ppm is an exact integer lattice."""
     from duplicate_finder_ray.stages.textstats import corpus_diversity
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "text"])
     return corpus_diversity(docs, "text")
 
 
@@ -9850,9 +9560,7 @@ def q_source_mix_sample(sf_dir: str) -> ray.data.Dataset:
     thresholds in SQL."""
     from duplicate_finder_ray.stages.relational import _md5_prefix_u64
 
-    docs = ray.data.read_parquet(
-        f"{sf_dir}/documents.parquet", columns=["doc_id", "lang"]
-    )
+    docs = _read(sf_dir, "documents", ["doc_id", "lang"])
     counts = {
         r["lang"]: r["count()"]
         for r in docs.groupby("lang").count().take_all()
@@ -9902,9 +9610,7 @@ def q_cosine_threshold_sweep(sf_dir: str) -> ray.data.Dataset:
     estimate (scale probe: scripts/bench_cosine_sweep.py)."""
     from duplicate_finder_ray.stages import similarity
 
-    emb = ray.data.read_parquet(
-        f"{sf_dir}/embeddings.parquet", columns=["vec_id", "embedding"]
-    )
+    emb = _read(sf_dir, "embeddings", ["vec_id", "embedding"])
     thresholds = np.arange(300_000, 800_001, 50_000, dtype=np.int64)
     return similarity.cosine_threshold_sweep(
         emb, thresholds, threshold_min=0.3

@@ -96,8 +96,10 @@ def _derive_code_files_batch(batch: pa.Table) -> pa.Table:
 
 
 def read_code_table(path: str, columns: list[str] | None = None) -> ray.data.Dataset:
-    """Read a Parquet code table, pruning to the requested columns at the
-    read (row-group/column pushdown — never load what a stage won't use).
+    """Read a Parquet table — a code table, an sf table or a
+    checkpoint — pruning to the requested columns at the read
+    (row-group/column pushdown — never load what a stage won't use).
+    Every Parquet read in the package goes through here.
 
     Blocks are read with the file schema minus its metadata: a
     pandas-written file's metadata blob makes each block schema
@@ -113,7 +115,7 @@ def read_code_table(path: str, columns: list[str] | None = None) -> ray.data.Dat
 def code_files_from_documents(sf_dir: str) -> ray.data.Dataset:
     """Build the deterministic synthetic code table from
     ``{sf_dir}/documents.parquet`` (see module docstring)."""
-    ds = ray.data.read_parquet(
+    ds = read_code_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text", "lang"]
     )
     return ds.map_batches(_derive_code_files_batch, batch_format="pyarrow")

@@ -33,6 +33,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Count, Max, Sum
 
+from duplicate_finder_ray.stages.util import group_aggregate
+
 _HOUR_US = 3_600_000_000
 
 
@@ -879,7 +881,7 @@ def funnel_conversions(
 
     One corpus pass: rows of other types are dropped map-side, each
     batch collapses to ≤1 (user, min_first, min_then) partial row via
-    a pandas C groupby (absent steps carry an int64 sentinel that Min
+    an Arrow group_by (absent steps carry an int64 sentinel that Min
     ignores), ONE users-sized groupby takes the global minima, and a
     final vectorized filter keeps converting users. The event stream
     never crosses a shuffle — only user-keyed partial rows do."""
@@ -902,19 +904,16 @@ def funnel_conversions(
         et = batch.column("event_type").to_numpy(zero_copy_only=False)
         u = batch.column("user_id").to_numpy().astype(np.int64)
         is_first = et == first_type
-        out = (
-            pd.DataFrame(
-                {
-                    "user_id": u,
-                    "first_us": np.where(is_first, ts, _SENT),
-                    "then_us": np.where(~is_first, ts, _SENT),
-                }
-            )
-            .groupby("user_id", sort=False)
-            .min()
-            .reset_index()
+        t = pa.table(
+            {
+                "user_id": u,
+                "first_us": np.where(is_first, ts, _SENT),
+                "then_us": np.where(~is_first, ts, _SENT),
+            }
         )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        return group_aggregate(
+            t, ["user_id"], [("first_us", "min"), ("then_us", "min")]
+        )
 
     from ray.data.aggregate import Min
 

@@ -31,6 +31,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from duplicate_finder_ray.sources.code_table import read_code_table
+
 #: conservative default batch size for payload-bearing stages
 MEDIA_BATCH_SIZE = 64
 
@@ -398,7 +400,7 @@ def media_from_documents(sf_dir: str) -> ray.data.Dataset:
             {"media_id": doc_id, "media_type": mtype, "payload": payload}
         )
 
-    return ray.data.read_parquet(
+    return read_code_table(
         f"{sf_dir}/documents.parquet", columns=["doc_id", "text"]
     ).map_batches(derive, batch_format="pyarrow")
 

@@ -35,6 +35,7 @@ import ray.data
 
 from duplicate_finder_ray.functions.shingles import Shingler
 from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.util import group_aggregate
 
 _SLIM = pa.schema([("h", pa.uint64()), ("doc", pa.int64())])
 _PART = pa.schema(
@@ -93,21 +94,16 @@ def novelty_counts(
         # rows are per-doc DISTINCT shingles, so rows-per-hash = doc freq
         unique_row = np.empty(len(hs), dtype=bool)
         unique_row[order] = np.repeat(df == 1, df)
-        import pandas as pd
-
-        g = (
-            pd.DataFrame(
-                {
-                    "doc_id": doc,
-                    "n_shingles": np.int64(1),
-                    "n_unique": unique_row.astype(np.int64),
-                }
-            )
-            .groupby("doc_id", sort=False)
-            .sum()
-            .reset_index()
+        t = pa.table(
+            {
+                "doc_id": doc,
+                "n_shingles": np.ones(len(doc), dtype=np.int64),
+                "n_unique": unique_row.astype(np.int64),
+            }
         )
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return group_aggregate(
+            t, ["doc_id"], [("n_shingles", "sum"), ("n_unique", "sum")]
+        )
 
     from ray.data.aggregate import Sum
 

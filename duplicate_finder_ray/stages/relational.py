@@ -52,6 +52,12 @@ import ray
 import ray.data
 from ray.data.aggregate import Max, Sum
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.util import (
+    group_aggregate,
+    group_codes,
+    ranked_head,
+    sort_indices,
+)
 
 
 # --------------------------------------------------------------------------
@@ -337,20 +343,19 @@ def topk_per_group_by(
     if len(by) != len(ascending) or not by:
         raise ValueError("by and ascending must be equal-length, non-empty")
 
-    def local_topk(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(
-            [group_col, *by], ascending=[True, *ascending], kind="mergesort"
-        )
-        return part.groupby(group_col, sort=False).head(k)
+    def local_topk(part: pa.Table) -> pa.Table:
+        codes, _ = group_codes(part.column(group_col))
+        order = sort_indices(part, by, ascending)
+        order = order[np.argsort(codes[order], kind="stable")]
+        g = codes[order]
+        pos = np.arange(len(g))
+        starts = np.where(np.r_[True, g[1:] != g[:-1]], pos, 0)
+        return part.take(order[pos - np.maximum.accumulate(starts) < k])
 
-    def final_topk(part: pd.DataFrame) -> pd.DataFrame:
-        part = part.sort_values(by, ascending=ascending, kind="mergesort").head(k)
-        part = part.reset_index(drop=True)
-        part["rank"] = np.arange(1, len(part) + 1, dtype=np.int64)
-        return part
-
-    pruned = ds.map_batches(local_topk, batch_format="pandas")
-    return pruned.groupby(group_col).map_groups(final_topk, batch_format="pandas")
+    pruned = ds.map_batches(local_topk, batch_format="pyarrow")
+    return pruned.groupby(group_col).map_groups(
+        ranked_head, batch_format="pyarrow", fn_args=(by, ascending, k)
+    )
 
 
 def topk_global(
@@ -368,10 +373,10 @@ def topk_global(
     if k <= 0:
         raise ValueError("k must be positive")
 
-    def local_topk(part: pd.DataFrame) -> pd.DataFrame:
-        return part.sort_values(by, ascending=ascending, kind="mergesort").head(k)
+    def local_topk(part: pa.Table) -> pa.Table:
+        return part.take(sort_indices(part, by, ascending)[:k])
 
-    pruned = ds.map_batches(local_topk, batch_format="pandas").materialize()
+    pruned = ds.map_batches(local_topk, batch_format="pyarrow").materialize()
 
     import ray as _ray
 
@@ -385,11 +390,7 @@ def topk_global(
                 for n, t in zip(empty.names, empty.types)
             ]
             return pa.schema([*fields, pa.field("rank", pa.int64())]).empty_table()
-        part = pa.concat_tables(blocks).to_pandas()
-        part = part.sort_values(by, ascending=ascending, kind="mergesort").head(k)
-        part = part.reset_index(drop=True)
-        part["rank"] = np.arange(1, len(part) + 1, dtype=np.int64)
-        return pa.Table.from_pandas(part, preserve_index=False)
+        return ranked_head(pa.concat_tables(blocks), by, ascending, k)
 
     return ray.data.from_arrow_refs([final.remote(*pruned.to_arrow_refs())])
 
@@ -546,10 +547,10 @@ def grouped_quantiles(
         [(group_col, pa.string())] + [(n, pa.int64()) for n in names]
     )
 
-    def per_group(part: pd.DataFrame) -> pa.Table:
-        v = part[value_col].to_numpy(dtype=np.float64)
+    def per_group(part: pa.Table) -> pa.Table:
+        v = part.column(value_col).to_numpy().astype(np.float64)
         res = np.quantile(v, fracs, method="linear")
-        cols = {group_col: [str(part[group_col].iloc[0])]}
+        cols = {group_col: [str(part.column(group_col)[0].as_py())]}
         for n, r in zip(names, res):
             cols[n] = [int(np.floor(r * 100 + 0.5))]
         return pa.Table.from_pydict(cols, schema=out_schema)
@@ -557,7 +558,7 @@ def grouped_quantiles(
     return (
         ds.select_columns([group_col, value_col])
         .groupby(group_col)
-        .map_groups(per_group, batch_format="pandas")
+        .map_groups(per_group, batch_format="pyarrow")
     )
 
 
@@ -699,20 +700,17 @@ def grouped_sum_rollup(
     partials, never raw rows."""
     out_names = list(cent_cols.values())
 
-    def partials(part: pd.DataFrame) -> pd.DataFrame:
+    def partials(part: pa.Table) -> pa.Table:
+        cols = {c: part.column(c) for c in group_cols}
+        cols["n_rows"] = pa.array(np.ones(len(part), dtype=np.int64))
         for src, out in cent_cols.items():
-            part[out] = np.floor(part[src].to_numpy() * 100.0 + 0.5).astype(np.int64)
-        part["n_rows"] = np.int64(1)
-        g = (
-            part.groupby(group_cols, sort=False)[["n_rows", *out_names]]
-            .sum()
-            .reset_index()
-        )
-        return g
+            cols[out] = cents(part.column(src))
+        sums = [(c, "sum") for c in ["n_rows", *out_names]]
+        return group_aggregate(pa.table(cols), group_cols, sums)
 
     partial_ds = ds.select_columns(
         group_cols + list(cent_cols.keys())
-    ).map_batches(partials, batch_format="pandas")
+    ).map_batches(partials, batch_format="pyarrow")
     aggs = [Sum("n_rows", alias_name="n_rows")] + [
         Sum(c, alias_name=c) for c in out_names
     ]
@@ -897,7 +895,7 @@ def pivot_counts(
     are ignored; pass the full category list for a complete pivot.
 
     Scale shape: a per-batch combiner collapses each block to ≤1 row
-    per key (vectorized equality masks + one pandas C groupby), then
+    per key (vectorized equality masks + one Arrow group_by), then
     ONE keys-sized aggregate sums the partials — the shuffle carries
     keys × categories ints, never the event stream."""
     if not categories:
@@ -905,13 +903,17 @@ def pivot_counts(
     cols = [f"n_{c}" for c in categories]
 
     def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        v = batch.column(pivot_col).to_numpy(zero_copy_only=False)
-        df = pd.DataFrame({key_col: k})
-        for c, name in zip(categories, cols):
-            df[name] = (v == c).astype(np.int64)
-        g = df.groupby(key_col, sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        v = batch.column(pivot_col)
+        t = pa.table(
+            {
+                key_col: batch.column(key_col),
+                **{
+                    name: pc.cast(pc.fill_null(pc.equal(v, c), False), pa.int64())
+                    for c, name in zip(categories, cols)
+                },
+            }
+        )
+        return group_aggregate(t, [key_col], [(c, "sum") for c in cols])
 
     agg = (
         ds.select_columns([key_col, pivot_col])
@@ -940,14 +942,18 @@ def pivot_sums(
     cols = [f"sum_{c}_cents" for c in categories]
 
     def partial(batch: pa.Table) -> pa.Table:
-        k = batch.column(key_col).to_numpy(zero_copy_only=False)
-        v = batch.column(pivot_col).to_numpy(zero_copy_only=False)
-        c_val = cents(batch.column(value_col)).to_numpy()
-        df = pd.DataFrame({key_col: k})
-        for c, name in zip(categories, cols):
-            df[name] = np.where(v == c, c_val, np.int64(0))
-        g = df.groupby(key_col, sort=False).sum().reset_index()
-        return pa.Table.from_pandas(g, preserve_index=False)
+        v = batch.column(pivot_col)
+        c_val = cents(batch.column(value_col))
+        t = pa.table(
+            {
+                key_col: batch.column(key_col),
+                **{
+                    name: pc.if_else(pc.fill_null(pc.equal(v, c), False), c_val, 0)
+                    for c, name in zip(categories, cols)
+                },
+            }
+        )
+        return group_aggregate(t, [key_col], [(c, "sum") for c in cols])
 
     return (
         ds.select_columns([key_col, pivot_col, value_col])
@@ -1082,20 +1088,16 @@ def grouped_mode(
     each ``key_col`` (ties broken by lexicographically smallest value —
     total, engine-portable order), with its count ``n``.
 
-    Combiner shape: per-batch (key, value) count partials (one pandas C
-    groupby per block), ONE groupby sum over the ≤ keys×values partial
+    Combiner shape: per-batch (key, value) count partials (one Arrow
+    group_by per block), ONE groupby sum over the ≤ keys×values partial
     rows, then the local-prune top-k selector picks the argmax — the
     raw stream never shuffles."""
 
     def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {
-                key_col: batch.column(key_col).to_numpy(zero_copy_only=False),
-                value_col: batch.column(value_col).to_numpy(zero_copy_only=False),
-            }
+        t = batch.select([key_col, value_col]).append_column(
+            "n", pa.array(np.ones(len(batch), dtype=np.int64))
         )
-        g = df.groupby([key_col, value_col], sort=False).size().rename("n")
-        return pa.Table.from_pandas(g.reset_index(), preserve_index=False)
+        return group_aggregate(t, [key_col, value_col], [("n", "sum")])
 
     counts = (
         ds.select_columns([key_col, value_col])

@@ -63,6 +63,18 @@ TOPK_SCHEMA = pa.schema(
         ("rank", pa.int64()),
     ]
 )
+#: per-query candidate hits before the global top-k ranks them
+_HITS_SCHEMA = pa.schema(list(TOPK_SCHEMA)[:3])
+
+
+def _global_topk(hits: ray.data.Dataset, k: int) -> ray.data.Dataset:
+    """Per query, the ``k`` best hits by score desc, vec_id asc, ranked
+    from 1 (``TOPK_SCHEMA``)."""
+    from duplicate_finder_ray.stages.relational import topk_per_group_by
+
+    return topk_per_group_by(
+        hits, "query_id", ["score", "vec_id"], [False, True], k
+    )
 
 
 def _matrix(batch: pa.Table, col: str = "embedding") -> np.ndarray:
@@ -139,9 +151,7 @@ def topk_neighbors(
             out_v.append(vec_ids[take])
             out_s.append(col[take])
         if not out_q:
-            return pa.schema(
-                [("query_id", pa.int64()), ("vec_id", pa.int64()), ("score", pa.float64())]
-            ).empty_table()
+            return _HITS_SCHEMA.empty_table()
         return pa.table(
             {
                 "query_id": pa.array(np.concatenate(out_q)),
@@ -150,16 +160,7 @@ def topk_neighbors(
             }
         )
 
-    def global_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["score", "vec_id"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "score", "rank"]]
-
-    local = emb_ds.map_batches(local_topk, batch_format="pyarrow")
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _global_topk(emb_ds.map_batches(local_topk, batch_format="pyarrow"), k)
 
 
 @ray.remote(num_returns=2)
@@ -384,16 +385,14 @@ def ivf_topk_neighbors(
             }
         )
 
-    def score_cell(part: pd.DataFrame) -> pd.DataFrame:
+    def score_cell(part: pa.Table) -> pa.Table:
         _qids, _qn, _probed, C, _live = ray.get(bcast)
-        cell = int(part["cell"].iloc[0]) // cell_splits
+        cell = part.column("cell")[0].as_py() // cell_splits
         q_idx = np.nonzero(_probed[:, cell])[0]
         if len(q_idx) == 0:
-            return pd.DataFrame(
-                {"query_id": [], "vec_id": [], "score": []}
-            ).astype({"query_id": np.int64, "vec_id": np.int64, "score": np.float64})
-        vec_ids = part["vec_id"].to_numpy().astype(np.int64)
-        m = _normalize(np.vstack(part["embedding"].to_numpy()).astype(np.float64))
+            return _HITS_SCHEMA.empty_table()
+        vec_ids = part.column("vec_id").to_numpy().astype(np.int64)
+        m = _normalize(_matrix(part))
         scores = m @ _qn[q_idx].T  # (B, |q_idx|)
         out = []
         for j, qi in enumerate(q_idx):
@@ -407,34 +406,23 @@ def ivf_topk_neighbors(
             sub_order = np.lexsort((vec_ids[idx], -col[idx]))[:k]
             take = idx[sub_order]
             out.append(
-                pd.DataFrame(
+                pa.table(
                     {
                         "query_id": np.full(len(take), qid, dtype=np.int64),
                         "vec_id": vec_ids[take],
                         "score": col[take],
-                    }
+                    },
+                    schema=_HITS_SCHEMA,
                 )
             )
-        if not out:
-            return pd.DataFrame(
-                {"query_id": [], "vec_id": [], "score": []}
-            ).astype({"query_id": np.int64, "vec_id": np.int64, "score": np.float64})
-        return pd.concat(out, ignore_index=True)
-
-    def global_topk(g: pd.DataFrame) -> pd.DataFrame:
-        g = g.sort_values(
-            ["score", "vec_id"], ascending=[False, True], kind="mergesort"
-        ).head(k)
-        g = g.reset_index(drop=True)
-        g["rank"] = np.arange(1, len(g) + 1, dtype=np.int64)
-        return g[["query_id", "vec_id", "score", "rank"]]
+        return pa.concat_tables(out) if out else _HITS_SCHEMA.empty_table()
 
     local = (
         slim.map_batches(assign, batch_format="pyarrow")
         .groupby("cell")
-        .map_groups(score_cell, batch_format="pandas")
+        .map_groups(score_cell, batch_format="pyarrow")
     )
-    return local.groupby("query_id").map_groups(global_topk, batch_format="pandas")
+    return _global_topk(local, k)
 
 
 def incremental_cosine_pairs(
@@ -768,10 +756,9 @@ def cosine_threshold_sweep(
     (threshold_ppm, n_pairs)."""
     from ray.data.aggregate import Sum
 
-    slim = emb_ds.select_columns(["vec_id", "embedding"]).materialize()
-    n = slim.count()
+    n = emb_ds.count()
     scale_sq = 1.0
-    src = slim
+    src = emb_ds
     if n > brute_rows:
         rate = min(1.0, sample_rows / float(n))
         thresh = np.uint64(min(int(rate * float(2**63)), 2**63 - 1))
@@ -783,7 +770,11 @@ def cosine_threshold_sweep(
                 h = pd.util.hash_array(vid ^ seed_mix) >> np.uint64(1)
             return batch.filter(pa.array(h < thresh))
 
-        src = slim.map_batches(pick, batch_format="pyarrow").materialize()
+        src = (
+            emb_ds.select_columns(["vec_id", "embedding"])
+            .map_batches(pick, batch_format="pyarrow")
+            .materialize()
+        )
         s = src.count()
         if s < 2:
             return ray.data.from_arrow(

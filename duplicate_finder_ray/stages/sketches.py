@@ -25,11 +25,13 @@ np.quantile on adversarial (lognormal / constant / tiny) inputs, and
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
+
+from duplicate_finder_ray.stages.util import group_rows
 
 
 def tdigest_compress(
@@ -137,16 +139,17 @@ def grouped_quantiles_sketch(
         ]
     )
 
-    def partial(df: pd.DataFrame) -> pa.Table:
-        rows_g, rows_m, rows_w = [], [], []
-        for g, sub in df.groupby(group_col, sort=False):
-            m, w = tdigest_partial(sub[value_col].to_numpy(), delta)
-            rows_g.append(str(g))
+    def partial(batch: pa.Table) -> pa.Table:
+        keys, rows = group_rows(batch.column(group_col))
+        v = batch.column(value_col).to_numpy()
+        rows_m, rows_w = [], []
+        for r in rows:
+            m, w = tdigest_partial(v[r], delta)
             rows_m.append(m.tobytes())
             rows_w.append(w.tobytes())
         return pa.table(
             {
-                group_col: pa.array(rows_g, pa.string()),
+                group_col: pc.cast(keys, pa.string()),
                 "means": pa.array(rows_m, pa.large_binary()),
                 "weights": pa.array(rows_w, pa.large_binary()),
             },
@@ -154,29 +157,28 @@ def grouped_quantiles_sketch(
         )
 
     def finalize(p: int, tbl: pa.Table) -> pa.Table:
-        df = tbl.to_pandas()
-        out: dict[str, list] = {group_col: []}
-        for n in names:
-            out[n] = []
-        for g, sub in df.groupby(group_col, sort=False):
+        keys, rows = group_rows(tbl.column(group_col))
+        blob_m = tbl.column("means").to_pylist()
+        blob_w = tbl.column("weights").to_pylist()
+        out: dict[str, list] = {n: [] for n in names}
+        for r in rows:
             parts = [
                 (
-                    np.frombuffer(m, dtype=np.float64),
-                    np.frombuffer(w, dtype=np.float64),
+                    np.frombuffer(blob_m[i], dtype=np.float64),
+                    np.frombuffer(blob_w[i], dtype=np.float64),
                 )
-                for m, w in zip(sub["means"], sub["weights"])
+                for i in r
             ]
             means, weights = tdigest_merge(parts, delta)
             vals = tdigest_quantile(means, weights, fracs)
-            out[group_col].append(str(g))
             for n, v in zip(names, vals):
                 out[n].append(int(np.floor(v * unit_scale + 0.5)))
-        return pa.Table.from_pydict(out, schema=out_schema)
+        return pa.Table.from_pydict({group_col: keys, **out}, schema=out_schema)
 
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     partials = ds.select_columns([group_col, value_col]).map_batches(
-        partial, batch_format="pandas"
+        partial, batch_format="pyarrow"
     )
     return hash_exchange(
         partials, group_col, num_partitions, finalize, out_schema.empty_table()

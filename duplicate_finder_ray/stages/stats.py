@@ -33,6 +33,8 @@ import ray
 import ray.data
 from ray.data.aggregate import Sum
 
+from duplicate_finder_ray.stages.util import group_aggregate
+
 #: half-up micro-unit rounding shared with the SQL twins:
 #: CAST(floor(x * 1000000 + 0.5) AS BIGINT)
 _MICRO = 1_000_000.0
@@ -49,23 +51,20 @@ def moment_partials(
     y_col: str | None = None,
 ) -> ray.data.Dataset:
     """Per-group exact int64 moment sums: n, Σx, Σx² (and with
-    ``y_col``: Σy, Σy², Σxy). Per-batch pandas C groupby collapses each
+    ``y_col``: Σy, Σy², Σxy). Per-batch Arrow group_by collapses each
     block to ≤1 row per group; ONE groupby sums the partials. Values
     must be integers (cast lengths/counts/cents upstream) so every sum
     is exact and engine-portable."""
     sums = ["n", "sx", "sxx"] + (["sy", "syy", "sxy"] if y_col else [])
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
         x = batch.column(x_col).to_numpy().astype(np.int64)
-        df = pd.DataFrame({group_col: g, "n": np.int64(1), "sx": x, "sxx": x * x})
+        cols = {"n": np.ones(len(x), dtype=np.int64), "sx": x, "sxx": x * x}
         if y_col is not None:
             y = batch.column(y_col).to_numpy().astype(np.int64)
-            df["sy"] = y
-            df["syy"] = y * y
-            df["sxy"] = x * y
-        out = df.groupby(group_col, sort=False).sum().reset_index()
-        return pa.Table.from_pandas(out, preserve_index=False)
+            cols.update(sy=y, syy=y * y, sxy=x * y)
+        t = pa.table({group_col: batch.column(group_col), **cols})
+        return group_aggregate(t, [group_col], [(c, "sum") for c in sums])
 
     cols = [group_col, x_col] + ([y_col] if y_col else [])
     return (
@@ -349,15 +348,9 @@ def minmax_scale(
     from duplicate_finder_ray.stages.relational import collect_small_side
 
     def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
         x = batch.column(value_col).to_numpy().astype(np.int64)
-        out = (
-            pd.DataFrame({group_col: g, "mn": x, "mx": x})
-            .groupby(group_col, sort=False)
-            .agg(mn=("mn", "min"), mx=("mx", "max"))
-            .reset_index()
-        )
-        return pa.Table.from_pandas(out, preserve_index=False)
+        t = pa.table({group_col: batch.column(group_col), "mn": x, "mx": x})
+        return group_aggregate(t, [group_col], [("mn", "min"), ("mx", "max")])
 
     stats = (
         ds.select_columns([group_col, value_col])
@@ -501,55 +494,40 @@ def welch_t(
     same CASE in SQL.
 
     Scale shape: all heavy lifting is moment_partials' (≤ 2 partial
-    rows per block, one tiny 2-row groupby); the finisher is one
-    map over the 2-row stats table."""
-    stats = moment_partials(ds, group_col, x_col)
-
-    def finish(batch: pa.Table) -> pa.Table:
-        out_schema = pa.schema(
-            [
-                ("group_a", pa.string()),
-                ("group_b", pa.string()),
-                ("n_a", pa.int64()),
-                ("n_b", pa.int64()),
-                ("t_micro", pa.int64()),
-            ]
-        )
-        df = batch.to_pandas().set_index(group_col)
-        if group_a not in df.index or group_b not in df.index:
-            return out_schema.empty_table()
-        ra, rb = df.loc[group_a], df.loc[group_b]
-        na, nb = int(ra["n"]), int(rb["n"])
-        if na < 2 or nb < 2:
-            t_micro = 0
-        else:
-            naf, nbf = float(na), float(nb)
-            mx = float(ra["sx"]) / naf
-            my = float(rb["sx"]) / nbf
-            vx = (float(ra["sxx"]) - (float(ra["sx"]) * float(ra["sx"])) / naf) / (
-                naf - 1.0
-            )
-            vy = (float(rb["sxx"]) - (float(rb["sx"]) * float(rb["sx"])) / nbf) / (
-                nbf - 1.0
-            )
-            denom = np.sqrt(vx / naf + vy / nbf)
-            t = 0.0 if denom == 0.0 else (mx - my) / denom
-            t_micro = int(np.floor(t * 1_000_000.0 + 0.5))
-        return pa.table(
-            {
-                "group_a": pa.array([str(group_a)], pa.string()),
-                "group_b": pa.array([str(group_b)], pa.string()),
-                "n_a": pa.array([na], pa.int64()),
-                "n_b": pa.array([nb], pa.int64()),
-                "t_micro": pa.array([t_micro], pa.int64()),
-            }
-        )
-
-    # the stats table holds exactly one row per group — concat to one
-    # block so both rows land in the same finisher call
-    return ray.data.from_pandas(stats.to_pandas()).map_batches(
-        finish, batch_format="pyarrow", batch_size=None
+    rows per block, one tiny 2-row groupby); the groups-sized stats
+    table is collected and the expression evaluated once."""
+    rows = moment_partials(ds, group_col, x_col).take_all()
+    stats = {r[group_col]: r for r in rows}
+    out_schema = pa.schema(
+        [
+            ("group_a", pa.string()),
+            ("group_b", pa.string()),
+            ("n_a", pa.int64()),
+            ("n_b", pa.int64()),
+            ("t_micro", pa.int64()),
+        ]
     )
+    if group_a not in stats or group_b not in stats:
+        return ray.data.from_arrow(out_schema.empty_table())
+    ra, rb = stats[group_a], stats[group_b]
+    na, nb = int(ra["n"]), int(rb["n"])
+    if na < 2 or nb < 2:
+        t_micro = 0
+    else:
+        naf, nbf = float(na), float(nb)
+        mx = float(ra["sx"]) / naf
+        my = float(rb["sx"]) / nbf
+        vx = (float(ra["sxx"]) - (float(ra["sx"]) * float(ra["sx"])) / naf) / (
+            naf - 1.0
+        )
+        vy = (float(rb["sxx"]) - (float(rb["sx"]) * float(rb["sx"])) / nbf) / (
+            nbf - 1.0
+        )
+        denom = np.sqrt(vx / naf + vy / nbf)
+        t = 0.0 if denom == 0.0 else (mx - my) / denom
+        t_micro = int(np.floor(t * 1_000_000.0 + 0.5))
+    row = [[str(group_a)], [str(group_b)], [na], [nb], [t_micro]]
+    return ray.data.from_arrow(pa.Table.from_arrays(row, schema=out_schema))
 
 
 def psi_drift(

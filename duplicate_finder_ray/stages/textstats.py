@@ -25,6 +25,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.util import group_aggregate
 
 # -- quality scoring ---------------------------------------------------
 
@@ -661,27 +662,17 @@ def quality_prune(
         }
     else:
 
-        def cutoff(part: pd.DataFrame) -> pd.DataFrame:
-            return pd.DataFrame(
-                {
-                    group_col: [part[group_col].iloc[0]],
-                    "cut": [
-                        float(
-                            np.quantile(
-                                part["quality_score"].to_numpy(),
-                                frac,
-                                method="linear",
-                            )
-                        )
-                    ],
-                }
+        def cutoff(part: pa.Table) -> pa.Table:
+            q = np.quantile(part["quality_score"].to_numpy(), frac, method="linear")
+            return pa.table(
+                {group_col: part[group_col].slice(0, 1), "cut": [float(q)]}
             )
 
         cuts = {
             r[group_col]: r["cut"]
             for r in scored.select_columns([group_col, "quality_score"])
             .groupby(group_col)
-            .map_groups(cutoff, batch_format="pandas")
+            .map_groups(cutoff, batch_format="pyarrow")
             .take_all()
         }
 
@@ -1463,11 +1454,10 @@ def unigram_xent(
         keep = pc.not_equal(flat, "").to_numpy(zero_copy_only=False)
         flat = flat.filter(pa.array(keep))
         doc = doc[keep]
-        df = pd.DataFrame(
-            {"doc_id": doc, "t": flat.to_numpy(zero_copy_only=False)}
+        t = pa.table(
+            {"doc_id": doc, "t": flat, "c": np.ones(len(doc), dtype=np.int64)}
         )
-        g = df.groupby(["doc_id", "t"], sort=False).size().reset_index(name="c")
-        return pa.Table.from_pandas(g, preserve_index=False)
+        return group_aggregate(t, ["doc_id", "t"], [("c", "sum")])
 
     rows = ds.select_columns(["doc_id", text_col]).map_batches(
         batch_partial, batch_format="pyarrow"

@@ -1,8 +1,14 @@
-"""Small shared stage helpers."""
+"""Small shared stage helpers.
+
+The table kernels sort and group one block in Arrow. Arrow compares
+keys as values, so strings that differ only after an embedded NUL stay
+apart; pandas' object-string hashing merges them."""
 
 from __future__ import annotations
 
+import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -20,3 +26,51 @@ def rename_cols(ds: ray.data.Dataset, mapping: dict[str, str]) -> ray.data.Datas
         return batch.rename_columns([mapping.get(n, n) for n in batch.column_names])
 
     return ds.map_batches(rn, batch_format="pyarrow")
+
+
+def sort_indices(t: pa.Table, by: list[str], ascending: list[bool]) -> np.ndarray:
+    """Row order of a stable sort of ``t`` on ``by``; nulls and NaN go
+    last in every key, as in pandas ``sort_values``."""
+    keys = [(c, "ascending" if a else "descending") for c, a in zip(by, ascending)]
+    return pc.sort_indices(t, sort_keys=keys, null_placement="at_end").to_numpy()
+
+
+def ranked_head(
+    t: pa.Table, by: list[str], ascending: list[bool], k: int
+) -> pa.Table:
+    """The first ``k`` rows of ``t`` in ``sort_indices`` order, with a
+    1-based int64 ``rank`` column appended."""
+    top = t.take(sort_indices(t, by, ascending)[:k])
+    return top.append_column(
+        "rank", pa.array(np.arange(1, len(top) + 1, dtype=np.int64))
+    )
+
+
+def group_codes(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, pa.Array]:
+    """Per-row group index into the distinct values of ``col`` (first
+    seen first), and those values. Null is one group of its own."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    enc = pc.dictionary_encode(col, null_encoding="encode")
+    return enc.indices.to_numpy(zero_copy_only=False).astype(np.int64), enc.dictionary
+
+
+def group_aggregate(
+    t: pa.Table, keys: list[str], aggs: list[tuple[str, str]]
+) -> pa.Table:
+    """One row per distinct ``keys`` tuple of ``t`` (first seen first):
+    the key columns, then one column per ``(column, function)`` pair of
+    Arrow hash aggregates, named after its input column."""
+    g = t.group_by(keys, use_threads=False).aggregate(aggs)
+    return g.select([*keys, *(f"{c}_{f}" for c, f in aggs)]).rename_columns(
+        [*keys, *(c for c, _ in aggs)]
+    )
+
+
+def group_rows(col: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, list[np.ndarray]]:
+    """The distinct values of ``col`` (``group_codes`` order) and, for
+    each, the ascending indices of its rows."""
+    codes, keys = group_codes(col)
+    counts = np.bincount(codes, minlength=len(keys))
+    order = np.argsort(codes, kind="stable")
+    return keys, [order[e - c : e] for c, e in zip(counts, np.cumsum(counts))]

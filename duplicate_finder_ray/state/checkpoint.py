@@ -40,6 +40,7 @@ import pyarrow.parquet as pq
 
 import ray.data
 
+from duplicate_finder_ray.sources.code_table import read_code_table
 from duplicate_finder_ray.stages import neardup
 
 _MANIFEST = "_SUCCESS"
@@ -174,7 +175,7 @@ class CheckpointManager:
             shard = next(n for n in sorted(os.listdir(out)) if not n.startswith("_"))
             schema = pq.read_schema(os.path.join(out, shard))
             return ray.data.from_arrow(schema.empty_table())
-        return ray.data.read_parquet(out)
+        return read_code_table(out)
 
     def run_stage(
         self, stage: str, make: Any, resume: bool = True, extra: Any = None

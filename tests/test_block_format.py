@@ -1,0 +1,76 @@
+"""Block-format guard: the package reads Parquet through one reader and
+hands its map kernels one block format.
+
+* ``ray.data.read_parquet`` is called only in ``sources/code_table.py``,
+  whose ``read_code_table`` drops the file's schema metadata. A
+  pandas-written file's metadata otherwise rides every block, makes
+  the block schemas unhashable and sends each concat down Ray's slow
+  schema unification.
+* No map asks for ``batch_format="pandas"``: pandas string grouping
+  merges keys that differ only after an embedded NUL, and its empty
+  results are zero-column blocks.
+
+Pure static scan: no Ray session."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+PACKAGE = Path(__file__).resolve().parents[1] / "duplicate_finder_ray"
+READER = "sources/code_table.py"
+
+
+def _package_trees():
+    for f in sorted(PACKAGE.rglob("*.py")):
+        yield f.relative_to(PACKAGE).as_posix(), ast.parse(f.read_text())
+
+
+def _parquet_reads(tree: ast.AST, path: str):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and ast.unparse(node.func).endswith(
+            "read_parquet"
+        ):
+            yield f"{path}:{node.lineno}"
+
+
+def _pandas_maps(tree: ast.AST, path: str):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and any(
+            k.arg == "batch_format"
+            and isinstance(k.value, ast.Constant)
+            and k.value.value == "pandas"
+            for k in node.keywords
+        ):
+            yield f"{path}:{node.lineno}"
+
+
+def test_parquet_reads_go_through_read_code_table():
+    found = [
+        hit
+        for rel, tree in _package_trees()
+        if rel != READER
+        for hit in _parquet_reads(tree, rel)
+    ]
+    assert not found, (
+        "read Parquet with sources/code_table.py::read_code_table:\n"
+        + "\n".join(found)
+    )
+
+
+def test_no_pandas_batch_format():
+    found = [hit for rel, tree in _package_trees() for hit in _pandas_maps(tree, rel)]
+    assert not found, (
+        'map with batch_format="pyarrow" and group with '
+        "pa.Table.group_by:\n" + "\n".join(found)
+    )
+
+
+def test_guard_sees_planted_examples():
+    planted = ast.parse(
+        "ds = ray.data.read_parquet(path)\n"
+        'ds = ds.map_batches(fn, batch_format="pandas")\n'
+        'ds = ds.map_batches(fn, batch_format="pyarrow")\n'
+    )
+    assert list(_parquet_reads(planted, "x.py")) == ["x.py:1"]
+    assert list(_pandas_maps(planted, "x.py")) == ["x.py:2"]

@@ -3,13 +3,21 @@ the reference's pipeline tests (/root/reference/tests/test_duplicate_finder.py)
 plus a brute-force oracle comparison."""
 
 import hashlib
+from pathlib import Path
 
 import pandas as pd
+import pyarrow as pa
 import pytest
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.pipelines.dedup import DedupPipeline, render_text_report
 from duplicate_finder_ray.stages import exact
+
+#: the ten deterministic sf tables at their smallest scale (TESTDATA.md)
+SF_SMALL = Path(__file__).resolve().parents[2] / "testdata" / "sf0.001"
+SF_TABLES = (
+    "region nation customer supplier part orders lineitem events documents embeddings"
+).split()
 
 
 def brute_force_groups(df: pd.DataFrame) -> dict[str, list[str]]:
@@ -281,6 +289,24 @@ class TestReadCodeTable:
         want = df[cols].sort_values(cols)
         pd.testing.assert_frame_equal(
             got.reset_index(drop=True), want.reset_index(drop=True)
+        )
+
+    @pytest.mark.skipif(not SF_SMALL.is_dir(), reason="sf0.001 tables not present")
+    @pytest.mark.parametrize("table", SF_TABLES)
+    def test_sf_tables_read_whole_and_metadata_free(self, ray_session, table):
+        import pyarrow.parquet as pq
+
+        from duplicate_finder_ray.sources.code_table import read_code_table
+
+        path = str(SF_SMALL / f"{table}.parquet")
+        ds = read_code_table(path)
+        blocks = [ray_session.get(r) for r in ds.materialize().to_arrow_refs()]
+        assert blocks and all(b.schema.metadata is None for b in blocks)
+        got = pa.concat_tables(blocks)
+        want = pq.read_table(path)
+        assert got.schema.equals(want.schema.remove_metadata())
+        assert sorted(map(str, got.to_pylist())) == sorted(
+            map(str, want.to_pylist())
         )
 
 

@@ -12,6 +12,8 @@ import pytest
 import ray.data
 
 from duplicate_finder_ray.stages import relational as rel
+from duplicate_finder_ray.stages.sketches import grouped_quantiles_sketch
+from duplicate_finder_ray.stages.stats import moment_partials
 
 
 def _ds(d: dict) -> ray.data.Dataset:
@@ -428,27 +430,78 @@ class TestNulKeyGroups:
     and one group's rows meet in one reduce whichever blocks they start
     in."""
 
-    @pytest.mark.parametrize("fn", ["rank_dense_per_group", "ntile_partitioned"])
+    # group x\0a holds v in {1, 6}, group x\0b holds v in {2, 3, 4, 5}
+    CASES = {
+        # fn: (run(ds, num_partitions), output columns, expected rows)
+        "rank_dense_per_group": (
+            lambda ds, n: rel.rank_dense_per_group(ds, "g", "v", num_partitions=n),
+            ["g", "v", "rnk"],  # descending by v within each group
+            {("x\0a", 6, 1), ("x\0a", 1, 2), ("x\0b", 5, 1),
+             ("x\0b", 4, 2), ("x\0b", 3, 3), ("x\0b", 2, 4)},
+        ),
+        "ntile_partitioned": (
+            lambda ds, n: rel.ntile_partitioned(ds, "g", ["v"], 4, num_partitions=n),
+            ["g", "v", "bucket"],  # NTILE(4) ascending by v within each group
+            {("x\0a", 1, 1), ("x\0a", 6, 2), ("x\0b", 2, 1),
+             ("x\0b", 3, 2), ("x\0b", 4, 3), ("x\0b", 5, 4)},
+        ),
+        "topk_per_group_by": (
+            lambda ds, n: rel.topk_per_group_by(ds, "g", ["v"], [False], 1),
+            ["g", "v", "rank"],
+            {("x\0a", 6, 1), ("x\0b", 5, 1)},
+        ),
+        "grouped_sum_rollup": (
+            lambda ds, n: rel.grouped_sum_rollup(ds, ["g"], {"v": "v_cents"}),
+            ["g", "n_rows", "v_cents"],
+            {("x\0a", 2, 700), ("x\0b", 4, 1400)},
+        ),
+        "grouped_quantiles": (
+            lambda ds, n: rel.grouped_quantiles(ds, "g", "v", [("hi", 1.0)]),
+            ["g", "hi"],
+            {("x\0a", 600), ("x\0b", 500)},
+        ),
+        "grouped_quantiles_sketch": (
+            lambda ds, n: grouped_quantiles_sketch(
+                ds, "g", "v", [("hi", 1.0)], num_partitions=n
+            ),
+            ["g", "hi"],
+            {("x\0a", 600), ("x\0b", 500)},
+        ),
+        "pivot_sums": (
+            lambda ds, n: rel.pivot_sums(
+                ds.map_batches(
+                    lambda t: t.append_column("c", pa.array(["p"] * len(t))),
+                    batch_format="pyarrow",
+                ),
+                "g", "c", "v", ["p"],
+            ),
+            ["g", "sum_p_cents"],
+            {("x\0a", 700), ("x\0b", 1400)},
+        ),
+        "grouped_mode": (  # all counts tie at 1: the smallest value wins
+            lambda ds, n: rel.grouped_mode(ds, "g", "v"),
+            ["g", "v", "n"],
+            {("x\0a", 1, 1), ("x\0b", 2, 1)},
+        ),
+        "moment_partials": (
+            lambda ds, n: moment_partials(ds, "g", "v"),
+            ["g", "n", "sx", "sxx"],
+            {("x\0a", 2, 7, 37), ("x\0b", 4, 14, 54)},
+        ),
+    }
+    # these take a partition count; the rest run one fixed plan
+    EXCHANGES = ("rank_dense_per_group", "ntile_partitioned", "grouped_quantiles_sketch")
+
+    @pytest.mark.parametrize("fn", list(CASES))
     def test_nul_key_group_is_not_split(self, ray_session, fn):
+        # each group's maximum sits in the first block, so a kernel that
+        # merges the two keys loses one of them to the other
         blocks = [
-            pa.table({"g": ["x\0a", "x\0b", "x\0b"], "v": pa.array([1, 5, 3])}),
-            pa.table({"g": ["x\0b", "x\0b", "x\0a"], "v": pa.array([4, 2, 6])}),
+            pa.table({"g": ["x\0a", "x\0b", "x\0b"], "v": pa.array([6, 5, 3])}),
+            pa.table({"g": ["x\0b", "x\0b", "x\0a"], "v": pa.array([4, 2, 1])}),
         ]
-        if fn == "rank_dense_per_group":
-            col = "rnk"  # descending by v within each group
-            want = {("x\0a", 6): 1, ("x\0a", 1): 2, ("x\0b", 5): 1,
-                    ("x\0b", 4): 2, ("x\0b", 3): 3, ("x\0b", 2): 4}
-        else:
-            col = "bucket"  # NTILE(4) ascending by v within each group
-            want = {("x\0a", 1): 1, ("x\0a", 6): 2, ("x\0b", 2): 1,
-                    ("x\0b", 3): 2, ("x\0b", 4): 3, ("x\0b", 5): 4}
-
-        def run(ds, n):
-            if fn == "rank_dense_per_group":
-                return rel.rank_dense_per_group(ds, "g", "v", num_partitions=n)
-            return rel.ntile_partitioned(ds, "g", ["v"], 4, num_partitions=n)
-
-        for n in (1, 2, 4, 8, 16):
+        run, cols, want = self.CASES[fn]
+        for n in (1, 2, 4, 8, 16) if fn in self.EXCHANGES else (1,):
             out = run(ray.data.from_arrow(blocks), n).take_all()
-            got = {(r["g"], r["v"]): r[col] for r in out}
-            assert got == want, n
+            got = {tuple(r[c] for c in cols) for r in out}
+            assert len(out) == len(want) and got == want, n

@@ -126,6 +126,48 @@ class TestCosinePairs:
         assert ka == kb
 
 
+class TestCosineThresholdSweep:
+    THRESHOLDS = np.array([300_000, 500_000, 700_000, 900_000], dtype=np.int64)
+    #: the sample regime's estimate on this fixture (62 of 138 vectors
+    #: sampled, counts scaled by (138/62)²), pinned so the sample and
+    #: its scaling stay what they were
+    SAMPLED = {300_000: 456, 500_000: 50, 700_000: 10, 900_000: 10}
+
+    @pytest.mark.parametrize("brute_rows", [1_000, 50])
+    def test_regimes_and_materialized_sizes(
+        self, emb_df, emb_ds, monkeypatch, brute_rows
+    ):
+        """At or below ``brute_rows`` the sweep is exact; above it, it
+        sweeps a hash sample and never materializes the whole corpus."""
+        import ray.data
+
+        sizes = []
+        materialize = ray.data.Dataset.materialize
+
+        def spy(ds):
+            out = materialize(ds)
+            sizes.append(out.count())
+            return out
+
+        monkeypatch.setattr(ray.data.Dataset, "materialize", spy)
+        got = {
+            r["threshold_ppm"]: r["n_pairs"]
+            for r in similarity.cosine_threshold_sweep(
+                emb_ds, self.THRESHOLDS, 0.3, brute_rows=brute_rows, sample_rows=60
+            ).take_all()
+        }
+        n = len(emb_df)
+        if brute_rows >= n:
+            m = np.vstack(emb_df["embedding"].to_numpy()).astype(np.float64)
+            m /= np.linalg.norm(m, axis=1, keepdims=True)
+            ppm = np.round((m @ m.T)[np.triu_indices(n, k=1)] * 1e6)
+            want = {int(t): int((ppm >= t).sum()) for t in self.THRESHOLDS}
+        else:
+            assert sizes and max(sizes) < n
+            want = self.SAMPLED
+        assert got == want
+
+
 class TestIVFTopK:
     def test_exhaustive_probe_is_exact(self, emb_df, emb_ds):
         """nprobe=None (probe every cell) must reproduce the brute
