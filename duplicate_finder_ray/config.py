@@ -158,19 +158,6 @@ class PipelineConfig:
     #: budget on standard nodes; beyond it the sharded-CSR path keeps
     #: the 10^9-endpoint shape correct (if slower).
     broadcast_verify_limit: int = 1_000_000
-    #: raw (pre-dedupe) pair-row threshold below which the cross-band
-    #: pair dedupe runs as ONE remote lexsort+reduceat task instead of a
-    #: second sort-shuffle (a shuffle's fixed barrier cost is CPU-count
-    #: independent and drags scaling efficiency; 20M rows × 24 B ≈ 0.5 GB
-    #: and a ~3 s lexsort in one task). Beyond it, the distributed
-    #: two-level shuffle dedupe keeps the 10^12-scale shape.
-    pair_dedupe_broadcast_limit: int = 20_000_000
-    #: band-row threshold (signature rows × resolved bands; 16 B/row)
-    #: below which LSH bucketing + pair emission + cross-band dedupe run
-    #: FUSED in one remote lexsort task — zero shuffle barriers on small
-    #: inputs. 8M rows ≈ 128 MB and a ~1 s lexsort; past it the
-    #: two-level coarse-pkey shuffle keeps the 10^12-scale shape.
-    band_exchange_broadcast_limit: int = 8_000_000
     #: candidate cap per LSH bucket. None (default) = derive the cap
     #: per emission task from ``band_pair_budget`` so nothing is
     #: truncated while the task's total pair volume fits the budget

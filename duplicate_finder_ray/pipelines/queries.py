@@ -246,10 +246,9 @@ def q_lsh_candidate_pairs(sf_dir: str) -> ray.data.Dataset:
 
     cfg = _md5_sig_config()
     sigs = NearDupPipeline(cfg).signatures_for(code_files_from_documents(sf_dir))
-    sigs = sigs.materialize()  # consumed by both the bands and the id map
-    bands = neardup.explode_bands(sigs, cfg)
+    sigs = sigs.materialize()  # consumed by both the candidates and the id map
     return neardup.translate_pairs(
-        neardup.candidate_pairs(bands, cfg, sigs_source=sigs), sigs
+        neardup.candidate_pairs(None, cfg, sigs_source=sigs), sigs
     )
 
 

@@ -10,8 +10,8 @@ union-find; load-balancing concerns per Kiveris et al. 2014):
     edges ← input pair edges (a, b)
     repeat:
         send every edge to BOTH endpoints' buckets
-        (bucket = crc(node) % B)                       [ONE shuffle]
-        per bucket: in-memory union-find over received edges,
+        (bucket = siphash(node) % B)                   [ONE shuffle]
+        per bucket: min-label union-find over received edges,
         union-by-lexicographic-min; emit star edges
         (node → bucket-local root) for every node seen
     until the edge multiset is unchanged (checksum fixpoint)
@@ -25,7 +25,7 @@ would merge it), so every component is a single star rooted at its
 lexicographically-smallest node — consistent with the engine-wide
 keep-first rule — and the edge set IS the label table.
 
-Each round is exactly one groupby shuffle over ≤ 2·|V| star edges plus
+Each round is exactly one hash exchange over ≤ 2·|V| star edges plus
 one cheap checksum aggregate (map + driver sum of one scalar). No
 joins anywhere. The driver only orchestrates rounds and reads one
 scalar per round; edges stay distributed throughout.
@@ -34,60 +34,79 @@ Skew bound (north_rule "break skew on mega-repos"): once a component
 has contracted toward its root, the root's bucket receives that
 component's full star — per-round peak bucket load is O(max component
 size) rows, NOT O(|E|). The per-bucket kernel is entirely vectorized
-(np.unique + min-label pointer jumping), so a 10^7-member boilerplate
+(Arrow node coding + min-label pointer jumping), so a 10^7-member boilerplate
 component is a ~160 MB in-bucket sort, seconds of one core (stress
 test: tests/test_neardup.py mega-component hub). Components at 10^9+
 members need root splitting (two-level roots or Kiveris et al.'s
 alternating large-star/small-star) — out of scope here and flagged as
 the documented partitioning assumption.
+
+One union-find kernel: ``min_labels(ea, eb, n)`` labels node indices;
+``_star_edges`` codes a string edge table for it (Arrow dictionary
+encode, then rank by Arrow's string sort, so the smallest index is the
+smallest file_id). Graphs of at most ``cc_local_threshold`` edges run
+it once in one remote task; above that, every contraction bucket runs
+it; ``stages/semdedup.py`` runs it once per embedding cluster.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.util import group_aggregate
 
 _LABELS_SCHEMA = pa.schema([("file_id", pa.string()), ("component", pa.string())])
 
 
-def _local_contract(part: pd.DataFrame) -> pa.Table:
-    """Vectorized contraction of one bucket's edges; emits one star
-    edge (node → local min-label root) per distinct node seen.
+def min_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
+    """Component label per node ``0..n-1`` of the edge list ``(ea[i],
+    eb[i])``: the smallest node index in the node's component.
 
-    Same np.unique + min-label-propagation + pointer-jumping kernel as
-    the small-graph fast path in ``connected_components`` — all C
-    passes, no per-edge Python. np.unique sorts, so the converged min
-    label index IS the lexicographically smallest node in the bucket."""
-    a = part["a"].to_numpy()
-    b = part["b"].to_numpy()
-    nodes, inv = np.unique(np.concatenate([a, b]), return_inverse=True)
-    ea, eb = inv[: len(a)], inv[len(a) :]
-    label = np.arange(len(nodes), dtype=np.int64)
+    Min-label propagation with pointer jumping — every pass is a C
+    pass (``np.minimum.at`` both ways, then ``label[label]``), O(log n)
+    passes on a chain. The one union-find kernel of the engine: CC's
+    one-task path, each bucket of its iterated contraction and every
+    SemDeDup cluster run it."""
+    label = np.arange(n, dtype=np.int64)
     while True:
         new = label.copy()
         np.minimum.at(new, ea, label[eb])
         np.minimum.at(new, eb, label[ea])
         new = new[new]  # pointer jumping
         if np.array_equal(new, label):
-            break
+            return label
         label = new
-    return pa.table(
-        {
-            "a": pa.array(nodes, pa.string()),
-            "b": pa.array(nodes[label], pa.string()),
-        }
-    )
+
+
+def _star_edges(tbl: pa.Table) -> tuple[pa.Array, pa.Array]:
+    """``(node, root)`` for every distinct node of the string edge table
+    ``tbl`` (a, b): ``root`` is the lexicographically smallest node of
+    the node's component within ``tbl``.
+
+    Nodes are coded by Arrow's hash table and ranked by Arrow's string
+    sort, so node index order IS byte order and ``min_labels``'s
+    smallest index is the smallest node. Arrow compares whole values:
+    ids that differ only after an embedded NUL stay distinct nodes."""
+    a = tbl.column("a").combine_chunks()
+    enc = pc.dictionary_encode(pa.concat_arrays([a, tbl.column("b").combine_chunks()]))
+    order = pc.array_sort_indices(enc.dictionary)
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order.to_numpy()] = np.arange(len(order), dtype=np.int64)
+    coded = rank[enc.indices.to_numpy(zero_copy_only=False)]
+    nodes = enc.dictionary.take(order)
+    label = min_labels(coded[: len(a)], coded[len(a) :], len(nodes))
+    return nodes, nodes.take(pa.array(label))
 
 
 def _hash_buckets(vals: np.ndarray, num_buckets: int) -> np.ndarray:
     """Deterministic bucket id per string — vectorized fixed-key siphash
-    (pd.util.hash_array), never builtin hash() (per-process salt) and
+    (stable_hash_array), never builtin hash() (per-process salt) and
     never a per-row crc32 loop (this runs on every shuffle-bound row)."""
     h = stable_hash_array(np.asarray(vals, dtype=object))
     return (h % np.uint64(num_buckets)).astype(np.int32)
@@ -128,7 +147,8 @@ def _contract_round(
         return tbl.column("__bucket").to_numpy().astype(np.int64)
 
     def contract_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        return _local_contract(tbl.select(["a", "b"]).to_pandas())
+        nodes, roots = _star_edges(tbl)
+        return pa.table({"a": nodes, "b": roots})
 
     # barrier-free hash exchange (stages/exchange.py): the per-round
     # co-location needs bucket membership, not sort order — Ray Data's
@@ -157,8 +177,8 @@ def _edge_checksum(edges: ray.data.Dataset) -> int:
         acc = int(np.sum(combo, dtype=np.uint64))
         return pa.table({"s": pa.array([acc], pa.uint64())})
 
-    parts = edges.map_batches(fold, batch_format="pyarrow").to_pandas()
-    return int(np.sum(parts["s"].to_numpy(dtype=np.uint64), dtype=np.uint64))
+    parts = edges.map_batches(fold, batch_format="pyarrow").take_all()
+    return sum(r["s"] for r in parts) % 2**64
 
 
 @ray.remote
@@ -195,55 +215,17 @@ def connected_components(
         return ray.data.from_arrow(_LABELS_SCHEMA.empty_table())
 
     if n_edges <= cfg.cc_local_threshold:
-        # small-graph fast path: ONE remote task sees every edge and runs
-        # fully-vectorized min-label propagation with pointer jumping
-        # (np.minimum.at + label[label] — all C passes, O(log n) rounds,
-        # no shuffle barriers at all). Node ids are sorted by np.unique,
-        # so the converged min label index IS the lexicographic-min node.
-        # The iterative bucketed contraction below is the >threshold
-        # scale shape.
+        # small-graph fast path: ONE remote task sees every edge and
+        # runs the one min-label kernel over all of them — no shuffle
+        # barriers at all. The iterative bucketed contraction below is
+        # the >threshold scale shape.
         @ray.remote
         def local_cc(*blocks: pa.Table) -> pa.Table:
-            import pyarrow.compute as pc
-
             blocks = tuple(b for b in blocks if "a" in b.column_names and len(b))
             if not blocks:
                 return _LABELS_SCHEMA.empty_table()
-            tbl = pa.concat_tables(blocks)
-            n_e = len(tbl)
-            # node ids via Arrow C hash table + C string sort — the
-            # previous np.unique over 2M PYTHON strings was ~half this
-            # task's wall (the single-task path is a deliberate flat
-            # term; keep it as small as possible)
-            both = pa.chunked_array(
-                [tbl.column("a").combine_chunks(), tbl.column("b").combine_chunks()]
-            )
-            enc = pc.dictionary_encode(both).combine_chunks()
-            codes = enc.indices.to_numpy(zero_copy_only=False)
-            dict_arr = enc.dictionary
-            order = pc.array_sort_indices(dict_arr).to_numpy(
-                zero_copy_only=False
-            )
-            rank = np.empty(len(order), dtype=np.int64)
-            rank[order] = np.arange(len(order), dtype=np.int64)
-            coded = rank[codes]
-            ea, eb = coded[:n_e], coded[n_e:]
-            nodes = dict_arr.take(pa.array(order))  # sorted — index = rank
-            label = np.arange(len(nodes), dtype=np.int64)
-            while True:
-                new = label.copy()
-                np.minimum.at(new, ea, label[eb])
-                np.minimum.at(new, eb, label[ea])
-                new = new[new]  # pointer jumping
-                if np.array_equal(new, label):
-                    break
-                label = new
-            return pa.table(
-                {
-                    "file_id": nodes,
-                    "component": nodes.take(pa.array(label)),
-                }
-            )
+            nodes, roots = _star_edges(pa.concat_tables(blocks))
+            return pa.table({"file_id": nodes, "component": roots})
 
         return ray.data.from_arrow_refs([local_cc.remote(*edges.to_arrow_refs())])
     else:
@@ -276,20 +258,13 @@ def connected_components(
             prev = cur
 
     # a node's star edge is emitted by up to two buckets (its own and
-    # its root's) — identical rows at the fixpoint; dedupe + rename
-    def dedupe(part: pd.DataFrame) -> pa.Table:
-        part = part.drop_duplicates(subset=["a"])
-        return pa.table(
-            {
-                "file_id": pa.array(part["a"].to_numpy(), pa.string()),
-                "component": pa.array(part["b"].to_numpy(), pa.string()),
-            }
-        )
-
+    # its root's) — identical rows at the fixpoint; keep the first per
+    # node, rename
     from duplicate_finder_ray.stages.exchange import hash_exchange
 
     def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        return dedupe(tbl.select(["a", "b"]).to_pandas())
+        first = group_aggregate(tbl, ["a"], [("b", "first")])
+        return first.rename_columns(_LABELS_SCHEMA.names)
 
     return hash_exchange(
         edges, "a", num_buckets, dedupe_reduce,

@@ -23,7 +23,7 @@ Execution shape:
   inside the candidate tasks, so the band rows never materialize. At
   scale that is ONE shuffle on ``band_hash`` — the skewed shuffle of
   this engine — with the explosion as the split-side premap; below
-  ``band_exchange_broadcast_limit`` band rows, one fused remote lexsort
+  ``BAND_EXCHANGE_BROADCAST_LIMIT`` band rows, one fused remote lexsort
   task with zero barriers. Hot buckets (license headers, generated
   code) are capped per emission task at the ``band_pair_budget``-derived
   member cap (``band_bucket_cap=None``, the default — truncates NOTHING
@@ -49,8 +49,8 @@ import logging
 import warnings
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray.data
 
@@ -65,6 +65,7 @@ from duplicate_finder_ray.functions.shingles import (
     batch_simhash,
     simhash_band_keys,
 )
+from duplicate_finder_ray.stages.util import group_aggregate
 
 #: layout of the signature table :func:`signature_batch` emits. Part of
 #: every checkpoint's config hash, so a stage written under another
@@ -88,6 +89,19 @@ PAIRS_SCHEMA = pa.schema(
 )
 
 _EMPTY_PAIRS = PAIRS_SCHEMA.empty_table()
+
+#: band rows (signature rows × resolved bands; 16 B/row) up to which
+#: LSH bucketing, pair emission and the cross-band dedupe run fused in
+#: one remote lexsort task — zero shuffle barriers on small inputs.
+#: 8M rows ≈ 128 MB and a ~1 s lexsort; past it the two-level band
+#: exchange keeps the 10^12-scale shape.
+BAND_EXCHANGE_BROADCAST_LIMIT = 8_000_000
+
+#: raw (pre-dedupe) pair rows up to which the cross-band pair dedupe
+#: runs as ONE remote lexsort + reduceat task instead of an exchange
+#: (an exchange's fixed barrier cost is CPU-count independent; 20M
+#: rows × 24 B ≈ 0.5 GB and a ~3 s lexsort in one task).
+PAIR_DEDUPE_BROADCAST_LIMIT = 20_000_000
 
 #: deduped candidate pairs (uint64 fids + band-collision count)
 CAND_SCHEMA = pa.schema(
@@ -352,8 +366,9 @@ def warn_bucket_overflow(
         f"{kind} bucket cap {cap} BINDING: {n_over} bucket(s) overflow "
         f"(max size {int(sizes.max())}), {dropped} member slot(s) "
         f"truncated — candidate recall may drop; raise band_pair_budget "
-        f"/ band_bucket_cap or check for degenerate content. True "
-        f"bucket_size is recorded on every emitted pair."
+        f"/ band_bucket_cap (embedding LSH: bucket_cap) or check for "
+        f"degenerate content. True bucket_size is recorded on every "
+        f"emitted pair."
     )
     warnings.warn(msg, RuntimeWarning, stacklevel=3)
     logging.getLogger(__name__).warning(msg)
@@ -364,14 +379,18 @@ def bucket_pairs_arrays(
     ids: np.ndarray,
     cap: int | None,
     budget: int | None = None,
+    kind: str = "LSH",
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized pair emission over a band-row array: lexsort by
     (band_hash, fid), cap each bucket at ``cap`` members (or, when cap
     is None, at the pair-budget-derived cap — see derive_bucket_cap),
     emit all intra-bucket pairs per distinct capped size (np.triu
     block trick). Returns raw (a, b, true_bucket_size) — NOT yet
-    deduped across bands. Shared by the fused candidate path and the
-    incremental probe. A binding cap warns loudly (never silent)."""
+    deduped across bands. The engine's one LSH bucket emitter: the
+    MinHash candidate paths, the incremental probe, SimHash
+    (``simhash_bucket_pairs``) and embedding LSH
+    (``similarity.lsh_cosine_pairs``) all run it. A binding cap warns
+    loudly (never silent), naming ``kind``."""
     none = (
         np.empty(0, dtype=np.uint64),
         np.empty(0, dtype=np.uint64),
@@ -388,7 +407,7 @@ def bucket_pairs_arrays(
     sizes = np.diff(np.append(starts, len(bh)))
     if cap is None:
         cap = derive_bucket_cap(sizes, budget or 10_000_000)
-    warn_bucket_overflow(sizes, cap)
+    warn_bucket_overflow(sizes, cap, kind)
     capped = np.minimum(sizes, cap)
     out_a: list[np.ndarray] = []
     out_b: list[np.ndarray] = []
@@ -483,7 +502,7 @@ def candidate_pairs(
             budget,
         )
 
-    if n_band_rows <= cfg.band_exchange_broadcast_limit:
+    if n_band_rows <= BAND_EXCHANGE_BROADCAST_LIMIT:
         # SMALL-INPUT FUSED PATH: ONE remote task explodes and lexsorts
         # the band rows (2 uint64 cols — 16 B/row), emits capped pairs
         # per bucket run AND dedupes them across bands in the same pass
@@ -536,7 +555,7 @@ def candidate_pairs(
     pairs = hash_exchange(
         source, "band_hash", num_parts, emit_reduce, _EMPTY_PAIRS, premap=explode
     )
-    return _dedupe_candidates(pairs, cfg, num_parts)
+    return _dedupe_candidates(pairs, num_parts)
 
 
 def _task_outputs(tbl: pa.Table, n: int):
@@ -561,13 +580,11 @@ def _dedupe_table(tbl: pa.Table) -> pa.Table:
     )
 
 
-def _dedupe_candidates(
-    pairs: ray.data.Dataset, cfg: PipelineConfig, num_parts: int
-) -> ray.data.Dataset:
+def _dedupe_candidates(pairs: ray.data.Dataset, num_parts: int) -> ray.data.Dataset:
     """Cross-band dedupe of the band exchange's raw (a, b, bucket_size)
     pairs into candidate pairs with their band-collision count."""
     # The raw (pre-dedupe) pair table is orders of magnitude smaller
-    # than the band exchange, so up to ``pair_dedupe_broadcast_limit``
+    # than the band exchange, so up to ``PAIR_DEDUPE_BROADCAST_LIMIT``
     # rows ONE remote task runs the dedupe kernel — replacing a whole
     # exchange barrier (its fixed cost is CPU-count independent and was
     # a measured scaling-efficiency drag). The result is split into
@@ -576,7 +593,7 @@ def _dedupe_candidates(
     raw = pairs.materialize()
     n_raw = raw.count()
 
-    if n_raw <= cfg.pair_dedupe_broadcast_limit:
+    if n_raw <= PAIR_DEDUPE_BROADCAST_LIMIT:
         out_parts = int(min(num_parts, max(1, n_raw // 1_000 + 1)))
 
         @ray.remote
@@ -1029,8 +1046,6 @@ def _score_pairs_two_csr(
     verify paths: a-side rows resolve against ``csr_a``, b-side against
     ``csr_b`` (the same object on the broadcast path). Emits the
     VERIFIED_SCHEMA with string file_ids, a < b."""
-    import pyarrow.compute as pc
-
     row_a = _csr_rows(csr_a, batch.column("a").to_numpy().astype(np.uint64))
     row_b = _csr_rows(csr_b, batch.column("b").to_numpy().astype(np.uint64))
     offs_a, flat_a = _csr_views(csr_a[2])
@@ -1074,6 +1089,35 @@ def _score_pairs_two_csr(
     )
 
 
+def simhash_bucket_pairs(
+    tbl: pa.Table, cap: int | None, budget: int, max_hamming: int
+) -> pa.Table:
+    """Pairs within ``max_hamming`` bits among the SimHash block-key
+    rows ``tbl`` (bkey, file_id, simhash): ``bucket_pairs_arrays`` over
+    the row positions of ``tbl`` sorted by file_id, so a binding cap
+    keeps each bucket's first members by file_id and ``a < b``."""
+    tbl = tbl.take(pc.sort_indices(tbl, [("file_id", "ascending")]))
+    a, b, _ = bucket_pairs_arrays(
+        tbl.column("bkey").to_numpy(),
+        np.arange(len(tbl), dtype=np.int64),
+        cap,
+        budget,
+        kind="SimHash",
+    )
+    fps = tbl.column("simhash").to_numpy()
+    x = np.bitwise_xor(fps[a], fps[b])
+    ham = np.unpackbits(x.view(np.uint8).reshape(len(x), 8), axis=1).sum(axis=1)
+    keep = ham <= max_hamming
+    ids = tbl.column("file_id")
+    return pa.table(
+        {
+            "a": ids.take(a[keep]),
+            "b": ids.take(b[keep]),
+            "hamming": pa.array(ham[keep].astype(np.int64)),
+        }
+    )
+
+
 def simhash_candidate_pairs(
     sigs: ray.data.Dataset, cfg: PipelineConfig, max_hamming: int = 3
 ) -> ray.data.Dataset:
@@ -1084,11 +1128,11 @@ def simhash_candidate_pairs(
 
     Both waves ride the barrier-free hash exchange
     (stages/exchange.py), mirroring the MinHash band exchange: bucket
-    co-location keyed on the mixed (band, block-value) key with a
-    vectorized per-PARTITION bucketing kernel (run-lengths over the
-    sorted frame, pair emission batched per distinct capped size), then
-    a cross-band pair dedupe keyed on hash(a, b) — no sort-based
-    groupby, no Python call per bucket (round-2 VERDICT item)."""
+    co-location keyed on the mixed (band, block-value) key, each
+    partition bucketed by ``simhash_bucket_pairs`` (the MinHash
+    ``bucket_pairs_arrays`` kernel), then a cross-band pair dedupe
+    keyed on (a, b) that keeps each pair's smallest Hamming distance —
+    no sort-based groupby, no Python call per bucket."""
     num_blocks = max_hamming + 1
     cap = cfg.band_bucket_cap
     budget = cfg.band_pair_budget
@@ -1117,76 +1161,13 @@ def simhash_candidate_pairs(
         )
         with np.errstate(over="ignore"):
             folded = keys.reshape(-1) * np.uint64(num_blocks) + band_ids
-        bkey = pd.util.hash_array(folded)
+        bkey = stable_hash_array(folded)
         take = pa.array(np.repeat(np.arange(n), num_blocks))
         return pa.table(
             {
                 "bkey": pa.array(bkey, pa.uint64()),
                 "file_id": batch.column("file_id").take(take),
                 "simhash": batch.column("simhash").take(take),
-            }
-        )
-
-    def emit_partition(p: int, tbl: pa.Table) -> pa.Table:
-        # vectorized bucketing across ALL of the partition's buckets:
-        # run-lengths over the sorted (bkey, file_id) frame, triu pair
-        # emission batched per DISTINCT capped bucket size
-        part = tbl.to_pandas()
-        part = part[part.duplicated(["bkey"], keep=False)]
-        if len(part) == 0:
-            return _EMPTY_OUT
-        part = part.sort_values(["bkey", "file_id"], kind="mergesort")
-        ids = part["file_id"].to_numpy()
-        fps = part["simhash"].to_numpy().astype(np.uint64)
-        sizes = part.groupby(["bkey"], sort=False).size().to_numpy()
-        starts = np.zeros(len(sizes), dtype=np.int64)
-        np.cumsum(sizes[:-1], out=starts[1:])
-        eff_cap = (
-            derive_bucket_cap(sizes, budget) if cap is None else cap
-        )
-        warn_bucket_overflow(sizes, eff_cap, kind="SimHash")
-        capped = np.minimum(sizes, eff_cap)
-        out_a, out_b, out_h = [], [], []
-        for m in np.unique(capped):
-            if m < 2:
-                continue
-            sel = capped == m
-            st = starts[sel]
-            ia, ib = np.triu_indices(int(m), k=1)
-            pos_a = (st[:, None] + ia[None, :]).ravel()
-            pos_b = (st[:, None] + ib[None, :]).ravel()
-            x = np.bitwise_xor(fps[pos_a], fps[pos_b])
-            ham = np.unpackbits(
-                x.view(np.uint8).reshape(len(x), 8), axis=1
-            ).sum(axis=1)
-            keep = ham <= max_hamming
-            out_a.append(ids[pos_a[keep]])
-            out_b.append(ids[pos_b[keep]])
-            out_h.append(ham[keep].astype(np.int64))
-        if not out_a:
-            return _EMPTY_OUT
-        return pa.table(
-            {
-                "a": pa.array(np.concatenate(out_a), pa.string()),
-                "b": pa.array(np.concatenate(out_b), pa.string()),
-                "hamming": pa.array(np.concatenate(out_h), pa.int64()),
-            }
-        )
-
-    def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        agg = (
-            tbl.to_pandas()
-            .groupby(["a", "b"], sort=False)["hamming"]
-            .min()
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "a": pa.array(agg["a"].to_numpy(), pa.string()),
-                "b": pa.array(agg["b"].to_numpy(), pa.string()),
-                "hamming": pa.array(
-                    agg["hamming"].to_numpy().astype(np.int64), pa.int64()
-                ),
             }
         )
 
@@ -1197,8 +1178,20 @@ def simhash_candidate_pairs(
 
     n_parts = default_partitions()
     exploded = sigs.map_batches(explode, batch_format="pyarrow")
-    pairs = hash_exchange(exploded, "bkey", n_parts, emit_partition, _EMPTY_OUT)
-    return hash_exchange(pairs, ["a", "b"], n_parts, dedupe_reduce, _EMPTY_OUT)
+    pairs = hash_exchange(
+        exploded,
+        "bkey",
+        n_parts,
+        lambda p, tbl: simhash_bucket_pairs(tbl, cap, budget, max_hamming),
+        _EMPTY_OUT,
+    )
+    return hash_exchange(
+        pairs,
+        ["a", "b"],
+        n_parts,
+        lambda p, tbl: group_aggregate(tbl, ["a", "b"], [("hamming", "min")]),
+        _EMPTY_OUT,
+    )
 
 
 # ---------------------------------------------------------------------------

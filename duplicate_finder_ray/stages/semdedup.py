@@ -12,8 +12,8 @@ their own elsewhere in the engine:
    that duplicate search is EXACT *within* a cluster and skipped
    across clusters — cluster count k bounds the per-partition O(n²);
 3. per cluster: row-normalized cosine scores, duplicate edges at
-   ``threshold``, connected components via the engine's vectorized
-   min-label + pointer-jumping kernel (a component can never span
+   ``threshold``, connected components via ``cc.min_labels``, the
+   engine's one union-find kernel (a component can never span
    clusters, so CC is partition-local by construction — no iterative
    shuffle rounds), and the SemDeDup keep rule: in each duplicate
    group the member FARTHEST from its centroid survives (max d2, ties
@@ -38,6 +38,7 @@ import pyarrow as pa
 
 import ray.data
 
+from duplicate_finder_ray.stages.cc import min_labels
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.similarity import _matrix, _normalize
 from duplicate_finder_ray.stages.stats import nearest_centroid_assign
@@ -51,22 +52,6 @@ OUT_SCHEMA = pa.schema(
         ("keep", pa.int64()),
     ]
 )
-
-
-def _min_label_cc(ea: np.ndarray, eb: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Vectorized min-label propagation with pointer jumping over edge
-    index arrays — the same kernel as `cc.connected_components`'s
-    small-graph path, reused partition-locally."""
-    label = np.arange(n_nodes, dtype=np.int64)
-    while True:
-        new = label.copy()
-        np.minimum.at(new, ea, label[eb])
-        np.minimum.at(new, eb, label[ea])
-        new = new[new]  # pointer jumping
-        if np.array_equal(new, label):
-            break
-        label = new
-    return label
 
 
 def semdedup(
@@ -132,7 +117,7 @@ def semdedup(
             jj = np.concatenate(jj_parts) if jj_parts else np.array([], np.int64)
             if len(ii) == 0:
                 continue
-            label = _min_label_cc(ii, jj, len(rows))
+            label = min_labels(ii, jj, len(rows))
             in_pair = np.zeros(len(rows), dtype=bool)
             in_pair[ii] = True
             in_pair[jj] = True

@@ -9,6 +9,9 @@ hands its map kernels one block format.
 * No map asks for ``batch_format="pandas"``: pandas string grouping
   merges keys that differ only after an embedded NUL, and its empty
   results are zero-column blocks.
+* The near-dup stages (``PANDAS_FREE``) neither import pandas nor
+  convert a block with ``to_pandas``: their pair and label kernels
+  group file_id strings.
 
 Pure static scan: no Ray session."""
 
@@ -19,6 +22,7 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "duplicate_finder_ray"
 READER = "sources/code_table.py"
+PANDAS_FREE = ("stages/cc.py", "stages/neardup.py", "stages/semdedup.py")
 
 
 def _package_trees():
@@ -45,6 +49,20 @@ def _pandas_maps(tree: ast.AST, path: str):
             yield f"{path}:{node.lineno}"
 
 
+def _pandas_uses(tree: ast.AST, path: str):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            mods = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            mods = [node.module or ""]
+        else:
+            if isinstance(node, ast.Attribute) and node.attr == "to_pandas":
+                yield f"{path}:{node.lineno}"
+            continue
+        if any(m == "pandas" or m.startswith("pandas.") for m in mods):
+            yield f"{path}:{node.lineno}"
+
+
 def test_parquet_reads_go_through_read_code_table():
     found = [
         hit
@@ -66,11 +84,29 @@ def test_no_pandas_batch_format():
     )
 
 
+def test_near_dup_stages_are_pandas_free():
+    found = [
+        hit
+        for rel, tree in _package_trees()
+        if rel in PANDAS_FREE
+        for hit in _pandas_uses(tree, rel)
+    ]
+    assert not found, (
+        "group with stages/util.py::group_aggregate or Arrow sorts:\n"
+        + "\n".join(found)
+    )
+
+
 def test_guard_sees_planted_examples():
     planted = ast.parse(
         "ds = ray.data.read_parquet(path)\n"
         'ds = ds.map_batches(fn, batch_format="pandas")\n'
         'ds = ds.map_batches(fn, batch_format="pyarrow")\n'
+        "import pandas as pd\n"
+        "df = ds.to_pandas()\n"
+        "from pandas.util import hash_array\n"
+        "import pyarrow.pandas_compat\n"
     )
     assert list(_parquet_reads(planted, "x.py")) == ["x.py:1"]
     assert list(_pandas_maps(planted, "x.py")) == ["x.py:2"]
+    assert sorted(_pandas_uses(planted, "x.py")) == ["x.py:4", "x.py:5", "x.py:6"]

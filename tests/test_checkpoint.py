@@ -91,13 +91,14 @@ class TestCheckpointManager:
         )
 
 
-#: every size-threshold path forced to its scale side
-FORCED_SCALE = PipelineConfig(
-    jaccard_threshold=0.8,
-    band_exchange_broadcast_limit=0,
-    pair_dedupe_broadcast_limit=0,
-    broadcast_verify_limit=0,
-)
+def _forced_scale(monkeypatch) -> PipelineConfig:
+    """A config, with the candidate stage's two module limits patched,
+    that forces every size-threshold path to its scale side."""
+    from duplicate_finder_ray.stages import neardup as nd_stages
+
+    monkeypatch.setattr(nd_stages, "BAND_EXCHANGE_BROADCAST_LIMIT", 0)
+    monkeypatch.setattr(nd_stages, "PAIR_DEDUPE_BROADCAST_LIMIT", 0)
+    return PipelineConfig(jaccard_threshold=0.8, broadcast_verify_limit=0)
 
 
 def _sorted_table(ds, keys: list[str]) -> pa.Table:
@@ -112,17 +113,18 @@ class TestResumablePipeline:
     def corpus_ds(self, ray_session):
         return ray_session.data.from_pandas(synthetic_code_corpus(120, seed=3))
 
-    @pytest.mark.parametrize(
-        "cfg",
-        [PipelineConfig(jaccard_threshold=0.8), FORCED_SCALE],
-        ids=["default", "forced_scale"],
-    )
+    @pytest.mark.parametrize("scale", [False, True], ids=["default", "forced_scale"])
     def test_checkpointed_equals_direct(
-        self, ray_session, corpus_ds, tmp_path, cfg
+        self, ray_session, corpus_ds, tmp_path, monkeypatch, scale
     ):
         """Bit-identical signatures, pairs and labels, every column, on
         both sides of the band-exchange, pair-dedupe and verify
         thresholds."""
+        cfg = (
+            _forced_scale(monkeypatch)
+            if scale
+            else PipelineConfig(jaccard_threshold=0.8)
+        )
         direct = NearDupPipeline(cfg).run_on(corpus_ds)
         ckpt = NearDupPipeline(cfg).run_checkpointed(corpus_ds, str(tmp_path))
         for name, keys in (
@@ -165,7 +167,7 @@ class TestResumablePipeline:
 
         monkeypatch.setattr(exchange, "hash_exchange", recording_exchange)
         monkeypatch.setattr(nd_stages, "prestart_verify_split", recording_prestart)
-        res = NearDupPipeline(FORCED_SCALE).run_checkpointed(
+        res = NearDupPipeline(_forced_scale(monkeypatch)).run_checkpointed(
             corpus_ds, str(tmp_path)
         )
         assert res.pairs.count() > 0

@@ -94,17 +94,16 @@ class TestNearDupPipeline:
         assert k1 == k2 and len(k1) > 0
 
     def test_fused_explode_exchange_matches_band_rows_path(
-        self, corpus, corpus_ds
+        self, corpus, corpus_ds, monkeypatch
     ):
         """candidate_pairs with sigs_source (explode fused into the
         exchange split tasks) must produce identical deduped candidate
-        pairs to the band-rows path. band_exchange_broadcast_limit=0
+        pairs to the band-rows path. BAND_EXCHANGE_BROADCAST_LIMIT=0
         forces the exchange on both sides."""
         from duplicate_finder_ray.stages.derive import add_identity
 
-        cfg = PipelineConfig(
-            jaccard_threshold=0.8, band_exchange_broadcast_limit=0
-        )
+        monkeypatch.setattr(neardup, "BAND_EXCHANGE_BROADCAST_LIMIT", 0)
+        cfg = PipelineConfig(jaccard_threshold=0.8)
         with_id = corpus_ds.map_batches(add_identity, batch_format="pyarrow")
         sigs = neardup.signatures(
             with_id.select_columns(["file_id", "content"]), cfg
@@ -124,16 +123,16 @@ class TestNearDupPipeline:
         }
         assert k1 == k2 and len(k1) > 0
 
-    def test_shuffle_pair_dedupe_matches_remote_task_path(self, corpus, corpus_ds):
+    def test_shuffle_pair_dedupe_matches_remote_task_path(
+        self, corpus, corpus_ds, monkeypatch
+    ):
         """The distributed (sort-shuffle) cross-band pair dedupe must
         produce the same pairs AND n_bands counts as the small-side
         remote-task lexsort path."""
-        base = PipelineConfig(jaccard_threshold=0.8)
-        shuffly = PipelineConfig(
-            jaccard_threshold=0.8, pair_dedupe_broadcast_limit=0
-        )
-        p1 = NearDupPipeline(base).run_on(corpus_ds).pairs.to_pandas()
-        p2 = NearDupPipeline(shuffly).run_on(corpus_ds).pairs.to_pandas()
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        p1 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
+        monkeypatch.setattr(neardup, "PAIR_DEDUPE_BROADCAST_LIMIT", 0)
+        p2 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
         k1 = {
             (*sorted((r.a, r.b)), r.n_bands) for r in p1.itertuples()
         }
@@ -142,16 +141,16 @@ class TestNearDupPipeline:
         }
         assert k1 == k2
 
-    def test_fused_band_exchange_matches_shuffle_path(self, corpus, corpus_ds):
+    def test_fused_band_exchange_matches_shuffle_path(
+        self, corpus, corpus_ds, monkeypatch
+    ):
         """The fused single-task band exchange (bucketing + capped pair
         emission + cross-band dedupe in one lexsort) must produce the
         same pairs and n_bands as the two-level shuffle path."""
-        fused = PipelineConfig(jaccard_threshold=0.8)  # default: fused
-        shuffly = PipelineConfig(
-            jaccard_threshold=0.8, band_exchange_broadcast_limit=0
-        )
-        p1 = NearDupPipeline(fused).run_on(corpus_ds).pairs.to_pandas()
-        p2 = NearDupPipeline(shuffly).run_on(corpus_ds).pairs.to_pandas()
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        p1 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()  # fused
+        monkeypatch.setattr(neardup, "BAND_EXCHANGE_BROADCAST_LIMIT", 0)
+        p2 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
         k1 = {(*sorted((r.a, r.b)), r.n_bands) for r in p1.itertuples()}
         k2 = {(*sorted((r.a, r.b)), r.n_bands) for r in p2.itertuples()}
         assert k1 == k2
@@ -613,6 +612,23 @@ class TestConnectedComponents:
         got_iter = dict(zip(labels_iter["file_id"], labels_iter["component"]))
         assert got_iter == oracle
 
+    @pytest.mark.parametrize("threshold", [10**9, 0], ids=["local", "iterative"])
+    def test_nul_differing_ids_stay_apart(self, ray_session, threshold):
+        """Ids that differ only after an embedded NUL are distinct nodes
+        on both paths. Twelve of them over the iterative path's four
+        buckets put at least two in one final-dedupe partition."""
+        import pyarrow as pa
+
+        xs = [f"x\0{i:02d}" for i in range(12)]
+        ys = [f"y{i:02d}" for i in range(12)]
+        edges = pa.table({"a": xs, "b": ys})
+        labels = cc.connected_components(
+            ray_session.data.from_arrow(edges),
+            PipelineConfig(cc_local_threshold=threshold),
+        )
+        got = {r["file_id"]: r["component"] for r in labels.take_all()}
+        assert got == {**{x: x for x in xs}, **dict(zip(ys, xs))}
+
     def test_iterative_chain(self, ray_session):
         edges = pd.DataFrame(
             {"a": [f"n{i}" for i in range(1, 30)], "b": [f"n{i+1}" for i in range(1, 30)]}
@@ -722,3 +738,63 @@ class TestSimHashPairs:
         pairs = neardup.simhash_candidate_pairs(sigs, cfg, max_hamming=3).to_pandas()
         assert len(pairs) == 1
         assert pairs["hamming"].iloc[0] == 0
+
+    @staticmethod
+    def _sigs(ray_session, ids: list[str], fps: list[int]):
+        import pyarrow as pa
+
+        return ray_session.data.from_arrow(
+            pa.table(
+                {
+                    "file_id": pa.array(ids, pa.string()),
+                    "simhash": pa.array(fps, pa.uint64()),
+                    "n_shingles": pa.array([5] * len(ids), pa.int64()),
+                }
+            )
+        )
+
+    def test_nul_differing_ids_in_one_dedupe_partition(
+        self, ray_session, monkeypatch
+    ):
+        """Two pairs whose first ids differ only after an embedded NUL,
+        in ONE cross-band dedupe partition, stay two pairs with their
+        own ids. ("x\0a", "x\0b") is 6 bits apart: a candidate, never
+        a pair."""
+        from duplicate_finder_ray.stages import exchange
+
+        monkeypatch.setattr(exchange, "default_partitions", lambda: 1)
+        sigs = self._sigs(ray_session, ["y", "x\0b", "x\0a"], [0, 0b111000, 0b111])
+        pairs = neardup.simhash_candidate_pairs(sigs, PipelineConfig(), 3)
+        got = {(r["a"], r["b"], r["hamming"]) for r in pairs.take_all()}
+        assert got == {("x\0a", "y", 3), ("x\0b", "y", 3)}
+
+    def test_binding_cap_keeps_first_members_by_file_id_and_warns(
+        self, ray_session
+    ):
+        """Five equal fingerprints share a bucket in every block; a cap
+        of 3 emits only the pairs among the three smallest file_ids and
+        the emitting kernel warns."""
+        import pyarrow as pa
+
+        ids = ["f4", "f2", "f0", "f3", "f1"]
+        sigs = self._sigs(ray_session, ids, [7] * 5)
+        pairs = neardup.simhash_candidate_pairs(
+            sigs, PipelineConfig(band_bucket_cap=3), 3
+        )
+        got = {(r["a"], r["b"], r["hamming"]) for r in pairs.take_all()}
+        assert got == {("f0", "f1", 0), ("f0", "f2", 0), ("f1", "f2", 0)}
+
+        rows = pa.table(
+            {
+                "bkey": pa.array([9] * 5, pa.uint64()),
+                "file_id": ids,
+                "simhash": pa.array([7] * 5, pa.uint64()),
+            }
+        )
+        with pytest.warns(RuntimeWarning, match="SimHash bucket cap 3 BINDING"):
+            out = neardup.simhash_bucket_pairs(rows, 3, 10_000_000, 3)
+        assert sorted(zip(out["a"].to_pylist(), out["b"].to_pylist())) == [
+            ("f0", "f1"),
+            ("f0", "f2"),
+            ("f1", "f2"),
+        ]

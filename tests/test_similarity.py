@@ -126,6 +126,42 @@ class TestCosinePairs:
         assert ka == kb
 
 
+    def test_lsh_binding_cap_truncates_and_warns(self, ray_session):
+        """Five equal vectors share a bucket in every table; a cap of 3
+        scores only the pairs among the three smallest vec_ids, each
+        carrying the true bucket size, and the emitting kernel warns."""
+        import pyarrow as pa
+
+        vec = np.linspace(-1.0, 1.0, 16, dtype=np.float32)
+        df = pd.DataFrame(
+            {
+                "vec_id": np.array([4, 2, 0, 3, 1], dtype=np.int64),
+                "embedding": [vec] * 5,
+            }
+        )
+        got = similarity.lsh_cosine_pairs(
+            ray_session.data.from_pandas(df), 0.9, n_tables=4, bucket_cap=3
+        )
+        rows = {(r["a"], r["b"], r["bucket_size"]) for r in got.take_all()}
+        assert rows == {(0, 1, 5), (0, 2, 5), (1, 2, 5)}
+
+        tbl = pa.table(
+            {
+                "bkey": pa.array([9] * 5, pa.uint64()),
+                "vec_id": df["vec_id"].to_numpy(),
+            }
+        )
+        with pytest.warns(
+            RuntimeWarning, match="embedding LSH bucket cap 3 BINDING"
+        ):
+            out = similarity._lsh_bucket_pairs(tbl, 3)
+        assert sorted(zip(out["a"].to_pylist(), out["b"].to_pylist())) == [
+            (0, 1),
+            (0, 2),
+            (1, 2),
+        ]
+
+
 class TestCosineThresholdSweep:
     THRESHOLDS = np.array([300_000, 500_000, 700_000, 900_000], dtype=np.int64)
     #: the sample regime's estimate on this fixture (62 of 138 vectors
