@@ -17,21 +17,18 @@ one — the asymmetry drives every choice):
 
 1. increment → digest table via the same map_batches derivation the
    full pipeline uses (content dropped immediately after hashing);
-2. ONE remote task lexsorts the increment digests: per-(size, sha256)
-   rank by (repo, path, commit) and the sorted sha256 probe array —
-   increment-sized, never the baseline;
+2. one remote task builds the sorted distinct increment sha256 array;
+   it stays a ref in the object store, never on the driver;
 3. the baseline digest table STREAMS through a map_batches semi-join
-   probe (np.searchsorted against the broadcast sha array — zero-copy,
-   no shuffle, no materialization of the 100 TB side);
-4. the (increment-sized) matched rows reduce in one remote task to the
-   per-key baseline keeper = min (repo, path, commit);
-5. a final map_batches over the increment digests annotates
-   matched_baseline / baseline_keeper / is_keeper.
+   probe against that array (no shuffle, no materialization of the
+   100 TB side);
+4. the increment rows and the matched baseline rows, told apart by a
+   ``from_increment`` flag, meet in ONE hash exchange on sha256 — the
+   exact path's partitioning — and each partition runs
+   :func:`members_kernel` with the exact path's sort-and-runs helpers.
 
-Partitioning assumption (documented per north_rule): the INCREMENT
-fits one task's memory (~10^8 rows); for increment ≈ corpus, run the
-full `DedupPipeline` instead — incremental mode exists for small
-deltas, where it avoids re-hashing the baseline entirely.
+Every step past the probe is partitioned, so neither side has to fit
+one task.
 """
 
 from __future__ import annotations
@@ -40,12 +37,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
+import pyarrow.compute as pc
 
 import ray
 import ray.data
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
+from duplicate_finder_ray.stages.exact import _rank_in_runs, _run_starts, _sorted_order
+from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.util import in_sorted
 
 MEMBERS_SCHEMA = pa.schema(
     [
@@ -56,6 +57,19 @@ MEMBERS_SCHEMA = pa.schema(
         ("is_keeper", pa.bool_()),
         ("matched_baseline", pa.bool_()),
         ("baseline_keeper", pa.string()),  # '' when unmatched
+    ]
+)
+
+#: the exchanged rows: increment digests and matched baseline digests
+_ROW_SCHEMA = pa.schema(
+    [
+        ("file_id", pa.string()),
+        ("repo", pa.string()),
+        ("path", pa.string()),
+        ("commit", pa.string()),
+        ("size", pa.int64()),
+        ("sha256", pa.string()),
+        ("from_increment", pa.bool_()),
     ]
 )
 
@@ -76,72 +90,116 @@ def _digests(ds: ray.data.Dataset) -> ray.data.Dataset:
     )
 
 
-_DIG_COLS = ["file_id", "repo", "path", "commit", "size", "sha256"]
+def _tagged(from_increment: bool):
+    """Digest block → ``_ROW_SCHEMA`` rows carrying the side flag."""
+
+    def tag(batch: pa.Table) -> pa.Table:
+        flag = pa.array(np.full(len(batch), from_increment))
+        rows = batch.select(_ROW_SCHEMA.names[:-1])
+        return rows.append_column("from_increment", flag).cast(_ROW_SCHEMA)
+
+    return tag
 
 
 @ray.remote
-def _rank_increment(*blocks: pa.Table) -> tuple:
-    """(ranked increment digest table, sorted unique sha256 array).
+def _sorted_unique(col: str, *blocks: pa.Table) -> np.ndarray:
+    """Sorted distinct values of ``col`` over ``blocks``: the probe
+    array of a streaming semi-join, built in the cluster."""
+    vals = [b.column(col).to_numpy(zero_copy_only=False) for b in blocks if len(b)]
+    return np.unique(np.concatenate(vals)) if vals else np.empty(0)
 
-    Rank = position of (repo, path, commit) within the (size, sha256)
-    group — 0 elects the increment-local keeper, matching the engine's
-    tuple sort (NOT the concatenated file_id string, which mis-orders
-    prefix paths)."""
-    blocks = tuple(b for b in blocks if "sha256" in b.column_names and len(b))
-    if not blocks:
-        empty = pa.table(
-            {
-                c: pa.array([], pa.int64() if c in ("size", "rnk") else pa.string())
-                for c in _DIG_COLS + ["rnk"]
-            }
-        )
-        return empty, np.empty(0, dtype=object)
-    tbl = pa.concat_tables([b.select(_DIG_COLS) for b in blocks])
-    sha = tbl.column("sha256").to_numpy(zero_copy_only=False)
-    size = tbl.column("size").to_numpy()
-    repo = tbl.column("repo").to_numpy(zero_copy_only=False)
-    path = tbl.column("path").to_numpy(zero_copy_only=False)
-    commit = tbl.column("commit").to_numpy(zero_copy_only=False)
-    order = np.lexsort((commit, path, repo, size, sha))
-    tbl = tbl.take(pa.array(order))
-    sha_s, size_s = sha[order], size[order]
-    new_grp = np.r_[
-        True, (sha_s[1:] != sha_s[:-1]) | (size_s[1:] != size_s[:-1])
-    ]
-    grp_start = np.maximum.accumulate(np.where(new_grp, np.arange(len(sha_s)), 0))
-    rnk = np.arange(len(sha_s)) - grp_start
-    tbl = tbl.append_column("rnk", pa.array(rnk.astype(np.int64)))
-    return tbl, np.unique(sha)
+
+def _semi_join(ds: ray.data.Dataset, col: str, sorted_ref) -> ray.data.Dataset:
+    """The rows of ``ds`` whose ``col`` is in the sorted array behind
+    ``sorted_ref``: a streaming map, no shuffle."""
+
+    def probe(batch: pa.Table) -> pa.Table:
+        vals = batch.column(col).to_numpy(zero_copy_only=False)
+        return batch.filter(pa.array(in_sorted(ray.get(sorted_ref), vals)))
+
+    return ds.map_batches(probe, batch_format="pyarrow")
 
 
 @ray.remote
-def _baseline_keepers(*blocks: pa.Table) -> dict:
-    """Reduce matched baseline rows to {(size, sha256): keeper file_id},
-    keeper = min (repo, path, commit) tuple."""
-    blocks = tuple(b for b in blocks if "sha256" in b.column_names and len(b))
-    out: dict = {}
-    if not blocks:
-        return out
-    tbl = pa.concat_tables([b.select(_DIG_COLS) for b in blocks])
-    sha = tbl.column("sha256").to_numpy(zero_copy_only=False)
-    size = tbl.column("size").to_numpy()
-    repo = tbl.column("repo").to_numpy(zero_copy_only=False)
-    path = tbl.column("path").to_numpy(zero_copy_only=False)
-    commit = tbl.column("commit").to_numpy(zero_copy_only=False)
-    fid = tbl.column("file_id").to_numpy(zero_copy_only=False)
-    order = np.lexsort((commit, path, repo, size, sha))
-    sha_s, size_s, fid_s = sha[order], size[order], fid[order]
-    first = np.r_[
-        True, (sha_s[1:] != sha_s[:-1]) | (size_s[1:] != size_s[:-1])
-    ]
-    for i in np.nonzero(first)[0]:
-        out[(int(size_s[i]), sha_s[i])] = fid_s[i]
-    return out
+def _n_matched(*blocks: pa.Table) -> int:
+    """Members that joined a baseline group, counted in one task over
+    the member blocks."""
+    return sum(pc.sum(b["matched_baseline"]).as_py() or 0 for b in blocks)
+
+
+def members_kernel(tbl: pa.Table) -> pa.Table:
+    """One partition's increment members: ``tbl`` holds ``_ROW_SCHEMA``
+    rows of every (size, sha256) group it touches; returns one
+    MEMBERS_SCHEMA row per increment row.
+
+    One stable sort on ``(size, sha256, from_increment, repo, path,
+    commit)`` puts a group's baseline rows first. The first row of a
+    ``(size, sha256)`` run therefore decides ``matched_baseline`` and,
+    when it is a baseline row, is the ``baseline_keeper`` (the minimum
+    tuple, as in :func:`stages.exact.members_kernel`). The rank within
+    a ``(size, sha256, from_increment)`` run elects the increment-local
+    keeper, which only counts for unmatched groups."""
+    keys = ["size", "sha256", "from_increment", "repo", "path", "commit"]
+    t = tbl.take(_sorted_order(tbl, keys))
+    first = np.arange(len(t)) - _rank_in_runs(_run_starts(t["size"], t["sha256"]))
+    from_inc = t["from_increment"].to_numpy()
+    matched = ~from_inc[first]
+    rank = _rank_in_runs(_run_starts(t["size"], t["sha256"], t["from_increment"]))
+    keeper = pc.if_else(pa.array(matched), t["file_id"].take(pa.array(first)), "")
+    out = pa.table(
+        [
+            t["file_id"],
+            t["size"],
+            t["sha256"],
+            t["sha256"],
+            pa.array(~matched & (rank == 0)),
+            pa.array(matched),
+            keeper,
+        ],
+        schema=MEMBERS_SCHEMA,
+    )
+    return out.filter(pa.array(from_inc))
+
+
+@ray.remote
+def _touching(inc_fids: np.ndarray, pairs: pa.Table) -> pa.Table:
+    """The candidate pairs with at least one endpoint in the sorted
+    increment fids."""
+    a, b = pairs["a"].to_numpy(), pairs["b"].to_numpy()
+    return pairs.filter(pa.array(in_sorted(inc_fids, a) | in_sorted(inc_fids, b)))
 
 
 NEARDUP_LABELS_SCHEMA = pa.schema(
     [("file_id", pa.string()), ("component", pa.string())]
 )
+
+
+def _rows(blocks, schema: pa.Schema) -> pa.Table:
+    """The non-empty ``blocks`` projected to ``schema``, concatenated."""
+    tables = [b.select(schema.names).cast(schema) for b in blocks if len(b)]
+    return pa.concat_tables(tables) if tables else schema.empty_table()
+
+
+@ray.remote(num_returns=2)
+def _increment_labels(n_graph: int, *blocks: pa.Table) -> tuple:
+    """(label per increment file, count of increment files whose
+    component holds a baseline file). ``blocks``: the pair graph's
+    label blocks, then the increment's signature blocks (only their
+    ``file_id`` is read).
+
+    Left join of the increment ids to the graph labels, unlabeled ids
+    naming themselves; every graph node outside the increment is a
+    baseline file."""
+    graph = _rows(blocks[:n_graph], NEARDUP_LABELS_SCHEMA)
+    ids = _rows(blocks[n_graph:], pa.schema([("file_id", pa.string())]))
+    ids = pc.unique(ids["file_id"])
+    labels = pa.table({"file_id": ids}).join(graph, "file_id", join_type="left outer")
+    labels = labels.set_column(
+        1, "component", pc.coalesce(labels["component"], labels["file_id"])
+    )
+    base = graph.filter(pc.invert(pc.is_in(graph["file_id"], value_set=ids)))
+    hit = pc.is_in(labels["component"], value_set=base["component"].combine_chunks())
+    return labels.cast(NEARDUP_LABELS_SCHEMA), pc.sum(hit).as_py() or 0
 
 
 @dataclass
@@ -159,7 +217,8 @@ class IncrementalNearDupResult:
     #: not rewritten here — fold them in with a global
     #: ``cc.connected_components`` pass when compacting.
     labels: ray.data.Dataset
-    #: increment files with ≥1 verified baseline partner
+    #: increment files whose component in this batch's pair graph holds
+    #: ≥1 baseline file (directly or through other increment files)
     n_matched_baseline: int
 
 
@@ -170,13 +229,18 @@ class IncrementalNearDup:
     ``bands`` must come from the same band count as this config, which
     the explode checks).
 
-    Only the increment is shingled/hashed. The baseline streams twice,
-    both passes trivially parallel with no shuffle: once through the
-    band-explode (a flatten of the stored band keys) + broadcast-
-    membership probe (which bands collide with the increment's), once
-    through the verify stage's endpoint filter (which shingle sets are
-    needed). At 10^12-file scale partition the stored signature table
-    by ``fid % S`` and by band range to prune both streams to touched
+    Only the increment is shingled/hashed, by the full pipeline's
+    signature stage. The baseline streams twice, both passes trivially
+    parallel with no shuffle: once through the band-explode (a flatten
+    of the stored band keys) + semi-join probe against the increment's
+    band keys, once through the verify stage's endpoint filter (which
+    shingle sets are needed). The increment's band rows and the matched
+    baseline band rows then take the engine's own stages:
+    ``candidate_pairs`` (keeping the pairs with an increment endpoint),
+    ``verify_pairs_exact`` and ``connected_components``. One task then
+    labels the increment's files from the pair graph's labels. At
+    10^12-file scale partition the stored signature table by
+    ``fid % S`` and by band range to prune both streams to touched
     partitions."""
 
     def __init__(self, cfg: PipelineConfig | None = None) -> None:
@@ -187,170 +251,38 @@ class IncrementalNearDup:
         baseline_sigs: ray.data.Dataset,
         increment: ray.data.Dataset,
     ) -> IncrementalNearDupResult:
+        from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
         from duplicate_finder_ray.stages import cc, neardup
-        from duplicate_finder_ray.stages.derive import add_identity
 
         cfg = self.cfg
-        with_id = increment.map_batches(add_identity, batch_format="pyarrow")
-        inc_sigs = neardup.signatures(
-            with_id.select_columns(["file_id", "content"]),
-            cfg,
-            emit_shingles=True,
+        inc_sigs = NearDupPipeline(cfg)._signatures(
+            increment, emit_shingles=True
         ).materialize()
         inc_bands = neardup.explode_bands(inc_sigs, cfg).materialize()
         inc_refs = inc_bands.to_arrow_refs()
-
-        @ray.remote(num_returns=2)
-        def inc_band_index(*blocks: pa.Table) -> tuple:
-            """(sorted unique inc band hashes, sorted inc fids)."""
-            blocks = tuple(
-                b for b in blocks if "band_hash" in b.column_names and len(b)
-            )
-            if not blocks:
-                return (
-                    np.empty(0, dtype=np.uint64),
-                    np.empty(0, dtype=np.uint64),
-                )
-            tbl = pa.concat_tables(blocks)
-            return (
-                np.unique(tbl.column("band_hash").to_numpy().astype(np.uint64)),
-                np.unique(tbl.column("fid").to_numpy().astype(np.uint64)),
-            )
-
-        bands_ref, inc_fids_ref = inc_band_index.remote(*inc_refs)
-
-        def probe_bands(batch: pa.Table) -> pa.Table:
-            hot = ray.get(bands_ref)
-            col = batch.column("band_hash").to_numpy().astype(np.uint64)
-            if len(hot) == 0 or len(col) == 0:
-                return batch.slice(0, 0)
-            pos = np.searchsorted(hot, col)
-            pos[pos >= len(hot)] = 0
-            return batch.filter(pa.array(hot[pos] == col))
-
-        matched_bands = (
-            neardup.explode_bands(baseline_sigs, cfg)
-            .map_batches(probe_bands, batch_format="pyarrow")
-            .materialize()
-        )
-
-        @ray.remote
-        def inc_candidates(inc_fids: np.ndarray, *blocks: pa.Table) -> pa.Table:
-            """Bucket inc + matched-baseline band rows together, emit
-            capped pairs, DROP baseline×baseline pairs, dedupe across
-            bands — one lexsort task (both inputs are increment-sized
-            by construction)."""
-            blocks = tuple(
-                b for b in blocks if "band_hash" in b.column_names and len(b)
-            )
-            if not blocks:
-                return neardup.CAND_SCHEMA.empty_table()
-            tbl = pa.concat_tables([b.select(["band_hash", "fid"]) for b in blocks])
-            a, b, sz = neardup.bucket_pairs_arrays(
-                tbl.column("band_hash").to_numpy().astype(np.uint64),
-                tbl.column("fid").to_numpy().astype(np.uint64),
-                cfg.band_bucket_cap,
-                cfg.band_pair_budget,
-            )
-            if len(a) == 0:
-                return neardup.CAND_SCHEMA.empty_table()
-
-            def is_inc(x: np.ndarray) -> np.ndarray:
-                if len(inc_fids) == 0:
-                    return np.zeros(len(x), dtype=bool)
-                pos = np.searchsorted(inc_fids, x)
-                pos[pos >= len(inc_fids)] = 0
-                return inc_fids[pos] == x
-
-            keep = is_inc(a) | is_inc(b)
-            return neardup.dedupe_pair_arrays(a[keep], b[keep], sz[keep])
-
-        cand_ref = inc_candidates.remote(
-            inc_fids_ref, *(inc_refs + matched_bands.to_arrow_refs())
-        )
-        candidates = ray.data.from_arrow_refs([cand_ref])
-
-        sig_union = inc_sigs.union(baseline_sigs)
-        verified = neardup.verify_pairs_exact(
-            candidates, sig_union, cfg
+        hot_ref = _sorted_unique.remote("band_hash", *inc_refs)
+        inc_fids_ref = _sorted_unique.remote("fid", *inc_refs)
+        matched_bands = _semi_join(
+            neardup.explode_bands(baseline_sigs, cfg), "band_hash", hot_ref
         ).materialize()
-
-        labels_graph = cc.connected_components(verified, cfg).materialize()
-
-        @ray.remote(num_returns=2)
-        def finalize_labels(n_lab: int, *blocks: pa.Table) -> tuple:
-            """Labels for every increment file: graph component when it
-            appears in the pair graph, else its own file_id. Also count
-            inc files whose component contains ≥1 baseline member."""
-            lab = [
-                b
-                for b in blocks[:n_lab]
-                if "file_id" in b.column_names and len(b)
-            ]
-            ids = [
-                b
-                for b in blocks[n_lab:]
-                if "file_id" in b.column_names and len(b)
-            ]
-            lab_t = (
-                pa.concat_tables([b.select(["file_id", "component"]) for b in lab])
-                if lab
-                else NEARDUP_LABELS_SCHEMA.empty_table()
-            )
-            inc_ids = (
-                np.unique(
-                    np.concatenate(
-                        [
-                            b.column("file_id").to_numpy(zero_copy_only=False)
-                            for b in ids
-                        ]
-                    )
-                )
-                if ids
-                else np.empty(0, dtype=object)
-            )
-            lf = lab_t.column("file_id").to_numpy(zero_copy_only=False)
-            lc = lab_t.column("component").to_numpy(zero_copy_only=False)
-            order = np.argsort(lf)
-            lf, lc = lf[order], lc[order]
-
-            def member_of(sorted_arr: np.ndarray, probe: np.ndarray) -> np.ndarray:
-                if len(sorted_arr) == 0 or len(probe) == 0:
-                    return np.zeros(len(probe), dtype=bool)
-                pos = np.searchsorted(sorted_arr, probe)
-                pos[pos >= len(sorted_arr)] = 0
-                return sorted_arr[pos] == probe
-
-            if len(lf):
-                pos = np.searchsorted(lf, inc_ids)
-                pos[pos >= len(lf)] = 0
-                hit = lf[pos] == inc_ids
-                comp = np.where(hit, lc[pos], inc_ids)
-            else:
-                comp = inc_ids.copy()
-            out = pa.table(
-                {
-                    "file_id": pa.array(inc_ids, pa.string()),
-                    "component": pa.array(comp, pa.string()),
-                }
-            )
-            # every labeled node NOT in inc_ids is a baseline member;
-            # an inc file matches iff its component is one of theirs
-            node_is_inc = member_of(inc_ids, lf)
-            base_components = np.unique(lc[~node_is_inc])
-            n_matched = int(np.sum(member_of(base_components, comp)))
-            return out, n_matched
-
-        lab_refs = list(labels_graph.to_arrow_refs())
-        id_refs = list(
-            inc_sigs.select_columns(["file_id"]).materialize().to_arrow_refs()
+        band_rows = inc_refs + matched_bands.to_arrow_refs()
+        pairs = neardup.candidate_pairs(ray.data.from_arrow_refs(band_rows), cfg)
+        candidates = ray.data.from_arrow_refs(
+            [_touching.remote(inc_fids_ref, r) for r in pairs.to_arrow_refs()]
         )
-        out_ref, n_ref = finalize_labels.remote(
-            len(lab_refs), *(lab_refs + id_refs)
+        verified = neardup.verify_pairs_exact(
+            candidates, inc_sigs.union(baseline_sigs), cfg
+        ).materialize()
+        graph = cc.connected_components(verified, cfg).materialize()
+
+        graph_refs = graph.to_arrow_refs()
+        labels_ref, n_ref = _increment_labels.remote(
+            len(graph_refs), *graph_refs, *inc_sigs.to_arrow_refs()
         )
-        labels = ray.data.from_arrow_refs([out_ref])
         return IncrementalNearDupResult(
-            pairs=verified, labels=labels, n_matched_baseline=int(ray.get(n_ref))
+            pairs=verified,
+            labels=ray.data.from_arrow_refs([labels_ref]),
+            n_matched_baseline=ray.get(n_ref),
         )
 
 
@@ -363,95 +295,22 @@ class IncrementalDedup:
         baseline_digests: ray.data.Dataset,
         increment: ray.data.Dataset,
     ) -> IncrementalResult:
-        """baseline_digests: digest table (columns ⊇ _DIG_COLS) from a
-        prior run — streamed, never materialized. increment: raw code
-        table (repo, path, commit[, lang], content)."""
-        inc_dig = _digests(increment).materialize()
-        inc_refs = inc_dig.to_arrow_refs()
-        if not inc_refs or inc_dig.count() == 0:
-            return IncrementalResult(
-                ray.data.from_arrow(MEMBERS_SCHEMA.empty_table()), 0
-            )
-        ranked_ref, sha_ref = _rank_increment.options(num_returns=2).remote(
-            *inc_refs
+        """baseline_digests: digest table (columns ⊇ file_id, repo,
+        path, commit, size, sha256) from a prior run — streamed, never
+        materialized. increment: raw code table (repo, path, commit[,
+        lang], content)."""
+        inc = _digests(increment).map_batches(_tagged(True), batch_format="pyarrow")
+        inc = inc.materialize()
+        sha_ref = _sorted_unique.remote("sha256", *inc.to_arrow_refs())
+        matched = _semi_join(baseline_digests, "sha256", sha_ref).map_batches(
+            _tagged(False), batch_format="pyarrow"
         )
-
-        def probe(batch: pa.Table) -> pa.Table:
-            shas = ray.get(sha_ref)
-            col = batch.column("sha256").to_numpy(zero_copy_only=False)
-            if len(shas) == 0 or len(col) == 0:
-                return batch.slice(0, 0)
-            pos = np.searchsorted(shas, col)
-            pos[pos >= len(shas)] = 0
-            return batch.filter(pa.array(shas[pos] == col))
-
-        matched = (
-            baseline_digests.map_batches(probe, batch_format="pyarrow")
-            .materialize()
-        )
-        keeper_ref = _baseline_keepers.remote(*matched.to_arrow_refs())
-
-        def annotate(batch: pa.Table) -> pa.Table:
-            keepers = ray.get(keeper_ref)
-            size = batch.column("size").to_numpy()
-            sha = batch.column("sha256").to_numpy(zero_copy_only=False)
-            rnk = batch.column("rnk").to_numpy()
-            # vectorized lookup: sorted composite keys + searchsorted
-            if keepers:
-                kk = np.array(
-                    [f"{h}#{s}" for (s, h) in keepers.keys()], dtype=object
-                )
-                kv = np.array(list(keepers.values()), dtype=object)
-                ko = np.argsort(kk)
-                kk, kv = kk[ko], kv[ko]
-                probe_keys = np.array(
-                    [f"{h}#{int(s)}" for h, s in zip(sha, size)], dtype=object
-                )
-                pos = np.searchsorted(kk, probe_keys)
-                pos[pos >= len(kk)] = 0
-                hit = kk[pos] == probe_keys
-                bk = np.where(hit, kv[pos], "")
-            else:
-                hit = np.zeros(len(batch), dtype=bool)
-                bk = np.full(len(batch), "", dtype=object)
-            is_keeper = np.where(hit, False, rnk == 0)
-            return pa.table(
-                {
-                    "file_id": batch["file_id"],
-                    "size": batch["size"],
-                    "sha256": batch["sha256"],
-                    "group_id": batch["sha256"],
-                    "is_keeper": pa.array(is_keeper, pa.bool_()),
-                    "matched_baseline": pa.array(hit, pa.bool_()),
-                    "baseline_keeper": pa.array(bk, pa.string()),
-                }
-            )
-
-        members = ray.data.from_arrow_refs([ranked_ref]).map_batches(
-            annotate, batch_format="pyarrow"
-        )
-        members = members.materialize()
-        n_matched = int(
-            members.map_batches(
-                lambda b: pa.table(
-                    {
-                        "n": pa.array(
-                            [
-                                int(
-                                    pa.compute.sum(
-                                        pa.compute.cast(
-                                            b["matched_baseline"], pa.int64()
-                                        )
-                                    ).as_py()
-                                    or 0
-                                )
-                            ],
-                            pa.int64(),
-                        )
-                    }
-                ),
-                batch_format="pyarrow",
-            ).sum("n")
-            or 0
-        )
+        members = hash_exchange(
+            inc.union(matched),
+            "sha256",
+            max(8, self.cfg.parallelism),
+            lambda p, tbl: members_kernel(tbl),
+            MEMBERS_SCHEMA.empty_table(),
+        ).materialize()
+        n_matched = ray.get(_n_matched.remote(*members.to_arrow_refs()))
         return IncrementalResult(members, n_matched)

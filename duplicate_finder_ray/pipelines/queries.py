@@ -200,6 +200,19 @@ def _md5_sig_config() -> PipelineConfig:
     )
 
 
+#: verified near-dup config of the ``near_dup_*`` queries: τ = 0.5
+#: (word-salad texts need a low τ to produce pairs) with
+#: recall-targeted auto banding, so the LSH pipeline returns the
+#: complete ≥τ pair set the brute-force SQL computes. The word-salad
+#: corpus turns near-clique at sf0.1 (~720k true pairs over 5k docs) —
+#: the answer is genuinely quadratic there. The default budget-derived
+#: cap (band_bucket_cap=None + band_pair_budget) truncates nothing
+#: while pair volume fits the per-task budget and warns loudly if it
+#: ever binds, so no override is needed.
+def _near_dup_cfg() -> PipelineConfig:
+    return PipelineConfig(jaccard_threshold=0.5, lsh_bands=0)
+
+
 def q_minhash_signatures(sf_dir: str) -> ray.data.Dataset:
     """M3: MinHash + SimHash signature table in long form
     (file_id, perm, minhash, simhash, n_shingles) under the
@@ -263,16 +276,7 @@ def q_near_dup_pairs(sf_dir: str) -> ray.data.Dataset:
     float jaccard that no rounding mode can smudge."""
     from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 
-    cfg = PipelineConfig(
-        jaccard_threshold=0.5,
-        lsh_bands=0,
-        # the word-salad corpus turns near-clique at sf0.1 (~720k
-        # true pairs over 5k docs) — the answer is genuinely
-        # quadratic there. The default budget-derived cap
-        # (band_bucket_cap=None + band_pair_budget) truncates
-        # nothing while pair volume fits the per-task budget and
-        # warns loudly if it ever binds, so no override is needed.
-    )
+    cfg = _near_dup_cfg()
     res = NearDupPipeline(cfg).run_on(code_files_from_documents(sf_dir))
     return res.pairs.select_columns(["a", "b", "n_inter", "n_union"])
 
@@ -284,16 +288,7 @@ def q_near_dup_clusters(sf_dir: str) -> ray.data.Dataset:
     (union-find oracle also in tests/test_neardup.py)."""
     from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 
-    cfg = PipelineConfig(
-        jaccard_threshold=0.5,
-        lsh_bands=0,
-        # the word-salad corpus turns near-clique at sf0.1 (~720k
-        # true pairs over 5k docs) — the answer is genuinely
-        # quadratic there. The default budget-derived cap
-        # (band_bucket_cap=None + band_pair_budget) truncates
-        # nothing while pair volume fits the per-task budget and
-        # warns loudly if it ever binds, so no override is needed.
-    )
+    cfg = _near_dup_cfg()
     res = NearDupPipeline(cfg).run_on(code_files_from_documents(sf_dir))
     return res.labels
 
@@ -305,16 +300,7 @@ def q_near_dup_spans(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.derive import add_identity
     from duplicate_finder_ray.stages.spans import common_spans
 
-    cfg = PipelineConfig(
-        jaccard_threshold=0.5,
-        lsh_bands=0,
-        # the word-salad corpus turns near-clique at sf0.1 (~720k
-        # true pairs over 5k docs) — the answer is genuinely
-        # quadratic there. The default budget-derived cap
-        # (band_bucket_cap=None + band_pair_budget) truncates
-        # nothing while pair volume fits the per-task budget and
-        # warns loudly if it ever binds, so no override is needed.
-    )
+    cfg = _near_dup_cfg()
     code = code_files_from_documents(sf_dir)
     res = NearDupPipeline(cfg).run_on(code)
     with_id = code.map_batches(add_identity, batch_format="pyarrow")
@@ -673,16 +659,7 @@ def q_incremental_near_dup(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages import neardup
     from duplicate_finder_ray.stages.derive import add_identity
 
-    cfg = PipelineConfig(
-        jaccard_threshold=0.5,
-        lsh_bands=0,
-        # the word-salad corpus turns near-clique at sf0.1 (~720k
-        # true pairs over 5k docs) — the answer is genuinely
-        # quadratic there. The default budget-derived cap
-        # (band_bucket_cap=None + band_pair_budget) truncates
-        # nothing while pair volume fits the per-task budget and
-        # warns loudly if it ever binds, so no override is needed.
-    )
+    cfg = _near_dup_cfg()
     wid = _split_docs_code(sf_dir, increment=False).map_batches(
         add_identity, batch_format="pyarrow"
     )
@@ -9377,9 +9354,7 @@ def q_leakage_free_split(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.exchange import hash_exchange
     from duplicate_finder_ray.stages.relational import split_assign
 
-    cfg = PipelineConfig(
-        jaccard_threshold=0.5, lsh_bands=0
-    )
+    cfg = _near_dup_cfg()
     code = code_files_from_documents(sf_dir)
     res = NearDupPipeline(cfg).run_on(code)
 

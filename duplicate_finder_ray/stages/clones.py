@@ -22,14 +22,12 @@ unchanged (documented limitation; both engines agree on it).
 Scale shape: normalization + sha256 run map-side inside
 ``map_batches`` and the content column is DROPPED there — only slim
 ``(clone_id, repo, file_id)`` rows cross ONE clone-keyed hash
-exchange; each partition emits its group rows with a vectorized pandas
-groupby.  No task ever holds more than its partition's slim rows.
+exchange; each partition emits its group rows with one Arrow hash
+aggregate.  No task ever holds more than its partition's slim rows.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -37,6 +35,7 @@ import ray.data
 
 from duplicate_finder_ray.functions.hashing import sha256_hex_array
 from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.util import group_aggregate
 
 _SLIM_SCHEMA = pa.schema(
     [
@@ -76,8 +75,10 @@ def clone_groups_type2(
 
     Returns ``(clone_id, n_files, n_repos, rep_file)`` for every
     normalized fingerprint shared by ≥ ``min_group`` files, where
-    ``rep_file`` is the lexicographically smallest member (the same
-    keeper rule as exact dedup, duplicate_finder.py:309)."""
+    ``rep_file`` is the smallest member ``file_id`` in string order
+    (``min(file_id)``, as the SQL twin computes it). That is NOT exact
+    dedup's (repo, path, commit) tuple rule: the two differ for prefix
+    paths such as ``LICENSE`` vs ``LICENSE.txt``."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
 
@@ -96,22 +97,13 @@ def clone_groups_type2(
     slim = code.map_batches(fingerprint, batch_format="pyarrow")
 
     def group_rows(p: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return _GROUP_SCHEMA.empty_table()
-        df = tbl.to_pandas()
-        agg = df.groupby("clone_id", sort=False).agg(
-            n_files=("file_id", "size"),
-            n_repos=("repo", "nunique"),
-            rep_file=("file_id", "min"),
-        )
-        agg = agg[agg["n_files"] >= min_group].reset_index()
-        return pa.table(
-            {
-                "clone_id": pa.array(agg["clone_id"], pa.string()),
-                "n_files": pa.array(agg["n_files"].to_numpy(np.int64), pa.int64()),
-                "n_repos": pa.array(agg["n_repos"].to_numpy(np.int64), pa.int64()),
-                "rep_file": pa.array(agg["rep_file"], pa.string()),
-            }
+        agg = group_aggregate(
+            tbl,
+            ["clone_id"],
+            [("file_id", "count"), ("repo", "count_distinct"), ("file_id", "min")],
+        ).rename_columns(_GROUP_SCHEMA.names)
+        return agg.filter(pc.greater_equal(agg["n_files"], min_group)).cast(
+            _GROUP_SCHEMA
         )
 
     return hash_exchange(

@@ -65,7 +65,7 @@ from duplicate_finder_ray.functions.shingles import (
     batch_simhash,
     simhash_band_keys,
 )
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.util import group_aggregate, in_sorted
 
 #: layout of the signature table :func:`signature_batch` emits. Part of
 #: every checkpoint's config hash, so a stage written under another
@@ -387,7 +387,7 @@ def bucket_pairs_arrays(
     emit all intra-bucket pairs per distinct capped size (np.triu
     block trick). Returns raw (a, b, true_bucket_size) — NOT yet
     deduped across bands. The engine's one LSH bucket emitter: the
-    MinHash candidate paths, the incremental probe, SimHash
+    MinHash candidate paths (the incremental pipeline's too), SimHash
     (``simhash_bucket_pairs``) and embedding LSH
     (``similarity.lsh_cosine_pairs``) all run it. A binding cap warns
     loudly (never silent), naming ``kind``."""
@@ -749,14 +749,6 @@ def _sig_shard(tbl: pa.Table, n: int) -> np.ndarray:
     return _fid_shard(tbl.column("fid").to_numpy(), n)
 
 
-def _in_sorted(sorted_ids: np.ndarray, ids: np.ndarray) -> np.ndarray:
-    """Membership mask of ``ids`` in the sorted uint64 array."""
-    if len(sorted_ids) == 0:
-        return np.zeros(len(ids), dtype=bool)
-    pos = np.minimum(np.searchsorted(sorted_ids, ids), len(sorted_ids) - 1)
-    return sorted_ids[pos] == ids
-
-
 def _verify_shards(cfg: PipelineConfig) -> int:
     return max(4, effective_parallelism(cfg))
 
@@ -778,7 +770,7 @@ def _shard_split(
         if endpoints_ref is None:
             return block
         fids = block.column("fid").to_numpy().astype(np.uint64)
-        return block.filter(pa.array(_in_sorted(ray.get(endpoints_ref), fids)))
+        return block.filter(pa.array(in_sorted(ray.get(endpoints_ref), fids)))
 
     return split_wave(
         sigs.materialize().to_arrow_refs(), _sig_shard, n_shards, premap
@@ -797,8 +789,9 @@ def prestart_verify_split(sigs: ray.data.Dataset, cfg: PipelineConfig) -> dict:
     applies the endpoint semi-join instead — verify's built-CSR memory
     is unchanged; only the transient split sub-blocks cover the whole
     corpus. Returns an opaque handle for ``verify_pairs_exact``'s
-    ``prestarted=`` parameter; the handle is only honored when the
-    sharded path is actually taken and shard counts match."""
+    ``prestarted=`` parameter; a handle whose shard count matches sends
+    verify down the sharded path whatever the endpoint count, so the
+    split is never launched and then thrown away."""
     n_shards = _verify_shards(cfg)
     return {"n_shards": n_shards, "split_refs": _shard_split(sigs, n_shards)}
 
@@ -828,8 +821,9 @@ def verify_pairs_exact(
 
     When the endpoint set is small (≤ ``broadcast_verify_limit``) the
     CSR is broadcast and pairs are scored in a single map_batches — no
-    joins at all (ray_guide: broadcast the small side). Beyond it the
-    CSR is sharded by ``_fid_shard``: the 10^12-scale shape.
+    joins at all (ray_guide: broadcast the small side). Beyond it, or
+    whenever a ``prestarted`` split with the matching shard count is
+    passed, the CSR is sharded by ``_fid_shard``: the 10^12-scale shape.
     """
     if "shingles" not in sigs.schema().names:
         raise ValueError(
@@ -865,8 +859,11 @@ def verify_pairs_exact(
         # and a materialized blockless Dataset has no schema
         return ray.data.from_arrow(VERIFIED_SCHEMA.empty_table())
     threshold = cfg.jaccard_threshold
+    n_shards = _verify_shards(cfg)
+    if prestarted is not None and prestarted["n_shards"] != n_shards:
+        prestarted = None
 
-    if n_endpoints <= cfg.broadcast_verify_limit:
+    if prestarted is None and n_endpoints <= cfg.broadcast_verify_limit:
         # --- broadcast path: ONE fid-keyed CSR in the object store ---
         # (radix-sortable uint64 keys, a sort permutation, and the
         # shingle/name payloads as ARROW columns — no payload sort, no
@@ -901,8 +898,7 @@ def verify_pairs_exact(
     # fetched only by the nodes that probe it. A prestarted split
     # already ran, overlapped under candidate generation, unfiltered;
     # the CSR builds apply the endpoint filter either way.
-    n_shards = _verify_shards(cfg)
-    if prestarted is not None and prestarted["n_shards"] == n_shards:
+    if prestarted is not None:
         split_refs = prestarted["split_refs"]
     else:
         split_refs = _shard_split(sigs, n_shards, endpoints_ref)
@@ -968,10 +964,12 @@ _EMPTY_CSR = (
 )
 
 
-def _csr_views(col: pa.Array) -> tuple:
+def _csr_views(col: pa.Array | pa.ChunkedArray | None) -> tuple:
     """(byte offsets / 8, flat uint64 view) over an arrow large_binary
-    column's buffers — ZERO copies; the data stays in the plasma-mapped
-    buffer."""
+    column of uint64-LE sets — ZERO copies for an unchunked array; the
+    data stays in the plasma-mapped buffer."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
     if col is None or len(col) == 0:
         return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint64)
     arrow_offsets = np.frombuffer(
@@ -1015,7 +1013,7 @@ def _build_csr_task(endpoints, *blocks: pa.Table) -> tuple:
         [b.select(["fid", "file_id", "shingles"]) for b in blocks]
     )
     fids = tbl.column("fid").to_numpy().astype(np.uint64)
-    keep = _in_sorted(endpoints, fids)
+    keep = in_sorted(endpoints, fids)
     if not keep.all():
         tbl = tbl.filter(pa.array(keep))
         fids = fids[keep]
@@ -1228,6 +1226,25 @@ def ascii_shingle_hashes(text: str, k: int) -> np.ndarray:
     return np.unique(out)
 
 
+def _ascii_sets(id_col: str, text_col: str, k: int):
+    """(id, text) batch → (doc_key, shingles) kernel: each doc's
+    ``ascii_shingle_hashes`` set as uint64-LE bytes."""
+
+    def to_sets(batch: pa.Table) -> pa.Table:
+        texts = batch.column(text_col).to_pylist()
+        return pa.table(
+            {
+                "doc_key": pa.compute.cast(batch[id_col], pa.string()),
+                "shingles": pa.array(
+                    [ascii_shingle_hashes(t or "", k).tobytes() for t in texts],
+                    pa.large_binary(),
+                ),
+            }
+        )
+
+    return to_sets
+
+
 def ngram_jaccard_pairs(
     ds: ray.data.Dataset,
     id_col: str,
@@ -1246,21 +1263,9 @@ def ngram_jaccard_pairs(
     O(|S_a| log M) per doc, no per-pair Python work, no shuffle.
     Baseline for the LSH pipelines' recall; fine to ~10^5 docs (postings
     stay ~10^7 u64)."""
-
-    def to_sets(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        return pa.table(
-            {
-                "doc_key": pa.compute.cast(batch[id_col], pa.string()),
-                "shingles": pa.array(
-                    [ascii_shingle_hashes(t or "", k).tobytes() for t in texts],
-                    pa.large_binary(),
-                ),
-            }
-        )
-
     return shingle_set_jaccard_pairs(
-        ds.map_batches(to_sets, batch_format="pyarrow"), threshold
+        ds.map_batches(_ascii_sets(id_col, text_col, k), batch_format="pyarrow"),
+        threshold,
     )
 
 
@@ -1275,25 +1280,44 @@ def _build_postings(*blocks: pa.Table) -> tuple:
         return 0, None
     tbl = pa.concat_tables(blocks).sort_by("doc_key")
     keys = tbl.column("doc_key").to_numpy(zero_copy_only=False)
-    col = tbl.column("shingles").combine_chunks()
-    if isinstance(col, pa.ChunkedArray):
-        col = col.chunk(0) if col.num_chunks else pa.array([], pa.large_binary())
-    arrow_offsets = np.frombuffer(
-        col.buffers()[1], dtype=np.int64, count=len(col) + 1,
-        offset=col.offset * 8,
-    )
-    sizes = ((arrow_offsets[1:] - arrow_offsets[:-1]) // 8).astype(np.int64)
-    data_buf = col.buffers()[2]
-    all_sh = (
-        np.frombuffer(data_buf, dtype=np.uint64)[
-            arrow_offsets[0] // 8 : arrow_offsets[-1] // 8
-        ]
-        if data_buf is not None and sizes.sum()
-        else np.empty(0, dtype=np.uint64)
-    )
+    offsets, all_sh = _csr_views(tbl.column("shingles"))
+    sizes = np.diff(offsets)
     all_doc = np.repeat(np.arange(len(keys), dtype=np.int64), sizes)
     order = np.argsort(all_sh, kind="stable")
     return len(keys), (keys, sizes, all_sh[order], all_doc[order])
+
+
+def _postings_ref(sets_ds: ray.data.Dataset):
+    """The ref of ``_build_postings`` over a materialized set dataset,
+    or None when it holds no doc."""
+    set_refs = sets_ds.to_arrow_refs()
+    if not set_refs:
+        return None
+    count_ref, ref = _build_postings.remote(*set_refs)
+    return ref if ray.get(count_ref) else None
+
+
+def _doc_overlaps(batch: pa.Table, postings: tuple):
+    """Per non-empty set of ``batch``: (doc_key, |S|, overlap counts
+    |S ∩ S_j| against every postings doc j) — a searchsorted gather of
+    the matching postings, then one bincount."""
+    keys_g, _, sh_sorted, doc_sorted = postings
+    keys = batch.column("doc_key").to_pylist()
+    for key, blob in zip(keys, batch.column("shingles").to_pylist()):
+        sa = np.frombuffer(blob, dtype=np.uint64)
+        if len(sa) == 0:
+            continue
+        lo = np.searchsorted(sh_sorted, sa, side="left")
+        runs = np.searchsorted(sh_sorted, sa, side="right") - lo
+        idx = np.repeat(lo, runs) + (
+            np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
+        )
+        yield key, len(sa), np.bincount(doc_sorted[idx], minlength=len(keys_g))
+
+
+_JACCARD_SCHEMA = pa.schema(
+    [("a", pa.string()), ("b", pa.string()), ("jaccard", pa.float64())]
+)
 
 
 def shingle_set_jaccard_pairs(
@@ -1306,60 +1330,33 @@ def shingle_set_jaccard_pairs(
     Same inverted-postings broadcast shape as ``ngram_jaccard_pairs``.
     """
     sets_ds = sets_ds.materialize()
-
-    set_refs = sets_ds.to_arrow_refs()
-    n_docs_total = 0
-    if set_refs:
-        count_ref, ref = _build_postings.remote(*set_refs)
-        n_docs_total = int(ray.get(count_ref))
-    if n_docs_total == 0:
-        return ray.data.from_arrow(
-            pa.schema(
-                [("a", pa.string()), ("b", pa.string()), ("jaccard", pa.float64())]
-            ).empty_table()
-        )
-
-    out_schema = pa.schema(
-        [("a", pa.string()), ("b", pa.string()), ("jaccard", pa.float64())]
-    )
+    ref = _postings_ref(sets_ds)
+    if ref is None:
+        return ray.data.from_arrow(_JACCARD_SCHEMA.empty_table())
 
     def score_block(batch: pa.Table) -> pa.Table:
-        keys_g, sizes_g, sh_sorted, doc_sorted = ray.get(ref)
-        n_docs = len(keys_g)
-        a_keys: list[str] = []
-        b_keys: list[str] = []
-        jacs: list[float] = []
-        batch_keys = batch.column("doc_key").to_pylist()
-        for row_i, blob in enumerate(batch.column("shingles").to_pylist()):
-            sa = np.frombuffer(blob, dtype=np.uint64)
-            if len(sa) == 0:
-                continue
-            lo = np.searchsorted(sh_sorted, sa, side="left")
-            hi = np.searchsorted(sh_sorted, sa, side="right")
-            runs = hi - lo
-            # gather posting doc indices for every matching occurrence
-            idx = np.repeat(lo, runs) + (
-                np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
-            )
-            inter = np.bincount(doc_sorted[idx], minlength=n_docs)
-            union = len(sa) + sizes_g - inter
+        postings = ray.get(ref)
+        keys_g, sizes_g = postings[0], postings[1]
+        cols: tuple[list, list, list] = ([], [], [])
+        for key, n_a, inter in _doc_overlaps(batch, postings):
+            union = n_a + sizes_g - inter
             with np.errstate(divide="ignore", invalid="ignore"):
                 jac = np.where(union > 0, inter / union, 0.0)
-            my_key = batch_keys[row_i]
-            cand = np.nonzero(jac >= threshold)[0]
-            for j in cand:
-                if keys_g[j] > my_key:  # unordered dedupe + drop self
-                    a_keys.append(my_key)
-                    b_keys.append(keys_g[j])
-                    jacs.append(float(jac[j]))
-        if not a_keys:
-            return out_schema.empty_table()
+            (cand,) = np.nonzero(jac >= threshold)
+            hit = cand[keys_g[cand] > key]  # unordered dedupe + drop self
+            cols[0].append(np.full(len(hit), key, dtype=object))
+            cols[1].append(keys_g[hit])
+            cols[2].append(jac[hit])
+        if not cols[0]:
+            return _JACCARD_SCHEMA.empty_table()
+        a, b, jac = (np.concatenate(c) for c in cols)
         return pa.table(
-            {
-                "a": pa.array(a_keys, pa.string()),
-                "b": pa.array(b_keys, pa.string()),
-                "jaccard": pa.array(np.round(np.array(jacs), 6)),
-            }
+            [
+                pa.array(a, pa.string()),
+                pa.array(b, pa.string()),
+                pa.array(np.round(jac, 6)),
+            ],
+            schema=_JACCARD_SCHEMA,
         )
 
     return sets_ds.map_batches(score_block, batch_format="pyarrow")
@@ -1392,21 +1389,9 @@ def ngram_containment_pairs(
     (rounding-proof oracle columns). Same inverted-postings broadcast
     shape as :func:`ngram_jaccard_pairs` — a ≤10^5-doc truth baseline;
     the LSH pipelines remain the scale path."""
-
-    def to_sets(batch: pa.Table) -> pa.Table:
-        texts = batch.column(text_col).to_pylist()
-        return pa.table(
-            {
-                "doc_key": pa.compute.cast(batch[id_col], pa.string()),
-                "shingles": pa.array(
-                    [ascii_shingle_hashes(t or "", k).tobytes() for t in texts],
-                    pa.large_binary(),
-                ),
-            }
-        )
-
     return shingle_set_containment_pairs(
-        ds.map_batches(to_sets, batch_format="pyarrow"), threshold
+        ds.map_batches(_ascii_sets(id_col, text_col, k), batch_format="pyarrow"),
+        threshold,
     )
 
 
@@ -1420,56 +1405,32 @@ def shingle_set_containment_pairs(
     same O(|S_a| log M) per doc, no shuffle, driver never sees the
     postings."""
     sets_ds = sets_ds.materialize()
-
-    set_refs = sets_ds.to_arrow_refs()
-    n_docs_total = 0
-    if set_refs:
-        count_ref, ref = _build_postings.remote(*set_refs)
-        n_docs_total = int(ray.get(count_ref))
-    if n_docs_total == 0:
+    ref = _postings_ref(sets_ds)
+    if ref is None:
         return ray.data.from_arrow(_CONTAIN_SCHEMA.empty_table())
 
     def score_block(batch: pa.Table) -> pa.Table:
-        keys_g, sizes_g, sh_sorted, doc_sorted = ray.get(ref)
-        n_docs = len(keys_g)
-        a_keys: list[str] = []
-        b_keys: list[str] = []
-        n_is: list[int] = []
-        n_as: list[int] = []
-        n_bs: list[int] = []
-        batch_keys = batch.column("doc_key").to_pylist()
-        for row_i, blob in enumerate(batch.column("shingles").to_pylist()):
-            sa = np.frombuffer(blob, dtype=np.uint64)
-            if len(sa) == 0:
-                continue
-            lo = np.searchsorted(sh_sorted, sa, side="left")
-            hi = np.searchsorted(sh_sorted, sa, side="right")
-            runs = hi - lo
-            idx = np.repeat(lo, runs) + (
-                np.arange(int(runs.sum())) - np.repeat(np.cumsum(runs) - runs, runs)
-            )
-            inter = np.bincount(doc_sorted[idx], minlength=n_docs)
-            denom = np.minimum(len(sa), sizes_g)
+        postings = ray.get(ref)
+        keys_g, sizes_g = postings[0], postings[1]
+        cols: tuple[list, ...] = ([], [], [], [], [])
+        for key, n_a, inter in _doc_overlaps(batch, postings):
+            denom = np.minimum(n_a, sizes_g)
             with np.errstate(divide="ignore", invalid="ignore"):
                 cont = np.where(denom > 0, inter / denom, 0.0)
-            my_key = batch_keys[row_i]
-            for j in np.nonzero(cont >= threshold)[0]:
-                if keys_g[j] > my_key:  # unordered dedupe + drop self
-                    a_keys.append(my_key)
-                    b_keys.append(keys_g[j])
-                    n_is.append(int(inter[j]))
-                    n_as.append(len(sa))
-                    n_bs.append(int(sizes_g[j]))
-        if not a_keys:
+            (cand,) = np.nonzero(cont >= threshold)
+            hit = cand[keys_g[cand] > key]  # unordered dedupe + drop self
+            cols[0].append(np.full(len(hit), key, dtype=object))
+            cols[1].append(keys_g[hit])
+            cols[2].append(inter[hit])
+            cols[3].append(np.full(len(hit), n_a))
+            cols[4].append(sizes_g[hit])
+        if not cols[0]:
             return _CONTAIN_SCHEMA.empty_table()
+        a, b, *counts = (np.concatenate(c) for c in cols)
         return pa.table(
-            {
-                "a": pa.array(a_keys, pa.string()),
-                "b": pa.array(b_keys, pa.string()),
-                "n_inter": pa.array(n_is, pa.int64()),
-                "n_a": pa.array(n_as, pa.int64()),
-                "n_b": pa.array(n_bs, pa.int64()),
-            }
+            [pa.array(a, pa.string()), pa.array(b, pa.string())]
+            + [pa.array(c, pa.int64()) for c in counts],
+            schema=_CONTAIN_SCHEMA,
         )
 
     return sets_ds.map_batches(score_block, batch_format="pyarrow")

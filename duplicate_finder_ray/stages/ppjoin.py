@@ -53,32 +53,15 @@ import ray.data
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.stages.exchange import hash_exchange
-from duplicate_finder_ray.stages.neardup import CAND_SCHEMA, effective_parallelism
+from duplicate_finder_ray.stages.neardup import (
+    CAND_SCHEMA,
+    _csr_views,
+    effective_parallelism,
+)
 
 _PREFIX_SCHEMA = pa.schema(
     [("token", pa.uint64()), ("fid", pa.uint64()), ("n", pa.int64())]
 )
-
-
-def _shingle_views(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, np.ndarray]:
-    """Zero-copy (offsets-in-u64, flat-u64) views over a large_binary
-    column of uint64-LE shingle sets (the signature pass's layout)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    if len(col) == 0:
-        return np.zeros(1, dtype=np.int64), np.empty(0, dtype=np.uint64)
-    byte_offsets = np.frombuffer(
-        col.buffers()[1], dtype=np.int64, count=len(col) + 1, offset=col.offset * 8
-    )
-    data_buf = col.buffers()[2]
-    flat = (
-        np.frombuffer(data_buf, dtype=np.uint64)[
-            byte_offsets[0] // 8 : byte_offsets[-1] // 8
-        ]
-        if data_buf is not None and byte_offsets[-1] > byte_offsets[0]
-        else np.empty(0, dtype=np.uint64)
-    )
-    return (byte_offsets - byte_offsets[0]) // 8, flat
 
 
 def prefix_lengths(sizes: np.ndarray, tau: float) -> np.ndarray:
@@ -107,7 +90,7 @@ def prefix_filter_candidates(
     def emit_prefix(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
             return _PREFIX_SCHEMA.empty_table()
-        offsets, flat = _shingle_views(batch.column("shingles"))
+        offsets, flat = _csr_views(batch.column("shingles"))
         sizes = np.diff(offsets)
         plen = prefix_lengths(sizes, tau)
         total = int(plen.sum())

@@ -33,6 +33,8 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from duplicate_finder_ray.stages.util import in_sorted
+
 _POW_BASE = np.uint64(1_000_003)
 
 SPANS_SCHEMA = pa.schema(
@@ -280,10 +282,7 @@ def common_spans(
     def probe_rows(batch: pa.Table) -> pa.Table:
         ep = ray.get(endpoints_ref)
         ids = batch.column("file_id").to_numpy(zero_copy_only=False)
-        pos = np.searchsorted(ep, ids)
-        pos[pos >= len(ep)] = 0
-        keep = (ep[pos] == ids) if len(ep) else np.zeros(len(ids), dtype=bool)
-        return batch.filter(pa.array(keep))
+        return batch.filter(pa.array(in_sorted(ep, ids)))
 
     content = (
         code_with_id.select_columns(["file_id", "content"])

@@ -46,6 +46,16 @@ def ranked_head(
     )
 
 
+def in_sorted(sorted_vals: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """Membership mask of ``vals`` in the ascending array
+    ``sorted_vals`` (uint64 keys or strings; object string arrays
+    compare as values, so NUL-differing keys stay apart)."""
+    if len(sorted_vals) == 0:
+        return np.zeros(len(vals), dtype=bool)
+    pos = np.minimum(np.searchsorted(sorted_vals, vals), len(sorted_vals) - 1)
+    return sorted_vals[pos] == vals
+
+
 def group_codes(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, pa.Array]:
     """Per-row group index into the distinct values of ``col`` (first
     seen first), and those values. Null is one group of its own."""

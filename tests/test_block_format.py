@@ -9,9 +9,13 @@ hands its map kernels one block format.
 * No map asks for ``batch_format="pandas"``: pandas string grouping
   merges keys that differ only after an embedded NUL, and its empty
   results are zero-column blocks.
-* The near-dup stages (``PANDAS_FREE``) neither import pandas nor
-  convert a block with ``to_pandas``: their pair and label kernels
-  group file_id strings.
+* The near-dup stages, the clone groups and the incremental
+  pipelines (``PANDAS_FREE``) neither import pandas nor convert a
+  block with ``to_pandas``: their pair, label and group kernels group
+  file_id and repo strings.
+* ``pipelines/incremental.py`` has no hand-written ``np.lexsort`` or
+  ``np.searchsorted``: it sorts with the exact path's kernels and
+  probes with ``stages/util.py::in_sorted``.
 
 Pure static scan: no Ray session."""
 
@@ -22,7 +26,15 @@ from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "duplicate_finder_ray"
 READER = "sources/code_table.py"
-PANDAS_FREE = ("stages/cc.py", "stages/neardup.py", "stages/semdedup.py")
+PANDAS_FREE = (
+    "stages/cc.py",
+    "stages/neardup.py",
+    "stages/semdedup.py",
+    "stages/clones.py",
+    "pipelines/incremental.py",
+)
+KERNEL_ONLY = "pipelines/incremental.py"
+HAND_KERNELS = ("lexsort", "searchsorted")
 
 
 def _package_trees():
@@ -63,6 +75,16 @@ def _pandas_uses(tree: ast.AST, path: str):
             yield f"{path}:{node.lineno}"
 
 
+def _hand_kernels(tree: ast.AST, path: str):
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Attribute)
+            and node.attr in HAND_KERNELS
+            and ast.unparse(node.value) in ("np", "numpy")
+        ):
+            yield f"{path}:{node.lineno}"
+
+
 def test_parquet_reads_go_through_read_code_table():
     found = [
         hit
@@ -97,6 +119,19 @@ def test_near_dup_stages_are_pandas_free():
     )
 
 
+def test_incremental_uses_engine_kernels():
+    found = [
+        hit
+        for rel, tree in _package_trees()
+        if rel == KERNEL_ONLY
+        for hit in _hand_kernels(tree, rel)
+    ]
+    assert not found, (
+        "sort with stages/exact.py::_sorted_order and probe with "
+        "stages/util.py::in_sorted:\n" + "\n".join(found)
+    )
+
+
 def test_guard_sees_planted_examples():
     planted = ast.parse(
         "ds = ray.data.read_parquet(path)\n"
@@ -106,7 +141,11 @@ def test_guard_sees_planted_examples():
         "df = ds.to_pandas()\n"
         "from pandas.util import hash_array\n"
         "import pyarrow.pandas_compat\n"
+        "order = np.lexsort((b, a))\n"
+        "pos = numpy.searchsorted(s, x)\n"
+        "order = pc.sort_indices(t)\n"
     )
     assert list(_parquet_reads(planted, "x.py")) == ["x.py:1"]
     assert list(_pandas_maps(planted, "x.py")) == ["x.py:2"]
     assert sorted(_pandas_uses(planted, "x.py")) == ["x.py:4", "x.py:5", "x.py:6"]
+    assert list(_hand_kernels(planted, "x.py")) == ["x.py:8", "x.py:9"]

@@ -96,3 +96,22 @@ def test_min_group_filter(code_ds):
 def test_bad_partitions_rejected(code_ds):
     with pytest.raises(ValueError):
         clone_groups_type2(code_ds, num_partitions=0)
+
+
+def test_nul_differing_repos_count_apart(ray_session):
+    """Repos that differ only after an embedded NUL are two repos."""
+    df = pd.DataFrame(
+        {
+            "repo": ["r\0a", "r\0b"],
+            "path": ["x.py", "x.py"],
+            "commit": ["c", "c"],
+            "lang": ["py", "py"],
+            "content": ["x = 1\n", "y = 2\n"],
+        }
+    )
+    df["file_id"] = df["repo"] + ":" + df["path"] + "@" + df["commit"]
+    got = clone_groups_type2(ray_session.data.from_pandas(df), num_partitions=2)
+    rows = got.to_pandas()
+    assert len(rows) == 1
+    assert rows["n_files"][0] == 2 and rows["n_repos"][0] == 2
+    assert rows["rep_file"][0] == "r\0a:x.py@c"

@@ -137,6 +137,114 @@ def test_full_rescan_equivalence(ray_session):
     assert not fm.loc["r2:i2.py@c"].is_keeper
 
 
+def test_baseline_ownership_beats_tuple_order(ray_session):
+    """An increment file whose (repo, path, commit) sorts before every
+    baseline copy still joins the baseline group: it is no keeper, and
+    the baseline's own minimum stays the group's keeper."""
+    base = pd.DataFrame(
+        {
+            "repo": ["r7", "r5"],
+            "path": ["a.py", "b.py"],
+            "commit": ["c", "c"],
+            "content": [b"shared", b"shared"],
+        }
+    )
+    res, m = run_inc(
+        ray_session,
+        _digests(ray_session.data.from_pandas(base)),
+        {"repo": ["r0"], "path": ["a.py"], "commit": ["c"], "content": [b"shared"]},
+    )
+    row = m.loc["r0:a.py@c"]
+    assert row.matched_baseline and not row.is_keeper
+    assert row.baseline_keeper == "r5:b.py@c"
+    assert res.n_matched_baseline == 1
+
+
+def _file_rows(rng, repo: str, n: int, pool: list[bytes]) -> pd.DataFrame:
+    """``n`` files over two repos; each repo holds ``LICENSE`` and
+    ``LICENSE.txt`` side by side, whose (repo, path, commit) order is
+    the reverse of their file_id order ('.' < '@')."""
+    ext = ["", "", ".txt", ".txt"]
+    return pd.DataFrame(
+        {
+            "repo": [f"{repo}{i % 2}" for i in range(n)],
+            "path": [f"p{i // 4}/LICENSE{ext[i % 4]}" for i in range(n)],
+            "commit": ["c"] * n,
+            "content": [pool[j] for j in rng.integers(0, len(pool), n)],
+        }
+    )
+
+
+def _incremental_truth(base: pd.DataFrame, inc: pd.DataFrame) -> pd.DataFrame:
+    """Row-by-row statement of the incremental rule: a (size, sha256)
+    group with a baseline copy is owned by the baseline's minimum
+    (repo, path, commit) tuple; any other group keeps its increment
+    minimum."""
+    import hashlib
+
+    def digest(df: pd.DataFrame) -> pd.DataFrame:
+        return df.assign(
+            file_id=df["repo"] + ":" + df["path"] + "@" + df["commit"],
+            size=[len(c) for c in df["content"]],
+            sha256=[hashlib.sha256(c).hexdigest() for c in df["content"]],
+            tup=list(zip(df["repo"], df["path"], df["commit"])),
+        )
+
+    base, inc = digest(base), digest(inc)
+    rows = []
+    for r in inc.itertuples():
+
+        def same(d: pd.DataFrame) -> pd.DataFrame:
+            return d[(d["size"] == r.size) & (d["sha256"] == r.sha256)]
+
+        owners = same(base)
+        matched = len(owners) > 0
+        rows.append(
+            {
+                "file_id": r.file_id,
+                "size": r.size,
+                "sha256": r.sha256,
+                "group_id": r.sha256,
+                "is_keeper": not matched and r.tup == min(same(inc)["tup"]),
+                "matched_baseline": matched,
+                "baseline_keeper": (
+                    owners.loc[owners["tup"].idxmin(), "file_id"] if matched else ""
+                ),
+            }
+        )
+    return pd.DataFrame(rows).sort_values("file_id").reset_index(drop=True)
+
+
+def test_seeded_parity_with_truth(ray_session):
+    """Every column and the matched count against the row-by-row rule:
+    multi-copy baseline groups, equal sizes with different digests,
+    increment-only groups and singletons, prefix paths whose tuple
+    order differs from their file_id order, several partitions."""
+    import numpy as np
+
+    rng = np.random.default_rng(7)
+    # equal-size contents that differ, plus distinct sizes
+    pool = [b"aaaa", b"aaab", b"abab", b"xyz", b"", b"longer content"]
+    inc_pool = pool[:3] + [b"fresh1", b"fresh2", b"only once"]
+    base = _file_rows(rng, "b", 30, pool)
+    inc = _file_rows(rng, "i", 24, inc_pool)
+    base.loc[[0, 2], "content"] = inc.loc[0, "content"] = pool[0]
+    inc.loc[len(inc)] = ["i9", "solo.py", "c", b"unique to the increment"]
+    res = IncrementalDedup(PipelineConfig(parallelism=3)).run(
+        _digests(ray_session.data.from_pandas(base).repartition(3)),
+        ray_session.data.from_pandas(inc).repartition(4),
+    )
+    got = res.members.to_pandas().sort_values("file_id").reset_index(drop=True)
+    want = _incremental_truth(base, inc)
+    assert want["matched_baseline"].any() and not want["matched_baseline"].all()
+    # the tuple rule, not the file_id minimum "b0:p0/LICENSE.txt@c"
+    assert got.set_index("file_id").loc["i0:p0/LICENSE@c", "baseline_keeper"] == (
+        "b0:p0/LICENSE@c"
+    )
+    pd.testing.assert_frame_equal(got, want, check_dtype=False)
+    assert res.n_matched_baseline == int(want["matched_baseline"].sum())
+
+
 class TestIncrementalNearDup:
     @staticmethod
     def _mk(ray_session, cfg, base_rows):
@@ -255,3 +363,35 @@ class TestIncrementalNearDup:
         assert res.pairs.count() == 0
         assert res.labels.count() == 0
         assert res.n_matched_baseline == 0
+
+    def test_chain_counts_component_members(self, ray_session):
+        """inc2 matches only inc1 and inc1 matches the baseline file:
+        both increment files share the baseline-rooted component, so
+        both count as matched."""
+        from duplicate_finder_ray.pipelines.incremental import IncrementalNearDup
+
+        words = [f"t{i}" for i in range(200)]
+        base_doc = list(words)
+        inc1 = list(base_doc)
+        for i in range(0, 100, 10):
+            inc1[i] = f"x{i}"
+        inc2 = list(inc1)
+        for i in range(100, 200, 10):
+            inc2[i] = f"y{i}"
+        base = pd.DataFrame(
+            {"repo": ["b"], "path": ["f.py"], "commit": ["c"],
+             "content": [" ".join(base_doc)]}
+        )
+        inc = pd.DataFrame(
+            {"repo": ["i", "i"], "path": ["g1.py", "g2.py"], "commit": ["c"] * 2,
+             "content": [" ".join(inc1), " ".join(inc2)]}
+        )
+        cfg = PipelineConfig(jaccard_threshold=0.5)
+        res = IncrementalNearDup(cfg).run(
+            self._mk(ray_session, cfg, base), ray_session.data.from_pandas(inc)
+        )
+        pairs = {(r.a, r.b) for r in res.pairs.to_pandas().itertuples()}
+        assert pairs == {("b:f.py@c", "i:g1.py@c"), ("i:g1.py@c", "i:g2.py@c")}
+        lab = res.labels.to_pandas().set_index("file_id")["component"]
+        assert dict(lab) == {"i:g1.py@c": "b:f.py@c", "i:g2.py@c": "b:f.py@c"}
+        assert res.n_matched_baseline == 2

@@ -93,6 +93,43 @@ class TestNearDupPipeline:
         }
         assert k1 == k2 and len(k1) > 0
 
+    def test_prestarted_handle_takes_sharded_path(
+        self, corpus_ds, monkeypatch
+    ):
+        """A prestarted split is used even when the endpoint count is
+        within ``broadcast_verify_limit``: one CSR build per shard, and
+        the same pairs as the broadcast path."""
+        from duplicate_finder_ray.stages.derive import add_identity
+
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        with_id = corpus_ds.map_batches(add_identity, batch_format="pyarrow")
+        sigs = neardup.signatures(
+            with_id.select_columns(["file_id", "content"]), cfg, emit_shingles=True
+        ).materialize()
+        cands = neardup.candidate_pairs(None, cfg, sigs_source=sigs).materialize()
+        launches = []
+        real_build = neardup._build_csr_task
+
+        class Spy:
+            def remote(self, *args):
+                launches.append(1)
+                return real_build.remote(*args)
+
+        monkeypatch.setattr(neardup, "_build_csr_task", Spy())
+
+        def verified(**kw):
+            launches.clear()
+            out = neardup.verify_pairs_exact(cands, sigs, cfg, **kw).to_pandas()
+            return set(out.itertuples(index=False, name=None)), len(launches)
+
+        want, n_broadcast = verified()
+        handle = neardup.prestart_verify_split(sigs, cfg)
+        got, n_sharded = verified(prestarted=handle)
+        assert cfg.broadcast_verify_limit > 2 * cands.count()
+        assert n_broadcast == 1
+        assert n_sharded == handle["n_shards"] > 1
+        assert got == want and len(want) > 0
+
     def test_fused_explode_exchange_matches_band_rows_path(
         self, corpus, corpus_ds, monkeypatch
     ):
