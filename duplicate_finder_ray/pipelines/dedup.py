@@ -12,16 +12,20 @@ every singleton, so the default path runs no prefilter;
 ``prefilter_mode="two_pass"`` keeps it, hashing only rows whose size
 repeats.
 
-Everything stays lazy/streaming until a sink or a small driver-side
-collect; ``content`` is projected away before any shuffle. The exchange
-streams too: each derived block goes to its split task as soon as it
-is produced, so the digest table is never resident whole in the object
-store, and the derive runs once.
+``run_on`` starts one Ray Data execution, the streaming read and
+derive, and it feeds the exchange: each derived block goes to its
+split task as soon as it is produced, so the digest table is never
+resident whole in the object store, and the derive runs once.
+``content`` is projected away before any shuffle. The exchange's
+reduce wave and, on first access, the groups projection over its
+blocks are launched Ray tasks; only the optional members sort stays a
+lazy Dataset.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import pandas as pd
 import pyarrow as pa
@@ -38,11 +42,21 @@ from duplicate_finder_ray.stages.filters import make_glob_filter, make_size_filt
 
 @dataclass
 class DedupResult:
-    """Handles to the pipeline's output tables (all lazy Datasets)."""
+    """Handles to the pipeline's output tables: Datasets over launched
+    task waves (the exchange's reduce tasks, the groups projection's
+    tasks), so counting them starts no Ray Data execution. Members are
+    a lazy sort over that wave when a sort option is set."""
 
     members: ray.data.Dataset          # exploded membership w/ keeper flags
-    groups: ray.data.Dataset           # one row per duplicate group
+    exchanged: ray.data.Dataset        # members as the exchange returned them
     metrics: dict = field(default_factory=dict)
+
+    @cached_property
+    def groups(self) -> ray.data.Dataset:
+        """One row per duplicate group: the keeper projection of
+        ``exchanged``, launched on first access, so a run that never
+        reads its groups pays no tasks and no object-store space."""
+        return exact.groups_from_members(self.exchanged)
 
     def keepers(self) -> ray.data.Dataset:
         return exact.keepers_only(self.members)
@@ -95,13 +109,14 @@ class DedupPipeline:
         if not cfg.verify_content:
             ds = ds.map_batches(drop_content, batch_format="pyarrow")
 
-        members = exact.duplicate_members(ds, cfg)
+        # groups come from the exchange output, before any sort: the
+        # keeper projection needs no order, and the sort stays lazy
+        exchanged = members = exact.duplicate_members(ds, cfg)
         if cfg.sort_by_group_size:
             members = members.sort(["n_files", "group_id", "rank"], descending=[True, False, False])
         elif cfg.sort_by_file_size:
             members = members.sort(["size", "group_id", "rank"], descending=[True, False, False])
-        groups = exact.groups_from_members(members)
-        return DedupResult(members=members, groups=groups, metrics=metrics)
+        return DedupResult(members=members, exchanged=exchanged, metrics=metrics)
 
     @staticmethod
     def _empty_result(metrics: dict) -> DedupResult:
@@ -109,8 +124,7 @@ class DedupPipeline:
         duplicate sizes — a prefilter that empties the stream must not
         erase the output schema."""
         members = ray.data.from_arrow(exact.MEMBERS_SCHEMA.empty_table())
-        groups = ray.data.from_arrow(exact.GROUPS_SCHEMA.empty_table())
-        return DedupResult(members=members, groups=groups, metrics=metrics)
+        return DedupResult(members=members, exchanged=members, metrics=metrics)
 
     def run(self, input_path: str | None = None) -> DedupResult:
         """Read the Parquet code table and run. Only the columns the

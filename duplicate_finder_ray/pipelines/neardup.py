@@ -23,6 +23,11 @@ composition of four named stages, shared by ``run_on`` and
                 ``cc_local_threshold`` edges, else iterative hash-to-min
                 contraction rounds
 
+On inputs below the broadcast limits and ``cc_local_threshold``, the
+signature pass is the only Ray Data execution: candidates, the
+broadcast verify and the one-task CC are Ray tasks launched over the
+materialized blocks' refs.
+
 Each stage runs through a hook ``(name, make, extra) → materialized
 Dataset``. ``run_on`` materializes ``make()``; ``run_checkpointed``
 commits it through ``CheckpointManager.run_stage`` (or loads the

@@ -45,8 +45,10 @@ One union-find kernel: ``min_labels(ea, eb, n)`` labels node indices;
 ``_star_edges`` codes a string edge table for it (Arrow dictionary
 encode, then rank by Arrow's string sort, so the smallest index is the
 smallest file_id). Graphs of at most ``cc_local_threshold`` edges run
-it once in one remote task; above that, every contraction bucket runs
-it; ``stages/semdedup.py`` runs it once per embedding cluster.
+it once in one remote task that takes the pair blocks' refs and
+projects ``(a, b)`` itself, so that path starts no Ray Data execution;
+above that, every contraction bucket runs it; ``stages/semdedup.py``
+runs it once per embedding cluster.
 """
 
 from __future__ import annotations
@@ -209,26 +211,32 @@ def connected_components(
     rows into the checkpoint lineage."""
     from duplicate_finder_ray.stages.neardup import effective_parallelism
 
-    edges = pairs.select_columns(["a", "b"]).materialize()
-    n_edges = edges.count()
+    pairs = pairs.materialize()
+    n_edges = pairs.count()
     if n_edges == 0:
         return ray.data.from_arrow(_LABELS_SCHEMA.empty_table())
 
     if n_edges <= cfg.cc_local_threshold:
-        # small-graph fast path: ONE remote task sees every edge and
-        # runs the one min-label kernel over all of them — no shuffle
-        # barriers at all. The iterative bucketed contraction below is
-        # the >threshold scale shape.
+        # small-graph fast path: ONE remote task takes the pair blocks'
+        # refs, projects (a, b) and runs the one min-label kernel over
+        # every edge — no shuffle barriers and no Ray Data execution.
+        # The iterative bucketed contraction below is the >threshold
+        # scale shape.
         @ray.remote
         def local_cc(*blocks: pa.Table) -> pa.Table:
-            blocks = tuple(b for b in blocks if "a" in b.column_names and len(b))
+            blocks = tuple(
+                b.select(["a", "b"])
+                for b in blocks
+                if "a" in b.column_names and len(b)
+            )
             if not blocks:
                 return _LABELS_SCHEMA.empty_table()
             nodes, roots = _star_edges(pa.concat_tables(blocks))
             return pa.table({"file_id": nodes, "component": roots})
 
-        return ray.data.from_arrow_refs([local_cc.remote(*edges.to_arrow_refs())])
+        return ray.data.from_arrow_refs([local_cc.remote(*pairs.to_arrow_refs())])
     else:
+        edges = pairs.select_columns(["a", "b"]).materialize()
         # shuffle width: enough buckets to spread real data, few enough
         # that per-round task overhead stays small on small graphs
         num_buckets = max(4, min(effective_parallelism(cfg) * 2, n_edges // 2_000))

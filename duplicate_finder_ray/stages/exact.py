@@ -23,8 +23,8 @@ Scale notes (100 TB / 10^12 rows):
   duplicate multiplicity. Each partition reduces with one Arrow stable
   sort plus numpy run-length passes (``members_kernel``), the same
   kernel with or without content verification — no pandas round trip.
-  The groups table is a per-block projection of the keeper rows, never
-  a second shuffle.
+  The groups table is a per-block projection of the keeper rows (one
+  task per member block), never a second shuffle.
 * ``candidate_sizes`` / ``apply_size_prefilter`` are the reference's
   hash-avoiding prefilter, used by ``prefilter_mode="two_pass"``: a
   broadcast semi-join probed with vectorized ``np.isin`` — raw rows
@@ -43,6 +43,7 @@ from ray.data.aggregate import Count, Sum
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.util import map_blocks
 
 #: columns that flow into the shuffle (content intentionally absent)
 MEMBER_COLS = ["file_id", "repo", "path", "commit", "lang", "size", "sha256"]
@@ -249,17 +250,15 @@ def groups_from_members(members: ray.data.Dataset) -> ray.data.Dataset:
     member lists stay exploded for scale). Every group — each verified
     ``#k`` subgroup included — has exactly one rank-0 row carrying its
     ``size`` and ``n_files``, so this is a keeper-row projection: one
-    map, no shuffle. Unioned with a typed empty block so a
-    zero-duplicate corpus keeps the output schema: in Ray 2.49 a map
-    over only-empty blocks has schema ``None``, so without the union
-    ``test_zero_row_corpus`` and ``test_groups_schema_survives_empty``
-    fail. The union costs about 45 ms per count on exact_bulk; keep
-    it."""
-    groups = members.map_batches(
+    task per member block (``map_blocks``), launched at once, no
+    shuffle and no Ray Data execution over the materialized members.
+    Every output block is typed, so a zero-duplicate corpus keeps the
+    groups schema."""
+    return map_blocks(
+        members,
         lambda t: t.filter(t["is_keeper"]).select(GROUPS_SCHEMA.names),
-        batch_format="pyarrow",
+        GROUPS_SCHEMA.empty_table(),
     )
-    return groups.union(ray.data.from_arrow(GROUPS_SCHEMA.empty_table()))
 
 
 def keepers_only(members: ray.data.Dataset) -> ray.data.Dataset:

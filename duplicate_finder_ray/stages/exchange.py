@@ -59,6 +59,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.util import nonempty_block_refs
 
 # hash of a null key in a numeric column (a null string key hashes as
 # the object ``None`` does under stable_hash_array)
@@ -214,8 +215,9 @@ def hash_exchange(
     rows)`` to each partition's concatenated rows. Returns a Dataset of
     the reduce outputs (one block per partition). ``empty`` supplies the
     output schema for empty partitions, and is the whole output when
-    ``source`` yields no block. ``source`` runs once, streamed into the
-    split wave; an error in any of its blocks raises here.
+    ``source`` yields no rows. ``source`` runs once, streamed into the
+    split wave; a block whose metadata says 0 rows gets no split task.
+    An error in any of its blocks raises here.
 
     ``part_of``: the key column name, or a list of names — rows with
     equal key values meet in one partition, chosen by
@@ -236,7 +238,7 @@ def hash_exchange(
     schema."""
     if n_parts is None:
         n_parts = default_partitions()
-    refs = (r for b in source.iter_internal_ref_bundles() for r in b.block_refs)
+    refs = nonempty_block_refs(source.iter_internal_ref_bundles())
     split_refs = split_wave(refs, part_of, n_parts, premap)
     if not split_refs:
         return ray.data.from_arrow(empty)

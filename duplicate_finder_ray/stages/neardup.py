@@ -40,6 +40,11 @@ Execution shape:
   ``broadcast_verify_limit`` endpoints, a ``fid % n_shards``-partitioned
   shard exchange above it); estimate mode hash-joins the minhash columns
   and filters on the Jaccard estimate ≥ τ.
+* After the signature pass, the below-limit paths start no Ray Data
+  execution: the fused candidate task, the pair dedupe task and the
+  broadcast verify (one scoring task per candidate-pair block,
+  ``map_blocks``) are plain Ray tasks over the materialized blocks'
+  refs, wrapped with ``from_arrow_refs``.
 """
 
 from __future__ import annotations
@@ -65,7 +70,7 @@ from duplicate_finder_ray.functions.shingles import (
     batch_simhash,
     simhash_band_keys,
 )
-from duplicate_finder_ray.stages.util import group_aggregate, in_sorted
+from duplicate_finder_ray.stages.util import group_aggregate, in_sorted, map_blocks
 
 #: layout of the signature table :func:`signature_batch` emits. Part of
 #: every checkpoint's config hash, so a stage written under another
@@ -819,9 +824,11 @@ def verify_pairs_exact(
     4. vectorized-per-pair exact Jaccard, filter ≥ τ, translate fids
        back to strings via the file_ids the CSR already carries.
 
-    When the endpoint set is small (≤ ``broadcast_verify_limit``) the
-    CSR is broadcast and pairs are scored in a single map_batches — no
-    joins at all (ray_guide: broadcast the small side). Beyond it, or
+    When the endpoint set is small (≤ ``broadcast_verify_limit``) one
+    CSR is built and every candidate-pair block is scored against it by
+    its own task (``map_blocks``, the CSR ref a task argument) — no
+    joins and no Ray Data execution (ray_guide: broadcast the small
+    side). Beyond it, or
     whenever a ``prestarted`` split with the matching shard count is
     passed, the CSR is sharded by ``_fid_shard``: the 10^12-scale shape.
     """
@@ -878,13 +885,12 @@ def verify_pairs_exact(
             else ray.put(_EMPTY_CSR)
         )
 
-        def score_broadcast(batch: pa.Table) -> pa.Table:
-            if len(batch) == 0:
-                return VERIFIED_SCHEMA.empty_table()
-            csr = ray.get(sets_ref)
+        def score_broadcast(batch: pa.Table, csr: tuple) -> pa.Table:
             return _score_pairs_two_csr(batch, csr, csr, threshold)
 
-        return pairs.map_batches(score_broadcast, batch_format="pyarrow")
+        return map_blocks(
+            pairs, score_broadcast, VERIFIED_SCHEMA.empty_table(), sets_ref
+        )
 
     # --- sharded-CSR path (the 10^12-file scale shape) ---
     # The endpoint shingle table is split ONCE by ``_fid_shard`` (the

@@ -2,15 +2,65 @@
 
 The table kernels sort and group one block in Arrow. Arrow compares
 keys as values, so strings that differ only after an embedded NUL stay
-apart; pandas' object-string hashing merges them."""
+apart; pandas' object-string hashing merges them.
+
+``map_blocks`` is the post-read map: one plain Ray task per block of a
+materialized Dataset. Starting a Ray Data execution costs about 0.1 s
+whatever the data; a task wave over a few small blocks costs a few
+tens of milliseconds."""
 
 from __future__ import annotations
+
+from collections.abc import Callable, Iterable, Iterator
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
+from ray.data.block import BlockAccessor
+
+
+def nonempty_block_refs(bundles: Iterable) -> Iterator[ray.ObjectRef]:
+    """The block refs of the ``RefBundle``s ``bundles`` in order, without
+    the blocks whose metadata says they hold 0 rows."""
+    return (ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0)
+
+
+@ray.remote
+def _map_block(fn, empty: pa.Table, block, *shared) -> pa.Table:
+    block = BlockAccessor.for_block(block).to_arrow()
+    if len(block) == 0 or block.num_columns == 0:
+        return empty
+    out = fn(block, *shared)
+    return out if len(out) and out.num_columns else empty
+
+
+def map_blocks(
+    ds: ray.data.Dataset,
+    fn: Callable[..., pa.Table],
+    empty: pa.Table,
+    *shared: ray.ObjectRef,
+) -> ray.data.Dataset:
+    """``fn(block, *shared)`` over every block of ``ds`` as one Ray task
+    per block; returns the Dataset of the outputs, in block order.
+
+    - ``ds`` is materialized first, which starts no Ray Data execution
+      when it already is materialized; its block refs go straight to
+      the tasks.
+    - ``shared`` refs are task arguments: every task gets their values.
+    - Every output is a typed Arrow table. A 0-row or zero-column block,
+      or a 0-row output, gives ``empty``. Blocks whose metadata says 0
+      rows launch no task; when no block is left, the result is
+      ``empty`` alone.
+    - An error raised by ``fn`` raises here."""
+    refs = list(nonempty_block_refs(ds.materialize().iter_internal_ref_bundles()))
+    if not refs:
+        return ray.data.from_arrow(empty)
+    return ray.data.from_arrow_refs(
+        [_map_block.remote(fn, empty, ref, *shared) for ref in refs]
+    )
 
 
 def rename_cols(ds: ray.data.Dataset, mapping: dict[str, str]) -> ray.data.Dataset:

@@ -72,3 +72,21 @@ def tiny_corpus() -> pd.DataFrame:
 @pytest.fixture(scope="session")
 def tiny_ds(ray_session, tiny_corpus):
     return ray_session.data.from_pandas(tiny_corpus)
+
+
+@pytest.fixture
+def executions(monkeypatch):
+    """A list that gains one entry per Ray Data streaming execution the
+    driver starts while the test runs (Ray 2.49's
+    ``StreamingExecutor.execute``)."""
+    from ray.data._internal.execution.streaming_executor import StreamingExecutor
+
+    started: list = []
+    real = StreamingExecutor.execute
+
+    def counting(self, *args, **kwargs):
+        started.append(1)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(StreamingExecutor, "execute", counting)
+    return started

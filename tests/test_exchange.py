@@ -213,6 +213,51 @@ class TestHashExchange:
         want = dict(zip(*np.unique(ks, return_counts=True)))
         assert got == {int(k): int(v) for k, v in want.items()}
 
+    @_FORMS
+    def test_empty_blocks_launch_no_split(self, ray_session, monkeypatch, form):
+        # blocks whose metadata says 0 rows never reach the split wave;
+        # the partitions are those of the source without them
+        import duplicate_finder_ray.stages.exchange as exchange
+
+        rng = np.random.default_rng(2)
+        full = [
+            pa.table({"k": pa.array(rng.integers(0, 40, n), pa.int64())})
+            for n in (300, 1, 500)
+        ]
+        empty = full[0].slice(0, 0)
+        drawn = []
+        real = exchange.split_wave
+
+        def counting(block_refs, *args):
+            def each():
+                for ref in block_refs:
+                    drawn.append(ref)
+                    yield ref
+
+            return real(each(), *args)
+
+        monkeypatch.setattr(exchange, "split_wave", counting)
+        part, count_reduce = _make_fns(form)
+
+        def run(blocks):
+            drawn.clear()
+            src = ray_session.data.from_arrow(blocks)
+            out = hash_exchange(src, part, 5, count_reduce, _EMPTY).take_all()
+            return sorted((r["k"], r["n"]) for r in out), len(drawn)
+
+        want, n_full = run(full)
+        got, n_mixed = run([empty, full[0], empty, full[1], full[2], empty])
+        assert (n_full, n_mixed) == (3, 3)
+        assert got == want
+        drawn.clear()
+        only_empty = hash_exchange(
+            ray_session.data.from_arrow([empty, empty]),
+            part, 5, count_reduce, _EMPTY,
+        )
+        assert len(drawn) == 0
+        assert only_empty.count() == 0
+        assert only_empty.schema().names == ["k", "n"]
+
 
 def _payload_block(seed: int, rows: int) -> pa.Table:
     rng = np.random.default_rng(seed)

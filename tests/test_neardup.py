@@ -5,6 +5,8 @@ import numpy as np
 import pandas as pd
 import pytest
 
+import ray
+
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.shingles import Shingler, exact_jaccard, simhash64
 from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
@@ -129,6 +131,74 @@ class TestNearDupPipeline:
         assert n_broadcast == 1
         assert n_sharded == handle["n_shards"] > 1
         assert got == want and len(want) > 0
+
+    @staticmethod
+    def _verify_inputs(ds, cfg):
+        """Materialized signature table (with shingles) and candidate
+        pairs over the (repo, path, commit, content) table ``ds``."""
+        from duplicate_finder_ray.stages.derive import add_identity
+
+        with_id = ds.map_batches(add_identity, batch_format="pyarrow")
+        sigs = neardup.signatures(
+            with_id.select_columns(["file_id", "content"]), cfg, emit_shingles=True
+        ).materialize()
+        return sigs, neardup.candidate_pairs(None, cfg, sigs_source=sigs).materialize()
+
+    def test_broadcast_scoring_starts_no_execution(self, corpus_ds, executions):
+        """Over materialized inputs the broadcast verify path is a task
+        wave: no Ray Data execution starts, counting included."""
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        sigs, cands = self._verify_inputs(corpus_ds, cfg)
+        executions.clear()
+        out = neardup.verify_pairs_exact(cands, sigs, cfg)
+        assert out.count() > 0
+        assert out.schema().names == neardup.VERIFIED_SCHEMA.names
+        assert executions == []
+
+    def test_broadcast_equals_sharded_over_many_pair_blocks(self, corpus_ds):
+        """Candidates spread over several blocks score to the same
+        pairs on the broadcast task wave and the sharded exchange."""
+        import pyarrow as pa
+
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        sigs, cands = self._verify_inputs(corpus_ds, cfg)
+        t = pa.concat_tables(ray.get(cands.to_arrow_refs()))
+        step = -(-len(t) // 5)
+        many = ray.data.from_arrow([t.slice(i, step) for i in range(0, len(t), step)])
+        assert many.num_blocks() == 5
+
+        def verified(c):
+            out = neardup.verify_pairs_exact(many, sigs, c).to_pandas()
+            return set(out.itertuples(index=False, name=None))
+
+        sharded = PipelineConfig(jaccard_threshold=0.8, broadcast_verify_limit=0)
+        want = verified(sharded)
+        assert verified(cfg) == want and len(want) > 0
+
+    def test_nul_differing_ids_score_through_the_task_wave(self, ray_session):
+        """File ids that differ only after an embedded NUL keep their
+        own shingle sets and names through the broadcast scoring."""
+        import pyarrow as pa
+
+        base = " ".join(f"tok{i}" for i in range(60))
+        other = " ".join(f"alt{i}" for i in range(60))
+        ids = ["x\0a", "x\0b", "x\0c"]
+        ds = ray_session.data.from_arrow(
+            pa.table({"file_id": ids, "content": [base, base, other]})
+        )
+        cfg = PipelineConfig(jaccard_threshold=0.8)
+        sigs = neardup.signatures(ds, cfg, emit_shingles=True).materialize()
+        cands = pa.table(
+            {
+                "a": neardup.fid_of(np.array(ids[:2] + ids[:1], dtype=object)),
+                "b": neardup.fid_of(np.array(ids[1:] + ids[2:], dtype=object)),
+                "n_bands": pa.array([32, 0, 0], pa.int64()),
+                "bucket_size": pa.array([2, 2, 2], pa.int64()),
+            }
+        )
+        out = neardup.verify_pairs_exact(ray.data.from_arrow(cands), sigs, cfg)
+        got = {(r["a"], r["b"], r["jaccard"]) for r in out.take_all()}
+        assert got == {("x\0a", "x\0b", 1.0)}
 
     def test_fused_explode_exchange_matches_band_rows_path(
         self, corpus, corpus_ds, monkeypatch
