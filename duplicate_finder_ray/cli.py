@@ -272,8 +272,12 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"\nReport saved to: {cfg.output_path}")
 
     if args.near_dup:
+        import pyarrow as pa
+        import pyarrow.compute as pc
+
         from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
         from duplicate_finder_ray.sources.code_table import read_code_table
+        from duplicate_finder_ray.stages.util import map_blocks
 
         nd = NearDupPipeline(cfg)
         code = read_code_table(args.input_path)
@@ -282,15 +286,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         else:
             nres = nd.run_on(code)
         # distributed counts only — the label table never reaches the
-        # driver (round-4 VERDICT item 8)
+        # driver (round-4 VERDICT item 8). Every component's root
+        # labels itself, so the clusters are the self-labelled rows.
         n_label_rows = nres.labels.count()
-        n_clusters = (
-            nres.labels.select_columns(["component"])
-            .groupby("component")
-            .count()
-            .count()
-            if n_label_rows
-            else 0
+        n_roots = map_blocks(
+            nres.labels,
+            lambda t: pa.table(
+                {"n": [t.filter(pc.equal(t["file_id"], t["component"])).num_rows]}
+            ),
+            pa.table({"n": [0]}),
+        )
+        n_clusters = sum(
+            t["n"][0].as_py() for t in ray.get(n_roots.materialize().to_arrow_refs())
         )
         print(
             f"\nNear-duplicate clusters: {n_clusters} "

@@ -171,7 +171,6 @@ class PipelineConfig:
     #: Σ C(min(size, cap), 2) ≤ budget. 10M pairs ≈ 240 MB of transient
     #: (a, b, size) arrays — a worker-heap bound, not a recall knob.
     band_pair_budget: int = 10_000_000
-    cc_max_rounds: int = 50                 # union-find fixpoint guard
     #: start the exact-verify shard SPLIT (the payload partition of the
     #: signature table by fid % n_shards) as soon as signatures
     #: materialize, overlapping it under candidate generation instead
@@ -184,10 +183,6 @@ class PipelineConfig:
     #: split sub-blocks cover the full corpus. Net win whenever dup
     #: density is substantial; set False for very sparse corpora.
     verify_prestart_shards: bool = True
-    #: edge count below which connected components runs as ONE remote
-    #: union-find (single round = exact fixpoint, no iteration barriers);
-    #: above it, the iterated bucketed contraction is the scale shape.
-    cc_local_threshold: int = 2_000_000
 
     # ---- checkpointing ------------------------------------------------
     checkpoint_dir: str | None = None

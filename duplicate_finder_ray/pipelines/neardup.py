@@ -19,14 +19,13 @@ composition of four named stages, shared by ``run_on`` and
                 signature blocks' endpoint rows: one broadcast CSR for
                 few endpoints, else fid-sharded CSRs whose split is
                 prestarted under the candidates stage
-    labels      connected components: one local task up to
-                ``cc_local_threshold`` edges, else iterative hash-to-min
-                contraction rounds
+    labels      connected components: hash-to-min contraction rounds
+                as task waves over block refs, one bucket per 2 M
+                edges (one task, one round on smaller graphs)
 
-On inputs below the broadcast limits and ``cc_local_threshold``, the
-signature pass is the only Ray Data execution: candidates, the
-broadcast verify and the one-task CC are Ray tasks launched over the
-materialized blocks' refs.
+On inputs below the broadcast limits, the signature pass is the only
+Ray Data execution: candidates, the broadcast verify and every CC
+round are Ray tasks launched over the materialized blocks' refs.
 
 Each stage runs through a hook ``(name, make, extra) → materialized
 Dataset``. ``run_on`` materializes ``make()``; ``run_checkpointed``
@@ -57,9 +56,6 @@ class NearDupResult:
     pairs: ray.data.Dataset
     labels: ray.data.Dataset       # file_id, component
     metrics: dict = field(default_factory=dict)
-
-    def clusters(self) -> ray.data.Dataset:
-        return cc.clusters_table(self.labels)
 
 
 class NearDupPipeline:
@@ -143,9 +139,9 @@ class NearDupPipeline:
             "labels",
             lambda: cc.connected_components(verified, cfg, round_metrics=cc_rounds),
             # persisted into the labels stage's lineage manifest: the
-            # per-round O(max-component) bucket-load guard (empty list
-            # when the stage was resumed from a checkpoint or took the
-            # single-task small-graph path)
+            # per-round O(max-component) bucket-load guard, one row per
+            # contraction round (empty when the stage was resumed from
+            # a checkpoint or the graph has no edge)
             lambda: {"cc_rounds": cc_rounds},
         )
         return NearDupResult(

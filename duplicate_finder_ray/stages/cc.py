@@ -1,21 +1,20 @@
-"""Distributed connected components via iterated partition-local
-contraction (north_rule's "distributed union-find ... driven by
-groupby-aggregate shuffles").
+"""Distributed connected components: iterated double-bucket contraction
+as waves of Ray tasks over block refs.
 
-Algorithm — iterated double-bucket local contraction (the hash-to-min
-family of Rastogi et al. 2013 "Finding Connected Components in
-MapReduce", with the per-reducer merge strengthened to a full
-union-find; load-balancing concerns per Kiveris et al. 2014):
+Algorithm (the hash-to-min family of Rastogi et al. 2013 "Finding
+Connected Components in MapReduce", with the per-bucket merge
+strengthened to a full union-find; load-balancing concerns per Kiveris
+et al. 2014):
 
     edges ← input pair edges (a, b)
     repeat:
         send every edge to BOTH endpoints' buckets
-        (bucket = siphash(node) % B)                   [ONE shuffle]
-        per bucket: min-label union-find over received edges,
-        union-by-lexicographic-min; emit star edges
-        (node → bucket-local root) for every node seen
-    until the edge multiset is unchanged (checksum fixpoint)
-    dedupe (node, root) rows                           [one shuffle]
+        (bucket = partition_ids(node) % P)           [split wave]
+        per bucket: min-label union-find over received edges; emit
+        star edges (node → bucket-local root) for every node seen,
+        plus (rows, checksum partial) inline         [reduce wave]
+    until the star multiset's checksum is unchanged
+    keep, per bucket, the nodes that hash to it
 
 Because a node's complete incident edge set co-locates in its own
 bucket every round, min labels propagate transitively within every
@@ -23,47 +22,63 @@ bucket per round — chains contract in O(log diameter) rounds, not
 O(diameter). At the fixpoint no (x→y, y→z) chain can exist (bucket(y)
 would merge it), so every component is a single star rooted at its
 lexicographically-smallest node — consistent with the engine-wide
-keep-first rule — and the edge set IS the label table.
+keep-first rule. A node's row is then emitted identically by its own
+bucket and its root's, so keeping each bucket's own nodes labels every
+node exactly once.
 
-Each round is exactly one hash exchange over ≤ 2·|V| star edges plus
-one cheap checksum aggregate (map + driver sum of one scalar). No
-joins anywhere. The driver only orchestrates rounds and reads one
-scalar per round; edges stay distributed throughout.
+Width: ``P = min(2 × effective_parallelism, ceil(|E| / _EDGES_PER_BUCKET))``.
+A graph of at most ``_EDGES_PER_BUCKET`` edges runs at P = 1: one task
+takes the pair blocks' refs and projects ``(a, b)`` itself, and its one
+round is the fixpoint, so it needs no split, checksum or filter. Above
+that each round is one ``split_wave`` (the edge doubling runs in its
+``premap``) and one reduce wave reading the split refs; the next round
+splits the reduce refs. The driver reads only the inline ``(rows,
+checksum)`` pairs, so no round starts a Ray Data execution.
 
 Skew bound (north_rule "break skew on mega-repos"): once a component
 has contracted toward its root, the root's bucket receives that
 component's full star — per-round peak bucket load is O(max component
-size) rows, NOT O(|E|). The per-bucket kernel is entirely vectorized
-(Arrow node coding + min-label pointer jumping), so a 10^7-member boilerplate
-component is a ~160 MB in-bucket sort, seconds of one core (stress
-test: tests/test_neardup.py mega-component hub). Components at 10^9+
-members need root splitting (two-level roots or Kiveris et al.'s
-alternating large-star/small-star) — out of scope here and flagged as
-the documented partitioning assumption.
+size) rows, NOT O(|E|), and ``round_metrics`` exposes it. The
+per-bucket kernel is entirely vectorized (Arrow node coding + min-label
+pointer jumping), so a 10^7-member boilerplate component is a ~160 MB
+in-bucket sort, seconds of one core (stress test: tests/test_neardup.py
+mega-component hub). Components at 10^9+ members need root splitting
+(two-level roots or Kiveris et al.'s alternating large-star/small-star)
+— out of scope here and flagged as the documented partitioning
+assumption.
 
 One union-find kernel: ``min_labels(ea, eb, n)`` labels node indices;
 ``_star_edges`` codes a string edge table for it (Arrow dictionary
 encode, then rank by Arrow's string sort, so the smallest index is the
-smallest file_id). Graphs of at most ``cc_local_threshold`` edges run
-it once in one remote task that takes the pair blocks' refs and
-projects ``(a, b)`` itself, so that path starts no Ray Data execution;
-above that, every contraction bucket runs it; ``stages/semdedup.py``
-runs it once per embedding cluster.
+smallest file_id). Every contraction bucket runs it;
+``stages/semdedup.py`` runs it once per embedding cluster.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
+import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.hashing import stable_hash_array
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.exchange import partition_ids, split_wave
+from duplicate_finder_ray.stages.neardup import effective_parallelism
+from duplicate_finder_ray.stages.util import nonempty_block_refs
 
 _LABELS_SCHEMA = pa.schema([("file_id", pa.string()), ("component", pa.string())])
+#: edges per contraction bucket: graphs up to this size run as one bucket
+_EDGES_PER_BUCKET = 2_000_000
+#: rounds after which a graph that has not reached its fixpoint raises
+_MAX_ROUNDS = 50
+# asymmetric mix of a star row's two hashes, so (x, r) != (r, x)
+_MIX = np.uint64(0x9E3779B97F4A7C15)
 
 
 def min_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
@@ -72,9 +87,8 @@ def min_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
 
     Min-label propagation with pointer jumping — every pass is a C
     pass (``np.minimum.at`` both ways, then ``label[label]``), O(log n)
-    passes on a chain. The one union-find kernel of the engine: CC's
-    one-task path, each bucket of its iterated contraction and every
-    SemDeDup cluster run it."""
+    passes on a chain. The one union-find kernel of the engine: every
+    CC contraction bucket and every SemDeDup cluster run it."""
     label = np.arange(n, dtype=np.int64)
     while True:
         new = label.copy()
@@ -86,106 +100,80 @@ def min_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
         label = new
 
 
-def _star_edges(tbl: pa.Table) -> tuple[pa.Array, pa.Array]:
-    """``(node, root)`` for every distinct node of the string edge table
-    ``tbl`` (a, b): ``root`` is the lexicographically smallest node of
-    the node's component within ``tbl``.
+def _star_edges(tbl: pa.Table) -> tuple[pa.Array, np.ndarray]:
+    """``(nodes, label)`` for the string edge table ``tbl`` (file_id,
+    component): every distinct node in byte order, and per node the
+    index in ``nodes`` of the lexicographically smallest node of its
+    component within ``tbl``.
 
     Nodes are coded by Arrow's hash table and ranked by Arrow's string
     sort, so node index order IS byte order and ``min_labels``'s
     smallest index is the smallest node. Arrow compares whole values:
     ids that differ only after an embedded NUL stay distinct nodes."""
-    a = tbl.column("a").combine_chunks()
-    enc = pc.dictionary_encode(pa.concat_arrays([a, tbl.column("b").combine_chunks()]))
+    a = tbl.column("file_id").combine_chunks()
+    enc = pc.dictionary_encode(
+        pa.concat_arrays([a, tbl.column("component").combine_chunks()])
+    )
     order = pc.array_sort_indices(enc.dictionary)
     rank = np.empty(len(order), dtype=np.int64)
     rank[order.to_numpy()] = np.arange(len(order), dtype=np.int64)
     coded = rank[enc.indices.to_numpy(zero_copy_only=False)]
     nodes = enc.dictionary.take(order)
-    label = min_labels(coded[: len(a)], coded[len(a) :], len(nodes))
-    return nodes, nodes.take(pa.array(label))
+    return nodes, min_labels(coded[: len(a)], coded[len(a) :], len(nodes))
 
 
-def _hash_buckets(vals: np.ndarray, num_buckets: int) -> np.ndarray:
-    """Deterministic bucket id per string — vectorized fixed-key siphash
-    (stable_hash_array), never builtin hash() (per-process salt) and
-    never a per-row crc32 loop (this runs on every shuffle-bound row)."""
-    h = stable_hash_array(np.asarray(vals, dtype=object))
-    return (h % np.uint64(num_buckets)).astype(np.int32)
+def _edge_view(block) -> pa.Table:
+    """The ``(file_id, component)`` edges of a verified-pair block
+    ``(a, b, ...)`` or of a contraction round's star table."""
+    tbl = BlockAccessor.for_block(block).to_arrow()
+    if tbl.num_columns == 0:
+        return _LABELS_SCHEMA.empty_table()
+    if "a" in tbl.column_names:
+        return pa.table({"file_id": tbl.column("a"), "component": tbl.column("b")})
+    return tbl.select(_LABELS_SCHEMA.names)
 
 
-def _contract_round(
-    edges: ray.data.Dataset, num_buckets: int
-) -> ray.data.Dataset:
-    """One contraction round: every edge lands in BOTH endpoints'
-    buckets (so each node's whole neighborhood is visible to one
-    union-find), then per-bucket contraction. ONE shuffle."""
-
-    def add_buckets(batch: pa.Table) -> pa.Table:
-        a = batch.column("a").to_numpy(zero_copy_only=False)
-        b = batch.column("b").to_numpy(zero_copy_only=False)
-        ba = _hash_buckets(a, num_buckets)
-        bb = _hash_buckets(b, num_buckets)
-        # second copy only where the buckets differ (self-bucket edges
-        # would otherwise double inside one reducer — harmless for the
-        # DSU but wasted shuffle bytes)
-        diff = ba != bb
-        out_a = np.concatenate([a, a[diff]])
-        out_b = np.concatenate([b, b[diff]])
-        out_bucket = np.concatenate([ba, bb[diff]])
-        return pa.table(
-            {
-                "a": pa.array(out_a, pa.string()),
-                "b": pa.array(out_b, pa.string()),
-                "__bucket": pa.array(out_bucket, pa.int32()),
-            }
-        )
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    doubled = edges.map_batches(add_buckets, batch_format="pyarrow")
-
-    def bucket_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return tbl.column("__bucket").to_numpy().astype(np.int64)
-
-    def contract_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        nodes, roots = _star_edges(tbl)
-        return pa.table({"a": nodes, "b": roots})
-
-    # barrier-free hash exchange (stages/exchange.py): the per-round
-    # co-location needs bucket membership, not sort order — Ray Data's
-    # sort-based groupby would pay a sample barrier + full sort of the
-    # edge table EVERY round
-    return hash_exchange(
-        doubled,
-        bucket_part,
-        num_buckets,
-        contract_reduce,
-        pa.schema([("a", pa.string()), ("b", pa.string())]).empty_table(),
+def _double(block: pa.Table, n: int) -> pa.Table:
+    """Split premap: every edge, tagged ``__bucket`` with its first
+    endpoint's bucket, plus a copy tagged with the second endpoint's
+    bucket where the two differ (a second copy in the same bucket would
+    only double the bucket's input)."""
+    tbl = _edge_view(block)
+    ba = partition_ids(tbl, ["file_id"], n)
+    bb = partition_ids(tbl, ["component"], n)
+    diff = np.flatnonzero(ba != bb)
+    return pa.concat_tables([tbl, tbl.take(diff)]).append_column(
+        "__bucket", pa.array(np.concatenate([ba, bb[diff]]))
     )
 
 
-def _edge_checksum(edges: ray.data.Dataset) -> int:
-    """Order/partition-insensitive multiset checksum (wrapping uint64
-    sum of a per-edge hash; the driver reads one scalar). Stable
-    checksum across rounds ⇒ fixpoint. Fully vectorized: two siphash
-    passes + a mix, no per-edge Python."""
+def _bucket_column(tbl: pa.Table, n: int) -> np.ndarray:
+    return tbl.column("__bucket").to_numpy()
 
-    def fold(batch: pa.Table) -> pa.Table:
-        ha = stable_hash_array(batch.column("a").to_numpy(zero_copy_only=False))
-        hb = stable_hash_array(batch.column("b").to_numpy(zero_copy_only=False))
-        # asymmetric mix so (a,b) != (b,a); uint64 arithmetic wraps
-        combo = ha * np.uint64(0x9E3779B97F4A7C15) ^ hb
-        acc = int(np.sum(combo, dtype=np.uint64))
-        return pa.table({"s": pa.array([acc], pa.uint64())})
 
-    parts = edges.map_batches(fold, batch_format="pyarrow").take_all()
-    return sum(r["s"] for r in parts) % 2**64
+@ray.remote(num_returns=2)
+def _contract(n: int, *blocks) -> tuple[pa.Table, tuple[int, int]]:
+    """One bucket of a round over ``n`` buckets: the star ``(file_id,
+    component)`` of every node among the blocks' edges, and its
+    ``(rows, checksum partial)`` — a wrapping uint64 sum of a per-row
+    hash, left 0 at ``n == 1``, whose one round is the fixpoint."""
+    edges = [t for t in map(_edge_view, blocks) if len(t)]
+    if not edges:
+        return _LABELS_SCHEMA.empty_table(), (0, 0)
+    nodes, label = _star_edges(pa.concat_tables(edges))
+    checksum = 0
+    if n > 1:
+        h = stable_hash_array(nodes.to_numpy(zero_copy_only=False))
+        checksum = int(np.sum(h * _MIX ^ h[label], dtype=np.uint64))
+    star = pa.table({"file_id": nodes, "component": nodes.take(pa.array(label))})
+    return star, (len(star), checksum)
 
 
 @ray.remote
-def _block_rows(t: pa.Table) -> int:
-    return len(t)
+def _owned(p: int, n: int, star: pa.Table) -> pa.Table:
+    """The rows of bucket ``p``'s fixpoint star whose node hashes to
+    ``p``: across the buckets, every node once."""
+    return star.filter(partition_ids(star, ["file_id"], n) == p)
 
 
 def connected_components(
@@ -198,10 +186,12 @@ def connected_components(
 
     pairs: Dataset with string columns (a, b). Returns (file_id,
     component). Nodes not touched by any pair are singletons by
-    definition and never enter the computation.
+    definition and never enter the computation. Raises RuntimeError
+    when the contraction has not reached its fixpoint after
+    ``_MAX_ROUNDS`` rounds.
 
-    ``round_metrics``: optional list the iterative path APPENDS one dict
-    per contraction round — {round, num_buckets, max_bucket_rows,
+    ``round_metrics``: optional list the contraction APPENDS one dict
+    per round — {round, num_buckets, max_bucket_rows,
     total_star_rows}. ``max_bucket_rows`` is the documented
     O(max-component) per-bucket bound made OBSERVABLE: each bucket
     emits one star edge per node it saw, so a bucket's output row count
@@ -209,79 +199,47 @@ def connected_components(
     component shows up as a runaway max_bucket_rows rounds before it
     OOMs a worker (round-2 VERDICT item 9); pipelines persist these
     rows into the checkpoint lineage."""
-    from duplicate_finder_ray.stages.neardup import effective_parallelism
-
     pairs = pairs.materialize()
     n_edges = pairs.count()
     if n_edges == 0:
         return ray.data.from_arrow(_LABELS_SCHEMA.empty_table())
+    width = min(2 * effective_parallelism(cfg), -(-n_edges // _EDGES_PER_BUCKET))
+    refs = list(nonempty_block_refs(pairs.iter_internal_ref_bundles()))
 
-    if n_edges <= cfg.cc_local_threshold:
-        # small-graph fast path: ONE remote task takes the pair blocks'
-        # refs, projects (a, b) and runs the one min-label kernel over
-        # every edge — no shuffle barriers and no Ray Data execution.
-        # The iterative bucketed contraction below is the >threshold
-        # scale shape.
-        @ray.remote
-        def local_cc(*blocks: pa.Table) -> pa.Table:
-            blocks = tuple(
-                b.select(["a", "b"])
-                for b in blocks
-                if "a" in b.column_names and len(b)
+    prev = None
+    for rnd in range(_MAX_ROUNDS):
+        if width == 1:
+            outs = [_contract.remote(1, *refs)]
+        else:
+            split = split_wave(
+                refs, _bucket_column, width, functools.partial(_double, n=width)
             )
-            if not blocks:
-                return _LABELS_SCHEMA.empty_table()
-            nodes, roots = _star_edges(pa.concat_tables(blocks))
-            return pa.table({"file_id": nodes, "component": roots})
-
-        return ray.data.from_arrow_refs([local_cc.remote(*pairs.to_arrow_refs())])
+            outs = [
+                _contract.remote(width, *[row[p] for row in split])
+                for p in range(width)
+            ]
+        refs = [star for star, _ in outs]
+        stats = ray.get([s for _, s in outs])
+        if round_metrics is not None:
+            sizes = [rows for rows, _ in stats]
+            round_metrics.append(
+                {
+                    "round": rnd,
+                    "num_buckets": width,
+                    "max_bucket_rows": max(sizes),
+                    "total_star_rows": sum(sizes),
+                }
+            )
+        checksum = sum(c for _, c in stats) % 2**64
+        if width == 1 or checksum == prev:
+            break
+        prev = checksum
     else:
-        edges = pairs.select_columns(["a", "b"]).materialize()
-        # shuffle width: enough buckets to spread real data, few enough
-        # that per-round task overhead stays small on small graphs
-        num_buckets = max(4, min(effective_parallelism(cfg) * 2, n_edges // 2_000))
+        raise RuntimeError(
+            f"connected components reached no fixpoint in {_MAX_ROUNDS} "
+            f"rounds at width {width}"
+        )
 
-        prev = None
-        for rnd in range(cfg.cc_max_rounds):
-            edges = _contract_round(edges, num_buckets).materialize()
-            if round_metrics is not None:
-                # one output block per bucket (hash_exchange invariant):
-                # per-block row counts ARE the per-bucket star sizes.
-                # len(pa.Table) is metadata; blocks are plasma-mapped,
-                # not copied.
-                sizes = ray.get(
-                    [_block_rows.remote(r) for r in edges.to_arrow_refs()]
-                )
-                round_metrics.append(
-                    {
-                        "round": rnd,
-                        "num_buckets": num_buckets,
-                        "max_bucket_rows": max(sizes, default=0),
-                        "total_star_rows": sum(sizes),
-                    }
-                )
-            cur = _edge_checksum(edges)
-            if cur == prev:
-                break
-            prev = cur
-
-    # a node's star edge is emitted by up to two buckets (its own and
-    # its root's) — identical rows at the fixpoint; keep the first per
-    # node, rename
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    def dedupe_reduce(p: int, tbl: pa.Table) -> pa.Table:
-        first = group_aggregate(tbl, ["a"], [("b", "first")])
-        return first.rename_columns(_LABELS_SCHEMA.names)
-
-    return hash_exchange(
-        edges, "a", num_buckets, dedupe_reduce,
-        _LABELS_SCHEMA.empty_table(),
-    )
-
-
-def clusters_table(labels: ray.data.Dataset) -> ray.data.Dataset:
-    """(component, n_members) summary of near-dup clusters."""
-    from ray.data.aggregate import Count
-
-    return labels.groupby("component").aggregate(Count(alias_name="n_members"))
+    if width > 1:
+        refs = [_owned.remote(p, width, star) for p, star in enumerate(refs)]
+    return ray.data.from_arrow_refs(refs)

@@ -15,10 +15,9 @@ disjoint sequence. Vocabularies are disjoint across k, so the TRUE
 pair set at τ = 0.5 is exactly {(3k, 3k+1)}: n/3 pairs, and the true
 component set is n/3 two-member components.
 
-At 10 M docs the planted 3.33 M verified edges exceed
-cc_local_threshold (2 M), so the probe also exercises the ITERATIVE
-bucketed CC contraction inside the flagship, not the single-task
-fast path.
+At 10 M docs the planted 3.33 M verified edges make two CC buckets of
+at most 2 M edges each, so the probe also exercises the multi-bucket
+CC contraction rounds inside the flagship, not the one-bucket round.
 
 Usage: python scripts/bench_flagship_10m.py [n_docs] — default
 9,999,999. Prints one JSON line.

@@ -1,9 +1,9 @@
-"""Measure the CC flat term both ways (round-4 VERDICT item 2): time
-connected_components on the scaling bench's verified pair set with the
-single-task fast path vs the iterated bucketed contraction, at a given
-CPU width, several reps each (this box's wall clock is 3-50x noisy —
-medians only). Decides whether lowering cc_local_threshold converts
-the ~4.4 s width-independent CC term into one that scales.
+"""Time connected_components on the bench's verified pair set at its
+derived width (one bucket per 2 M edges) and at a forced multi-bucket
+width (one edge per bucket, so the width is 2 x the effective
+parallelism), several reps each (this box's wall clock is 3-50x noisy —
+medians only). Prints the rounds, the Ray Data executions and the label
+count of each, and asserts the label counts are equal.
 
 Usage: python scripts/profile_cc_paths.py [ncpus] [rows] [reps]
 Prints one JSON line.
@@ -34,6 +34,7 @@ ray.init(
 )
 import ray.data
 from ray.data import DataContext
+from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
 ctx = DataContext.get_current()
 ctx.enable_progress_bars = False
@@ -52,13 +53,28 @@ verified = NearDupPipeline(PipelineConfig()).run_on(
 ).pairs
 n_edges = verified.count()
 
+started: list = []
+_execute = StreamingExecutor.execute
+
+
+def _counting(self, *args, **kwargs):
+    started.append(1)
+    return _execute(self, *args, **kwargs)
+
+
+StreamingExecutor.execute = _counting
+
 results = {}
-for name, threshold in (("local", 10**12), ("iterative", 0)):
-    c = PipelineConfig(cc_local_threshold=threshold)
-    times, n_labels = [], None
+for name, edges_per_bucket in (("derived", cc_mod._EDGES_PER_BUCKET), ("forced", 1)):
+    cc_mod._EDGES_PER_BUCKET = edges_per_bucket
+    times, n_labels, rounds = [], None, []
+    started.clear()
     for _ in range(REPS):
+        rounds = []
         t0 = time.perf_counter()
-        labels = cc_mod.connected_components(verified, c).materialize()
+        labels = cc_mod.connected_components(
+            verified, PipelineConfig(), round_metrics=rounds
+        ).materialize()
         times.append(round(time.perf_counter() - t0, 3))
         n = labels.count()
         assert n_labels is None or n == n_labels
@@ -66,9 +82,12 @@ for name, threshold in (("local", 10**12), ("iterative", 0)):
     results[name] = {
         "times": times,
         "median": round(statistics.median(times), 3),
+        "num_buckets": rounds[0]["num_buckets"],
+        "rounds": len(rounds),
+        "executions_per_rep": len(started) / REPS,
         "n_labels": n_labels,
     }
 
-assert results["local"]["n_labels"] == results["iterative"]["n_labels"]
+assert results["derived"]["n_labels"] == results["forced"]["n_labels"]
 print(json.dumps({"ncpus": NCPU, "rows": ROWS, "n_edges": n_edges, **results}))
 ray.shutdown()

@@ -183,8 +183,21 @@ def test_filesystem_unlink_dry_run_removes_nothing(ray_session, tmp_path,
     assert (root / "x1.bin").exists() and (root / "x2.bin").exists()
 
 
-def test_cli_near_dup_checkpoint_resumes(ray_session, corpus_parquet,
+def test_cli_near_dup_checkpoint_resumes(ray_session, tiny_corpus,
                                          tmp_path, capsys):
+    # the tiny corpus plus two near-dup families, so the summary counts
+    # real clusters
+    extra = [
+        {"repo": "orgN/rN", "path": f"n/{fam}{i}.py", "commit": f"{i}" * 40,
+         "lang": "python",
+         "content": " ".join([f"{fam}{w}" for w in range(30)] + [f"tail{i}"])}
+        for fam in ("alpha", "beta")
+        for i in range(3)
+    ]
+    corpus_parquet = str(tmp_path / "corpus.parquet")
+    pd.concat([tiny_corpus, pd.DataFrame(extra)]).to_parquet(
+        corpus_parquet, index=False
+    )
     ckpt = tmp_path / "ckpt"
     args = [corpus_parquet, "--near-dup", "--jaccard-threshold", "0.5",
             "--checkpoint-dir", str(ckpt)]
@@ -199,6 +212,17 @@ def test_cli_near_dup_checkpoint_resumes(ray_session, corpus_parquet,
     second = capsys.readouterr().out
     line = [l for l in first.splitlines() if "Near-duplicate clusters" in l]
     assert line and line[0] in second
+    # the printed count is the number of distinct components of an
+    # independent run on the same corpus
+    from duplicate_finder_ray.cli import build_parser, config_from_args
+    from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
+    from duplicate_finder_ray.sources.code_table import read_code_table
+
+    cfg = config_from_args(build_parser().parse_args(args[:-2]))
+    labels = NearDupPipeline(cfg).run_on(read_code_table(corpus_parquet)).labels
+    n_components = len({r["component"] for r in labels.take_all()})
+    assert n_components >= 2
+    assert line[0].startswith(f"Near-duplicate clusters: {n_components} (")
 
 
 def test_ray_job_entry_in_process(ray_session, corpus_parquet, tmp_path, capsys):

@@ -653,6 +653,14 @@ class TestBucketCap:
         assert (pairs["bucket_size"] == n).all()
 
 
+def _force_width(mp: pytest.MonkeyPatch, width: int) -> None:
+    """Make ``cc.connected_components`` run at exactly ``width`` buckets
+    on a graph of at least ``width`` edges (small graphs run at 1)."""
+    if width > 1:
+        mp.setattr(cc, "_EDGES_PER_BUCKET", 1)
+        mp.setattr(cc, "effective_parallelism", lambda cfg: width // 2)
+
+
 class TestConnectedComponents:
     def test_chain_converges_to_one_component(self, ray_session):
         # path graph a-b-c-d-e: hash-to-min needs multiple rounds
@@ -678,7 +686,8 @@ class TestConnectedComponents:
         assert comp["y1"] == comp["y2"] == "y1"
 
     def test_matches_networkx_free_oracle(self, ray_session):
-        # random graph vs a simple driver-side union-find oracle
+        # random graph vs a simple driver-side union-find oracle, at the
+        # default width (one bucket) and at forced multi-bucket widths
         rng = np.random.default_rng(9)
         n_nodes, n_edges = 60, 50
         a = rng.integers(0, n_nodes, n_edges)
@@ -702,58 +711,102 @@ class TestConnectedComponents:
                 parent[max(ra, rb)] = min(ra, rb)
         oracle = {v: find(v) for v in parent}
 
-        cfg = PipelineConfig()
-        labels = cc.connected_components(
-            ray_session.data.from_pandas(edges), cfg
-        ).to_pandas()
-        got = dict(zip(labels["file_id"], labels["component"]))
-        assert got == oracle
+        for width in (1, 2, 4, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                _force_width(mp, width)
+                rounds: list[dict] = []
+                labels = cc.connected_components(
+                    ray_session.data.from_pandas(edges),
+                    PipelineConfig(),
+                    round_metrics=rounds,
+                ).to_pandas()
+            got = dict(zip(labels["file_id"], labels["component"]))
+            assert got == oracle
+            assert len(labels) == len(oracle)
+            assert {r["num_buckets"] for r in rounds} == {width}
 
-        # same graph through the ITERATIVE multi-bucket path (the
-        # >threshold scale shape; small inputs default to the one-task
-        # fast path)
-        cfg_iter = PipelineConfig(cc_local_threshold=0)
-        labels_iter = cc.connected_components(
-            ray_session.data.from_pandas(edges), cfg_iter
-        ).to_pandas()
-        got_iter = dict(zip(labels_iter["file_id"], labels_iter["component"]))
-        assert got_iter == oracle
-
-    @pytest.mark.parametrize("threshold", [10**9, 0], ids=["local", "iterative"])
-    def test_nul_differing_ids_stay_apart(self, ray_session, threshold):
-        """Ids that differ only after an embedded NUL are distinct nodes
-        on both paths. Twelve of them over the iterative path's four
-        buckets put at least two in one final-dedupe partition."""
+    def test_empty_input_at_every_width(self, ray_session, monkeypatch):
         import pyarrow as pa
 
-        xs = [f"x\0{i:02d}" for i in range(12)]
-        ys = [f"y{i:02d}" for i in range(12)]
-        edges = pa.table({"a": xs, "b": ys})
-        labels = cc.connected_components(
-            ray_session.data.from_arrow(edges),
-            PipelineConfig(cc_local_threshold=threshold),
+        empty = ray_session.data.from_arrow(
+            pa.schema([("a", pa.string()), ("b", pa.string())]).empty_table()
         )
-        got = {r["file_id"]: r["component"] for r in labels.take_all()}
-        assert got == {**{x: x for x in xs}, **dict(zip(ys, xs))}
+        for edges_per_bucket in (10**9, 1):
+            monkeypatch.setattr(cc, "_EDGES_PER_BUCKET", edges_per_bucket)
+            rounds: list[dict] = []
+            labels = cc.connected_components(empty, PipelineConfig(), round_metrics=rounds)
+            assert labels.count() == 0 and rounds == []
+            assert labels.schema().names == ["file_id", "component"]
 
-    def test_iterative_chain(self, ray_session):
+    @pytest.mark.parametrize(
+        "widths", [(1,), (2, 4, 16)], ids=["one_bucket", "many_buckets"]
+    )
+    def test_nul_differing_ids_stay_apart(self, ray_session, widths):
+        """Ids that differ only after an embedded NUL are distinct nodes
+        at every width. Sixteen of them over at most sixteen buckets put
+        at least two in one bucket."""
+        import pyarrow as pa
+
+        xs = [f"x\0{i:02d}" for i in range(16)]
+        ys = [f"y{i:02d}" for i in range(16)]
+        edges = pa.table({"a": xs, "b": ys})
+        for width in widths:
+            with pytest.MonkeyPatch.context() as mp:
+                _force_width(mp, width)
+                labels = cc.connected_components(
+                    ray_session.data.from_arrow(edges), PipelineConfig()
+                )
+            got = {r["file_id"]: r["component"] for r in labels.take_all()}
+            assert len(got) == 32
+            assert got == {**{x: x for x in xs}, **dict(zip(ys, xs))}
+
+    def test_iterative_chain(self, ray_session, monkeypatch):
+        monkeypatch.setattr(cc, "_EDGES_PER_BUCKET", 1)
         edges = pd.DataFrame(
             {"a": [f"n{i}" for i in range(1, 30)], "b": [f"n{i+1}" for i in range(1, 30)]}
         )
-        cfg = PipelineConfig(cc_local_threshold=0)
+        rounds: list[dict] = []
         labels = cc.connected_components(
-            ray_session.data.from_pandas(edges), cfg
+            ray_session.data.from_pandas(edges), PipelineConfig(), round_metrics=rounds
         ).to_pandas()
-        assert labels["component"].nunique() == 1
+        assert len(labels) == 30
         assert (labels["component"] == "n1").all()
+        assert rounds[0]["num_buckets"] > 1
+
+    def test_iterative_chain_starts_no_execution(
+        self, ray_session, monkeypatch, executions
+    ):
+        monkeypatch.setattr(cc, "_EDGES_PER_BUCKET", 1)
+        edges = ray_session.data.from_pandas(
+            pd.DataFrame(
+                {"a": [f"n{i}" for i in range(1, 30)], "b": [f"n{i+1}" for i in range(1, 30)]}
+            )
+        ).materialize()
+        executions.clear()
+        rounds: list[dict] = []
+        labels = cc.connected_components(edges, PipelineConfig(), round_metrics=rounds)
+        assert len(executions) == 0
+        assert rounds[0]["num_buckets"] > 1 and len(rounds) > 1
+        assert labels.count() == 30
+
+    def test_non_convergence_raises(self, ray_session, monkeypatch):
+        monkeypatch.setattr(cc, "_EDGES_PER_BUCKET", 1)
+        monkeypatch.setattr(cc, "_MAX_ROUNDS", 1)
+        edges = pd.DataFrame(
+            {"a": [f"n{i}" for i in range(1, 30)], "b": [f"n{i+1}" for i in range(1, 30)]}
+        )
+        with pytest.raises(RuntimeError, match="1 rounds at width"):
+            cc.connected_components(
+                ray_session.data.from_pandas(edges), PipelineConfig()
+            )
 
     def test_iterative_mega_component_hub_skew(self, ray_session):
         """North_rule skew stress: one giant star component (a hub node
         incident to every edge — the worst per-bucket concentration the
-        hash-to-min exchange can see) plus a long chain, through the
-        ITERATIVE path. The hub's complete incident set lands in one
-        bucket every round; the per-bucket kernel must stay vectorized
-        (seconds, not minutes) and exact."""
+        hash-to-min exchange can see) plus a long chain, at widths 1 to
+        16. The hub's complete incident set lands in one bucket every
+        round; the per-bucket kernel must stay vectorized (seconds, not
+        minutes) and exact."""
         n = 50_000
         star = pd.DataFrame(
             {"a": ["a_hub"] * n, "b": [f"n{i:06d}" for i in range(n)]}
@@ -764,33 +817,37 @@ class TestConnectedComponents:
                 "b": [f"z{i + 1:04d}" for i in range(400)],
             }
         )
-        edges = pd.concat([star, chain], ignore_index=True)
-        cfg = PipelineConfig(cc_local_threshold=0)
-        labels = cc.connected_components(
-            ray_session.data.from_pandas(edges), cfg
-        ).to_pandas()
-        got = dict(zip(labels["file_id"], labels["component"]))
-        assert len(got) == n + 1 + 401
+        edges = ray_session.data.from_pandas(
+            pd.concat([star, chain], ignore_index=True)
+        )
         star_nodes = ["a_hub"] + [f"n{i:06d}" for i in range(n)]
-        assert all(got[x] == "a_hub" for x in star_nodes)
-        assert all(got[f"z{i:04d}"] == "z0000" for i in range(401))
+        for width in (1, 2, 4, 16):
+            with pytest.MonkeyPatch.context() as mp:
+                _force_width(mp, width)
+                labels = cc.connected_components(edges, PipelineConfig()).to_pandas()
+            got = dict(zip(labels["file_id"], labels["component"]))
+            assert len(labels) == len(got) == n + 1 + 401
+            assert all(got[x] == "a_hub" for x in star_nodes)
+            assert all(got[f"z{i:04d}"] == "z0000" for i in range(401))
 
-    def test_iterative_round_metrics_expose_bucket_bound(self, ray_session):
+    def test_iterative_round_metrics_expose_bucket_bound(self, ray_session, monkeypatch):
         """The documented O(max-component) per-bucket bound must be
-        OBSERVABLE: the iterative path appends one metric row per
-        contraction round; max_bucket_rows tracks the giant component's
-        star size so a runaway component is visible before it OOMs."""
+        OBSERVABLE: the contraction appends one metric row per round;
+        max_bucket_rows tracks the giant component's star size so a
+        runaway component is visible before it OOMs."""
+        monkeypatch.setattr(cc, "_EDGES_PER_BUCKET", 1_000)
         n = 5_000
         star = pd.DataFrame(
             {"a": ["a_hub"] * n, "b": [f"n{i:06d}" for i in range(n)]}
         )
-        cfg = PipelineConfig(cc_local_threshold=0)
+        cfg = PipelineConfig()
         rounds: list[dict] = []
         labels = cc.connected_components(
             ray_session.data.from_pandas(star), cfg, round_metrics=rounds
         ).to_pandas()
         assert len(labels) == n + 1
-        assert len(rounds) >= 1  # one row per round, including fixpoint
+        assert len(rounds) >= 2  # one row per round, including fixpoint
+        assert rounds[0]["num_buckets"] > 1
         for i, r in enumerate(rounds):
             assert r["round"] == i
             assert set(r) == {
@@ -804,9 +861,7 @@ class TestConnectedComponents:
         assert rounds[-1]["max_bucket_rows"] >= n + 1
         assert rounds[-1]["total_star_rows"] >= n + 1
 
-    def test_round_metrics_in_checkpoint_lineage(self, ray_session, tmp_path):
-        """run_checkpointed persists the per-round CC bucket loads into
-        the labels stage's lineage manifest."""
+    def test_default_run_records_one_single_bucket_round(self, ray_session):
         from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 
         df = pd.DataFrame(
@@ -818,14 +873,37 @@ class TestConnectedComponents:
                 "content": ["alpha beta gamma delta epsilon zeta" * 3] * 4,
             }
         )
-        cfg = PipelineConfig(cc_local_threshold=0, jaccard_threshold=0.5)
+        res = NearDupPipeline(PipelineConfig(jaccard_threshold=0.5)).run_on(
+            ray_session.data.from_pandas(df)
+        )
+        assert res.metrics["cc_rounds"] == [
+            {"round": 0, "num_buckets": 1, "max_bucket_rows": 4, "total_star_rows": 4}
+        ]
+        assert res.labels.count() == 4
+
+    def test_round_metrics_in_checkpoint_lineage(self, ray_session, tmp_path):
+        """run_checkpointed persists the per-round CC bucket loads into
+        the labels stage's lineage manifest: at the default width, one
+        single-bucket round."""
+        from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
+
+        df = pd.DataFrame(
+            {
+                "repo": ["o/r"] * 4,
+                "path": [f"f{i}.py" for i in range(4)],
+                "commit": ["1" * 40] * 4,
+                "lang": ["python"] * 4,
+                "content": ["alpha beta gamma delta epsilon zeta" * 3] * 4,
+            }
+        )
+        cfg = PipelineConfig(jaccard_threshold=0.5)
         res = NearDupPipeline(cfg).run_checkpointed(
             ray_session.data.from_pandas(df), str(tmp_path / "ckpt")
         )
         by_stage = {m["stage"]: m for m in res.metrics["checkpoints"]}
         assert "cc_rounds" in by_stage["labels"]
         assert by_stage["labels"]["cc_rounds"] == res.metrics["cc_rounds"]
-        assert len(res.metrics["cc_rounds"]) >= 1
+        assert [r["num_buckets"] for r in res.metrics["cc_rounds"]] == [1]
 
 
 class TestSimHashPairs:

@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "duplicate_finder_ray"
 
 ALLOWED = {
-    "stages/cc.py::_contract_round.bucket_part":
+    "stages/cc.py::_bucket_column":
         "edges carry both endpoints' precomputed bucket ids",
     "stages/chunking.py::greedy_pack.part_of":
         "md5-prefix partition the oracle replays to reproduce the packing",
