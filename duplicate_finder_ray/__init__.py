@@ -10,7 +10,7 @@ distributed connected components, ANN search, text analysis, and
 checkpoint/lineage support.
 
 Execution substrate is ``ray.data.Dataset``: zero-copy Arrow
-``map_batches`` for per-row derivations, ``groupby`` shuffles for the
+``map_batches`` for per-row derivations, hash-exchange shuffles for the
 wide steps, actor pools for stateful stages. Nothing here calls
 ``ray.init``/``ray.shutdown`` — sessions are owned by the caller
 (bench.py, CLI, test fixture, or the graft driver).

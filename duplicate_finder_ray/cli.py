@@ -180,6 +180,26 @@ def print_duplicates_stream(members, out=None) -> int:
     return n_groups
 
 
+#: the member columns a deletion reads
+_DOOMED_COLS = ["file_id", "size", "repo", "path"]
+
+
+def non_keepers(members) -> dict[str, list]:
+    """The ``_DOOMED_COLS`` of every non-keeper member, read batch by
+    batch: the driver never holds the keepers or the other member
+    columns."""
+    import pyarrow.compute as pc
+
+    out: dict[str, list] = {c: [] for c in _DOOMED_COLS}
+    for b in members.select_columns([*_DOOMED_COLS, "is_keeper"]).iter_batches(
+        batch_format="pyarrow"
+    ):
+        b = b.filter(pc.invert(b["is_keeper"]))
+        for c in _DOOMED_COLS:
+            out[c].extend(b[c].to_pylist())
+    return out
+
+
 def interactive_decisions(members_df, input_fn=input, out=None):
     """Driver-side interactive keeper loop (reference
     duplicate_finder.py:353-425): per group prompt for a 1-based index to
@@ -305,28 +325,28 @@ def main(argv: Sequence[str] | None = None) -> int:
         )
 
     # ---- action flow (reference duplicate_finder.py:87-106) ----------
-    # interactive / delete decisions are inherently driver-side (a
-    # human reads and answers), so ONLY these modes collect the
-    # membership table
-    members_df = (
-        result.members.to_pandas()
-        if (cfg.interactive_mode or cfg.delete_duplicates)
-        else None
-    )
+    # interactive decisions are inherently driver-side (a human reads
+    # and answers), so ONLY that mode collects the membership table;
+    # --delete streams in the non-keeper rows alone
     dropped: set[str] = set()
-    if cfg.interactive_mode and len(members_df):
-        dropped = interactive_decisions(members_df)
-    elif cfg.delete_duplicates and len(members_df):
-        if not cfg.dry_run:
+    doomed = {c: [] for c in _DOOMED_COLS}  # columns of the dropped files
+    if cfg.interactive_mode:
+        members_df = result.members.to_pandas()
+        if len(members_df):
+            dropped = interactive_decisions(members_df)
+            rows = members_df[members_df["file_id"].isin(dropped)]
+            doomed = {c: list(rows[c]) for c in _DOOMED_COLS}
+    elif cfg.delete_duplicates:
+        doomed = non_keepers(result.members)
+        if doomed["file_id"] and not cfg.dry_run:
             answer = input("Delete all duplicates keeping one per group? y/[n]: ")
             if answer.strip().lower() != "y":
                 print("Aborted.")
                 return 0
-        dropped = set(members_df.loc[~members_df["is_keeper"], "file_id"])
+        dropped = set(doomed["file_id"])
 
     if cfg.interactive_mode or cfg.delete_duplicates:
-        size_by_id = dict(zip(members_df.get("file_id", []), members_df.get("size", [])))
-        bytes_freed = sum(int(size_by_id.get(f, 0)) for f in dropped)
+        bytes_freed = sum(int(x) for x in doomed["size"])
         report = render_delete_report(dropped, cfg.dry_run, bytes_freed)
         print("\n" + report, end="")
         if cfg.delete_report_path:
@@ -340,9 +360,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
             path_by_id = {
                 fid: _os.path.join(r, p)
-                for fid, r, p in zip(
-                    members_df["file_id"], members_df["repo"], members_df["path"]
-                )
+                for fid, r, p in zip(doomed["file_id"], doomed["repo"], doomed["path"])
             }
             n_unlinked = 0
             for fid in sorted(dropped):

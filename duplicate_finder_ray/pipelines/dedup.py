@@ -166,11 +166,10 @@ def iter_member_groups(members: ray.data.Dataset):
 
 
 def count_groups(members: ray.data.Dataset) -> int:
-    """Distinct group count via a slim distributed aggregate (only the
-    group_id column crosses the wire; the driver sees one number)."""
-    return (
-        members.select_columns(["group_id"]).groupby("group_id").count().count()
-    )
+    """Distinct group count: each group has exactly one keeper row, so
+    this counts the keeper rows (one task per members block; the
+    driver sees one number per block)."""
+    return exact.groups_from_members(members).count()
 
 
 def write_text_report(members: ray.data.Dataset, fh) -> int:

@@ -31,8 +31,8 @@ from duplicate_finder_ray.sources.code_table import (
 )
 from duplicate_finder_ray.stages import exact
 from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
+from duplicate_finder_ray.stages.exchange import grouped_aggregate
 from duplicate_finder_ray.stages.filters import make_glob_filter, make_size_filter
-from duplicate_finder_ray.stages.util import group_aggregate
 
 # Shared SQL prelude: code_files + identity/size/sha256 derivation.
 _D_SQL = f"""
@@ -496,7 +496,7 @@ def q_incremental_embedding_pairs(sf_dir: str) -> ray.data.Dataset:
 
 def q_events_hourly(sf_dir: str) -> ray.data.Dataset:
     """Tumbling 1-hour windowed aggregate over events (row-local window
-    key + one distributed groupby; integer-cent sums ⇒ order-proof)."""
+    key + one grouped aggregate; integer-cent sums ⇒ order-proof)."""
     from duplicate_finder_ray.stages import events as ev
 
     return ev.hourly_rollup(_read(sf_dir, "events"))
@@ -715,8 +715,6 @@ def q_asof_last_purchase(sf_dir: str) -> ray.data.Dataset:
     """As-of join: every event annotated with the value (cents) of the
     same user's most recent STRICTLY-earlier purchase event (-1 if
     none). One shuffle keyed by user_id; per-user searchsorted."""
-    from ray.data.aggregate import Max
-
     from duplicate_finder_ray.stages import relational as rel
 
     ev = _read(sf_dir, "events", ["event_id", "ts", "user_id", "event_type", "value"])
@@ -741,10 +739,10 @@ def q_asof_last_purchase(sf_dir: str) -> ray.data.Dataset:
             ["user_id", "ts_us", "cents"]
         )
 
-    purchases = (
-        base.map_batches(only_purchases, batch_format="pyarrow")
-        .groupby(["user_id", "ts_us"])
-        .aggregate(Max("cents", alias_name="cents"))
+    purchases = grouped_aggregate(
+        base.map_batches(only_purchases, batch_format="pyarrow"),
+        ["user_id", "ts_us"],
+        {"cents": ("max", "cents")},
     )
     return rel.asof_join(
         left,
@@ -771,8 +769,6 @@ _PRICE_BUCKETS = [
 def q_range_join_price_buckets(sf_dir: str) -> ray.data.Dataset:
     """Range (interval) join: each lineitem's price against a broadcast
     table of half-open cent ranges, then a per-bucket rollup."""
-    from ray.data.aggregate import Count, Sum
-
     from duplicate_finder_ray.stages import relational as rel
 
     li = _read(sf_dir, "lineitem", ["l_extendedprice"])
@@ -785,15 +781,16 @@ def q_range_join_price_buckets(sf_dir: str) -> ray.data.Dataset:
         "price_cents",
         _PRICE_BUCKETS,
     )
-    return bucketed.groupby("bucket_id").aggregate(
-        Count(alias_name="n_items"),
-        Sum("price_cents", alias_name="sum_price_cents"),
+    return grouped_aggregate(
+        bucketed,
+        "bucket_id",
+        {"n_items": ("count", None), "sum_price_cents": ("sum", "price_cents")},
     )
 
 
 def q_events_sliding(sf_dir: str) -> ray.data.Dataset:
     """Sliding-window aggregate (1h windows every 15min): row-local
-    window fan-out (amplification = 4, data-independent) + one groupby."""
+    window fan-out (amplification = 4, data-independent) + one grouped sum."""
     from duplicate_finder_ray.stages import events as ev
 
     return ev.sliding_rollup(
@@ -824,7 +821,7 @@ def _repo_from_org3(batch: pa.Table) -> pa.Table:
 def q_set_intersect_repos(sf_dir: str) -> ray.data.Dataset:
     """Distributed INTERSECT: content sha256 values present in both the
     org0-org2 and the org3-org6 repo halves (flag partials + one
-    max-flag groupby; raw rows never shuffled)."""
+    max-flag grouped aggregate; raw rows never shuffled)."""
     from duplicate_finder_ray.stages import relational as rel
 
     d = _derived(sf_dir).select_columns(["repo", "sha256"]).materialize()
@@ -869,7 +866,7 @@ def q_doclen_quantiles_sketch(sf_dir: str) -> ray.data.Dataset:
     """Mergeable t-digest twin of ``doclen_quantiles`` — the 100-TB
     path: per-batch bounded centroid partials + associative merge, so
     no task ever holds a whole language's values (the exact oracle's
-    groupby.map_groups does). delta=2048 puts every gate-scale group
+    group-keyed exchange does). delta=2048 puts every gate-scale group
     under the k1 no-compaction bound (delta/pi ≈ 651 values —
     stages/sketches.py:tdigest_quantile), where the digest answers
     bit-identically to the exact kernel ⇒ the exact-quantile SQL is a
@@ -883,9 +880,8 @@ def q_doclen_quantiles_sketch(sf_dir: str) -> ray.data.Dataset:
     # (delta/pi values). If the gate corpus ever outgrows it, fail HERE
     # with a clear message instead of surfacing as an oracle mismatch.
     delta = 2048
-    max_group = max(
-        r["count()"] for r in docs.groupby("lang").count().take_all()
-    )
+    sizes = grouped_aggregate(docs, "lang", {"n": ("count", None)})
+    max_group = max(r["n"] for r in sizes.take_all())
     bound = int(delta / np.pi)
     if max_group > bound:
         raise AssertionError(
@@ -902,7 +898,7 @@ def q_doclen_quantiles_sketch(sf_dir: str) -> ray.data.Dataset:
 def q_top_tokens(sf_dir: str) -> ray.data.Dataset:
     """Distributed exact heavy hitters: global top-20 tokens by
     frequency (ties by token) — per-batch count partials, one
-    vocabulary-keyed groupby, local-top-k final."""
+    vocabulary-keyed grouped count, local-top-k final."""
     from duplicate_finder_ray.stages import textstats
 
     docs = _read(sf_dir, "documents", ["text"])
@@ -994,7 +990,7 @@ def q_top_tokens_approx(sf_dir: str) -> ray.data.Dataset:
 
 def q_distinct_tokens_per_lang(sf_dir: str) -> ray.data.Dataset:
     """Exact distinct-token cardinality per language (two-level
-    distinct: batch dedupe partials → (lang, token) groupby → per-lang
+    distinct: batch dedupe partials → (lang, token) grouped count → per-lang
     count)."""
     from duplicate_finder_ray.stages import textstats
 
@@ -1045,10 +1041,8 @@ def q_signature_shingle_counts(sf_dir: str) -> ray.data.Dataset:
 def q_normalized_dup_groups(sf_dir: str) -> ray.data.Dataset:
     """Curation composition: exact-dup groups AFTER deterministic text
     normalization (catches case/whitespace-only duplicates the byte
-    dedup misses). Normalize → sha256 → one groupby; content never
-    shuffles."""
-    from ray.data.aggregate import Count
-
+    dedup misses). Normalize → sha256 → one grouped count; content
+    never shuffles."""
     from duplicate_finder_ray.functions.hashing import sha256_hex_array
 
     def norm_sha(batch: pa.Table) -> pa.Table:
@@ -1057,11 +1051,10 @@ def q_normalized_dup_groups(sf_dir: str) -> ray.data.Dataset:
         t = pc.replace_substring_regex(t, r"^ | $", "")
         return pa.table({"group_id": sha256_hex_array(t)})
 
-    groups = (
-        code_files_from_documents(sf_dir)
-        .map_batches(norm_sha, batch_format="pyarrow")
-        .groupby("group_id")
-        .aggregate(Count(alias_name="n_files"))
+    groups = grouped_aggregate(
+        code_files_from_documents(sf_dir).map_batches(norm_sha, batch_format="pyarrow"),
+        "group_id",
+        {"n_files": ("count", None)},
     )
 
     def dups_only(batch: pa.Table) -> pa.Table:
@@ -1217,10 +1210,6 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
     dedup keeping the lowest doc_id → deterministic md5 train/val/test
     split → per-(split, lang) counts. Every stage is an individually
     oracle-gated operator; this query proves they compose exactly."""
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.functions.hashing import sha256_hex_array
     from duplicate_finder_ray.stages.relational import (
         split_assign,
@@ -1249,26 +1238,13 @@ def q_curation_pipeline(sf_dir: str) -> ray.data.Dataset:
     ).select_columns(["doc_id", "lang"])
     split = split_assign(keepers, "doc_id", [("train", "cd"), ("val", "e6")], "test")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        return pa.table(
-            {
-                "split": batch["split"],
-                "lang": batch["lang"],
-                "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            }
-        )
-
-    return (
-        split.map_batches(partial, batch_format="pyarrow")
-        .groupby(["split", "lang"])
-        .aggregate(Sum("one", alias_name="n_docs"))
-    )
+    return grouped_aggregate(split, ["split", "lang"], {"n_docs": ("count", None)})
 
 
 def q_docs_rollup(sf_dir: str) -> ray.data.Dataset:
     """GROUP BY ROLLUP(lang, band): doc counts + char sums per
-    (lang, length band), per lang, and overall in one pass — combiner
-    partials for all levels, one level-tagged groupby."""
+    (lang, length band), per lang, and overall in one pass — every
+    level's rows in one level-tagged grouped aggregate."""
     from duplicate_finder_ray.stages.relational import grouped_rollup
 
     docs = _read(sf_dir, "documents", ["lang", "text"])
@@ -1291,8 +1267,7 @@ def q_docs_rollup(sf_dir: str) -> ray.data.Dataset:
 
 def q_user_event_pivot(sf_dir: str) -> ray.data.Dataset:
     """PIVOT / crosstab: per-user count matrix over the five event
-    types — per-batch combiner collapses each block to ≤1 row per user,
-    one keys-sized aggregate sums the partials."""
+    types — one keys-sized grouped sum of per-row type flags."""
     from duplicate_finder_ray.stages.relational import pivot_counts
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -1307,46 +1282,23 @@ def q_full_join_custorders(sf_dir: str) -> ray.data.Dataset:
     rollup ⟗ BUILDING-segment customers — matched rows, customers with
     orders outside the segment (right-null), segment customers with no
     orders (left-null); -1 sentinels keep plain int64 columns."""
-    import numpy as np
-
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    def order_partial(batch: pa.Table) -> pa.Table:
+    def order_cents(batch: pa.Table) -> pa.Table:
         cents = pc.cast(
             pc.floor(pc.add(pc.multiply(batch["o_totalprice"], 100.0), 0.5)),
             pa.int64(),
         )
-        import pandas as pd
-
-        g = (
-            pd.DataFrame(
-                {
-                    "k": batch["o_custkey"].to_numpy(),
-                    "c": cents.to_numpy(),
-                }
-            )
-            .groupby("k", sort=False)
-            .agg(n=("c", "size"), s=("c", "sum"))
-            .reset_index()
-        )
         return pa.table(
-            {
-                "o_custkey": pa.array(g["k"].to_numpy(), pa.int64()),
-                "n_part": pa.array(g["n"].to_numpy().astype(np.int64)),
-                "c_part": pa.array(g["s"].to_numpy().astype(np.int64)),
-            }
+            {"o_custkey": pc.cast(batch["o_custkey"], pa.int64()), "c": cents}
         )
 
-    left = (
-        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"])
-        .map_batches(order_partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(
-            Sum("n_part", alias_name="n_orders"),
-            Sum("c_part", alias_name="rev_cents"),
-        )
+    left = grouped_aggregate(
+        _read(sf_dir, "orders", ["o_custkey", "o_totalprice"]).map_batches(
+            order_cents, batch_format="pyarrow"
+        ),
+        "o_custkey",
+        {"n_orders": ("count", None), "rev_cents": ("sum", "c")},
     )
 
     def cust_prep(batch: pa.Table) -> pa.Table:
@@ -1488,7 +1440,7 @@ def q_distinctive_terms(sf_dir: str) -> ray.data.Dataset:
 def q_event_mode(sf_dir: str) -> ray.data.Dataset:
     """Statistical MODE per user: the most frequent event type (ties →
     lexicographically smallest) with its count — per-batch (user, type)
-    count partials, one tiny groupby, local-prune argmax."""
+    count partials, one tiny grouped count, local-prune argmax."""
     from duplicate_finder_ray.stages.relational import grouped_mode
 
     ev = _read(sf_dir, "events", ["user_id", "event_type"])
@@ -1738,8 +1690,6 @@ def q_near_dup_keepers(sf_dir: str) -> ray.data.Dataset:
     train on' decision, composed from the hash-green CC labels, one
     broadcast join, the local-prune top-k selector and a tiny count
     aggregate."""
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.relational import (
         broadcast_hash_join,
         topk_per_group_by,
@@ -1749,21 +1699,7 @@ def q_near_dup_keepers(sf_dir: str) -> ray.data.Dataset:
     files = _derived(sf_dir).select_columns(["file_id", "size"])
     members = broadcast_hash_join(files, labels, "file_id", "file_id", ["component"])
 
-    def one(batch: pa.Table) -> pa.Table:
-        import numpy as np
-
-        return pa.table(
-            {
-                "component": batch["component"],
-                "one": pa.array(np.ones(len(batch), dtype=np.int64)),
-            }
-        )
-
-    counts = (
-        members.map_batches(one, batch_format="pyarrow")
-        .groupby("component")
-        .aggregate(Sum("one", alias_name="n_members"))
-    )
+    counts = grouped_aggregate(members, "component", {"n_members": ("count", None)})
     top = topk_per_group_by(
         members, "component", ["size", "file_id"], [False, True], 1
     ).select_columns(["component", "file_id", "size"])
@@ -1831,7 +1767,7 @@ def q_near_dup_degrees(sf_dir: str) -> ray.data.Dataset:
     """Per-node degree of the exact-Jaccard near-dup graph: how many
     near-duplicates each file has (hub detection before cluster
     collapse). Count partials over both endpoint columns → one
-    vocabulary-sized groupby-sum; exact on the string ids."""
+    vocabulary-sized grouped count; exact on the string ids."""
     from duplicate_finder_ray.stages.graph import pair_degrees
 
     return pair_degrees(q_ngram_jaccard_pairs(sf_dir))
@@ -1988,31 +1924,20 @@ def q_q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
         ["l_orderkey", "l_extendedprice", "l_discount", "l_shipdate"],
     )
 
-    def li_rev_partials(batch: pa.Table) -> pa.Table:
+    def li_rev(batch: pa.Table) -> pa.Table:
         keep = pc.greater(batch.column("l_shipdate"), cutoff)
         batch = batch.filter(keep)
         price_c = rel.cents(batch.column("l_extendedprice"))
         disc_pct = rel.cents(batch.column("l_discount"))  # 0.07 → 7
         rev = pc.multiply(price_c, pc.subtract(pa.scalar(100), disc_pct))
-        t = pa.table(
-            {"l_orderkey": batch.column("l_orderkey"), "rev": rev}
-        ).to_pandas()
-        g = t.groupby("l_orderkey", sort=False)["rev"].sum().reset_index()
         return pa.table(
-            {
-                "l_orderkey": pa.array(
-                    g["l_orderkey"].to_numpy(), pa.int64()
-                ),
-                "rev": pa.array(g["rev"].to_numpy(), pa.int64()),
-            }
+            {"l_orderkey": pc.cast(batch.column("l_orderkey"), pa.int64()), "rev": rev}
         )
 
-    from ray.data.aggregate import Sum
-
-    rev = (
-        li.map_batches(li_rev_partials, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("rev", alias_name="revenue_units"))
+    rev = grouped_aggregate(
+        li.map_batches(li_rev, batch_format="pyarrow"),
+        "l_orderkey",
+        {"revenue_units": ("sum", "rev")},
     )
 
     orders = _read(
@@ -2059,7 +1984,7 @@ def q_q3_shipping_priority(sf_dir: str) -> ray.data.Dataset:
 def q_trending_tokens(sf_dir: str) -> ray.data.Dataset:
     """Trending terms: top-5 tokens per tumbling hour over the event
     payload stream — window derived map-side, per-batch count
-    combiner, one (windows × vocab)-sized groupby, local-top-k
+    combiner, one (windows × vocab)-sized grouped count, local-top-k
     selector. Corpus token positions never shuffle."""
     from duplicate_finder_ray.stages.textstats import trending_tokens
 
@@ -2129,7 +2054,7 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
         )
 
     part_schema = pa.schema(
-        [("lang", pa.string()), ("n_docs", pa.int64()), ("n_dup_docs", pa.int64())]
+        [("lang", pa.string()), ("dup", pa.int64())]
     )
 
     def lang_partials(p: int, tbl: pa.Table) -> pa.Table:
@@ -2149,18 +2074,7 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
         sizes = np.diff(np.append(starts, len(h1)))
         is_dup = np.empty(len(h1), dtype=bool)
         is_dup[order] = np.repeat(sizes > 1, sizes)
-        t = pa.table(
-            {
-                "lang": tbl.column("lang"),
-                "n_docs": np.ones(len(h1), dtype=np.int64),
-                "n_dup_docs": is_dup.astype(np.int64),
-            }
-        )
-        return group_aggregate(
-            t, ["lang"], [("n_docs", "sum"), ("n_dup_docs", "sum")]
-        )
-
-    from ray.data.aggregate import Sum
+        return pa.table({"lang": tbl.column("lang"), "dup": is_dup.astype(np.int64)})
 
     partials = hash_exchange(
         docs.map_batches(slim, batch_format="pyarrow"),
@@ -2169,9 +2083,8 @@ def q_dedup_rate_by_lang(sf_dir: str) -> ray.data.Dataset:
         lang_partials,
         part_schema.empty_table(),
     )
-    return partials.groupby("lang").aggregate(
-        Sum("n_docs", alias_name="n_docs"),
-        Sum("n_dup_docs", alias_name="n_dup_docs"),
+    return grouped_aggregate(
+        partials, "lang", {"n_docs": ("count", None), "n_dup_docs": ("sum", "dup")}
     )
 
 
@@ -2202,7 +2115,7 @@ def q_session_funnel(sf_dir: str) -> ray.data.Dataset:
 def q_repo_overlap_pairs(sf_dir: str) -> ray.data.Dataset:
     """Repo-overlap matrix: distinct shared contents per repo pair —
     one sha-keyed exchange, vectorized within-group pair expansion,
-    partial counts before the slim final groupby."""
+    partial counts before the slim final grouped sum."""
     from duplicate_finder_ray.stages.repostats import repo_overlap_pairs
 
     return repo_overlap_pairs(_derived(sf_dir))
@@ -2233,8 +2146,6 @@ def q_q5_supplier_volume(sf_dir: str) -> ray.data.Dataset:
     same-nation predicate filters post-join; revenue is exact integer
     cents × (100 − discount%)."""
     import datetime as _dt
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
@@ -2324,10 +2235,10 @@ def q_q5_supplier_volume(sf_dir: str) -> ray.data.Dataset:
         keep = pc.equal(batch.column("s_nationkey"), batch.column("c_nationkey"))
         return batch.filter(keep).select(["n_name", "rev"])
 
-    return (
-        joined.map_batches(same_nation, batch_format="pyarrow")
-        .groupby("n_name")
-        .aggregate(Sum("rev", alias_name="revenue_units"))
+    return grouped_aggregate(
+        joined.map_batches(same_nation, batch_format="pyarrow"),
+        "n_name",
+        {"revenue_units": ("sum", "rev")},
     )
 
 
@@ -2359,17 +2270,9 @@ def q_near_dup_cluster_hist(sf_dir: str) -> ray.data.Dataset:
     """Near-dup cluster-size histogram: how many clusters of each size
     the verified pair graph produces — tiny slim-row aggregations over
     the CC labels (every labelled node is in a ≥2-cluster)."""
-    from ray.data.aggregate import Count
-
     labels = q_near_dup_clusters(sf_dir)
-    sizes = labels.groupby("component").aggregate(
-        Count(alias_name="cluster_size")
-    )
-    return (
-        sizes.select_columns(["cluster_size"])
-        .groupby("cluster_size")
-        .aggregate(Count(alias_name="n_clusters"))
-    )
+    sizes = grouped_aggregate(labels, "component", {"cluster_size": ("count", None)})
+    return grouped_aggregate(sizes, "cluster_size", {"n_clusters": ("count", None)})
 
 
 def q_repo_skew_report(sf_dir: str) -> ray.data.Dataset:
@@ -2442,11 +2345,9 @@ def q_near_dup_kcore(sf_dir: str) -> ray.data.Dataset:
 def q_doclen_equidepth_hist(sf_dir: str) -> ray.data.Dataset:
     """Equi-depth (equal-frequency) 8-bucket histogram of document
     lengths: global_rank assigns exact row numbers, bucket =
-    rnk*8//n, per-bucket (lo, hi, count) via one slim groupby — the
-    optimizer-statistics shape equi-width histograms can't give on
-    heavy-tailed lengths."""
-    from ray.data.aggregate import Max, Min, Sum
-
+    rnk*8//n, per-bucket (lo, hi, count) via one slim grouped
+    aggregate — the optimizer-statistics shape equi-width histograms
+    can't give on heavy-tailed lengths."""
     from duplicate_finder_ray.stages.rank import global_rank
 
     docs = _read(sf_dir, "documents", ["doc_id", "n_chars"])
@@ -2459,18 +2360,13 @@ def q_doclen_equidepth_hist(sf_dir: str) -> ray.data.Dataset:
             {
                 "bucket": pa.array(rnk * 8 // n, pa.int64()),
                 "n_chars": t.column("n_chars").cast(pa.int64()),
-                "__one": pa.array(np.ones(len(t), dtype=np.int64)),
             }
         )
 
-    return (
-        ranked.map_batches(bucketize, batch_format="pyarrow")
-        .groupby("bucket")
-        .aggregate(
-            Min("n_chars", alias_name="lo"),
-            Max("n_chars", alias_name="hi"),
-            Sum("__one", alias_name="n_docs"),
-        )
+    return grouped_aggregate(
+        ranked.map_batches(bucketize, batch_format="pyarrow"),
+        "bucket",
+        {"lo": ("min", "n_chars"), "hi": ("max", "n_chars"), "n_docs": ("count", None)},
     )
 
 
@@ -2584,8 +2480,6 @@ def q_jaccard_threshold_sweep(sf_dir: str) -> ray.data.Dataset:
     tau10/10.0 IEEE literals — so the comparison is deterministic on
     both sides. Per-batch partial counts; the shuffle carries 5 rows
     per block."""
-    from ray.data.aggregate import Sum
-
     pairs = q_ngram_jaccard_pairs(sf_dir)
     taus = np.arange(5, 10, dtype=np.int64)
 
@@ -2609,13 +2503,12 @@ def q_jaccard_threshold_sweep(sf_dir: str) -> ray.data.Dataset:
             }
         )
     )
-    return (
+    counts = (
         pairs.select_columns(["jaccard"])
         .map_batches(partial, batch_format="pyarrow")
         .union(zeros)  # keeps a 0 row per τ even on an empty pair set
-        .groupby("tau10")
-        .aggregate(Sum("n_pairs", alias_name="n_pairs"))
     )
+    return grouped_aggregate(counts, "tau10", {"n_pairs": ("sum", "n_pairs")})
 
 
 def q_lang_mismatch(sf_dir: str) -> ray.data.Dataset:
@@ -2669,7 +2562,7 @@ def q_daily_new_users(sf_dir: str) -> ray.data.Dataset:
     """Adoption curve: per-day first-time users + running total
     (stages/events.py:daily_new_users) — the streaming answer to
     cumulative count(DISTINCT). Per-batch user-min partials, one slim
-    user-keyed exchange, tiny day groupby + one-task cumsum; window-SUM
+    user-keyed exchange, tiny day grouped count + one-task cumsum; window-SUM
     SQL twin."""
     from duplicate_finder_ray.stages.events import daily_new_users
 
@@ -2772,7 +2665,7 @@ def q_lang_source_chi2(sf_dir: str) -> ray.data.Dataset:
 def q_events_seasonality(sf_dir: str) -> ray.data.Dataset:
     """7×24 calendar heatmap: count + exact cent sum per (ISO dow,
     hour-of-day), decoded with pure epoch integer arithmetic (no tz
-    lib); scan-side combiner, one ≤168-row groupby."""
+    lib); scan-side combiner, one ≤168-row grouped aggregate."""
     from duplicate_finder_ray.stages.events import seasonality_profile
 
     return seasonality_profile(
@@ -2838,8 +2731,6 @@ def q_purchase_error_overlaps(sf_dir: str) -> ray.data.Dataset:
     — per purchase, how many error windows it overlapped. The
     inequality-join shape (downtime × activity) via grid-cell
     co-location with single-cell pair ownership."""
-    from ray.data.aggregate import Count
-
     from duplicate_finder_ray.stages.join import interval_overlap_join
 
     def intervals(etype: str):
@@ -2869,8 +2760,7 @@ def q_purchase_error_overlaps(sf_dir: str) -> ray.data.Dataset:
         cell=600_000_000, n_parts=16,
     )
     return (
-        pairs.groupby("l_id")
-        .aggregate(Count(alias_name="n_overlaps"))
+        grouped_aggregate(pairs, "l_id", {"n_overlaps": ("count", None)})
         .map_batches(
             lambda t: t.rename_columns(["purchase_id", "n_overlaps"]),
             batch_format="pyarrow",
@@ -2883,24 +2773,12 @@ def q_repo_pareto(sf_dir: str) -> ray.data.Dataset:
     the 'biggest AND bulkiest' tradeoff picks no single ORDER BY can
     answer. Slim per-repo rollup → per-block local skyline → one small
     merge."""
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.relational import pareto_frontier
 
-    def add_one(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__one", pa.array(np.ones(len(t), dtype=np.int64))
-        )
-
-    rb = (
-        _derived(sf_dir)
-        .select_columns(["repo", "size"])
-        .map_batches(add_one, batch_format="pyarrow")
-        .groupby("repo")
-        .aggregate(
-            Sum("__one", alias_name="n_files"),
-            Sum("size", alias_name="total_bytes"),
-        )
+    rb = grouped_aggregate(
+        _derived(sf_dir).select_columns(["repo", "size"]),
+        "repo",
+        {"n_files": ("count", None), "total_bytes": ("sum", "size")},
     )
     return pareto_frontier(rb, "n_files", "total_bytes")
 
@@ -2972,15 +2850,11 @@ def q_skew_join_repo_bytes(sf_dir: str) -> ray.data.Dataset:
     deliberately low hot threshold so most repos take the SALTED path
     (left fans over salts, right rows replicated per salt) — the
     mega-repo shape where a plain hash join pins one reducer."""
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.join import skew_join
 
     d = _derived(sf_dir)
-    rb = (
-        d.select_columns(["repo", "size"])
-        .groupby("repo")
-        .aggregate(Sum("size", alias_name="repo_bytes"))
+    rb = grouped_aggregate(
+        d.select_columns(["repo", "size"]), "repo", {"repo_bytes": ("sum", "size")}
     )
     joined = skew_join(
         d.select_columns(["repo", "lang"]),
@@ -2993,18 +2867,10 @@ def q_skew_join_repo_bytes(sf_dir: str) -> ray.data.Dataset:
         n_salts=4,
     )
 
-    def add_one(t: pa.Table) -> pa.Table:
-        return t.append_column(
-            "__one", pa.array(np.ones(len(t), dtype=np.int64))
-        )
-
-    return (
-        joined.map_batches(add_one, batch_format="pyarrow")
-        .groupby("lang")
-        .aggregate(
-            Sum("repo_bytes", alias_name="total_repo_bytes"),
-            Sum("__one", alias_name="n_files"),
-        )
+    return grouped_aggregate(
+        joined,
+        "lang",
+        {"total_repo_bytes": ("sum", "repo_bytes"), "n_files": ("count", None)},
     )
 
 
@@ -3085,8 +2951,6 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
     Exact integer revenue units."""
     import datetime as _dt
 
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
@@ -3098,26 +2962,19 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
         ["l_orderkey", "l_extendedprice", "l_discount", "l_returnflag"],
     )
 
-    def li_rev_partials(batch: pa.Table) -> pa.Table:
+    def li_rev(batch: pa.Table) -> pa.Table:
         batch = batch.filter(pc.equal(batch.column("l_returnflag"), "R"))
         price_c = rel.cents(batch.column("l_extendedprice"))
         disc_pct = rel.cents(batch.column("l_discount"))
         rev = pc.multiply(price_c, pc.subtract(pa.scalar(100), disc_pct))
-        t = pa.table(
-            {"l_orderkey": batch.column("l_orderkey"), "rev": rev}
-        ).to_pandas()
-        g = t.groupby("l_orderkey", sort=False)["rev"].sum().reset_index()
         return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"].to_numpy(), pa.int64()),
-                "rev": pa.array(g["rev"].to_numpy(), pa.int64()),
-            }
+            {"l_orderkey": pc.cast(batch.column("l_orderkey"), pa.int64()), "rev": rev}
         )
 
-    rev = (
-        li.map_batches(li_rev_partials, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("rev", alias_name="rev"))
+    rev = grouped_aggregate(
+        li.map_batches(li_rev, batch_format="pyarrow"),
+        "l_orderkey",
+        {"rev": ("sum", "rev")},
     )
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_orderdate"])
@@ -3137,11 +2994,7 @@ def q_q10_returned_items(sf_dir: str) -> ray.data.Dataset:
 
     o_win = orders.map_batches(order_window, batch_format="pyarrow")
     joined = shuffle_hash_join(rev, o_win, "l_orderkey", "o_orderkey", 8)
-    per_cust = (
-        joined.select_columns(["o_custkey", "rev"])
-        .groupby("o_custkey")
-        .aggregate(Sum("rev", alias_name="revenue_units"))
-    )
+    per_cust = grouped_aggregate(joined, "o_custkey", {"revenue_units": ("sum", "rev")})
 
     cust = _read(sf_dir, "customer", ["c_custkey", "c_name", "c_nationkey"])
     withc = rel.broadcast_hash_join(
@@ -3285,8 +3138,6 @@ def q_q4_order_priority(sf_dir: str) -> ray.data.Dataset:
     semi-join + a 5-row count aggregate."""
     import datetime as _dt
 
-    from ray.data.aggregate import Count
-
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
     lo = pa.scalar(_dt.datetime(1996, 1, 1), pa.timestamp("us"))
@@ -3318,9 +3169,7 @@ def q_q4_order_priority(sf_dir: str) -> ray.data.Dataset:
     sem = shuffle_hash_join(
         orders, returned, "o_orderkey", "l_orderkey", 8, how="semi"
     )
-    return sem.groupby("o_orderpriority").aggregate(
-        Count(alias_name="n_orders")
-    )
+    return grouped_aggregate(sem, "o_orderpriority", {"n_orders": ("count", None)})
 
 
 def q_q6_forecast_revenue(sf_dir: str) -> "pd.DataFrame":
@@ -3397,8 +3246,6 @@ def q_q12_priority_lines(sf_dir: str) -> ray.data.Dataset:
     aggregate."""
     import datetime as _dt
 
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
     lo = pa.scalar(_dt.datetime(1996, 1, 1), pa.timestamp("us"))
@@ -3456,13 +3303,10 @@ def q_q12_priority_lines(sf_dir: str) -> ray.data.Dataset:
             }
         )
 
-    return (
-        joined.map_batches(split_counts, batch_format="pyarrow")
-        .groupby("l_returnflag")
-        .aggregate(
-            Sum("high_lines", alias_name="high_lines"),
-            Sum("low_lines", alias_name="low_lines"),
-        )
+    return grouped_aggregate(
+        joined.map_batches(split_counts, batch_format="pyarrow"),
+        "l_returnflag",
+        {"high_lines": ("sum", "high_lines"), "low_lines": ("sum", "low_lines")},
     )
 
 
@@ -3546,38 +3390,29 @@ def q_q14_promo_revenue(sf_dir: str) -> "pd.DataFrame":
 def q_q18_large_orders(sf_dir: str) -> ray.data.Dataset:
     """TPC-H Q18: top-100 largest orders — orders whose total quantity
     exceeds 200 units, with customer name and exact cent total price.
-    Shape: lineitem combines quantity per orderkey map-side before ONE
-    slim-row groupby, the survivors (a tiny fraction) join orders via
+    Shape: ONE slim orderkey-keyed grouped sum of lineitem quantity
+    (pre-summed per block), the survivors (a tiny fraction) join orders via
     the shuffle join and the customer dimension by broadcast; the
     global sort ranks only the survivor set, tie-broken by the unique
     orderkey so the top-100 cut is deterministic."""
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    def qty_partials(batch: pa.Table) -> pa.Table:
+    def int_qty(batch: pa.Table) -> pa.Table:
         qty = pc.cast(
             pc.floor(pc.add(batch.column("l_quantity"), 0.5)), pa.int64()
         )
-        t = pa.table(
-            {"l_orderkey": batch.column("l_orderkey"), "q": qty}
-        ).to_pandas()
-        g = t.groupby("l_orderkey", sort=False)["q"].sum().reset_index()
         return pa.table(
-            {
-                "l_orderkey": pa.array(g["l_orderkey"].to_numpy(), pa.int64()),
-                "q": pa.array(g["q"].to_numpy(np.int64)),
-            }
+            {"l_orderkey": pc.cast(batch.column("l_orderkey"), pa.int64()), "q": qty}
         )
 
-    qty = (
-        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"])
-        .map_batches(qty_partials, batch_format="pyarrow")
-        .groupby("l_orderkey")
-        .aggregate(Sum("q", alias_name="total_qty"))
-        .filter(expr="total_qty > 200")
-    )
+    qty = grouped_aggregate(
+        _read(sf_dir, "lineitem", ["l_orderkey", "l_quantity"]).map_batches(
+            int_qty, batch_format="pyarrow"
+        ),
+        "l_orderkey",
+        {"total_qty": ("sum", "q")},
+    ).filter(expr="total_qty > 200")
 
     orders = _read(sf_dir, "orders", ["o_orderkey", "o_custkey", "o_totalprice"])
     joined = shuffle_hash_join(
@@ -3622,8 +3457,6 @@ def q_q22_lapsed_balances(sf_dir: str) -> ray.data.Dataset:
     scan-side partial folds (pool stats are 2 scalars), a broadcastable
     predicate, ONE anti semi-join shuffle of slim keys, 3-row final
     aggregate."""
-    from ray.data.aggregate import Count, Sum
-
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
@@ -3702,9 +3535,10 @@ def q_q22_lapsed_balances(sf_dir: str) -> ray.data.Dataset:
     lapsed = shuffle_hash_join(
         rich, recent, "c_custkey", "o_custkey", 8, how="anti"
     )
-    return lapsed.groupby("c_mktsegment").aggregate(
-        Count(alias_name="n_custs"),
-        Sum("bal_c", alias_name="total_balance_cents"),
+    return grouped_aggregate(
+        lapsed,
+        "c_mktsegment",
+        {"n_custs": ("count", None), "total_balance_cents": ("sum", "bal_c")},
     )
 
 
@@ -3714,18 +3548,16 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
     integer lattice (qty half-up units, base cents, discounted revenue
     cent×pct, charge cent×pct×pct; Q1's avg columns are these sums ÷
     n_lines, derivable downstream without float drift). Shape: ONE
-    pruned scan; a per-batch Arrow combiner collapses each block to
-    ≤|flag×status| partial rows, then a tiny multi-key groupby-sum —
-    the fact table never shuffles."""
+    pruned scan of per-line measures into one tiny multi-key grouped
+    sum whose split tasks collapse each block to ≤|flag×status|
+    partial rows — the fact table never shuffles."""
     import datetime as _dt
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
 
     hi = pa.scalar(_dt.datetime(1998, 9, 2), pa.timestamp("us"))
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def measures(batch: pa.Table) -> pa.Table:
         sel = batch.filter(pc.less_equal(batch.column("l_shipdate"), hi))
         base = rel.cents(sel.column("l_extendedprice"))
         keep_pct = pc.subtract(
@@ -3735,7 +3567,7 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
             pa.scalar(100, pa.int64()), rel.cents(sel.column("l_tax"))
         )
         disc_cp = pc.multiply(base, keep_pct)
-        t = pa.table(
+        return pa.table(
             {
                 "l_returnflag": sel.column("l_returnflag"),
                 "l_linestatus": sel.column("l_linestatus"),
@@ -3746,16 +3578,11 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
                 "sum_base_cents": base,
                 "sum_disc_cp": disc_cp,
                 "sum_charge_cpp": pc.multiply(disc_cp, tax_pct),
-                "n_lines": np.ones(len(sel), dtype=np.int64),
             }
         )
-        return group_aggregate(
-            t,
-            ["l_returnflag", "l_linestatus"],
-            [(c, "sum") for c in t.column_names[2:]],
-        )
 
-    return (
+    sums = ["sum_qty", "sum_base_cents", "sum_disc_cp", "sum_charge_cpp"]
+    return grouped_aggregate(
         _read(
             sf_dir, "lineitem",
             [
@@ -3767,16 +3594,9 @@ def q_q1_pricing_summary(sf_dir: str) -> ray.data.Dataset:
                 "l_tax",
                 "l_shipdate",
             ],
-        )
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["l_returnflag", "l_linestatus"])
-        .aggregate(
-            Sum("sum_qty", alias_name="sum_qty"),
-            Sum("sum_base_cents", alias_name="sum_base_cents"),
-            Sum("sum_disc_cp", alias_name="sum_disc_cp"),
-            Sum("sum_charge_cpp", alias_name="sum_charge_cpp"),
-            Sum("n_lines", alias_name="n_lines"),
-        )
+        ).map_batches(measures, batch_format="pyarrow"),
+        ["l_returnflag", "l_linestatus"],
+        {**{c: ("sum", c) for c in sums}, "n_lines": ("count", None)},
     )
 
 
@@ -3787,10 +3607,8 @@ def q_q7_nation_volume(sf_dir: str) -> ray.data.Dataset:
     Shape: the supplier→nation and customer→nation maps broadcast
     (dimension-sized); lineitem pre-aggregates revenue per (orderkey,
     supp_nation, year) map-side BEFORE the one large×large shuffle
-    join against orders; a slim multi-key groupby-sum finishes."""
+    join against orders; a slim multi-key grouped sum finishes."""
     import datetime as _dt
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
@@ -3888,8 +3706,8 @@ def q_q7_nation_volume(sf_dir: str) -> ray.data.Dataset:
         ).select(["supp_nation", "cust_nation", "l_year", "rev"]),
         batch_format="pyarrow",
     )
-    return cross.groupby(["supp_nation", "cust_nation", "l_year"]).aggregate(
-        Sum("rev", alias_name="revenue_cp")
+    return grouped_aggregate(
+        cross, ["supp_nation", "cust_nation", "l_year"], {"revenue_cp": ("sum", "rev")}
     )
 
 
@@ -3906,8 +3724,6 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
     import datetime as _dt
 
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
@@ -4010,11 +3826,9 @@ def q_q8_market_share(sf_dir: str) -> "pd.DataFrame":
         right_cols=["o_custkey", "o_year"],
     )
     asia = rel.broadcast_hash_join(joined, asia_cust, "o_custkey", "c_custkey", [])
-    years = (
-        asia.groupby("o_year")
-        .aggregate(Sum("tot", alias_name="tot"), Sum("eu", alias_name="eu"))
-        .to_pandas()
-    )
+    years = grouped_aggregate(
+        asia, "o_year", {"tot": ("sum", "tot"), "eu": ("sum", "eu")}
+    ).to_pandas()
     rows = []
     for _, r in years.sort_values("o_year").iterrows():
         tot, eu = int(r["tot"]), int(r["eu"])
@@ -4037,38 +3851,25 @@ def q_q13_order_distribution(sf_dir: str) -> ray.data.Dataset:
     customers placed exactly N non-urgent orders, INCLUDING the
     zero-order bucket (the testdata carries no order comment, so the
     urgent-priority exclusion stands in for Q13's comment NOT LIKE).
-    Shape: orders combine to (custkey, n) partials map-side, one slim
-    groupby-sum, ONE left shuffle join against the customer key table
-    (unmatched customers keep the 0 bucket), then a tiny histogram
-    aggregate."""
-    from ray.data.aggregate import Count, Sum
-
+    Shape: one slim custkey-keyed grouped count of the orders, ONE
+    left shuffle join against the customer key table (unmatched
+    customers keep the 0 bucket), then a tiny histogram aggregate."""
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    def o_partial(batch: pa.Table) -> pa.Table:
+    def non_urgent(batch: pa.Table) -> pa.Table:
         keep = pc.not_equal(
             batch.column("o_orderpriority"), pa.scalar("1-URGENT")
         )
-        sel = batch.filter(keep)
-        g = (
-            pa.table({"o_custkey": sel.column("o_custkey")})
-            .to_pandas()
-            .groupby("o_custkey", sort=False)
-            .size()
-            .reset_index(name="n")
-        )
         return pa.table(
-            {
-                "o_custkey": pa.array(g["o_custkey"].to_numpy(), pa.int64()),
-                "n": pa.array(g["n"].to_numpy(np.int64)),
-            }
+            {"o_custkey": pc.cast(batch.filter(keep).column("o_custkey"), pa.int64())}
         )
 
-    counts = (
-        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"])
-        .map_batches(o_partial, batch_format="pyarrow")
-        .groupby("o_custkey")
-        .aggregate(Sum("n", alias_name="n_orders"))
+    counts = grouped_aggregate(
+        _read(sf_dir, "orders", ["o_custkey", "o_orderpriority"]).map_batches(
+            non_urgent, batch_format="pyarrow"
+        ),
+        "o_custkey",
+        {"n_orders": ("count", None)},
     )
     cust = _read(sf_dir, "customer", ["c_custkey"])
     joined = shuffle_hash_join(
@@ -4083,25 +3884,22 @@ def q_q13_order_distribution(sf_dir: str) -> ray.data.Dataset:
         )
         return pa.table({"n_orders": n})
 
-    return (
-        joined.map_batches(fill, batch_format="pyarrow")
-        .groupby("n_orders")
-        .aggregate(Count(alias_name="n_custs"))
+    return grouped_aggregate(
+        joined.map_batches(fill, batch_format="pyarrow"),
+        "n_orders",
+        {"n_custs": ("count", None)},
     )
 
 
 def q_q15_top_supplier(sf_dir: str) -> "pd.DataFrame":
     """TPC-H Q15: the top supplier(s) by 1996-Q1 shipment revenue —
-    every tie survives, exact cent×pct lattice. Shape: lineitem
-    combines revenue per suppkey map-side (one partial row per
-    (block, supplier)), ONE slim groupby-sum produces the
+    every tie survives, exact cent×pct lattice. Shape: ONE slim
+    suppkey-keyed grouped sum (pre-summed per block) produces the
     supplier-dimension-sized revenue table; the max + tie filter and
     the name join run on that dimension table driver-side."""
     import datetime as _dt
 
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
 
@@ -4120,33 +3918,18 @@ def q_q15_top_supplier(sf_dir: str) -> "pd.DataFrame":
                 pa.scalar(100, pa.int64()), rel.cents(sel.column("l_discount"))
             ),
         )
-        g = (
-            pd.DataFrame(
-                {
-                    "l_suppkey": sel.column("l_suppkey").to_numpy(),
-                    "rev": rev.to_numpy(),
-                }
-            )
-            .groupby("l_suppkey", sort=False, as_index=False)["rev"]
-            .sum()
-        )
         return pa.table(
-            {
-                "l_suppkey": pa.array(g["l_suppkey"].to_numpy(), pa.int64()),
-                "rev": pa.array(g["rev"].to_numpy(np.int64)),
-            }
+            {"l_suppkey": pc.cast(sel.column("l_suppkey"), pa.int64()), "rev": rev}
         )
 
-    revenue = (
+    revenue = grouped_aggregate(
         _read(
             sf_dir, "lineitem",
             ["l_suppkey", "l_extendedprice", "l_discount", "l_shipdate"],
-        )
-        .map_batches(li_partial, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("rev", alias_name="total_revenue_cp"))
-        .to_pandas()  # supplier-dimension-sized
-    )
+        ).map_batches(li_partial, batch_format="pyarrow"),
+        "l_suppkey",
+        {"total_revenue_cp": ("sum", "rev")},
+    ).to_pandas()  # supplier-dimension-sized
     names = _read(sf_dir, "supplier", ["s_suppkey", "s_name"]).to_pandas()
     if len(revenue) == 0:
         return pd.DataFrame(
@@ -4168,12 +3951,10 @@ def q_q17_small_qty_revenue(sf_dir: str) -> "pd.DataFrame":
     cross-multiply 5·q·n < Σq (all positive ints; no float division).
     Shape: the brand's part keys broadcast as a semi-probe, the
     surviving slim (partkey, qty, cents) rows materialize ONCE and
-    feed two passes: a per-part (Σq, n) combiner + slim groupby whose
+    feed two passes: a per-part (Σq, n) grouped aggregate whose
     dimension-sized result broadcasts back, then a scan-side fold to
     one row."""
     import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
 
     from duplicate_finder_ray.stages import relational as rel
 
@@ -4204,8 +3985,8 @@ def q_q17_small_qty_revenue(sf_dir: str) -> "pd.DataFrame":
         .map_batches(slim, batch_format="pyarrow")
         .materialize()  # tiny brand slice; feeds both passes below
     )
-    stats = sel.groupby("l_partkey").aggregate(
-        Sum("q", alias_name="sq"), Count(alias_name="n")
+    stats = grouped_aggregate(
+        sel, "l_partkey", {"sq": ("sum", "q"), "n": ("count", None)}
     )
     withstats = rel.broadcast_hash_join(
         sel, stats, "l_partkey", "l_partkey", ["sq", "n"]
@@ -4328,8 +4109,6 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
     supplier-dimension-sized count + broadcast name join."""
     import pandas as pd
 
-    from ray.data.aggregate import Count
-
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.exchange import hash_exchange
     from duplicate_finder_ray.stages.join import shuffle_hash_join
@@ -4399,7 +4178,7 @@ def q_q21_waiting_suppliers(sf_dir: str) -> ray.data.Dataset:
         )
 
     waiting = hash_exchange(ls_f, "l_orderkey", 8, reduce_fn, empty)
-    cnt = waiting.groupby("l_suppkey").aggregate(Count(alias_name="numwait"))
+    cnt = grouped_aggregate(waiting, "l_suppkey", {"numwait": ("count", None)})
     named = rel.broadcast_hash_join(
         cnt,
         _read(sf_dir, "supplier", ["s_suppkey", "s_name"]),
@@ -4425,15 +4204,10 @@ def q_q2_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
     observed line price — every tie survives, exact cent lattice
     (lineitem stands in for the absent partsupp table as the
     part→supplier price list). Shape: the region→nation→supplier map
-    and the filtered part keys broadcast (dimension-sized); lineitem
-    collapses to per-(part, supplier) min-price partials map-side;
-    ONE slim two-key groupby-min yields the pair table; its per-part
-    min broadcasts back as the tie probe; attribute joins run
+    and the filtered part keys broadcast (dimension-sized); ONE slim
+    two-key grouped min of the line prices yields the pair table; its
+    per-part min broadcasts back as the tie probe; attribute joins run
     broadcast on the surviving pair-dimension rows."""
-    import pandas as pd
-
-    from ray.data.aggregate import Min
-
     from duplicate_finder_ray.stages import relational as rel
 
     eu = rel.broadcast_hash_join(
@@ -4478,33 +4252,22 @@ def q_q2_min_cost_supplier(sf_dir: str) -> ray.data.Dataset:
     li = rel.broadcast_hash_join(li, pk, "l_partkey", "p_partkey", [])
     li = rel.broadcast_hash_join(li, eu, "l_suppkey", "s_suppkey", [])
 
-    def pair_partial(batch: pa.Table) -> pa.Table:
-        g = (
-            pd.DataFrame(
-                {
-                    "l_partkey": batch.column("l_partkey").to_numpy(),
-                    "l_suppkey": batch.column("l_suppkey").to_numpy(),
-                    "price_c": rel.cents(batch.column("l_extendedprice")).to_numpy(),
-                }
-            )
-            .groupby(["l_partkey", "l_suppkey"], sort=False, as_index=False)["price_c"]
-            .min()
-        )
+    def price_cents(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "l_partkey": pa.array(g["l_partkey"].to_numpy(), pa.int64()),
-                "l_suppkey": pa.array(g["l_suppkey"].to_numpy(), pa.int64()),
-                "price_c": pa.array(g["price_c"].to_numpy(np.int64)),
+                "l_partkey": pc.cast(batch.column("l_partkey"), pa.int64()),
+                "l_suppkey": pc.cast(batch.column("l_suppkey"), pa.int64()),
+                "price_c": rel.cents(batch.column("l_extendedprice")),
             }
         )
 
-    pairs = (
-        li.map_batches(pair_partial, batch_format="pyarrow")
-        .groupby(["l_partkey", "l_suppkey"])
-        .aggregate(Min("price_c", alias_name="min_price_cents"))
+    pairs = grouped_aggregate(
+        li.map_batches(price_cents, batch_format="pyarrow"),
+        ["l_partkey", "l_suppkey"],
+        {"min_price_cents": ("min", "price_c")},
     )
-    pmin = pairs.groupby("l_partkey").aggregate(
-        Min("min_price_cents", alias_name="part_min")
+    pmin = grouped_aggregate(
+        pairs, "l_partkey", {"part_min": ("min", "min_price_cents")}
     )
     winners = rel.broadcast_hash_join(
         pairs, pmin, "l_partkey", "l_partkey", ["part_min"]
@@ -4544,10 +4307,8 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
     negative). Shape: the filtered part cost map and supplier→nation
     map broadcast; lineitem combines profit per (orderkey, nation)
     map-side; ONE large×large shuffle join against orders attaches the
-    year; a slim two-key groupby-sum finishes."""
+    year; a slim two-key grouped sum finishes."""
     import pandas as pd
-
-    from ray.data.aggregate import Sum
 
     from duplicate_finder_ray.stages import relational as rel
     from duplicate_finder_ray.stages.join import shuffle_hash_join
@@ -4634,8 +4395,8 @@ def q_q9_nation_profit(sf_dir: str) -> ray.data.Dataset:
     joined = shuffle_hash_join(
         combined, orders, "l_orderkey", "o_orderkey", 8, right_cols=["o_year"]
     )
-    return joined.groupby(["nation", "o_year"]).aggregate(
-        Sum("amount", alias_name="profit_cp")
+    return grouped_aggregate(
+        joined, ["nation", "o_year"], {"profit_cp": ("sum", "amount")}
     )
 
 
@@ -4646,14 +4407,9 @@ def q_q11_important_parts(sf_dir: str) -> ray.data.Dataset:
     partsupp stock value). The threshold is EXACT without the
     cross-multiply: value·1000 > tot ⟺ value > tot // 1000 for
     non-negative int64 (no overflow path). Shape: the nation's
-    supplier keys broadcast; lineitem combines value per partkey
-    map-side; ONE slim groupby-sum yields the part-dimension value
-    table, whose grand total folds to a driver scalar gating the
-    final filter."""
-    import pandas as pd
-
-    from ray.data.aggregate import Sum
-
+    supplier keys broadcast; ONE slim partkey-keyed grouped sum
+    (pre-summed per block) yields the part-dimension value table, whose
+    grand total folds to a driver scalar gating the final filter."""
     from duplicate_finder_ray.stages import relational as rel
 
     nsup = rel.broadcast_hash_join(
@@ -4679,34 +4435,23 @@ def q_q11_important_parts(sf_dir: str) -> ray.data.Dataset:
         [],
     )
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def value(batch: pa.Table) -> pa.Table:
         val = pc.multiply(
             rel.cents(batch.column("l_extendedprice")),
             pc.subtract(
                 pa.scalar(100, pa.int64()), rel.cents(batch.column("l_discount"))
             ),
-        ).to_numpy()
-        g = (
-            pd.DataFrame(
-                {"l_partkey": batch.column("l_partkey").to_numpy(), "val": val}
-            )
-            .groupby("l_partkey", sort=False, as_index=False)["val"]
-            .sum()
         )
         return pa.table(
-            {
-                "l_partkey": pa.array(g["l_partkey"].to_numpy(), pa.int64()),
-                "val": pa.array(g["val"].to_numpy(np.int64)),
-            }
+            {"l_partkey": pc.cast(batch.column("l_partkey"), pa.int64()), "val": val}
         )
 
-    grouped = (
-        li.map_batches(combine, batch_format="pyarrow")
-        .groupby("l_partkey")
-        .aggregate(Sum("val", alias_name="value_cp"))
-        .materialize()  # part-dimension-sized; feeds the total + filter
-    )
-    tot = int(grouped.aggregate(Sum("value_cp"))["sum(value_cp)"] or 0)
+    grouped = grouped_aggregate(  # part-dimension-sized; feeds the total + filter
+        li.map_batches(value, batch_format="pyarrow"),
+        "l_partkey",
+        {"value_cp": ("sum", "val")},
+    ).materialize()
+    tot = int(grouped.sum("value_cp") or 0)
     floor_t = tot // 1000
     return grouped.map_batches(
         lambda b: b.filter(
@@ -4724,11 +4469,9 @@ def q_q16_supplier_counts(sf_dir: str) -> ray.data.Dataset:
     negative-balance suppliers (the complaints stand-in). Shape: the
     filtered part attributes and the excluded supplier keys broadcast;
     lineitem collapses to distinct (part, supplier) pairs map-side;
-    ONE slim 4-key groupby dedupes globally; the final count groups
-    the already-distinct rows per attribute triple."""
+    ONE slim 4-key grouped count dedupes globally; the final count
+    groups the already-distinct rows per attribute triple."""
     import pandas as pd
-
-    from ray.data.aggregate import Count
 
     from duplicate_finder_ray.stages import relational as rel
 
@@ -4791,22 +4534,11 @@ def q_q16_supplier_counts(sf_dir: str) -> ray.data.Dataset:
     tagged = rel.broadcast_hash_join(
         pairs, attrs, "l_partkey", "p_partkey", ["p_brand", "p_type", "p_size"]
     )
-    distinct = (
-        tagged.map_batches(
-            lambda b: b.select(["p_brand", "p_type", "p_size", "l_suppkey"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["p_brand", "p_type", "p_size", "l_suppkey"])
-        .aggregate(Count(alias_name="_n"))
+    attr_keys = ["p_brand", "p_type", "p_size"]
+    distinct = grouped_aggregate(
+        tagged, [*attr_keys, "l_suppkey"], {"_n": ("count", None)}
     )
-    return (
-        distinct.map_batches(
-            lambda b: b.select(["p_brand", "p_type", "p_size"]),
-            batch_format="pyarrow",
-        )
-        .groupby(["p_brand", "p_type", "p_size"])
-        .aggregate(Count(alias_name="supplier_cnt"))
-    )
+    return grouped_aggregate(distinct, attr_keys, {"supplier_cnt": ("count", None)})
 
 
 def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
@@ -4817,15 +4549,11 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
     lineitem sums are the stock proxy). The avg predicate is EXACT
     without float division: qty·n > tot ⟺ qty > tot // n for
     non-negative int64. Shape: part keys and the region's supplier
-    keys broadcast; lineitem combines shipped qty per supplier
-    map-side; ONE slim groupby-sum yields the supplier-dimension
-    table; its (total, count) fold to driver scalars gating the
-    filter; the name join runs broadcast on survivors."""
+    keys broadcast; ONE slim suppkey-keyed grouped sum (pre-summed per
+    block) yields the supplier-dimension table; its (total, count)
+    fold to driver scalars gating the filter; the name join runs
+    broadcast on survivors."""
     import datetime as _dt
-
-    import pandas as pd
-
-    from ray.data.aggregate import Count, Sum
 
     from duplicate_finder_ray.stages import relational as rel
 
@@ -4857,28 +4585,15 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
     lo = pa.scalar(_dt.datetime(1996, 1, 1), pa.timestamp("us"))
     hi = pa.scalar(_dt.datetime(1997, 1, 1), pa.timestamp("us"))
 
-    def combine(batch: pa.Table) -> pa.Table:
+    def shipped_qty(batch: pa.Table) -> pa.Table:
         keep = pc.and_(
             pc.greater_equal(batch.column("l_shipdate"), lo),
             pc.less(batch.column("l_shipdate"), hi),
         )
         sel = batch.filter(keep)
-        qty = (
-            pc.cast(pc.floor(pc.add(sel.column("l_quantity"), 0.5)), pa.int64())
-            .to_numpy()
-        )
-        g = (
-            pd.DataFrame(
-                {"l_suppkey": sel.column("l_suppkey").to_numpy(), "qty": qty}
-            )
-            .groupby("l_suppkey", sort=False, as_index=False)["qty"]
-            .sum()
-        )
+        qty = pc.cast(pc.floor(pc.add(sel.column("l_quantity"), 0.5)), pa.int64())
         return pa.table(
-            {
-                "l_suppkey": pa.array(g["l_suppkey"].to_numpy(), pa.int64()),
-                "qty": pa.array(g["qty"].to_numpy(np.int64)),
-            }
+            {"l_suppkey": pc.cast(sel.column("l_suppkey"), pa.int64()), "qty": qty}
         )
 
     li = _read(
@@ -4887,17 +4602,13 @@ def q_q20_volume_suppliers(sf_dir: str) -> ray.data.Dataset:
     )
     li = rel.broadcast_hash_join(li, pk, "l_partkey", "p_partkey", [])
     li = rel.broadcast_hash_join(li, af, "l_suppkey", "s_suppkey", [])
-    shipped = (
-        li.map_batches(combine, batch_format="pyarrow")
-        .groupby("l_suppkey")
-        .aggregate(Sum("qty", alias_name="shipped_qty"))
-        .materialize()  # supplier-dimension-sized; feeds stats + filter
-    )
-    stats = shipped.aggregate(
-        Sum("shipped_qty"), Count(alias_name="n")
-    )
-    tot = int(stats["sum(shipped_qty)"] or 0)
-    n = int(stats["n"] or 0)
+    shipped = grouped_aggregate(  # supplier-dimension-sized; feeds stats + filter
+        li.map_batches(shipped_qty, batch_format="pyarrow"),
+        "l_suppkey",
+        {"shipped_qty": ("sum", "qty")},
+    ).materialize()
+    n = shipped.count()
+    tot = int(shipped.sum("shipped_qty") or 0) if n else 0
     floor_t = tot // n if n else 0
     over = shipped.map_batches(
         lambda b: b.filter(
@@ -9535,10 +9246,8 @@ def q_source_mix_sample(sf_dir: str) -> ray.data.Dataset:
     from duplicate_finder_ray.stages.relational import _md5_prefix_u64
 
     docs = _read(sf_dir, "documents", ["doc_id", "lang"])
-    counts = {
-        r["lang"]: r["count()"]
-        for r in docs.groupby("lang").count().take_all()
-    }
+    sizes = grouped_aggregate(docs, "lang", {"n": ("count", None)})
+    counts = {r["lang"]: r["n"] for r in sizes.take_all()}
     min_cnt = min(counts.values())
     thr = {
         s: (min_cnt << 64) // c for s, c in counts.items()

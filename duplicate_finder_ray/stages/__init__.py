@@ -1,1 +1,1 @@
-"""Pipeline stages: per-batch transforms + groupby/shuffle wide steps."""
+"""Pipeline stages: per-batch transforms + hash-exchange wide steps."""

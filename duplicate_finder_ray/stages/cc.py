@@ -70,7 +70,7 @@ from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.stages.exchange import partition_ids, split_wave
 from duplicate_finder_ray.stages.neardup import effective_parallelism
-from duplicate_finder_ray.stages.util import nonempty_block_refs
+from duplicate_finder_ray.stages.util import block_refs
 
 _LABELS_SCHEMA = pa.schema([("file_id", pa.string()), ("component", pa.string())])
 #: edges per contraction bucket: graphs up to this size run as one bucket
@@ -204,7 +204,7 @@ def connected_components(
     if n_edges == 0:
         return ray.data.from_arrow(_LABELS_SCHEMA.empty_table())
     width = min(2 * effective_parallelism(cfg), -(-n_edges // _EDGES_PER_BUCKET))
-    refs = list(nonempty_block_refs(pairs.iter_internal_ref_bundles()))
+    refs = list(block_refs(pairs))
 
     prev = None
     for rnd in range(_MAX_ROUNDS):

@@ -19,7 +19,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 from duplicate_finder_ray.stages.relational import _md5_prefix_u64
 from duplicate_finder_ray.stages.repostats import _group_starts
 
@@ -141,13 +141,11 @@ def snapshot_diff(
     Shape: both sides project to slim (keys…, value, side) rows and
     cross ONE key-hash exchange; each partition classifies its keys
     with one vectorized sort + boundary pass and emits four count
-    partials; a tiny groupby-sum finishes."""
+    partials; a tiny grouped sum finishes."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     if not key_cols:
         raise ValueError("key_cols must be non-empty")
-    from ray.data.aggregate import Sum
-
     part_schema = pa.schema([("status", pa.string()), ("n", pa.int64())])
 
     def tag(side: int):
@@ -218,7 +216,7 @@ def snapshot_diff(
     partials = hash_exchange(
         slim, key_cols, num_partitions, classify, part_schema.empty_table()
     )
-    totals = partials.groupby("status").aggregate(Sum("n", alias_name="n_keys"))
+    totals = grouped_aggregate(partials, "status", {"n_keys": ("sum", "n")})
     return totals.filter(expr="n_keys > 0")
 
 

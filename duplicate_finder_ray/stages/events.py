@@ -7,9 +7,9 @@ hygiene: tumbling-window aggregation and gap-based sessionization.
 Execution shape:
 
 * tumbling windows: window key is derived row-locally (timestamp
-  truncation — no shuffle), then ONE distributed groupby-aggregate over
-  (window, key) with per-batch partial aggregation folded in by Ray's
-  sort-based aggregate. Monetary values aggregate as integer cents so
+  truncation — no shuffle), then ONE ``grouped_aggregate`` over
+  (window, key), each block pre-aggregated in its split task.
+  Monetary values aggregate as integer cents so
   distributed double-summation order can never change the result.
 * sessionization: per-user gap analysis needs each user's events
   together and time-ordered ⇒ ONE barrier-free hash exchange keyed by
@@ -31,11 +31,18 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Max, Sum
 
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 from duplicate_finder_ray.stages.util import group_aggregate
 
 _HOUR_US = 3_600_000_000
+
+
+#: event count and exact cent sum, the measures of every windowed rollup
+_COUNT_AND_CENTS = {
+    "n_events": ("count", None),
+    "sum_value_cents": ("sum", "value_cents"),
+}
 
 
 def hourly_rollup(events: ray.data.Dataset) -> ray.data.Dataset:
@@ -61,14 +68,12 @@ def hourly_rollup(events: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    return (
-        events.select_columns(["ts", "event_type", "value"])
-        .map_batches(add_window, batch_format="pyarrow")
-        .groupby(["window_start_us", "event_type"])
-        .aggregate(
-            Count(alias_name="n_events"),
-            Sum("value_cents", alias_name="sum_value_cents"),
-        )
+    return grouped_aggregate(
+        events.select_columns(["ts", "event_type", "value"]).map_batches(
+            add_window, batch_format="pyarrow"
+        ),
+        ["window_start_us", "event_type"],
+        _COUNT_AND_CENTS,
     )
 
 
@@ -80,8 +85,7 @@ def seasonality_profile(events: ray.data.Dataset) -> ray.data.Dataset:
     ((epoch_days + 3) % 7) + 1 with Monday=1..Sunday=7 ISO numbering
     matched to DuckDB's isodow() (1970-01-01 was a Thursday: day 0 →
     (3 % 7) + 1 = 4) — no timezone lib, identical arithmetic in the
-    SQL twin. Scan-side combiner → ONE ≤168-row
-    groupby."""
+    SQL twin. Scan-side decode → ONE ≤168-group grouped aggregate."""
     _DAY_US = 86_400_000_000
 
     def decode(batch: pa.Table) -> pa.Table:
@@ -102,14 +106,12 @@ def seasonality_profile(events: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    return (
-        events.select_columns(["ts", "value"])
-        .map_batches(decode, batch_format="pyarrow")
-        .groupby(["dow", "hour"])
-        .aggregate(
-            Count(alias_name="n_events"),
-            Sum("value_cents", alias_name="sum_value_cents"),
-        )
+    return grouped_aggregate(
+        events.select_columns(["ts", "value"]).map_batches(
+            decode, batch_format="pyarrow"
+        ),
+        ["dow", "hour"],
+        _COUNT_AND_CENTS,
     )
 
 
@@ -120,31 +122,21 @@ def hourly_dense(events: ray.data.Dataset, n_parts: int = 16) -> ray.data.Datase
     sparse groupby silently hides outage hours). Output:
     (hour_us, n_events).
 
-    Scale shape: per-batch hour-count partials → one hours-cardinality
-    groupby-sum (tiny: 8 760 rows/year), materialized once; the hour
+    Scale shape: one hours-cardinality grouped count (tiny: 8 760
+    rows/year, pre-counted per block); the hour
     DIMENSION is synthesized with ``ray.data.range`` off two scalar
     folds and left-joined back on the barrier-free shuffle hash join —
     the raw event rows never shuffle."""
-    from ray.data.aggregate import Sum as _Sum
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def to_hour(batch: pa.Table) -> pa.Table:
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64())
-        hour = pc.multiply(pc.divide(ts_us, _HOUR_US), _HOUR_US)
-        vc = pc.value_counts(hour.combine_chunks())
-        return pa.table(
-            {
-                "hour_us": vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
+        return pa.table({"hour_us": pc.multiply(pc.divide(ts_us, _HOUR_US), _HOUR_US)})
 
-    counts = (
-        events.select_columns(["ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("hour_us")
-        .aggregate(_Sum("n", alias_name="n_events"))
-        .materialize()  # hours-cardinality (tiny); reused by folds + join
-    )
+    counts = grouped_aggregate(  # hours-cardinality (tiny); reused by folds + join
+        events.select_columns(["ts"]).map_batches(to_hour, batch_format="pyarrow"),
+        "hour_us",
+        {"n_events": ("count", None)},
+    ).materialize()
     out_schema = pa.schema([("hour_us", pa.int64()), ("n_events", pa.int64())])
     lo = counts.min("hour_us")
     if lo is None:  # empty events table: empty dense series
@@ -189,8 +181,8 @@ def sliding_rollup(
     every ``step_minutes`` (window_minutes must be a multiple of
     step_minutes). Each event lands in window_minutes/step_minutes
     windows — the fan-out is done ROW-LOCALLY inside map_batches
-    (numpy tile/repeat, no shuffle), then ONE distributed groupby sums
-    integer cents. Amplification = window/step (bounded, chosen by the
+    (numpy tile/repeat, no shuffle) and summed per window in the same
+    batch, then ONE ``grouped_aggregate`` sums integer cents. Amplification = window/step (bounded, chosen by the
     caller), never data-dependent. Output: (window_start_us, n_events,
     sum_value_cents) for windows with ≥1 event."""
     if window_minutes % step_minutes:
@@ -208,21 +200,28 @@ def sliding_rollup(
         base = (ts_us // step_us) * step_us
         ks = np.arange(fanout, dtype=np.int64) * step_us
         starts = np.repeat(base, fanout) - np.tile(ks, len(base))
-        return pa.table(
+        t = pa.table(
             {
                 "window_start_us": pa.array(starts, pa.int64()),
                 "value_cents": pa.array(np.repeat(cents, fanout), pa.int64()),
             }
         )
-
-    return (
-        events.select_columns(["ts", "value"])
-        .map_batches(explode_windows, batch_format="pyarrow")
-        .groupby("window_start_us")
-        .aggregate(
-            Count(alias_name="n_events"),
-            Sum("value_cents", alias_name="sum_value_cents"),
+        return group_aggregate(
+            t,
+            ["window_start_us"],
+            [([], "count_all"), ("value_cents", "sum")],
+            ["n_events", "value_cents"],
         )
+
+    return grouped_aggregate(
+        events.select_columns(["ts", "value"]).map_batches(
+            explode_windows, batch_format="pyarrow"
+        ),
+        "window_start_us",
+        {
+            "n_events": ("sum", "n_events"),
+            "sum_value_cents": ("sum", "value_cents"),
+        },
     )
 
 
@@ -300,8 +299,6 @@ def sessionize(
                 "session_end_us": pa.array(t[ends - 1], pa.int64()),
             }
         )
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
 
     slim = events.select_columns(["event_id", "ts", "user_id"]).map_batches(
         to_us, batch_format="pyarrow"
@@ -382,8 +379,6 @@ def running_totals(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "value"]
     ).map_batches(prep, batch_format="pyarrow")
@@ -451,8 +446,6 @@ def lag_deltas(
                 "gap_us": pa.array(gap, pa.int64()),
             }
         )
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
 
     slim = events.select_columns(["event_id", "ts", "user_id"]).map_batches(
         prep, batch_format="pyarrow"
@@ -536,8 +529,6 @@ def dedup_retry_events(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
@@ -610,8 +601,6 @@ def rolling_sum_rows(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "value"]
     ).map_batches(prep, batch_format="pyarrow")
@@ -675,8 +664,6 @@ def event_sequences(
                 "seq": pa.array(g["seq"], pa.string()),
             }
         )
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
 
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "event_type"]
@@ -773,8 +760,6 @@ def user_first_last(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(partial, batch_format="pyarrow")
@@ -854,8 +839,6 @@ def windowed_distinct(
             return out_schema.empty_table()
         return _first_rows(tbl)
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim = events.select_columns(
         ["event_id", "ts", "user_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
@@ -879,12 +862,11 @@ def funnel_conversions(
     conversion query (and, for training-data work, the "document
     ingested before it was labeled" lineage check).
 
-    One corpus pass: rows of other types are dropped map-side, each
-    batch collapses to ≤1 (user, min_first, min_then) partial row via
-    an Arrow group_by (absent steps carry an int64 sentinel that Min
-    ignores), ONE users-sized groupby takes the global minima, and a
-    final vectorized filter keeps converting users. The event stream
-    never crosses a shuffle — only user-keyed partial rows do."""
+    One corpus pass: rows of other types are dropped map-side, ONE
+    users-sized ``grouped_aggregate`` takes the minima (absent steps
+    carry an int64 sentinel that min ignores), and a final vectorized
+    filter keeps converting users. The event stream never crosses a
+    shuffle — only user-keyed partial rows do."""
     _SENT = np.int64(1) << 62
 
     def partial(batch: pa.Table) -> pa.Table:
@@ -904,27 +886,20 @@ def funnel_conversions(
         et = batch.column("event_type").to_numpy(zero_copy_only=False)
         u = batch.column("user_id").to_numpy().astype(np.int64)
         is_first = et == first_type
-        t = pa.table(
+        return pa.table(
             {
                 "user_id": u,
                 "first_us": np.where(is_first, ts, _SENT),
                 "then_us": np.where(~is_first, ts, _SENT),
             }
         )
-        return group_aggregate(
-            t, ["user_id"], [("first_us", "min"), ("then_us", "min")]
-        )
 
-    from ray.data.aggregate import Min
-
-    mins = (
-        events.select_columns(["user_id", "event_type", "ts"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("user_id")
-        .aggregate(
-            Min("first_us", alias_name="first_us"),
-            Min("then_us", alias_name="then_us"),
-        )
+    mins = grouped_aggregate(
+        events.select_columns(["user_id", "event_type", "ts"]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        "user_id",
+        {"first_us": ("min", "first_us"), "then_us": ("min", "then_us")},
     )
 
     def finish(batch: pa.Table) -> pa.Table:
@@ -960,8 +935,8 @@ def retention_cohorts(
     Shape: per-batch distinct-(user, bucket) combiner (slim int64
     rows), ONE user-keyed hash exchange (all of a user's buckets
     co-locate, so the first bucket and the offsets are partition-local),
-    per-partition (cohort, offset) count partials, one tiny
-    cohorts × offsets groupby-sum. The event stream itself never
+    per-user (cohort, offset) cells, one tiny cohorts × offsets grouped
+    count. The event stream itself never
     shuffles."""
     if bucket_us <= 0:
         raise ValueError("bucket_us must be positive")
@@ -969,16 +944,8 @@ def retention_cohorts(
         raise ValueError("num_partitions must be positive")
     B = bucket_us
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     slim_schema = pa.schema([("u", pa.int64()), ("b", pa.int64())])
-    part_schema = pa.schema(
-        [
-            ("cohort_us", pa.int64()),
-            ("day_offset", pa.int64()),
-            ("n_users", pa.int64()),
-        ]
-    )
+    part_schema = pa.schema([("cohort_us", pa.int64()), ("day_offset", pa.int64())])
 
     def distinct_user_bucket(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -1001,7 +968,7 @@ def retention_cohorts(
         distinct_user_bucket, batch_format="pyarrow"
     )
 
-    def cohort_partials(p: int, tbl: pa.Table) -> pa.Table:
+    def cohort_cells(p: int, tbl: pa.Table) -> pa.Table:
         if len(tbl) == 0:
             return part_schema.empty_table()
         u = tbl.column("u").to_numpy().astype(np.int64)
@@ -1015,24 +982,18 @@ def retention_cohorts(
         ustart = np.nonzero(np.r_[True, u[1:] != u[:-1]])[0]
         counts = np.diff(np.append(ustart, len(u)))
         cohort = np.repeat(b[ustart], counts)  # sorted ⇒ first = min
-        offset = (b - cohort) // B
-        key = pd.DataFrame({"c": cohort, "o": offset})
-        agg = key.groupby(["c", "o"], sort=False).size().reset_index(name="n")
         return pa.table(
             {
-                "cohort_us": pa.array(agg["c"].to_numpy(), pa.int64()),
-                "day_offset": pa.array(agg["o"].to_numpy(), pa.int64()),
-                "n_users": pa.array(agg["n"].to_numpy(), pa.int64()),
+                "cohort_us": pa.array(cohort, pa.int64()),
+                "day_offset": pa.array((b - cohort) // B, pa.int64()),
             }
         )
 
-    partials = hash_exchange(
-        slim, "u", num_partitions, cohort_partials,
-        part_schema.empty_table(),
+    user_cells = hash_exchange(
+        slim, "u", num_partitions, cohort_cells, part_schema.empty_table()
     )
-    return (
-        partials.groupby(["cohort_us", "day_offset"])
-        .aggregate(Sum("n_users", alias_name="n_users"))
+    return grouped_aggregate(
+        user_cells, ["cohort_us", "day_offset"], {"n_users": ("count", None)}
     )
 
 
@@ -1146,8 +1107,6 @@ def session_funnel(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     return hash_exchange(
         slim_ds, "u", num_partitions, funnel_partition,
         out_schema.empty_table(),
@@ -1166,9 +1125,9 @@ def event_transitions(
     Execution: slim ``(user_id, ts_us, event_id, event_type)`` rows
     cross ONE user-keyed hash exchange; each partition lexsorts by
     (user, ts, event_id), pairs every event with its successor under a
-    same-user mask, and emits (from, to) count partials via a pandas
-    groupby — the interpreter cost is P calls.  The final aggregate is
-    a tiny |event_types|² groupby-sum.  SQL twin:
+    same-user mask, and emits the (from, to) pairs — the interpreter
+    cost is P calls.  The final aggregate is a tiny |event_types|²
+    grouped count, pre-counted per partition.  SQL twin:
     ``LAG(event_type) OVER (PARTITION BY user_id ORDER BY ts,
     event_id)``."""
     if num_partitions <= 0:
@@ -1182,13 +1141,7 @@ def event_transitions(
             ("event_type", pa.string()),
         ]
     )
-    part_schema = pa.schema(
-        [
-            ("from_type", pa.string()),
-            ("to_type", pa.string()),
-            ("n", pa.int64()),
-        ]
-    )
+    part_schema = pa.schema([("from_type", pa.string()), ("to_type", pa.string())])
 
     def prep(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -1207,48 +1160,22 @@ def event_transitions(
         ["user_id", "ts", "event_id", "event_type"]
     ).map_batches(prep, batch_format="pyarrow")
 
-    def transition_partials(p: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) < 2:
-            return part_schema.empty_table()
+    def transitions(p: int, tbl: pa.Table) -> pa.Table:
         u = tbl.column("user_id").to_numpy()
         t = tbl.column("ts_us").to_numpy()
         e = tbl.column("event_id").to_numpy()
-        # factorize (C-level hash) instead of np.unique (O(n log n)
-        # Python-object compares) — the combiner runs on every row
-        codes, types = pd.factorize(
-            np.asarray(tbl.column("event_type").to_pylist(), dtype=object)
-        )
-        types = np.asarray(types, dtype=object)
         order = np.lexsort((e, t, u))
-        u, codes = u[order], codes[order]
-        same_user = u[1:] == u[:-1]
-        frm = codes[:-1][same_user]
-        to = codes[1:][same_user]
-        if len(frm) == 0:
-            return part_schema.empty_table()
-        agg = (
-            pd.DataFrame({"f": frm, "t": to})
-            .groupby(["f", "t"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
+        u = u[order]
+        same_user = np.nonzero(u[1:] == u[:-1])[0]
+        et = tbl.column("event_type").take(order)
         return pa.table(
-            {
-                "from_type": pa.array(types[agg["f"].to_numpy()], pa.string()),
-                "to_type": pa.array(types[agg["t"].to_numpy()], pa.string()),
-                "n": pa.array(agg["n"].to_numpy(np.int64), pa.int64()),
-            }
+            {"from_type": et.take(same_user), "to_type": et.take(same_user + 1)}
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    partials = hash_exchange(
-        slim, "user_id", num_partitions, transition_partials,
-        part_schema.empty_table(),
+    steps = hash_exchange(
+        slim, "user_id", num_partitions, transitions, part_schema.empty_table()
     )
-    return partials.groupby(["from_type", "to_type"]).aggregate(
-        Sum("n", alias_name="n")
-    )
+    return grouped_aggregate(steps, ["from_type", "to_type"], {"n": ("count", None)})
 
 
 def user_peak_rate(
@@ -1329,8 +1256,6 @@ def user_peak_rate(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     return hash_exchange(
         slim, "u", num_partitions, peak_per_user,
         out_schema.empty_table(),
@@ -1369,13 +1294,7 @@ def session_cooccurrence(
             ("event_type", pa.string()),
         ]
     )
-    part_schema = pa.schema(
-        [
-            ("type_a", pa.string()),
-            ("type_b", pa.string()),
-            ("n", pa.int64()),
-        ]
-    )
+    part_schema = pa.schema([("type_a", pa.string()), ("type_b", pa.string())])
 
     def slim(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:
@@ -1427,28 +1346,19 @@ def session_cooccurrence(
         run_start = np.repeat(np.cumsum(n_pred) - n_pred, n_pred)
         offset = np.arange(total) - run_start
         a_idx = np.repeat(start_pos[gidx], n_pred) + offset
-        agg = (
-            pd.DataFrame({"a": ty[a_idx], "b": ty[b_idx]})
-            .groupby(["a", "b"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
         return pa.table(
             {
-                "type_a": pa.array(agg["a"], pa.string()),
-                "type_b": pa.array(agg["b"], pa.string()),
-                "n": pa.array(agg["n"].to_numpy(np.int64)),
+                "type_a": pa.array(ty[a_idx], pa.string()),
+                "type_b": pa.array(ty[b_idx], pa.string()),
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    partials = hash_exchange(
+    pairs = hash_exchange(
         slim_ds, "u", num_partitions, cooccur_partition,
         part_schema.empty_table(),
     )
-    return partials.groupby(["type_a", "type_b"]).aggregate(
-        Sum("n", alias_name="n_sessions")
+    return grouped_aggregate(
+        pairs, ["type_a", "type_b"], {"n_sessions": ("count", None)}
     )
 
 def watermark_audit(
@@ -1467,7 +1377,8 @@ def watermark_audit(
     row-local, so the DuckDB twin reproduces it exactly. A row is LATE
     when ``arrival > window_end + allowed_lateness_s``. Output:
     (window_start_us, n_on_time, n_late, max_delay_s_seen). One slim
-    hours-cardinality groupby; everything upstream is a scan-side map."""
+    hours-cardinality grouped aggregate; everything upstream is a
+    scan-side map."""
     if max_delay_s <= 0 or allowed_lateness_s < 0:
         raise ValueError("max_delay_s must be > 0, allowed_lateness_s >= 0")
 
@@ -1492,15 +1403,16 @@ def watermark_audit(
             }
         )
 
-    return (
-        events.select_columns(["event_id", "ts"])
-        .map_batches(audit, batch_format="pyarrow")
-        .groupby("window_start_us")
-        .aggregate(
-            Sum("on_time", alias_name="n_on_time"),
-            Sum("late", alias_name="n_late"),
-            Max("delay_s", alias_name="max_delay_s_seen"),
-        )
+    return grouped_aggregate(
+        events.select_columns(["event_id", "ts"]).map_batches(
+            audit, batch_format="pyarrow"
+        ),
+        "window_start_us",
+        {
+            "n_on_time": ("sum", "on_time"),
+            "n_late": ("sum", "late"),
+            "max_delay_s_seen": ("max", "delay_s"),
+        },
     )
 
 
@@ -1560,7 +1472,7 @@ def anomalous_hours(events: ray.data.Dataset, k_sigma: int = 3) -> ray.data.Data
     return ray.data.from_arrow_refs([fold_and_filter.remote(*refs)])
 
 
-def daily_new_users(events: ray.data.Dataset, n_parts: int = 16) -> ray.data.Dataset:
+def daily_new_users(events: ray.data.Dataset) -> ray.data.Dataset:
     """Adoption curve: per UTC day, the number of users whose FIRST
     event ever falls on that day, plus the running total of users seen
     so far (the "cumulative distinct users" series a naive
@@ -1569,67 +1481,35 @@ def daily_new_users(events: ray.data.Dataset, n_parts: int = 16) -> ray.data.Dat
     omitted (join hourly_dense-style gap filling downstream if a dense
     axis is needed).
 
-    Scale shape: per-batch (user → min day) partials collapse each
-    block to its distinct users BEFORE the shuffle; ONE user-keyed
-    hash exchange (slim 16-byte rows) makes the global per-user min
-    partition-local; per-partition day-count partials then fold into a
-    days-cardinality groupby-sum, and the cumulative sum runs in one
-    task over the tiny day table. The event stream itself never
-    shuffles; no task ever holds more than its partition's distinct
-    users."""
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    if n_parts <= 0:
-        raise ValueError("n_parts must be positive")
+    Scale shape: ONE user-keyed ``grouped_aggregate`` takes each
+    user's first day (each block collapsed to its distinct users in its
+    split task), a second counts first-timers per day, and the
+    cumulative sum runs in one task over the tiny day table. The event
+    stream itself never shuffles."""
     _DAY_US = 86_400_000_000
-    slim_schema = pa.schema([("user_id", pa.int64()), ("day_us", pa.int64())])
-    part_schema = pa.schema([("day_us", pa.int64()), ("n", pa.int64())])
     out_schema = pa.schema(
         [("day_us", pa.int64()), ("n_new_users", pa.int64()), ("cum_users", pa.int64())]
     )
 
-    def user_min_partial(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return slim_schema.empty_table()
+    def to_day(batch: pa.Table) -> pa.Table:
         ts_us = pc.cast(pc.cast(batch["ts"], pa.timestamp("us")), pa.int64()).to_numpy()
-        day = (ts_us // _DAY_US) * _DAY_US
-        uid = batch.column("user_id").to_numpy().astype(np.int64)
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        firsts = np.r_[True, uid[1:] != uid[:-1]]
         return pa.table(
             {
-                "user_id": pa.array(uid[firsts], pa.int64()),
-                "day_us": pa.array(day[firsts], pa.int64()),
+                "user_id": pc.cast(batch["user_id"], pa.int64()),
+                "day_us": pa.array((ts_us // _DAY_US) * _DAY_US, pa.int64()),
             }
         )
 
-    slim = events.select_columns(["user_id", "ts"]).map_batches(
-        user_min_partial, batch_format="pyarrow"
+    first_days = grouped_aggregate(
+        events.select_columns(["user_id", "ts"]).map_batches(
+            to_day, batch_format="pyarrow"
+        ),
+        "user_id",
+        {"day_us": ("min", "day_us")},
     )
-
-    def day_counts(p: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return part_schema.empty_table()
-        uid = tbl.column("user_id").to_numpy().astype(np.int64)
-        day = tbl.column("day_us").to_numpy().astype(np.int64)
-        order = np.lexsort((day, uid))
-        uid, day = uid[order], day[order]
-        firsts = np.r_[True, uid[1:] != uid[:-1]]
-        days, counts = np.unique(day[firsts], return_counts=True)
-        return pa.table(
-            {
-                "day_us": pa.array(days, pa.int64()),
-                "n": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    per_day = (
-        hash_exchange(slim, "user_id", n_parts, day_counts, part_schema.empty_table())
-        .groupby("day_us")
-        .aggregate(Sum("n", alias_name="n_new_users"))
-        .materialize()  # days-cardinality tiny
-    )
+    per_day = grouped_aggregate(  # days-cardinality tiny
+        first_days, "day_us", {"n_new_users": ("count", None)}
+    ).materialize()
 
     @ray.remote
     def cumulate(*blocks: pa.Table) -> pa.Table:
@@ -1668,8 +1548,6 @@ def inactive_users(
     the per-user table — users-cardinality, potentially huge — is
     filtered map-side against a broadcast scalar and never funnels into
     one task."""
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     if cutoff_s < 0:
         raise ValueError("cutoff_s must be non-negative")
     if n_parts <= 0:
@@ -1785,10 +1663,8 @@ def rolling_active_users(
     the (user, window-day) dedupe both happen WITHOUT re-shuffling
     (a user's expanded rows are co-located by construction); what
     leaves each partition is (window-day, count) partials — days
-    cardinality — folded by a tiny groupby-sum. The raw event stream
+    cardinality — folded by a tiny grouped sum. The raw event stream
     never shuffles and the fan-out never crosses the wire."""
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     if window_days <= 0:
         raise ValueError("window_days must be positive")
     if n_parts <= 0:
@@ -1853,10 +1729,7 @@ def rolling_active_users(
             }
         )
 
-    return (
-        hash_exchange(
-            slim, "user_id", n_parts, window_counts, part_schema.empty_table()
-        )
-        .groupby("day_us")
-        .aggregate(Sum("n", alias_name="n_active"))
+    partials = hash_exchange(
+        slim, "user_id", n_parts, window_counts, part_schema.empty_table()
     )
+    return grouped_aggregate(partials, "day_us", {"n_active": ("sum", "n")})

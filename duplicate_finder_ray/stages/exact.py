@@ -39,10 +39,8 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Count, Sum
-
 from duplicate_finder_ray.config import PipelineConfig
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 from duplicate_finder_ray.stages.util import map_blocks
 
 #: columns that flow into the shuffle (content intentionally absent)
@@ -70,40 +68,17 @@ _EMPTY_MEMBERS = MEMBERS_SCHEMA.empty_table()
 def candidate_sizes(ds: ray.data.Dataset) -> np.ndarray:
     """Distinct sizes observed on ≥2 rows — the prefilter key set.
 
-    Pre-aggregates inside map_batches (one partial count row per distinct
-    size per batch) before the groupby, so the shuffle carries per-batch
-    partials, not raw rows (ray_guide 'Aggregation at scale'). The result
-    (sizes bearing duplicates) is small relative to the corpus and is
-    collected to the driver for broadcast.
+    One size-keyed ``grouped_aggregate`` count (each block pre-counted
+    in its split task, so the shuffle carries per-block partials, not
+    raw rows). The result (sizes bearing duplicates) is small relative
+    to the corpus and is collected to the driver for broadcast.
     """
-
-    def partial_counts(batch: pa.Table) -> pa.Table:
-        values, counts = np.unique(batch.column("size").to_numpy(), return_counts=True)
-        return pa.table(
-            {"size": pa.array(values, pa.int64()), "partial": pa.array(counts, pa.int64())}
-        )
-
-    partials = (
-        ds.select_columns(["size"])
-        .map_batches(partial_counts, batch_format="pyarrow")
-        .materialize()
+    counts = grouped_aggregate(
+        ds.select_columns(["size"]), "size", {"n": ("count", None)}
     )
-    # final reduce: per-batch partials are tiny (one row per distinct
-    # size per batch). Up to a few hundred blocks, summing them on the
-    # driver skips a whole shuffle barrier; past that, the volume
-    # (blocks × distinct sizes) warrants the distributed aggregate.
-    if partials.num_blocks() > 256:
-        counts = partials.groupby("size").aggregate(Sum("partial", alias_name="n"))
-        pdf = counts.to_pandas()
-    else:
-        pdf = partials.to_pandas()
-        # to_pandas() on an empty Dataset yields a 0-column frame
-        if "size" in pdf.columns:
-            pdf = pdf.groupby("size", sort=False)["partial"].sum().reset_index(name="n")
-    if "n" not in pdf.columns:
-        return np.empty(0, dtype=np.int64)
-    dup_sizes = pdf.loc[pdf["n"] > 1, "size"].to_numpy(dtype=np.int64)
-    return np.sort(dup_sizes)
+    t = pa.concat_tables(ray.get(counts.materialize().to_arrow_refs()))
+    dup = t.filter(pc.greater(t["n"], 1))["size"]
+    return np.sort(dup.to_numpy().astype(np.int64))
 
 
 def apply_size_prefilter(ds: ray.data.Dataset, sizes: np.ndarray) -> ray.data.Dataset:
@@ -273,14 +248,15 @@ def keepers_only(members: ray.data.Dataset) -> ray.data.Dataset:
 def deletion_tally(members: ray.data.Dataset) -> dict:
     """Count + freed bytes over non-keepers (reference tallies at
     duplicate_finder.py:306-340): the dry-run / delete summary."""
-    doomed = members.map_batches(
-        lambda t: t.filter(pc.invert(t["is_keeper"])), batch_format="pyarrow"
-    )
-    res = doomed.aggregate(Count(alias_name="n_deleted"), Sum("size", alias_name="bytes_freed"))
-    return {
-        "n_deleted": int(res.get("n_deleted") or 0),
-        "bytes_freed": int(res.get("bytes_freed") or 0),
-    }
+    def tally(t: pa.Table) -> pa.Table:
+        size = t["size"].filter(pc.invert(t["is_keeper"]))
+        return pa.table(
+            {"n_deleted": [len(size)], "bytes_freed": [pc.sum(size).as_py() or 0]}
+        )
+
+    empty = pa.table({"n_deleted": [0], "bytes_freed": [0]})
+    parts = ray.get(map_blocks(members, tally, empty).materialize().to_arrow_refs())
+    return {k: sum(pc.sum(p[k]).as_py() for p in parts) for k in empty.column_names}
 
 
 def keepers_by_depth(

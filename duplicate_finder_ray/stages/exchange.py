@@ -1,15 +1,16 @@
 """Hash exchange built on raw Ray tasks — the engine's shuffle
 primitive for payload-bearing co-location.
 
-WHY NOT ``Dataset.groupby``: Ray Data's groupby is sort-based — it
-samples boundaries (a barrier), physically sorts every block, and
-range-exchanges the sorted runs. For key-LOOKUP co-location (hash
-buckets, shards) the sort order is wasted work, and the sample/boundary
-barrier is CPU-count-independent serial wall: replacing it on the
-exact-verify shard exchange measured 77 s → <2 s at 2.4 M docs, and the
-same shape applies to the LSH band exchange. This module is the
-documented "drop to raw Ray tasks where the Dataset API can't express
-the semantics" case.
+The package has no ``Dataset.groupby``: every grouping runs here.
+Ray Data's groupby is sort-based — it samples boundaries (a barrier),
+physically sorts every block, range-exchanges the sorted runs, and Ray
+2.49's aggregate then walks rows and groups in Python. For key-LOOKUP
+co-location (hash buckets, shards) the sort order is wasted work, and
+the sample/boundary barrier is CPU-count-independent serial wall:
+replacing it on the exact-verify shard exchange measured 77 s → <2 s
+at 2.4 M docs, and a 147 k-key lineitem sum measured 12.3 s → 0.17 s
+(4 logical CPUs on one core). ``tests/test_one_shuffle.py`` keeps it
+out.
 
 Two waves, with no barrier before or between them:
 
@@ -20,17 +21,26 @@ Two waves, with no barrier before or between them:
   exactly once. ``hash_exchange`` streams the source: each block goes
   to its split task as soon as Ray Data produces it
   (``iter_internal_ref_bundles``), and is freed once that task has cut
-  it. The source runs once and is never resident whole;
+  it. The source runs once and is never resident whole; an already
+  materialized source (another exchange's or a task wave's output)
+  hands over the refs it holds without starting an execution;
 - the REDUCE wave: one task per partition concatenates that
   partition's sub-tables and applies the caller's reduce. Ray
   schedules each reduce as its inputs appear.
 
-``hash_exchange`` is the two waves together. Call ``split_wave``
-directly when a partition is consumed by something other than a
-per-partition reduce into a Dataset — e.g. a per-shard build task whose
-output object many later tasks read (the exact-verify CSR shards, the
-cosine shard matrices), or a split launched early so it overlaps other
-work.
+``hash_exchange`` is the two waves together. ``grouped_aggregate`` is
+the exchange with sum / count / min / max per key: each split task
+aggregates its own block first (``premap``), so the exchange carries
+at most one partial row per key per block, and each reduce merges the
+partials — sums and counts add up, mins and maxes merge as
+themselves. Its rows come in no particular order (a caller that reads
+order sorts).
+
+Call ``split_wave`` directly when a partition is consumed by something
+other than a per-partition reduce into a Dataset — e.g. a per-shard
+build task whose output object many later tasks read (the exact-verify
+CSR shards, the cosine shard matrices), or a split launched early so it
+overlaps other work.
 
 Partitioning: callers name the key column(s) and ``partition_ids`` —
 the one hashing kernel — maps each row to its partition. A hand-written
@@ -59,7 +69,7 @@ import ray.data
 from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.functions.hashing import stable_hash_array
-from duplicate_finder_ray.stages.util import nonempty_block_refs
+from duplicate_finder_ray.stages import util
 
 # hash of a null key in a numeric column (a null string key hashes as
 # the object ``None`` does under stable_hash_array)
@@ -144,13 +154,13 @@ def _split_table(
 
 
 def split_wave(
-    block_refs: Iterable[ray.ObjectRef],
+    refs: Iterable[ray.ObjectRef],
     part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
     n_parts: int,
     premap: Callable[[pa.Table], pa.Table] | None = None,
 ) -> list[list[ray.ObjectRef]]:
     """Launch one split task per block ref, as each ref is drawn from
-    ``block_refs``; returns the sub-table refs as ``blocks × n_parts``
+    ``refs``; returns the sub-table refs as ``blocks × n_parts``
     (row ``i`` holds block ``i``'s ``n_parts`` sub-tables, in partition
     order). A block may be Arrow or pandas; sub-tables are Arrow.
 
@@ -199,8 +209,8 @@ def split_wave(
             parts = _split_table(block, pid, n_parts)
         return parts[0] if n_parts == 1 else tuple(parts)
 
-    refs = [split.options(num_returns=n_parts).remote(b) for b in block_refs]
-    return [[r] if n_parts == 1 else list(r) for r in refs]
+    outs = [split.options(num_returns=n_parts).remote(b) for b in refs]
+    return [[r] if n_parts == 1 else list(r) for r in outs]
 
 
 def hash_exchange(
@@ -208,16 +218,27 @@ def hash_exchange(
     part_of: str | Sequence[str] | Callable[[pa.Table, int], np.ndarray],
     n_parts: int | None,
     reduce_fn: Callable[[int, pa.Table], pa.Table],
-    empty: pa.Table,
+    empty: pa.Table | None,
     premap: Callable[[pa.Table], pa.Table] | None = None,
 ) -> ray.data.Dataset:
     """Partition ``source`` by key and apply ``reduce_fn(part_idx,
     rows)`` to each partition's concatenated rows. Returns a Dataset of
-    the reduce outputs (one block per partition). ``empty`` supplies the
-    output schema for empty partitions, and is the whole output when
-    ``source`` yields no rows. ``source`` runs once, streamed into the
-    split wave; a block whose metadata says 0 rows gets no split task.
-    An error in any of its blocks raises here.
+    the reduce outputs (one block per partition, in partition order,
+    unless ``empty`` is ``None``). ``source`` runs once,
+    streamed into the split wave (an already materialized ``source``
+    starts no Ray Data execution); a block whose metadata says 0 rows
+    gets no split task. An error in any of its blocks raises here.
+
+    ``empty`` is the output of an empty partition, and the whole output
+    when ``source`` yields no rows. ``None`` runs ``reduce_fn`` on an
+    empty partition's 0-row (premapped) rows instead, so the reduce
+    types its own empty output. The result then keeps only the
+    non-empty outputs (one typed 0-row block when every output is
+    empty), so a later projection meets no unprojected 0-row block. A
+    ``source`` without rows sends one of its 0-row blocks through both
+    waves (with no block at all, its schema's empty table goes through
+    ``premap`` and ``reduce_fn`` on the driver; without a schema the
+    output has no columns).
 
     ``part_of``: the key column name, or a list of names — rows with
     equal key values meet in one partition, chosen by
@@ -238,21 +259,79 @@ def hash_exchange(
     schema."""
     if n_parts is None:
         n_parts = default_partitions()
-    refs = nonempty_block_refs(source.iter_internal_ref_bundles())
+    refs = util.block_refs(source, keep_one_empty=empty is None)
     split_refs = split_wave(refs, part_of, n_parts, premap)
     if not split_refs:
-        return ray.data.from_arrow(empty)
+        schema = source.schema() if empty is None else None
+        if schema is not None:  # no block: type the output here
+            rows = schema.base_schema.empty_table()
+            empty = reduce_fn(0, rows if premap is None else premap(rows))
+        return ray.data.from_arrow(pa.table({}) if empty is None else empty)
 
-    @ray.remote
-    def reduce_part(p: int, *subs: pa.Table) -> pa.Table:
+    @ray.remote(num_returns=2)
+    def reduce_part(p: int, *subs: pa.Table) -> tuple[pa.Table, int]:
+        if empty is None:
+            subs = [s for s in subs if s.num_columns]
+            out = reduce_fn(p, pa.concat_tables(subs).combine_chunks())
+            return out, len(out)
         subs = tuple(s for s in subs if len(s) and s.num_columns)
         if not subs:
-            return empty
+            return empty, 0
         out = reduce_fn(p, pa.concat_tables(subs).combine_chunks())
-        return out if len(out) else empty
+        return (out, len(out)) if len(out) else (empty, 0)
 
-    out_refs = [
+    outs = [
         reduce_part.remote(p, *[row[p] for row in split_refs])
         for p in range(n_parts)
     ]
+    out_refs = [t for t, _ in outs]
+    if empty is None:
+        # a later projection skips 0-row blocks, so an empty partition's
+        # block would keep its unprojected schema beside projected ones
+        rows = ray.get([n for _, n in outs])
+        out_refs = [t for t, n in zip(out_refs, rows) if n] or out_refs[:1]
     return ray.data.from_arrow_refs(out_refs)
+
+
+# how the reduce merges each function's per-block partials
+_MERGE = {"sum": "sum", "count": "sum", "min": "min", "max": "max"}
+
+
+def grouped_aggregate(
+    ds: ray.data.Dataset,
+    keys: str | Sequence[str],
+    aggs: dict[str, tuple[str, str | None]],
+) -> ray.data.Dataset:
+    """One row per distinct ``keys`` tuple of ``ds``: the key columns,
+    then one column per ``aggs`` entry ``name: (function, column)``.
+    The functions are ``"sum"``, ``"min"``, ``"max"`` over ``column``
+    and ``"count"`` (``column`` ``None``), which counts rows.
+
+    - Each split task projects the keys and the inputs and aggregates
+      its block (Arrow's hash aggregates, nulls skipped); the exchange
+      is keyed on ``keys``; each reduce merges its partials: sums and
+      counts add up, mins and maxes merge as themselves.
+    - Keys compare as values: a null key is one group, and strings that
+      differ only after an embedded NUL stay apart.
+    - Rows come in no particular order.
+    - A ``ds`` without rows gives a typed empty output.
+
+    The partials are made in the split task, after ``ds``'s blocks are
+    stored: a map that expands rows (tokens, edge endpoints, grouping
+    sets) collapses its own batch with ``util.group_aggregate`` and
+    passes its counts here as sums, so no expanded block is stored."""
+    keys = [keys] if isinstance(keys, str) else list(keys)
+    names = list(aggs)
+    first = [
+        ([], "count_all") if f == "count" else (c, f) for f, c in aggs.values()
+    ]
+    merge = [(n, _MERGE[f]) for n, (f, _) in aggs.items()]
+    cols = list(dict.fromkeys([*keys, *(c for _, c in aggs.values() if c)]))
+
+    def partial(block: pa.Table) -> pa.Table:
+        return util.group_aggregate(block.select(cols), keys, first, names)
+
+    def combine(_: int, rows: pa.Table) -> pa.Table:
+        return util.group_aggregate(rows, keys, merge, names)
+
+    return hash_exchange(ds, keys, None, combine, None, premap=partial)

@@ -10,8 +10,8 @@ connected-components stage (stages/cc.py) started.
 
 Scale shapes
 ------------
-* ``pair_degrees`` / ``degree_histogram``: per-batch ``value_counts``
-  partials → one vocabulary-sized groupby-sum. The shuffle carries
+* ``pair_degrees`` / ``degree_histogram``: one vocabulary-sized
+  grouped count, pre-counted per block. The shuffle carries
   (node, partial-count) rows — never the edge list twice.
 * ``triangle_count``: the classic two-round oriented-wedge join
   (public MapReduce formulation: Suri & Vassilvitskii, "Counting
@@ -34,10 +34,14 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
 
-from duplicate_finder_ray.stages.exchange import default_partitions, hash_exchange
+from duplicate_finder_ray.stages.exchange import (
+    default_partitions,
+    grouped_aggregate,
+    hash_exchange,
+)
 from duplicate_finder_ray.stages.neardup import bucket_pairs_arrays
+from duplicate_finder_ray.stages.util import group_aggregate
 
 _H_SEED = b"graph-node"
 
@@ -46,56 +50,31 @@ def pair_degrees(
     pairs: ray.data.Dataset, a_col: str = "a", b_col: str = "b"
 ) -> ray.data.Dataset:
     """Per-node degree over an unordered unique edge set → (node,
-    degree). Exact on the original string ids (no hashing): per-batch
-    ``value_counts`` over both endpoint columns, then one
-    (nodes × blocks)-sized groupby-sum."""
+    degree). Exact on the original string ids (no hashing): one
+    node-keyed grouped count over both endpoint columns, each batch
+    counted per node where its endpoints are listed."""
 
-    def partial(t: pa.Table) -> pa.Table:
-        if a_col not in t.column_names:  # empty-filter 0-column block
-            return pa.table(
-                {"node": pa.array([], pa.string()), "n": pa.array([], pa.int64())}
-            )
-        both = pa.chunked_array(
-            t.column(a_col).chunks + t.column(b_col).chunks
-        )
-        vc = pc.value_counts(both.combine_chunks())
-        return pa.table(
-            {
-                "node": vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
+    def endpoints(t: pa.Table) -> pa.Table:
+        t = pa.table({"node": pa.chunked_array(t[a_col].chunks + t[b_col].chunks)})
+        return group_aggregate(t, ["node"], [([], "count_all")], ["degree"])
 
-    return (
-        pairs.select_columns([a_col, b_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("node")
-        .aggregate(Sum("n", alias_name="degree"))
+    return grouped_aggregate(
+        pairs.select_columns([a_col, b_col]).map_batches(
+            endpoints, batch_format="pyarrow"
+        ),
+        "node",
+        {"degree": ("sum", "degree")},
     )
 
 
 def degree_histogram(
     pairs: ray.data.Dataset, a_col: str = "a", b_col: str = "b"
 ) -> ray.data.Dataset:
-    """Degree distribution of the pair graph → (degree, n_nodes).
-    Second-level count partials over :func:`pair_degrees` output —
-    the final shuffle is (distinct degrees × blocks) rows."""
-
-    def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t.column("degree").combine_chunks())
-        return pa.table(
-            {
-                "degree": vc.field("values").cast(pa.int64()),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    return (
-        pair_degrees(pairs, a_col, b_col)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("degree")
-        .aggregate(Sum("n", alias_name="n_nodes"))
-    )
+    """Degree distribution of the pair graph → (degree, n_nodes): a
+    grouped count over :func:`pair_degrees` output — the final shuffle
+    is (distinct degrees × blocks) rows."""
+    degrees = pair_degrees(pairs, a_col, b_col)
+    return grouped_aggregate(degrees, "degree", {"n_nodes": ("count", None)})
 
 
 def cluster_density(
@@ -117,36 +96,12 @@ def cluster_density(
     Scale shape: every edge lands in exactly one component (endpoints
     share it by construction), so ONE slim shuffle hash join on the a
     endpoint attaches component ids to edges; node and edge counts are
-    value-counts partials → component-keyed groupby-sums; the final
+    component-keyed grouped counts; the final
     count-join is component-cardinality-sized. No driver
     materialization; no whole-graph task."""
     from duplicate_finder_ray.stages.join import shuffle_hash_join
 
-    def count_partial(col: str, out: str):
-        def fn(t: pa.Table) -> pa.Table:
-            if col not in t.column_names:  # empty-filter 0-column block
-                return pa.table(
-                    {
-                        comp_col: pa.array([], pa.string()),
-                        out: pa.array([], pa.int64()),
-                    }
-                )
-            vc = pc.value_counts(t.column(col).combine_chunks())
-            return pa.table(
-                {
-                    comp_col: vc.field("values"),
-                    out: vc.field("counts").cast(pa.int64()),
-                }
-            )
-
-        return fn
-
-    nodes = (
-        labels.select_columns([comp_col])
-        .map_batches(count_partial(comp_col, "n"), batch_format="pyarrow")
-        .groupby(comp_col)
-        .aggregate(Sum("n", alias_name="n_nodes"))
-    )
+    nodes = grouped_aggregate(labels, comp_col, {"n_nodes": ("count", None)})
     tagged = shuffle_hash_join(
         pairs.select_columns([a_col]),
         labels.select_columns([node_col, comp_col]),
@@ -156,11 +111,7 @@ def cluster_density(
         right_cols=[comp_col],
         how="inner",
     )
-    edges = (
-        tagged.map_batches(count_partial(comp_col, "n"), batch_format="pyarrow")
-        .groupby(comp_col)
-        .aggregate(Sum("n", alias_name="n_edges"))
-    )
+    edges = grouped_aggregate(tagged, comp_col, {"n_edges": ("count", None)})
     joined = shuffle_hash_join(
         nodes, edges, comp_col, comp_col, n_parts, how="inner"
     )
@@ -461,8 +412,9 @@ def pagerank(
     and the result is bit-identical across partitionings AND
     reproducible by a SQL twin with the same `//` ops — float PageRank
     would hash-drift under reduction reorder. Per iteration: one
-    shuffle-hash-join (rank → edge sources), per-batch contribution
-    partials, one node-keyed groupby-sum, one join back onto degrees.
+    shuffle-hash-join (rank → edge sources), per-edge contributions
+    summed per node in each batch, one node-keyed grouped sum, one
+    join back onto degrees.
     Rank rows are slim (node, r, d); the edge set crosses the exchange
     once per iteration. Damping = damping_num/damping_den (default
     17/20 = 0.85)."""
@@ -515,30 +467,16 @@ def pagerank(
             edges, rank, "u", "node", n_parts, right_cols=["r", "d"]
         )
 
-        # per-batch combiner: sum r//d by destination before the groupby
-        def contrib_partial(t: pa.Table) -> pa.Table:
-            if len(t) == 0:
-                return pa.table(
-                    {"node": pa.array([], pa.string()), "c": pa.array([], pa.int64())}
-                )
+        def contrib(t: pa.Table) -> pa.Table:
             r = t.column("r").to_numpy(zero_copy_only=False)
             d = t.column("d").to_numpy(zero_copy_only=False)
-            contrib = r // d
-            v = t.column("v").to_numpy(zero_copy_only=False)
-            uniq, inv = np.unique(v.astype("U"), return_inverse=True)
-            # reduceat keeps the accumulator int64 — bincount's float64
-            # weights would round hub sums past 2^53
-            order = np.argsort(inv, kind="stable")
-            starts = np.searchsorted(inv[order], np.arange(len(uniq)))
-            sums = np.add.reduceat(contrib[order], starts)
-            return pa.table(
-                {"node": pa.array(uniq.tolist(), pa.string()), "c": pa.array(sums)}
-            )
+            t = pa.table({"node": t.column("v"), "c": pa.array(r // d, pa.int64())})
+            return group_aggregate(t, ["node"], [("c", "sum")])
 
-        c = (
-            joined.map_batches(contrib_partial, batch_format="pyarrow")
-            .groupby("node")
-            .aggregate(Sum("c", alias_name="c"))
+        c = grouped_aggregate(
+            joined.map_batches(contrib, batch_format="pyarrow"),
+            "node",
+            {"c": ("sum", "c")},
         )
         back = shuffle_hash_join(
             degrees, c, "node", "node", n_parts, right_cols=["c"], how="left"

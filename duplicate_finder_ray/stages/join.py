@@ -1,7 +1,7 @@
 """Equi-joins on the barrier-free hash exchange
 (``stages/exchange.py``).
 
-WHY NOT ``Dataset.join`` / hash-shuffle ``aggregate``: in Ray 2.49 the
+WHY NOT ``Dataset.join``: in Ray 2.49 the
 hash-shuffle operators emit ZERO-COLUMN pandas blocks for empty
 partitions; those blocks are invisible to map_batches (the UDF is never
 called on them) and make any downstream ``Dataset.join`` fail with
@@ -22,7 +22,7 @@ import pyarrow.compute as pc
 
 import ray.data
 
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 
@@ -274,8 +274,8 @@ def skew_join(
     half the events — no longer pins its entire row set on a single
     reducer.
 
-    The count pass is map-side combined (per-block ``value_counts``
-    partials → one key-cardinality-slim groupby); the hot set is
+    The count pass is one key-cardinality-slim ``grouped_aggregate``
+    (pre-counted per block); the hot set is
     capped at ``max_hot`` keys by (count, key) order — beyond that the
     skew is better fixed upstream, and the cap keeps the broadcast hot
     array bounded. ``left`` is materialized once so the count pass and
@@ -284,31 +284,13 @@ def skew_join(
         raise ValueError("hot_threshold must be positive")
     if max_hot <= 0:
         raise ValueError("max_hot must be positive")
-    from ray.data.aggregate import Sum
 
     mleft = left.materialize()
     lschema = mleft.schema()
     if lschema is None:
         raise ValueError("left side has no schema")
-    key_type = _pa_type(
-        dict(zip(lschema.names, lschema.types))[left_key]
-    )
 
-    def count_partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t.column(left_key).cast(key_type))
-        return pa.table(
-            {
-                left_key: vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    counts = (
-        mleft.select_columns([left_key])
-        .map_batches(count_partial, batch_format="pyarrow")
-        .groupby(left_key)
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    counts = grouped_aggregate(mleft, left_key, {"n": ("count", None)})
     hot_rows = sorted(
         (
             (r["n"], r[left_key])

@@ -22,7 +22,7 @@ arithmetic, making the whole layout decision hash-checkable.
 Scale shape: the Morton key is computed map-side (six shift-mask ops
 per column, no Python loop); ordering rides `stages/rank.py:
 global_rank` (sampled range boundaries → ONE range exchange); zone
-stats are a per-batch combiner + one zones-cardinality groupby.
+stats are a per-batch combiner + one zones-cardinality grouped aggregate.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ import numpy as np
 import pyarrow as pa
 
 import ray.data
-from ray.data.aggregate import Count, Max, Min
+
+from duplicate_finder_ray.stages.exchange import grouped_aggregate
 
 _M16 = np.uint64(0x0000FFFF0000FFFF)
 _M8 = np.uint64(0x00FF00FF00FF00FF)
@@ -119,14 +120,14 @@ def zone_maps(
             "zone", pa.array(rnk // np.int64(zone_rows), pa.int64())
         )
 
-    return (
-        ranked.map_batches(tag_zone, batch_format="pyarrow")
-        .groupby("zone")
-        .aggregate(
-            Count(alias_name="n_rows"),
-            Min(x_col, alias_name="min_x"),
-            Max(x_col, alias_name="max_x"),
-            Min(y_col, alias_name="min_y"),
-            Max(y_col, alias_name="max_y"),
-        )
+    return grouped_aggregate(
+        ranked.map_batches(tag_zone, batch_format="pyarrow"),
+        "zone",
+        {
+            "n_rows": ("count", None),
+            "min_x": ("min", x_col),
+            "max_x": ("max", x_col),
+            "min_y": ("min", y_col),
+            "max_y": ("max", y_col),
+        },
     )

@@ -504,25 +504,12 @@ def media_phash(
 
 def phash_groups(ds: ray.data.Dataset) -> ray.data.Dataset:
     """Exact-pHash duplicate groups → (phash, n_items), n_items > 1 —
-    the media twin of the sha256 exact-dup group (G3). Count partials
-    per block before the slim groupby (the hash column is 8 bytes/row;
-    the payload never reaches the shuffle)."""
-    from ray.data.aggregate import Sum
+    the media twin of the sha256 exact-dup group (G3). One phash-keyed
+    grouped count (the hash column is 8 bytes/row; the payload never
+    reaches the shuffle)."""
+    from duplicate_finder_ray.stages.exchange import grouped_aggregate
 
-    def partial(t: pa.Table) -> pa.Table:
-        vc = pc.value_counts(t.column("phash").combine_chunks())
-        return pa.table(
-            {
-                "phash": vc.field("values"),
-                "n": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    return (
-        media_phash(ds)
-        .select_columns(["phash"])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("phash")
-        .aggregate(Sum("n", alias_name="n_items"))
-        .filter(expr="n_items > 1")
+    counts = grouped_aggregate(
+        media_phash(ds).select_columns(["phash"]), "phash", {"n_items": ("count", None)}
     )
+    return counts.filter(expr="n_items > 1")

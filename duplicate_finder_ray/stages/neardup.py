@@ -657,37 +657,38 @@ def fid_map_ref(sigs: ray.data.Dataset):
     return _build_fid_map.remote(*refs)
 
 
+def _pair_strings(batch: pa.Table, fid_map: tuple) -> pa.Table:
+    """``batch`` with its uint64 ``a, b`` columns replaced by the file_id
+    strings of ``fid_map`` (sorted fids, their names), first, in
+    ``a < b`` string order."""
+    fids, names = fid_map
+    sa = names[np.searchsorted(fids, batch.column("a").to_numpy().astype(np.uint64))]
+    sb = names[np.searchsorted(fids, batch.column("b").to_numpy().astype(np.uint64))]
+    swap = sa > sb
+    out = batch.drop_columns(["a", "b"])
+    return pa.table(
+        {
+            "a": pa.array(np.where(swap, sb, sa), pa.string()),
+            "b": pa.array(np.where(swap, sa, sb), pa.string()),
+            **{c: out.column(c) for c in out.column_names},
+        }
+    )
+
+
 def translate_pairs(
     pairs: ray.data.Dataset, sigs: ray.data.Dataset
 ) -> ray.data.Dataset:
     """uint64 (a, b) pair columns → file_id strings, re-canonicalized to
     a < b in STRING order (fid order and lexicographic order differ).
-    Other columns pass through."""
-    map_ref = fid_map_ref(sigs)
-
-    def to_strings(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            names = batch.column_names
-            return pa.schema(
-                [
-                    (n, pa.string() if n in ("a", "b") else batch.schema.field(n).type)
-                    for n in names
-                ]
-            ).empty_table()
-        fids, names_arr = ray.get(map_ref)
-        aa = batch.column("a").to_numpy().astype(np.uint64)
-        bb = batch.column("b").to_numpy().astype(np.uint64)
-        sa = names_arr[np.searchsorted(fids, aa)]
-        sb = names_arr[np.searchsorted(fids, bb)]
-        swap = sa > sb
-        lo = np.where(swap, sb, sa)
-        hi = np.where(swap, sa, sb)
-        out = batch.drop_columns(["a", "b"])
-        out = out.append_column("a", pa.array(lo, pa.string()))
-        out = out.append_column("b", pa.array(hi, pa.string()))
-        return out.select(["a", "b", *[c for c in batch.column_names if c not in ("a", "b")]])
-
-    return pairs.map_batches(to_strings, batch_format="pyarrow")
+    Other columns pass through. One task per pair block; every task
+    reads the one fid → file_id map as a task argument."""
+    pairs = pairs.materialize()
+    schema = pairs.schema().base_schema
+    empty = pa.schema(
+        [("a", pa.string()), ("b", pa.string())]
+        + [f for f in schema if f.name not in ("a", "b")]
+    ).empty_table()
+    return map_blocks(pairs, _pair_strings, empty, fid_map_ref(sigs))
 
 
 def verify_pairs(

@@ -17,9 +17,9 @@ Scale shape (the paragraph-dedup pattern at shingle granularity):
    rows — 16 B per distinct shingle, never text;
 2. ONE hash-keyed exchange co-locates equal shingles; each partition
    computes document frequency per hash locally (all copies of a hash
-   are present) and collapses to per-doc partials
-   (doc, n_shingles_part, n_unique_part);
-3. one tiny doc-keyed groupby-sum.
+   are present) and marks each (doc, shingle) row unique or not;
+3. one doc-keyed ``grouped_aggregate`` counts the rows and sums the
+   marks (each split task pre-sums its block).
 
 Shingle identity is the rolling 64-bit k-gram hash — the same
 identity every n-gram operator in the engine uses and the hash-match
@@ -34,17 +34,10 @@ import pyarrow as pa
 import ray.data
 
 from duplicate_finder_ray.functions.shingles import Shingler
-from duplicate_finder_ray.stages.exchange import hash_exchange
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 
 _SLIM = pa.schema([("h", pa.uint64()), ("doc", pa.int64())])
-_PART = pa.schema(
-    [
-        ("doc_id", pa.int64()),
-        ("n_shingles", pa.int64()),
-        ("n_unique", pa.int64()),
-    ]
-)
+_PART = pa.schema([("doc_id", pa.int64()), ("n_unique", pa.int64())])
 
 
 def novelty_counts(
@@ -94,23 +87,13 @@ def novelty_counts(
         # rows are per-doc DISTINCT shingles, so rows-per-hash = doc freq
         unique_row = np.empty(len(hs), dtype=bool)
         unique_row[order] = np.repeat(df == 1, df)
-        t = pa.table(
-            {
-                "doc_id": doc,
-                "n_shingles": np.ones(len(doc), dtype=np.int64),
-                "n_unique": unique_row.astype(np.int64),
-            }
-        )
-        return group_aggregate(
-            t, ["doc_id"], [("n_shingles", "sum"), ("n_unique", "sum")]
-        )
-
-    from ray.data.aggregate import Sum
+        return pa.table({"doc_id": doc, "n_unique": unique_row.astype(np.int64)})
 
     partials = hash_exchange(
         slim_ds, "h", num_partitions, doc_partials, _PART.empty_table()
     )
-    return partials.groupby("doc_id").aggregate(
-        Sum("n_shingles", alias_name="n_shingles"),
-        Sum("n_unique", alias_name="n_unique"),
+    return grouped_aggregate(
+        partials,
+        "doc_id",
+        {"n_shingles": ("count", None), "n_unique": ("sum", "n_unique")},
     )

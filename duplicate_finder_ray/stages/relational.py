@@ -20,9 +20,8 @@ shape stated up front:
   an interval join costs exactly one map pass.
 * ``topk_per_group`` — per-batch LOCAL top-k first (the combiner), so
   the shuffle carries ≤ k rows per group per block, never the corpus.
-* ``intersect_keys`` / ``except_keys`` — distributed set ops as
-  per-batch flag partials + one groupby(max-flag) reduce; raw rows never
-  cross the wire twice.
+* ``intersect_keys`` / ``except_keys`` — distributed set ops as one
+  key-grouped max over side flags, pre-aggregated per block.
 * ``deterministic_sample`` — md5-keyed Bernoulli sample: reproducible
   across engines and runs (the same rows at any parallelism), unlike
   ``Dataset.random_sample``. md5 digests are computed from memoryviews
@@ -30,13 +29,13 @@ shape stated up front:
   no per-row Python objects (the digest call itself is the irreducible
   work of a portable cryptographic sampler).
 * ``grouped_quantiles`` — exact linear-interpolation quantiles per
-  group via one groupby; per-group numpy kernel.
+  group via one group-keyed exchange; per-group numpy kernel.
 * ``salted_distinct_count`` — explicit salted repartitioning: a hot
   key's value set fans out over ``n_salts`` reducers by
   ``md5(value) % n_salts`` (same value → same salt, so per-slice
   dedupe is globally exact) and a slim per-key sum folds the partials.
   Breaks the mega-repo / hot-shingle skew that a plain per-key
-  groupby cannot.
+  exchange cannot.
 """
 
 from __future__ import annotations
@@ -50,11 +49,16 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Max, Sum
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.exchange import (
+    default_partitions,
+    grouped_aggregate,
+    hash_exchange,
+)
 from duplicate_finder_ray.stages.util import (
     group_aggregate,
     group_codes,
+    group_rows,
     ranked_head,
     sort_indices,
 )
@@ -171,8 +175,6 @@ def asof_join(
     keys at once — no per-key Python).
     """
     if num_buckets is None:
-        from duplicate_finder_ray.stages.exchange import default_partitions
-
         num_buckets = default_partitions()
     lschema = left.schema()
     ltypes = dict(zip(lschema.names, lschema.types))
@@ -261,8 +263,6 @@ def asof_join(
 
     # barrier-free co-location (stages/exchange.py) — bucket membership
     # is all the merge needs; per_bucket sorts its own rows
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     def bucket_part(tbl: pa.Table, n: int) -> np.ndarray:
         return tbl.column("__bucket").to_numpy().astype(np.int64)
 
@@ -337,25 +337,29 @@ def topk_per_group_by(
 ) -> ray.data.Dataset:
     """Top-k rows per group under an arbitrary multi-column ordering,
     with a 1-based ``rank`` column. Two phases: a per-batch LOCAL top-k
-    (so the shuffle carries ≤ k rows per group per block), then one
-    groupby.map_groups final selection — the standard combiner shape
-    that keeps a 10^10-row corpus's shuffle at k × groups × blocks."""
+    (so the shuffle carries ≤ k rows per group per block), then the
+    same selection once more in each reduce of one group-keyed
+    ``hash_exchange`` — the standard combiner shape that keeps a
+    10^10-row corpus's shuffle at k × groups × blocks."""
     if len(by) != len(ascending) or not by:
         raise ValueError("by and ascending must be equal-length, non-empty")
 
-    def local_topk(part: pa.Table) -> pa.Table:
+    def top(part: pa.Table, with_rank: bool = False) -> pa.Table:
         codes, _ = group_codes(part.column(group_col))
         order = sort_indices(part, by, ascending)
         order = order[np.argsort(codes[order], kind="stable")]
         g = codes[order]
         pos = np.arange(len(g))
-        starts = np.where(np.r_[True, g[1:] != g[:-1]], pos, 0)
-        return part.take(order[pos - np.maximum.accumulate(starts) < k])
+        new = np.ones(len(g), dtype=bool)
+        new[1:] = g[1:] != g[:-1]
+        rank = pos - np.maximum.accumulate(np.where(new, pos, 0))
+        out = part.take(order[rank < k])
+        if with_rank:
+            out = out.append_column("rank", pa.array(rank[rank < k] + 1))
+        return out
 
-    pruned = ds.map_batches(local_topk, batch_format="pyarrow")
-    return pruned.groupby(group_col).map_groups(
-        ranked_head, batch_format="pyarrow", fn_args=(by, ascending, k)
-    )
+    pruned = ds.map_batches(top, batch_format="pyarrow")
+    return hash_exchange(pruned, group_col, None, lambda _, t: top(t, True), None)
 
 
 def topk_global(
@@ -400,37 +404,25 @@ def topk_global(
 # --------------------------------------------------------------------------
 
 
-def _flag_partials(ds: ray.data.Dataset, key: str, flag: str) -> ray.data.Dataset:
-    """Per-batch combiner: one (key, 1) row per distinct key per batch."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        keys = pc.unique(batch.column(key).combine_chunks())
-        return pa.table(
-            {key: keys, flag: pa.array(np.ones(len(keys), dtype=np.int64))}
-        )
-
-    return ds.select_columns([key]).map_batches(partial, batch_format="pyarrow")
-
-
 def _set_op(
     a: ray.data.Dataset, b: ray.data.Dataset, key: str, keep_b: bool
 ) -> ray.data.Dataset:
-    za = _flag_partials(a, key, "in_a").map_batches(
-        lambda t: t.append_column("in_b", pa.array(np.zeros(len(t), dtype=np.int64))),
-        batch_format="pyarrow",
+    def flagged(side_a: bool):
+        def fn(t: pa.Table) -> pa.Table:
+            one = pa.array(np.ones(len(t), dtype=np.int64))
+            zero = pa.array(np.zeros(len(t), dtype=np.int64))
+            in_a, in_b = (one, zero) if side_a else (zero, one)
+            return pa.table({key: t[key], "in_a": in_a, "in_b": in_b})
+
+        return fn
+
+    sides = a.select_columns([key]).map_batches(
+        flagged(True), batch_format="pyarrow"
+    ).union(
+        b.select_columns([key]).map_batches(flagged(False), batch_format="pyarrow")
     )
-    zb = _flag_partials(b, key, "in_b").map_batches(
-        lambda t: pa.table(
-            {
-                key: t.column(key),
-                "in_a": pa.array(np.zeros(len(t), dtype=np.int64)),
-                "in_b": t.column("in_b"),
-            }
-        ),
-        batch_format="pyarrow",
-    )
-    flags = za.union(zb).groupby(key).aggregate(
-        Max("in_a", alias_name="a"), Max("in_b", alias_name="b")
+    flags = grouped_aggregate(
+        sides, key, {"a": ("max", "in_a"), "b": ("max", "in_b")}
     )
     if keep_b:
         cond = lambda t: pc.and_(pc.equal(t["a"], 1), pc.equal(t["b"], 1))  # noqa: E731
@@ -538,8 +530,8 @@ def grouped_quantiles(
     """Exact linear-interpolation quantiles per group, emitted as int
     centi-units (floor(q*100 + 0.5)) so the result is order-proof and
     dtype-stable across engines (matches DuckDB quantile_cont). One
-    groupby; per-group numpy kernel. For corpora where a single group
-    exceeds worker memory, swap in a t-digest partial — exactness is the
+    group-keyed exchange; per-group numpy kernel. For corpora where a
+    single group exceeds worker memory, swap in a t-digest partial — exactness is the
     point here (it is the oracle for that sketch)."""
     names = [n for n, _ in qs]
     fracs = [f for _, f in qs]
@@ -547,19 +539,19 @@ def grouped_quantiles(
         [(group_col, pa.string())] + [(n, pa.int64()) for n in names]
     )
 
-    def per_group(part: pa.Table) -> pa.Table:
+    def per_group(_: int, part: pa.Table) -> pa.Table:
+        keys, rows = group_rows(part.column(group_col))
         v = part.column(value_col).to_numpy().astype(np.float64)
-        res = np.quantile(v, fracs, method="linear")
-        cols = {group_col: [str(part.column(group_col)[0].as_py())]}
-        for n, r in zip(names, res):
-            cols[n] = [int(np.floor(r * 100 + 0.5))]
+        res = np.array(
+            [np.quantile(v[r], fracs, method="linear") for r in rows]
+        ).reshape(len(rows), len(fracs))
+        cols = {group_col: [str(k) for k in keys.to_pylist()]}
+        for n, r in zip(names, res.T):
+            cols[n] = np.floor(r * 100 + 0.5).astype(np.int64)
         return pa.Table.from_pydict(cols, schema=out_schema)
 
-    return (
-        ds.select_columns([group_col, value_col])
-        .groupby(group_col)
-        .map_groups(per_group, batch_format="pyarrow")
-    )
+    slim = ds.select_columns([group_col, value_col])
+    return hash_exchange(slim, group_col, None, per_group, None)
 
 
 # --------------------------------------------------------------------------
@@ -607,7 +599,7 @@ def salted_distinct_count(
     ``salt = md5(value) % n_salts``: the hot key's values spread over
     ``n_salts`` reducers, each dedupes its disjoint slice (same value
     → same salt → same partition, so slices partition the distinct
-    set), and a final slim groupby sums the ≤ n_salts partials per
+    set), and a final slim grouped sum adds the ≤ n_salts partials per
     key. Memory bound drops from O(hot key) to O(hot key / n_salts);
     the partials shuffle is key-cardinality-sized.
 
@@ -671,10 +663,8 @@ def salted_distinct_count(
             }
         )
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     partials = hash_exchange(slim, part_of, n_parts, reduce_fn, empty)
-    return partials.groupby(key_col).aggregate(Sum("n", alias_name=alias))
+    return grouped_aggregate(partials, key_col, {alias: ("sum", "n")})
 
 
 # --------------------------------------------------------------------------
@@ -694,27 +684,24 @@ def grouped_sum_rollup(
     group_cols: list[str],
     cent_cols: dict[str, str],
 ) -> ray.data.Dataset:
-    """groupby(group_cols): row count + exact cent-sums of the given
-    double columns. The map pass emits ONE partial row per distinct
-    group per batch (explicit combiner), so the shuffle carries
-    partials, never raw rows."""
-    out_names = list(cent_cols.values())
+    """Per ``group_cols`` group: row count + exact cent-sums of the given
+    double columns, as one ``grouped_aggregate`` (each block pre-summed
+    in its split task, so the shuffle carries partials, never raw
+    rows)."""
 
-    def partials(part: pa.Table) -> pa.Table:
+    def to_cents(part: pa.Table) -> pa.Table:
         cols = {c: part.column(c) for c in group_cols}
-        cols["n_rows"] = pa.array(np.ones(len(part), dtype=np.int64))
         for src, out in cent_cols.items():
             cols[out] = cents(part.column(src))
-        sums = [(c, "sum") for c in ["n_rows", *out_names]]
-        return group_aggregate(pa.table(cols), group_cols, sums)
+        return pa.table(cols)
 
-    partial_ds = ds.select_columns(
+    in_cents = ds.select_columns(
         group_cols + list(cent_cols.keys())
-    ).map_batches(partials, batch_format="pyarrow")
-    aggs = [Sum("n_rows", alias_name="n_rows")] + [
-        Sum(c, alias_name=c) for c in out_names
-    ]
-    return partial_ds.groupby(group_cols).aggregate(*aggs)
+    ).map_batches(to_cents, batch_format="pyarrow")
+    aggs = {"n_rows": ("count", None)}
+    return grouped_aggregate(
+        in_cents, group_cols, {**aggs, **{c: ("sum", c) for c in cent_cols.values()}}
+    )
 
 
 def split_assign(
@@ -845,8 +832,6 @@ def ntile_partitioned(
         out = tbl.append_column(out_col, pa.array(bucket.astype(np.int64)))
         return out.cast(out_schema)
 
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     return hash_exchange(
         ds, part_col, num_partitions, assign, out_schema.empty_table()
     )
@@ -894,10 +879,10 @@ def pivot_counts(
     downstream models and dashboards). Values outside ``categories``
     are ignored; pass the full category list for a complete pivot.
 
-    Scale shape: a per-batch combiner collapses each block to ≤1 row
-    per key (vectorized equality masks + one Arrow group_by), then
-    ONE keys-sized aggregate sums the partials — the shuffle carries
-    keys × categories ints, never the event stream."""
+    Scale shape: vectorized equality masks per block, then ONE
+    keys-sized ``grouped_aggregate`` (each block pre-summed in its
+    split task) — the shuffle carries keys × categories ints, never
+    the event stream."""
     if not categories:
         raise ValueError("categories must be non-empty")
     cols = [f"n_{c}" for c in categories]
@@ -913,15 +898,15 @@ def pivot_counts(
                 },
             }
         )
-        return group_aggregate(t, [key_col], [(c, "sum") for c in cols])
+        return t
 
-    agg = (
-        ds.select_columns([key_col, pivot_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(*[Sum(c, alias_name=c) for c in cols])
+    return grouped_aggregate(
+        ds.select_columns([key_col, pivot_col]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        key_col,
+        {c: ("sum", c) for c in cols},
     )
-    return agg
 
 
 def pivot_sums(
@@ -933,10 +918,9 @@ def pivot_sums(
 ) -> ray.data.Dataset:
     """PIVOT with a SUM measure: one row per key, one exact-cent sum
     column per category (conditional aggregation over a double measure
-    — the revenue-by-channel matrix). Same combiner shape as
-    :func:`pivot_counts`: each block collapses to ≤1 row per key, ONE
-    keys-sized aggregate sums the partials; values quantize half-up to
-    cents so the oracle is rounding-proof."""
+    — the revenue-by-channel matrix). Same shape as
+    :func:`pivot_counts`; values quantize half-up to cents so the
+    oracle is rounding-proof."""
     if not categories:
         raise ValueError("categories must be non-empty")
     cols = [f"sum_{c}_cents" for c in categories]
@@ -953,13 +937,14 @@ def pivot_sums(
                 },
             }
         )
-        return group_aggregate(t, [key_col], [(c, "sum") for c in cols])
+        return t
 
-    return (
-        ds.select_columns([key_col, pivot_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(key_col)
-        .aggregate(*[Sum(c, alias_name=c) for c in cols])
+    return grouped_aggregate(
+        ds.select_columns([key_col, pivot_col, value_col]).map_batches(
+            partial, batch_format="pyarrow"
+        ),
+        key_col,
+        {c: ("sum", c) for c in cols},
     )
 
 
@@ -975,50 +960,55 @@ def grouped_rollup(
     shape of mixture dashboards ('tokens per lang, per lang×band, and
     overall' in one result).
 
-    One pass: each batch emits combiner partials for all levels at once
-    (≤ levels × distinct-group rows per block), then ONE groupby over
-    the level-tagged composite key sums them — the input never shuffles
-    and never crosses the wire twice. Group columns must be strings
-    that never equal ``all_label``."""
+    One pass: each batch expands into every level at once (rolled-up
+    columns set to ``all_label``), then ONE ``grouped_aggregate`` over
+    the level-tagged composite key sums them — the input never
+    shuffles. Group columns must be strings that never equal
+    ``all_label``."""
     if not group_cols:
         raise ValueError("group_cols must be non-empty")
-    levels = len(group_cols) + 1
-    sum_name = f"sum_{sum_col}"
+    sets = [group_cols[:lvl] for lvl in range(len(group_cols), -1, -1)]
+    return _grouping_sets(ds, group_cols, sum_col, all_label, sets)
 
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {c: batch.column(c).to_numpy(zero_copy_only=False) for c in group_cols}
+
+def _grouping_sets(
+    ds: ray.data.Dataset,
+    group_cols: list[str],
+    sum_col: str,
+    all_label: str,
+    sets: list[list[str]],
+) -> ray.data.Dataset:
+    """Row count and integer sum of ``sum_col`` per group of every
+    grouping set in ``sets``; a column outside a set reads
+    ``all_label``. Each batch is summed per group as it is expanded, so
+    no block ever holds the ``len(sets)`` copies of its rows."""
+
+    def expand(batch: pa.Table) -> pa.Table:
+        label = pa.array([all_label] * len(batch), pa.string())
+        s = pa.array(batch.column(sum_col).to_numpy().astype(np.int64))
+        t = pa.concat_tables(
+            pa.table(
+                {
+                    **{
+                        c: pc.cast(batch[c], pa.string()) if c in keys else label
+                        for c in group_cols
+                    },
+                    "__s": s,
+                }
+            )
+            for keys in sets
         )
-        df["__n"] = np.int64(1)
-        df["__s"] = batch.column(sum_col).to_numpy().astype(np.int64)
-        outs = []
-        for lvl in range(levels - 1, -1, -1):
-            keys = group_cols[:lvl]
-            if keys:
-                g = df.groupby(keys, sort=False)[["__n", "__s"]].sum().reset_index()
-            else:
-                g = pd.DataFrame(
-                    {"__n": [df["__n"].sum()], "__s": [df["__s"].sum()]}
-                )
-            for c in group_cols[lvl:]:
-                g[c] = all_label
-            outs.append(g[group_cols + ["__n", "__s"]])
-        allg = pd.concat(outs, ignore_index=True)
-        return pa.table(
-            {
-                **{c: pa.array(allg[c].astype(str), pa.string()) for c in group_cols},
-                "__n": pa.array(allg["__n"].to_numpy().astype(np.int64)),
-                "__s": pa.array(allg["__s"].to_numpy().astype(np.int64)),
-            }
+        return group_aggregate(
+            t, group_cols, [([], "count_all"), ("__s", "sum")], ["n_rows", "__s"]
         )
 
-    agg = (
-        ds.select_columns([*group_cols, sum_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_cols)
-        .aggregate(Sum("__n", alias_name="n_rows"), Sum("__s", alias_name=sum_name))
+    return grouped_aggregate(
+        ds.select_columns([*group_cols, sum_col]).map_batches(
+            expand, batch_format="pyarrow"
+        ),
+        group_cols,
+        {"n_rows": ("sum", "n_rows"), f"sum_{sum_col}": ("sum", "__s")},
     )
-    return agg
 
 
 def grouped_cube(
@@ -1032,51 +1022,18 @@ def grouped_cube(
     superset of :func:`grouped_rollup`'s prefix levels), rolled-up
     columns filled with ``all_label``.
 
-    Same one-pass shape as the rollup: each batch emits combiner
-    partials for all 2^k subsets at once (≤ 2^k × distinct-group rows
-    per block), then ONE groupby over the level-tagged composite key
-    sums them. k is expected tiny (2-3 dimension columns); the input
-    never shuffles. Group columns must be strings never equal to
-    ``all_label``."""
+    Same one-pass shape as the rollup over all 2^k subsets. k is
+    expected tiny (2-3 dimension columns); the input never shuffles.
+    Group columns must be strings never equal to ``all_label``."""
     if not group_cols:
         raise ValueError("group_cols must be non-empty")
     if len(group_cols) > 4:
         raise ValueError("cube over >4 columns explodes 2^k partials")
-    sum_name = f"sum_{sum_col}"
-    masks = range(2 ** len(group_cols))
-
-    def partial(batch: pa.Table) -> pa.Table:
-        df = pd.DataFrame(
-            {c: batch.column(c).to_numpy(zero_copy_only=False) for c in group_cols}
-        )
-        df["__n"] = np.int64(1)
-        df["__s"] = batch.column(sum_col).to_numpy().astype(np.int64)
-        outs = []
-        for mask in masks:
-            keys = [c for i, c in enumerate(group_cols) if mask >> i & 1]
-            if keys:
-                g = df.groupby(keys, sort=False)[["__n", "__s"]].sum().reset_index()
-            else:
-                g = pd.DataFrame({"__n": [df["__n"].sum()], "__s": [df["__s"].sum()]})
-            for c in group_cols:
-                if c not in keys:
-                    g[c] = all_label
-            outs.append(g[group_cols + ["__n", "__s"]])
-        allg = pd.concat(outs, ignore_index=True)
-        return pa.table(
-            {
-                **{c: pa.array(allg[c].astype(str), pa.string()) for c in group_cols},
-                "__n": pa.array(allg["__n"].to_numpy().astype(np.int64)),
-                "__s": pa.array(allg["__s"].to_numpy().astype(np.int64)),
-            }
-        )
-
-    return (
-        ds.select_columns([*group_cols, sum_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_cols)
-        .aggregate(Sum("__n", alias_name="n_rows"), Sum("__s", alias_name=sum_name))
-    )
+    sets = [
+        [c for i, c in enumerate(group_cols) if mask >> i & 1]
+        for mask in range(2 ** len(group_cols))
+    ]
+    return _grouping_sets(ds, group_cols, sum_col, all_label, sets)
 
 
 def grouped_mode(
@@ -1088,23 +1045,10 @@ def grouped_mode(
     each ``key_col`` (ties broken by lexicographically smallest value —
     total, engine-portable order), with its count ``n``.
 
-    Combiner shape: per-batch (key, value) count partials (one Arrow
-    group_by per block), ONE groupby sum over the ≤ keys×values partial
-    rows, then the local-prune top-k selector picks the argmax — the
-    raw stream never shuffles."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        t = batch.select([key_col, value_col]).append_column(
-            "n", pa.array(np.ones(len(batch), dtype=np.int64))
-        )
-        return group_aggregate(t, [key_col, value_col], [("n", "sum")])
-
-    counts = (
-        ds.select_columns([key_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby([key_col, value_col])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    Combiner shape: ONE (key, value) ``grouped_aggregate`` count
+    (each block pre-counted in its split task), then the local-prune
+    top-k selector picks the argmax — the raw stream never shuffles."""
+    counts = grouped_aggregate(ds, [key_col, value_col], {"n": ("count", None)})
     top = topk_per_group_by(counts, key_col, ["n", value_col], [False, True], 1)
     return top.select_columns([key_col, value_col, "n"])
 
@@ -1199,8 +1143,6 @@ def rank_dense_per_group(
         out = tbl.take(pa.array(order))
         out = out.append_column("rnk", pa.array(rnk, pa.int64()))
         return out.append_column("drnk", pa.array(drnk, pa.int64()))
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
 
     return hash_exchange(ds, group_col, num_partitions, rank_partition, empty)
 

@@ -10,7 +10,7 @@ directories are copies* (Merkle-style dir fingerprints). All three ride
 the engine's shuffle doctrine: slim rows only (sha hex + short
 strings — content never enters these stages), ONE hash exchange
 co-locates each key, per-partition kernels are vectorized numpy/pandas
-passes, and cross-partition finishes are combiner-partial groupbys.
+passes, and cross-partition finishes are grouped aggregates.
 """
 
 from __future__ import annotations
@@ -23,9 +23,9 @@ import pyarrow as pa
 import pyarrow.compute as pc
 
 import ray.data
-from ray.data.aggregate import Sum
 
-from duplicate_finder_ray.stages.exchange import hash_exchange
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
+from duplicate_finder_ray.stages.util import group_aggregate
 
 
 def _codes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -58,7 +58,7 @@ def repo_overlap_pairs(
     Shape: slim (sha256, repo) rows cross ONE sha-keyed exchange; each
     partition dedupes (sha, repo), emits within-group pairs with a fully
     vectorized predecessor expansion (no Python loop over groups), and
-    partial-counts pairs before the final slim groupby-sum. Hot vendored
+    partial-counts pairs before the final slim grouped sum. Hot vendored
     content (a sha present in more repos than ``max_repos_per_content``)
     is capped at the lexicographically-first repos so one
     everywhere-vendored file cannot emit O(repos²) pairs; the cap is
@@ -121,10 +121,7 @@ def repo_overlap_pairs(
     partials = hash_exchange(
         slim, "sha256", num_partitions, emit_pairs, out_schema.empty_table()
     )
-    return (
-        partials.groupby(["repo_a", "repo_b"])
-        .aggregate(Sum("n", alias_name="n_shared"))
-    )
+    return grouped_aggregate(partials, ["repo_a", "repo_b"], {"n_shared": ("sum", "n")})
 
 
 def vendored_content(
@@ -410,7 +407,7 @@ def dup_rate_by_size(
 
     Shape: slim (sha256, size) rows, ONE sha-keyed exchange (group
     membership is global per sha), per-partition bucket partials, tiny
-    groupby-sum, ppm computed map-side on the handful of buckets."""
+    grouped sum, ppm computed map-side on the handful of buckets."""
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
     slim = files.select_columns(["sha256", "size"])
@@ -452,9 +449,10 @@ def dup_rate_by_size(
     partials = hash_exchange(
         slim, "sha256", num_partitions, bucket_partials, part_schema.empty_table()
     )
-    totals = partials.groupby("size_digits").aggregate(
-        Sum("n_files", alias_name="n_files"),
-        Sum("n_dup_files", alias_name="n_dup_files"),
+    totals = grouped_aggregate(
+        partials,
+        "size_digits",
+        {"n_files": ("sum", "n_files"), "n_dup_files": ("sum", "n_dup_files")},
     )
 
     def ppm(batch: pa.Table) -> pa.Table:
@@ -520,26 +518,16 @@ def dir_rollup(
 
     Shape: ancestor prefixes are emitted map-side with D C-level
     ``rpartition`` passes (D = max path depth, a small constant) and
-    pre-aggregated per batch, so the single (repo, dir)-keyed
-    groupby-sum only carries directory-vocabulary rows — never one row
+    summed per (repo, dir) in the same batch, so the stored blocks and
+    the shuffle only carry directory-vocabulary rows — never one row
     per file × depth."""
-    part_schema = pa.schema(
-        [
-            ("repo", pa.string()),
-            ("dir", pa.string()),
-            ("n_files", pa.int64()),
-            ("total_bytes", pa.int64()),
-        ]
-    )
 
-    def prefix_partials(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return part_schema.empty_table()
+    def ancestors(batch: pa.Table) -> pa.Table:
         # ancestor emission: D RE2 passes strip one trailing component
         # each round (C++ kernels — no per-row Python string work)
         repo = pa.chunked_array([batch.column("repo")]).combine_chunks()
         cur = pa.chunked_array([batch.column("path")]).combine_chunks()
-        size = pa.chunked_array([batch.column("size")]).combine_chunks()
+        size = pc.cast(batch.column("size"), pa.int64())
         frames = []
         while True:
             mask = pc.match_substring_regex(cur, "/")
@@ -551,40 +539,22 @@ def dir_rollup(
             cur = pc.replace_substring_regex(
                 cur, pattern="/[^/]*$", replacement=""
             )
-            frames.append(
-                pd.DataFrame(
-                    {
-                        "repo": repo.to_pandas(),
-                        "dir": cur.to_pandas(),
-                        "size": size.to_numpy(zero_copy_only=False).astype(
-                            np.int64
-                        ),
-                    }
-                )
-            )
+            frames.append(pa.table({"repo": repo, "dir": cur, "size": size}))
         if not frames:
-            return part_schema.empty_table()
-        rows = pd.concat(frames, ignore_index=True)
-        agg = (
-            rows.groupby(["repo", "dir"], sort=False)
-            .agg(n_files=("size", "size"), total_bytes=("size", "sum"))
-            .reset_index()
-        )
-        return pa.table(
-            {
-                "repo": pa.array(agg["repo"], pa.string()),
-                "dir": pa.array(agg["dir"], pa.string()),
-                "n_files": pa.array(agg["n_files"].to_numpy(np.int64)),
-                "total_bytes": pa.array(agg["total_bytes"].to_numpy(np.int64)),
-            }
+            frames = [pa.table({"repo": repo, "dir": cur, "size": size}).slice(0, 0)]
+        return group_aggregate(
+            pa.concat_tables(frames),
+            ["repo", "dir"],
+            [([], "count_all"), ("size", "sum")],
+            ["n_files", "total_bytes"],
         )
 
-    partials = files.select_columns(["repo", "path", "size"]).map_batches(
-        prefix_partials, batch_format="pyarrow"
-    )
-    return partials.groupby(["repo", "dir"]).aggregate(
-        Sum("n_files", alias_name="n_files"),
-        Sum("total_bytes", alias_name="total_bytes"),
+    return grouped_aggregate(
+        files.select_columns(["repo", "path", "size"]).map_batches(
+            ancestors, batch_format="pyarrow"
+        ),
+        ["repo", "dir"],
+        {"n_files": ("sum", "n_files"), "total_bytes": ("sum", "total_bytes")},
     )
 
 
@@ -598,8 +568,8 @@ def repo_size_gini(files: ray.data.Dataset) -> ray.data.Dataset:
     it bit-for-bit (DuckDB sums in HUGEINT; the engine reduces in
     Python ints, both overflow-free).
 
-    Shape: per-batch (repo, bytes) partials, one repo-keyed
-    groupby-sum (dimension-sized), ONE tiny remote task for the rank
+    Shape: one repo-keyed grouped sum (dimension-sized, each block
+    pre-summed in its split task), ONE tiny remote task for the rank
     arithmetic — file rows never co-locate."""
     out_schema = pa.schema(
         [
@@ -609,28 +579,8 @@ def repo_size_gini(files: ray.data.Dataset) -> ray.data.Dataset:
         ]
     )
 
-    def byte_partials(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return pa.schema(
-                [("repo", pa.string()), ("bytes", pa.int64())]
-            ).empty_table()
-        g = (
-            pa.table({"repo": batch.column("repo"), "bytes": batch.column("size")})
-            .group_by("repo")
-            .aggregate([("bytes", "sum")])
-        )
-        return pa.table(
-            {
-                "repo": g.column("repo"),
-                "bytes": g.column("bytes_sum").cast(pa.int64()),
-            }
-        )
-
-    totals = (
-        files.select_columns(["repo", "size"])
-        .map_batches(byte_partials, batch_format="pyarrow")
-        .groupby("repo")
-        .aggregate(Sum("bytes", alias_name="bytes"))
+    totals = grouped_aggregate(
+        files.select_columns(["repo", "size"]), "repo", {"bytes": ("sum", "size")}
     )
 
     import ray as _ray

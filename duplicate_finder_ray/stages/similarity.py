@@ -12,7 +12,7 @@ Scale shapes:
   the object store (never re-shipped per batch). Each batch computes a
   vectorized float64 matmul and emits only its LOCAL top-k per query
   (Q×k rows per batch), so the final per-query reduce sees
-  O(num_batches × k) rows — a tiny groupby, never the full score
+  O(num_batches × k) rows — a tiny grouped merge, never the full score
   matrix.
 * ``cosine_pairs`` — brute-force baseline: the normalized corpus matrix
   is built in ONE REMOTE TASK from materialized block refs (the driver
@@ -49,11 +49,12 @@ import ray.data
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.stages.exchange import (
     default_partitions,
+    grouped_aggregate,
     hash_exchange,
     split_wave,
 )
 from duplicate_finder_ray.stages.neardup import bucket_pairs_arrays
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.util import group_aggregate, group_rows
 
 PAIRS_SCHEMA = pa.schema(
     [("a", pa.int64()), ("b", pa.int64()), ("score", pa.float64())]
@@ -328,7 +329,7 @@ def ivf_topk_neighbors(
        no query probes — with ``nprobe ≪ n_centroids`` most of the
        corpus never enters the shuffle. Each surviving vector moves
        exactly once (contrast: LSH ships each id ×n_tables).
-    3. *Score*: ``groupby(cell).map_groups`` computes the cell-local
+    3. *Score*: one cell-keyed ``hash_exchange`` computes the cell-local
        top-k per probing query (float64 matmul against the broadcast
        query matrix), then a tiny per-query reduce merges cell-local
        winners — per-group top-k is an associative merge, so the reduce
@@ -420,10 +421,16 @@ def ivf_topk_neighbors(
             )
         return pa.concat_tables(out) if out else _HITS_SCHEMA.empty_table()
 
-    local = (
-        slim.map_batches(assign, batch_format="pyarrow")
-        .groupby("cell")
-        .map_groups(score_cell, batch_format="pyarrow")
+    def score_cells(_: int, part: pa.Table) -> pa.Table:
+        _, rows = group_rows(part.column("cell"))
+        return pa.concat_tables([score_cell(part.take(r)) for r in rows])
+
+    local = hash_exchange(
+        slim.map_batches(assign, batch_format="pyarrow"),
+        "cell",
+        None,
+        score_cells,
+        _HITS_SCHEMA.empty_table(),
     )
     return _global_topk(local, k)
 
@@ -738,8 +745,6 @@ def cosine_threshold_sweep(
     calibration curve that error is noise around the τ decision.
     Output schema is identical in both regimes:
     (threshold_ppm, n_pairs)."""
-    from ray.data.aggregate import Sum
-
     n = emb_ds.count()
     scale_sq = 1.0
     src = emb_ds
@@ -787,10 +792,10 @@ def cosine_threshold_sweep(
             }
         )
 
-    agg = (
-        pairs.map_batches(partial, batch_format="pyarrow")
-        .groupby("threshold_ppm")
-        .aggregate(Sum("n", alias_name="n_raw"))
+    agg = grouped_aggregate(
+        pairs.map_batches(partial, batch_format="pyarrow"),
+        "threshold_ppm",
+        {"n_raw": ("sum", "n")},
     )
 
     def finish(batch: pa.Table) -> pa.Table:

@@ -6,7 +6,7 @@ outlier for its language?") and correlates features ("does char length
 track token count per language?") over corpora far too large for any
 single task to hold a group. Both operators here reduce the corpus to
 EXACT int64 moment sums inside ``map_batches`` (one ≤groups-sized row
-set per block), run ONE tiny groupby over the partials, and finalize
+set per block), merge the partials in ONE grouped aggregate, and finalize
 with a fixed IEEE-754 double op sequence — so the DuckDB oracle, fed
 the same integer sums through the same expression, reproduces every
 output bit-for-bit (no tolerance window in the hash gate).
@@ -31,9 +31,7 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
-from ray.data.aggregate import Sum
-
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.exchange import grouped_aggregate
 
 #: half-up micro-unit rounding shared with the SQL twins:
 #: CAST(floor(x * 1000000 + 0.5) AS BIGINT)
@@ -52,26 +50,24 @@ def moment_partials(
 ) -> ray.data.Dataset:
     """Per-group exact int64 moment sums: n, Σx, Σx² (and with
     ``y_col``: Σy, Σy², Σxy). Per-batch Arrow group_by collapses each
-    block to ≤1 row per group; ONE groupby sums the partials. Values
-    must be integers (cast lengths/counts/cents upstream) so every sum
-    is exact and engine-portable."""
-    sums = ["n", "sx", "sxx"] + (["sy", "syy", "sxy"] if y_col else [])
+    block to ≤1 row per group; ONE ``grouped_aggregate`` sums them.
+    Values must be integers (cast lengths/counts/cents upstream) so
+    every sum is exact and engine-portable."""
+    sums = ["sx", "sxx"] + (["sy", "syy", "sxy"] if y_col else [])
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def terms(batch: pa.Table) -> pa.Table:
         x = batch.column(x_col).to_numpy().astype(np.int64)
-        cols = {"n": np.ones(len(x), dtype=np.int64), "sx": x, "sxx": x * x}
+        cols = {"sx": x, "sxx": x * x}
         if y_col is not None:
             y = batch.column(y_col).to_numpy().astype(np.int64)
             cols.update(sy=y, syy=y * y, sxy=x * y)
-        t = pa.table({group_col: batch.column(group_col), **cols})
-        return group_aggregate(t, [group_col], [(c, "sum") for c in sums])
+        return pa.table({group_col: batch.column(group_col), **cols})
 
     cols = [group_col, x_col] + ([y_col] if y_col else [])
-    return (
-        ds.select_columns(cols)
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(*[Sum(c, alias_name=c) for c in sums])
+    return grouped_aggregate(
+        ds.select_columns(cols).map_batches(terms, batch_format="pyarrow"),
+        group_col,
+        {"n": ("count", None), **{c: ("sum", c) for c in sums}},
     )
 
 
@@ -183,7 +179,7 @@ def grouped_vector_mean(
     (floor(x·10⁶ + 0.5) — float32→float64 is exact, so both engines
     quantize identically) and scatter-adds per group: the shuffle
     carries groups × d int rows per block, never the vectors. One
-    groupby sums the partials; the finisher divides with
+    group-keyed exchange sums the partials; the finisher divides with
     truncation-toward-zero to mirror SQL's integer ``//``."""
 
     from duplicate_finder_ray.stages.exchange import hash_exchange
@@ -293,38 +289,29 @@ def value_histogram(
     Each value quantizes to half-up micro-units (exactly as the SQL
     twin: ``CAST(floor(v * 1e6 + 0.5) AS BIGINT)``) and bins by
     truncating division, so the whole operator is integer-exact and
-    hash-gateable. Per-batch pandas groupby collapses every block to
-    ≤ (groups × occupied bins) count partials; ONE tiny groupby sums
-    them. Empty bins emit no row (sparse histogram — at corpus scale a
-    dense bin range per group is the wrong default)."""
+    hash-gateable. ONE ``grouped_aggregate`` counts the (group, bin)
+    rows, each block pre-counted in its split task. Empty bins emit no
+    row (sparse histogram — at corpus scale a dense bin range per group
+    is the wrong default)."""
     if bin_width_micro <= 0:
         raise ValueError("bin_width_micro must be positive")
 
-    def partial(batch: pa.Table) -> pa.Table:
-        g = batch.column(group_col).to_numpy(zero_copy_only=False)
+    def binned(batch: pa.Table) -> pa.Table:
         v = batch.column(value_col).to_numpy().astype(np.float64)
         b = _trunc_div(_micro_i64(v), bin_width_micro)
-        out = (
-            pd.DataFrame({group_col: g, "bin_lo_micro": b * bin_width_micro})
-            .groupby([group_col, "bin_lo_micro"], sort=False)
-            .size()
-            .reset_index(name="n")
-        )
         return pa.table(
             {
-                group_col: pa.array(out[group_col]),
-                "bin_lo_micro": pa.array(
-                    out["bin_lo_micro"].to_numpy(), pa.int64()
-                ),
-                "n": pa.array(out["n"].to_numpy(), pa.int64()),
+                group_col: batch.column(group_col),
+                "bin_lo_micro": pa.array(b * bin_width_micro, pa.int64()),
             }
         )
 
-    return (
-        ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby([group_col, "bin_lo_micro"])
-        .aggregate(Sum("n", alias_name="n"))
+    return grouped_aggregate(
+        ds.select_columns([group_col, value_col]).map_batches(
+            binned, batch_format="pyarrow"
+        ),
+        [group_col, "bin_lo_micro"],
+        {"n": ("count", None)},
     )
 
 
@@ -343,20 +330,18 @@ def minmax_scale(
     Two passes: per-batch min/max partials → ONE groups-sized
     aggregate broadcast via ``ray.put`` → one vectorized scaling pass.
     The corpus crosses no shuffle; only the tiny stats table does."""
-    from ray.data.aggregate import Max, Min
-
     from duplicate_finder_ray.stages.relational import collect_small_side
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def as_int(batch: pa.Table) -> pa.Table:
         x = batch.column(value_col).to_numpy().astype(np.int64)
-        t = pa.table({group_col: batch.column(group_col), "mn": x, "mx": x})
-        return group_aggregate(t, [group_col], [("mn", "min"), ("mx", "max")])
+        return pa.table({group_col: batch.column(group_col), "x": x})
 
-    stats = (
-        ds.select_columns([group_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(group_col)
-        .aggregate(Min("mn", alias_name="mn"), Max("mx", alias_name="mx"))
+    stats = grouped_aggregate(
+        ds.select_columns([group_col, value_col]).map_batches(
+            as_int, batch_format="pyarrow"
+        ),
+        group_col,
+        {"mn": ("min", "x"), "mx": ("max", "x")},
     )
     stats_ref = collect_small_side(stats, [group_col, "mn", "mx"])
 
@@ -494,7 +479,7 @@ def welch_t(
     same CASE in SQL.
 
     Scale shape: all heavy lifting is moment_partials' (≤ 2 partial
-    rows per block, one tiny 2-row groupby); the groups-sized stats
+    rows per block, one tiny 2-row grouped sum); the groups-sized stats
     table is collected and the expression evaluated once."""
     rows = moment_partials(ds, group_col, x_col).take_all()
     stats = {r[group_col]: r for r in rows}
@@ -552,39 +537,28 @@ def psi_drift(
     row: (n_a, n_b, n_buckets, psi_nano).
 
     Scale shape: per-batch (slice, bucket) count partials (buckets
-    compress by construction), one tiny groupby-sum, one finisher task
+    compress by construction), one grouped count, one finisher task
     over the buckets-cardinality table."""
     if bucket_width <= 0:
         raise ValueError("bucket_width must be positive")
 
-    part_schema = pa.schema(
-        [("slice", pa.string()), ("bucket", pa.int64()), ("n", pa.int64())]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def bucketed(batch: pa.Table) -> pa.Table:
         s = batch.column(slice_col).to_numpy(zero_copy_only=False).astype(object)
         keep = (s == slice_a) | (s == slice_b)
-        if not keep.any():
-            return part_schema.empty_table()
         v = batch.column(value_col).to_numpy().astype(np.int64)[keep]
-        s = s[keep]
-        bucket = v // np.int64(bucket_width)
-        df = pd.DataFrame({"slice": s.astype(str), "bucket": bucket, "n": np.int64(1)})
-        out = df.groupby(["slice", "bucket"], sort=False)["n"].sum().reset_index()
         return pa.table(
             {
-                "slice": pa.array(out["slice"], pa.string()),
-                "bucket": pa.array(out["bucket"].to_numpy(np.int64), pa.int64()),
-                "n": pa.array(out["n"].to_numpy(np.int64), pa.int64()),
+                "slice": pa.array(s[keep].astype(str), pa.string()),
+                "bucket": pa.array(v // np.int64(bucket_width), pa.int64()),
             }
         )
 
-    counts = (
-        ds.select_columns([slice_col, value_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["slice", "bucket"])
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()  # buckets-cardinality tiny
+    counts = grouped_aggregate(  # buckets-cardinality tiny
+        ds.select_columns([slice_col, value_col]).map_batches(
+            bucketed, batch_format="pyarrow"
+        ),
+        ["slice", "bucket"],
+        {"n": ("count", None)},
     )
     out_schema = pa.schema(
         [
@@ -649,37 +623,25 @@ def chi2_contingency(
     Output one row: (n, n_rows, n_cols, dof, chi2_nano).
 
     Scale shape: per-batch (row, col) count partials (category pairs
-    compress by construction), one tiny groupby-sum, one finisher task
+    compress by construction), one grouped count, one finisher task
     over the categories-cardinality table."""
-    part_schema = pa.schema(
-        [("r", pa.string()), ("c", pa.string()), ("n", pa.int64())]
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if len(batch) == 0:
-            return part_schema.empty_table()
-        df = pd.DataFrame(
-            {
-                "r": batch.column(row_col).to_numpy(zero_copy_only=False).astype(str),
-                "c": batch.column(col_col).to_numpy(zero_copy_only=False).astype(str),
-                "n": np.int64(1),
-            }
-        )
-        out = df.groupby(["r", "c"], sort=False)["n"].sum().reset_index()
+    def labels(batch: pa.Table) -> pa.Table:
         return pa.table(
             {
-                "r": pa.array(out["r"], pa.string()),
-                "c": pa.array(out["c"], pa.string()),
-                "n": pa.array(out["n"].to_numpy(np.int64), pa.int64()),
+                k: pa.array(
+                    batch.column(c).to_numpy(zero_copy_only=False).astype(str),
+                    pa.string(),
+                )
+                for k, c in (("r", row_col), ("c", col_col))
             }
         )
 
-    counts = (
-        ds.select_columns([row_col, col_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["r", "c"])
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()  # categories-cardinality tiny
+    counts = grouped_aggregate(  # categories-cardinality tiny
+        ds.select_columns([row_col, col_col]).map_batches(
+            labels, batch_format="pyarrow"
+        ),
+        ["r", "c"],
+        {"n": ("count", None)},
     )
     out_schema = pa.schema(
         [

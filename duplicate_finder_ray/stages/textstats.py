@@ -25,7 +25,8 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from duplicate_finder_ray.functions.hashing import stable_hash_array
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
+from duplicate_finder_ray.stages.util import group_aggregate, group_rows, rename_cols
 
 # -- quality scoring ---------------------------------------------------
 
@@ -245,74 +246,43 @@ def token_counts(batch: pa.Table, text_col: str = "text") -> pa.Table:
 TOKEN_SPLIT_REGEX = r"[^A-Za-z0-9_]+"
 
 
-def _token_partials(
+def _token_counts(
     ds: ray.data.Dataset, text_col: str, group_col: str | None
 ) -> ray.data.Dataset:
-    """Per-batch token-count partials: one (token[, group], n) row per
-    distinct token per batch — the combiner that keeps the global
-    token shuffle at vocabulary size × blocks, never corpus token
-    count. Tokenization is vectorized Arrow (split on the non-token
-    class + drop empties)."""
-
-    def partial(batch: pa.Table) -> pa.Table:
-        toks = pc.split_pattern_regex(batch[text_col], TOKEN_SPLIT_REGEX)
-        flat = pc.list_flatten(toks)
-        if group_col is not None:
-            reps = pc.list_value_length(toks).to_numpy().astype(np.int64)
-            grp = np.repeat(
-                batch[group_col].to_numpy(zero_copy_only=False), reps
-            )
-        nonempty = pc.not_equal(flat, "")
-        flat = flat.filter(nonempty)
-        if group_col is not None:
-            grp = grp[nonempty.to_numpy(zero_copy_only=False)]
-        if group_col is None:
-            vals, counts = np.unique(
-                flat.to_numpy(zero_copy_only=False), return_counts=True
-            )
-            return pa.table(
-                {
-                    "token": pa.array(vals, pa.string()),
-                    "n": pa.array(counts, pa.int64()),
-                }
-            )
-        key = pd.DataFrame(
-            {"g": grp, "t": flat.to_numpy(zero_copy_only=False)}
-        )
-        agg = key.groupby(["g", "t"], sort=False).size().reset_index(name="n")
-        # preserve the group column's arrow type (string langs,
-        # int64 time windows, ...)
-        gtype = batch.schema.field(group_col).type
-        garr = pa.array(agg["g"])
-        if garr.type != gtype:
-            garr = garr.cast(gtype)
-        return pa.table(
-            {
-                group_col: garr,
-                "token": pa.array(agg["t"], pa.string()),
-                "n": pa.array(agg["n"].to_numpy(), pa.int64()),
-            }
-        )
-
+    """Occurrences of each token (per group): ``([group,] token, n)``.
+    Tokenization is vectorized Arrow (split on the non-token class +
+    drop empties); each batch is counted where it is tokenized, so its
+    output block and the token shuffle hold vocabulary size × blocks
+    rows, never the corpus token count."""
     cols = [text_col] if group_col is None else [text_col, group_col]
-    return ds.select_columns(cols).map_batches(partial, batch_format="pyarrow")
+    keys = ["token"] if group_col is None else [group_col, "token"]
+
+    def tokens(batch: pa.Table) -> pa.Table:
+        toks = pc.split_pattern_regex(batch[text_col], TOKEN_SPLIT_REGEX)
+        cols = {"token": pc.list_flatten(toks)}
+        if group_col is not None:
+            rows = pc.list_parent_indices(toks)
+            cols = {group_col: batch[group_col].take(rows), **cols}
+        t = pa.table(cols)
+        t = t.filter(pc.not_equal(t["token"], ""))
+        return group_aggregate(t, keys, [([], "count_all")], ["n"])
+
+    return grouped_aggregate(
+        ds.select_columns(cols).map_batches(tokens, batch_format="pyarrow"),
+        keys,
+        {"n": ("sum", "n")},
+    )
 
 
 def top_tokens(ds: ray.data.Dataset, text_col: str, k: int) -> ray.data.Dataset:
     """Exact global top-k most frequent tokens (ties by token asc),
-    with a 1-based rank. Shape: per-batch count partials → one
-    groupby-sum keyed by token → per-block local top-k → tiny final
-    selection. The full vocabulary crosses the shuffle once as
-    (token, n) partials; only k rows reach the final task."""
-    from ray.data.aggregate import Sum
-
+    with a 1-based rank. Shape: one token-keyed grouped count →
+    per-block local top-k → tiny final selection. The full vocabulary
+    crosses the shuffle once as (token, n) partials; only k rows reach
+    the final task."""
     from duplicate_finder_ray.stages.relational import topk_per_group
 
-    totals = (
-        _token_partials(ds, text_col, None)
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = _token_counts(ds, text_col, None)
 
     def tag(batch: pa.Table) -> pa.Table:
         return batch.append_column(
@@ -334,14 +304,11 @@ def trending_tokens(
 ) -> ray.data.Dataset:
     """Top-k tokens per tumbling time window (ties by token asc) —
     trending terms over an event/payload stream, the monitoring twin of
-    :func:`top_tokens`. Shape: derive the window map-side, reuse the
-    per-batch (window, token, n) count combiner, ONE
-    (windows × vocabulary)-sized groupby-sum, then the local-top-k
+    :func:`top_tokens`. Shape: derive the window map-side, ONE
+    (windows × vocabulary)-sized grouped count, then the local-top-k
     selector per window — corpus token positions never shuffle."""
     if window_us <= 0 or k <= 0:
         raise ValueError("window_us and k must be positive")
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.relational import topk_per_group
 
     W = window_us
@@ -357,11 +324,7 @@ def trending_tokens(
     wds = ds.select_columns([ts_col, text_col]).map_batches(
         add_window, batch_format="pyarrow"
     )
-    totals = (
-        _token_partials(wds, text_col, "window_start_us")
-        .groupby(["window_start_us", "token"])
-        .aggregate(Sum("n", alias_name="n"))
-    )
+    totals = _token_counts(wds, text_col, "window_start_us")
     top = topk_per_group(totals, "window_start_us", "n", "token", k)
     return top.select_columns(["window_start_us", "token", "n", "rank"])
 
@@ -369,20 +332,12 @@ def trending_tokens(
 def distinct_token_counts(
     ds: ray.data.Dataset, text_col: str, group_col: str
 ) -> ray.data.Dataset:
-    """Exact distinct-token count per group: per-batch (group, token)
-    dedupe partials → groupby(group, token) → count rows per group.
-    The widest shuffle is vocabulary × groups, not corpus tokens."""
-    from ray.data.aggregate import Count
-
-    per_token = (
-        _token_partials(ds, text_col, group_col)
-        .groupby([group_col, "token"])
-        .aggregate(Count(alias_name="_dup"))
-    )
-    return (
-        per_token.select_columns([group_col])
-        .groupby(group_col)
-        .aggregate(Count(alias_name="n_distinct_tokens"))
+    """Exact distinct-token count per group: one (group, token) grouped
+    count, then one group-keyed count of its rows. The widest shuffle
+    is vocabulary × groups, not corpus tokens."""
+    per_token = _token_counts(ds, text_col, group_col)
+    return grouped_aggregate(
+        per_token, group_col, {"n_distinct_tokens": ("count", None)}
     )
 
 
@@ -616,9 +571,9 @@ def quality_prune(
     filter pass. The corpus itself is scored twice but never shuffled.
     Output: (doc_id, lang, quality_score) of the surviving rows.
 
-    ``use_sketch=False`` (the oracle): exact per-group quantile via
-    groupby.map_groups — one task holds a whole group's scores, fine
-    while rows-per-group fits a worker. ``use_sketch=True`` (the
+    ``use_sketch=False`` (the oracle): exact per-group quantile in a
+    group-keyed ``hash_exchange`` — one task holds a whole group's
+    scores, fine while rows-per-group fits a worker. ``use_sketch=True`` (the
     100-TB path): mergeable t-digest cutoffs
     (stages/sketches.py:grouped_quantiles_sketch) — bounded partials,
     no task ever holds a group's values; cutoff rank error is the
@@ -662,19 +617,15 @@ def quality_prune(
         }
     else:
 
-        def cutoff(part: pa.Table) -> pa.Table:
-            q = np.quantile(part["quality_score"].to_numpy(), frac, method="linear")
-            return pa.table(
-                {group_col: part[group_col].slice(0, 1), "cut": [float(q)]}
-            )
+        def cutoffs(_: int, part: pa.Table) -> pa.Table:
+            keys, rows = group_rows(part[group_col])
+            score = part["quality_score"].to_numpy()
+            q = [np.quantile(score[r], frac, method="linear") for r in rows]
+            return pa.table({group_col: keys, "cut": pa.array(q, pa.float64())})
 
-        cuts = {
-            r[group_col]: r["cut"]
-            for r in scored.select_columns([group_col, "quality_score"])
-            .groupby(group_col)
-            .map_groups(cutoff, batch_format="pyarrow")
-            .take_all()
-        }
+        slim = scored.select_columns([group_col, "quality_score"])
+        cut_rows = hash_exchange(slim, group_col, None, cutoffs, None)
+        cuts = {r[group_col]: r["cut"] for r in cut_rows.take_all()}
 
     # factorized cutoff probe: python touches only the DISTINCT groups
     # (dictionary_encode in Arrow C + two numpy gathers per batch) —
@@ -786,32 +737,26 @@ def token_df(ds: ray.data.Dataset, text_col: str) -> ray.data.Dataset:
     """Exact per-token DOCUMENT frequency (token, df) — the idf
     denominator of TF-IDF. Each document contributes each token ONCE: a
     document is one row and rows never split across batches, so
-    per-batch (row, token) dedupe is globally exact; the shuffle then
-    carries one (token, df) partial per distinct token per batch —
-    vocabulary × blocks, never corpus positions."""
-    from ray.data.aggregate import Sum
+    per-batch (row, token) dedupe is globally exact; each batch is then
+    counted per token, so the shuffle carries one (token, df) partial
+    per distinct token per batch — vocabulary × blocks, never corpus
+    positions."""
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def doc_tokens(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(batch[text_col], TOKEN_SPLIT_REGEX)
-        flat = pc.list_flatten(toks)
-        reps = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        row = np.repeat(np.arange(len(batch), dtype=np.int64), reps)
-        vals = flat.to_numpy(zero_copy_only=False)
-        keep = vals != ""
-        pairs = pd.DataFrame({"r": row[keep], "t": vals[keep]}).drop_duplicates()
-        toks_u, counts = np.unique(pairs["t"].to_numpy(), return_counts=True)
-        return pa.table(
-            {
-                "token": pa.array(toks_u, pa.string()),
-                "df": pa.array(counts.astype(np.int64), pa.int64()),
-            }
+        t = pa.table(
+            {"r": pc.list_parent_indices(toks), "token": pc.list_flatten(toks)}
         )
+        t = t.filter(pc.not_equal(t["token"], ""))
+        t = t.group_by(["r", "token"], use_threads=False).aggregate([])
+        return group_aggregate(t, ["token"], [([], "count_all")], ["df"])
 
-    return (
-        ds.select_columns([text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("token")
-        .aggregate(Sum("df", alias_name="df"))
+    return grouped_aggregate(
+        ds.select_columns([text_col]).map_batches(
+            doc_tokens, batch_format="pyarrow"
+        ),
+        "token",
+        {"df": ("sum", "df")},
     )
 
 
@@ -896,57 +841,27 @@ def distinctive_terms(
 def _bigram_totals(ds: ray.data.Dataset, text_col: str) -> ray.data.Dataset:
     """Global adjacent-token-pair counts (tok_a, tok_b, n).
 
-    Per-batch combiner: tokenize the whole block with one Arrow RE2
-    split, factorize the flat token array ONCE (pandas C pass), pair
-    each token with its successor, mask pairs that cross a document
-    boundary, and count pairs with an integer groupby — one
-    (tok_a, tok_b, n) partial row per distinct pair per block. The
-    shuffle then carries bigram-vocabulary × blocks partials, never
-    corpus positions."""
-    from ray.data.aggregate import Sum
+    Each block is tokenized with one Arrow RE2 split; each token pairs
+    with its successor in the same document, and the pairs are counted
+    in the same batch, so the token-pair keyed ``grouped_aggregate``
+    carries bigram-vocabulary × blocks partials, never corpus
+    positions."""
 
-    empty = pa.table(
-        {
-            "tok_a": pa.array([], pa.string()),
-            "tok_b": pa.array([], pa.string()),
-            "n": pa.array([], pa.int64()),
-        }
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
+    def pairs(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(batch[text_col], TOKEN_SPLIT_REGEX)
-        flat = pc.list_flatten(toks)
-        lens = pc.list_value_length(toks).to_numpy().astype(np.int64)
-        doc = np.repeat(np.arange(len(lens), dtype=np.int64), lens)
-        f = flat.to_numpy(zero_copy_only=False)
-        keep = f != ""
-        f, doc = f[keep], doc[keep]
-        if len(f) < 2:
-            return empty
-        codes, uniq = pd.factorize(f, sort=False)
-        adj = doc[:-1] == doc[1:]
-        a, b = codes[:-1][adj], codes[1:][adj]
-        if len(a) == 0:
-            return empty
-        cnt = (
-            pd.DataFrame({"a": a, "b": b})
-            .groupby(["a", "b"], sort=False)
-            .size()
-            .reset_index(name="n")
+        t = pa.table(
+            {"d": pc.list_parent_indices(toks), "tok": pc.list_flatten(toks)}
         )
-        return pa.table(
-            {
-                "tok_a": pa.array(uniq[cnt["a"].to_numpy()], pa.string()),
-                "tok_b": pa.array(uniq[cnt["b"].to_numpy()], pa.string()),
-                "n": pa.array(cnt["n"].to_numpy(), pa.int64()),
-            }
-        )
+        t = t.filter(pc.not_equal(t["tok"], ""))
+        d = t["d"].to_numpy()
+        adj = np.nonzero(d[:-1] == d[1:])[0]
+        t = pa.table({"tok_a": t["tok"].take(adj), "tok_b": t["tok"].take(adj + 1)})
+        return group_aggregate(t, ["tok_a", "tok_b"], [([], "count_all")], ["n"])
 
-    return (
-        ds.select_columns([text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby(["tok_a", "tok_b"])
-        .aggregate(Sum("n", alias_name="n"))
+    return grouped_aggregate(
+        ds.select_columns([text_col]).map_batches(pairs, batch_format="pyarrow"),
+        ["tok_a", "tok_b"],
+        {"n": ("sum", "n")},
     )
 
 
@@ -983,40 +898,13 @@ def token_freq_spectrum(ds: ray.data.Dataset, text_col: str) -> ray.data.Dataset
     diagnoses boilerplate floods (missing hapax mass) and tokenizer
     damage (inflated singleton mass).
 
-    Scale shape: token-count partials → one vocabulary-sized
-    groupby-sum → per-block value-counts over the counts → one tiny
-    groupby keyed by freq. The distinct-frequency key space is
-    O(√total_tokens) (Σf over distinct frequencies ≤ N), so the final
-    shuffle stays small at any corpus size."""
-    from ray.data.aggregate import Sum
-
-    totals = (
-        _token_partials(ds, text_col, None)
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-    )
-
-    def partial(batch: pa.Table) -> pa.Table:
-        if "n" not in batch.column_names:  # empty 0-col block
-            return pa.table(
-                {
-                    "freq": pa.array([], pa.int64()),
-                    "n_tokens": pa.array([], pa.int64()),
-                }
-            )
-        vc = pc.value_counts(batch["n"].combine_chunks())
-        return pa.table(
-            {
-                "freq": vc.field("values").cast(pa.int64()),
-                "n_tokens": vc.field("counts").cast(pa.int64()),
-            }
-        )
-
-    return (
-        totals.map_batches(partial, batch_format="pyarrow")
-        .groupby("freq")
-        .aggregate(Sum("n_tokens", alias_name="n_tokens"))
-    )
+    Scale shape: one vocabulary-sized grouped count of the tokens →
+    one grouped count of those counts. The distinct-frequency key space
+    is O(√total_tokens) (Σf over distinct frequencies ≤ N), so the
+    final shuffle stays small at any corpus size."""
+    totals = _token_counts(ds, text_col, None)
+    spectrum = grouped_aggregate(totals, "n", {"n_tokens": ("count", None)})
+    return rename_cols(spectrum, {"n": "freq"})
 
 
 def pmi_bigrams(
@@ -1048,17 +936,11 @@ def pmi_bigrams(
         raise ValueError("k must be positive")
     if min_n < 1:
         raise ValueError("min_n must be >= 1")
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.join import shuffle_hash_join
     from duplicate_finder_ray.stages.relational import topk_per_group_by
 
-    uni = (
-        _token_partials(ds, text_col, None)
-        .groupby("token")
-        .aggregate(Sum("n", alias_name="n"))
-        .materialize()  # vocabulary-sized; reused by N + two joins
-    )
+    # vocabulary-sized; reused by N + two joins
+    uni = _token_counts(ds, text_col, None)
     total = uni.sum("n") or 0
 
     def keep_min(batch: pa.Table) -> pa.Table:
@@ -1134,29 +1016,24 @@ def common_lines(ds: ray.data.Dataset, text_col: str, k: int) -> ray.data.Datase
     — the license-header / copyright-banner / generated-code detector.
     Same scale shape as :func:`top_tokens`: per-batch (line, n) count
     partials keep the shuffle at distinct-line × blocks (boilerplate
-    compresses hard by construction), one line-keyed groupby-sum, then
-    the local-top-k selector; corpus line positions never shuffle."""
+    compresses hard by construction), one line-keyed grouped count,
+    then the local-top-k selector; corpus line positions never
+    shuffle."""
     if k <= 0:
         raise ValueError("k must be positive")
-    from ray.data.aggregate import Sum
-
     from duplicate_finder_ray.stages.relational import topk_per_group
 
-    def partial(batch: pa.Table) -> pa.Table:
+    def split_lines(batch: pa.Table) -> pa.Table:
         lines = pc.list_flatten(pc.split_pattern(batch[text_col], "\n"))
-        lines = lines.filter(pc.not_equal(lines, ""))
-        vals, counts = np.unique(
-            lines.to_numpy(zero_copy_only=False), return_counts=True
-        )
-        return pa.table(
-            {"line": pa.array(vals, pa.string()), "n": pa.array(counts, pa.int64())}
-        )
+        t = pa.table({"line": lines.filter(pc.not_equal(lines, ""))})
+        return group_aggregate(t, ["line"], [([], "count_all")], ["n"])
 
-    totals = (
-        ds.select_columns([text_col])
-        .map_batches(partial, batch_format="pyarrow")
-        .groupby("line")
-        .aggregate(Sum("n", alias_name="n"))
+    totals = grouped_aggregate(
+        ds.select_columns([text_col]).map_batches(
+            split_lines, batch_format="pyarrow"
+        ),
+        "line",
+        {"n": ("sum", "n")},
     )
 
     def tag(batch: pa.Table) -> pa.Table:
@@ -1330,12 +1207,9 @@ def dup_ngram_stats(
     set: (doc_id, gram-hash) rows are deduped per doc at the map side,
     ONE gram-keyed barrier-free hash exchange co-locates every copy of
     a gram (so per-partition doc-counts ARE global), each partition
-    emits per-doc partial counts, and a slim doc-keyed groupby sums
-    them. Both exchanges move 16-byte rows; text never shuffles."""
-    from ray.data.aggregate import Sum
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
+    emits per-doc partial counts, and a slim doc-keyed
+    ``grouped_aggregate`` sums them. Both exchanges move 16-byte rows;
+    text never shuffles."""
     rows = ds.select_columns(["doc_id", text_col]).map_batches(
         DupNgramStage,
         fn_constructor_args=(n, text_col),
@@ -1374,39 +1248,10 @@ def dup_ngram_stats(
         rows, "h", num_partitions, reduce_fn, part_schema.empty_table()
     )
 
-    # doc-keyed final sum ALSO rides the barrier-free exchange: the
-    # sort-based groupby alternative was measured 9x slower at 1M docs
-    # (scripts/bench_dupgrams.py) — ~19 partial rows/doc pay a
-    # sample/sort barrier for an order nothing needs
-    out_schema = pa.schema(
-        [
-            ("doc_id", pa.int64()),
-            ("n_13grams", pa.int64()),
-            ("n_dup_13grams", pa.int64()),
-        ]
-    )
-
-    def doc_sum(p: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return out_schema.empty_table()
-        doc = tbl.column("doc_id").to_numpy().astype(np.int64)
-        d_uniq, d_inv = np.unique(doc, return_inverse=True)
-        ng = np.bincount(
-            d_inv, weights=tbl.column("n_grams").to_numpy()
-        ).astype(np.int64)
-        nd = np.bincount(
-            d_inv, weights=tbl.column("n_dup").to_numpy()
-        ).astype(np.int64)
-        return pa.table(
-            {
-                "doc_id": pa.array(d_uniq, pa.int64()),
-                "n_13grams": pa.array(ng, pa.int64()),
-                "n_dup_13grams": pa.array(nd, pa.int64()),
-            }
-        )
-
-    return hash_exchange(
-        partials, "doc_id", num_partitions, doc_sum, out_schema.empty_table()
+    return grouped_aggregate(
+        partials,
+        "doc_id",
+        {"n_13grams": ("sum", "n_grams"), "n_dup_13grams": ("sum", "n_dup")},
     )
 
 
@@ -1433,10 +1278,6 @@ def unigram_xent(
     so the within-partition total IS global n_t), per-doc partials +
     per-partition (V_p, N_p) side rows, then a slim doc-keyed sum and a
     two-scalar broadcast — the corpus vocabulary is never collected."""
-    from ray.data.aggregate import Sum
-
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     def batch_partial(batch: pa.Table) -> pa.Table:
         toks = pc.split_pattern_regex(batch[text_col], TOKEN_SPLIT_REGEX)
         flat = pc.list_flatten(toks)
@@ -1593,8 +1434,6 @@ def duplicated_passages(
     exchange merges positions into spans with a vectorized
     gaps-and-islands kernel (fixed window width ⇒ interval ends are
     monotone in pos, so a simple diff > n-1 test is exact)."""
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     rows = ds.select_columns(["doc_id", text_col]).map_batches(
         DupNgramPosStage,
         fn_constructor_args=(n, text_col),
@@ -1688,8 +1527,6 @@ def corpus_diversity(
     distinct counts globally additive — corpus-wide COUNT DISTINCT with
     no global dedupe structure. Returns a 3-row Arrow table (driver
     reads back six integers)."""
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
     part_schema = pa.schema([("total", pa.int64()), ("distinct", pa.int64())])
 
     out_rows = []

@@ -11,7 +11,7 @@ tens of milliseconds."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Callable, Iterator
 
 import numpy as np
 import pyarrow as pa
@@ -20,12 +20,30 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from ray.data.block import BlockAccessor
+from ray.data.dataset import MaterializedDataset
 
 
-def nonempty_block_refs(bundles: Iterable) -> Iterator[ray.ObjectRef]:
-    """The block refs of the ``RefBundle``s ``bundles`` in order, without
-    the blocks whose metadata says they hold 0 rows."""
-    return (ref for b in bundles for ref, meta in b.blocks if meta.num_rows != 0)
+def block_refs(
+    ds: ray.data.Dataset, keep_one_empty: bool = False
+) -> Iterator[ray.ObjectRef]:
+    """The block refs of ``ds`` in order, without the blocks whose
+    metadata says they hold 0 rows. A materialized ``ds`` hands over the
+    refs it holds and starts no Ray Data execution; a lazy one is
+    streamed, each ref yielded as its block is produced. With
+    ``keep_one_empty``, one 0-row block that carries a schema comes last
+    when no other block is left, so that schema can reach the tasks."""
+    if isinstance(ds, MaterializedDataset):
+        ds = ds.materialize()  # the same blocks, no execution
+    spare = None
+    for bundle in ds.iter_internal_ref_bundles():
+        for ref, meta in bundle.blocks:
+            if meta.num_rows != 0:
+                keep_one_empty = False
+                yield ref
+            elif spare is None and getattr(bundle.schema, "names", None):
+                spare = ref
+    if keep_one_empty and spare is not None:
+        yield spare
 
 
 @ray.remote
@@ -46,16 +64,15 @@ def map_blocks(
     """``fn(block, *shared)`` over every block of ``ds`` as one Ray task
     per block; returns the Dataset of the outputs, in block order.
 
-    - ``ds`` is materialized first, which starts no Ray Data execution
-      when it already is materialized; its block refs go straight to
-      the tasks.
+    - ``ds``'s block refs go straight to the tasks (``block_refs``: a
+      materialized ``ds`` starts no Ray Data execution).
     - ``shared`` refs are task arguments: every task gets their values.
     - Every output is a typed Arrow table. A 0-row or zero-column block,
       or a 0-row output, gives ``empty``. Blocks whose metadata says 0
       rows launch no task; when no block is left, the result is
       ``empty`` alone.
     - An error raised by ``fn`` raises here."""
-    refs = list(nonempty_block_refs(ds.materialize().iter_internal_ref_bundles()))
+    refs = list(block_refs(ds))
     if not refs:
         return ray.data.from_arrow(empty)
     return ray.data.from_arrow_refs(
@@ -116,15 +133,20 @@ def group_codes(col: pa.Array | pa.ChunkedArray) -> tuple[np.ndarray, pa.Array]:
 
 
 def group_aggregate(
-    t: pa.Table, keys: list[str], aggs: list[tuple[str, str]]
+    t: pa.Table,
+    keys: list[str],
+    aggs: list[tuple[str | list, str]],
+    names: list[str] | None = None,
 ) -> pa.Table:
     """One row per distinct ``keys`` tuple of ``t`` (first seen first):
     the key columns, then one column per ``(column, function)`` pair of
-    Arrow hash aggregates, named after its input column."""
+    Arrow hash aggregates (``([], "count_all")`` counts rows), named
+    ``names`` or else after its input column."""
     g = t.group_by(keys, use_threads=False).aggregate(aggs)
-    return g.select([*keys, *(f"{c}_{f}" for c, f in aggs)]).rename_columns(
-        [*keys, *(c for c, _ in aggs)]
-    )
+    vals = [c for n, c in zip(g.column_names, g.columns) if n not in keys]
+    if names is None:
+        names = [c for c, _ in aggs]
+    return pa.table([*(g[k] for k in keys), *vals], names=[*keys, *names])
 
 
 def group_rows(col: pa.Array | pa.ChunkedArray) -> tuple[pa.Array, list[np.ndarray]]:

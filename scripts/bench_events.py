@@ -140,7 +140,7 @@ def main() -> None:
 
     # --- session-12 additions: adoption, churn, bursts, WAU ---
     t0 = time.time()
-    dnu = daily_new_users(events, n_parts).take_all()
+    dnu = daily_new_users(events).take_all()
     t_dnu = time.time() - t0
     # every user appears exactly once as a first-timer; the running
     # total must end at the full population and never decrease

@@ -60,6 +60,23 @@ def test_cli_dry_run_would_delete(ray_session, corpus_parquet, capsys):
     assert "[would delete] orgB/r2:lib/b.py@" in out
 
 
+def test_cli_delete_dry_run_streams_non_keepers(
+    ray_session, corpus_parquet, monkeypatch, capsys
+):
+    """--delete outside interactive mode reads the non-keeper rows batch
+    by batch: no Dataset reaches the driver whole through to_pandas."""
+    import ray.data
+
+    def no_collect(self, *args, **kwargs):
+        raise AssertionError("--delete collected a Dataset with to_pandas")
+
+    monkeypatch.setattr(ray.data.Dataset, "to_pandas", no_collect)
+    assert main([corpus_parquet, "--delete", "--dry-run"]) == 0
+    out = capsys.readouterr().out
+    assert "[would delete] orgB/r2:lib/b.py@" in out
+    assert "[would delete] orgA/r1:src/a.py@" not in out
+
+
 def test_cli_exclude_suppresses(ray_session, corpus_parquet, capsys):
     # exclude everything → no duplicates reported
     assert main([corpus_parquet, "-e", "*"]) == 0

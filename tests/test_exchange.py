@@ -6,11 +6,13 @@ import pandas as pd
 import pyarrow as pa
 import pytest
 
+import ray
 import ray.data
 
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.stages.exchange import (
     default_partitions,
+    grouped_aggregate,
     hash_exchange,
     partition_ids,
     split_wave,
@@ -437,3 +439,121 @@ class TestPartitionIds:
             ids = partition_ids(tbl, keys, n)
             assert ids.dtype == np.int64 and len(ids) == len(tbl)
             assert ids.min() >= 0 and ids.max() < n
+
+
+# -- grouped_aggregate against Ray Data's sort-based groupby -------------
+
+_AGGS = {
+    "total": ("sum", "v"),
+    "lo": ("min", "v"),
+    "hi": ("max", "v"),
+    "n": ("count", None),
+}
+
+
+def _agg_table(seed: int, rows: int, null_keys: bool) -> pa.Table:
+    rng = np.random.default_rng(seed)
+    k = rng.integers(0, 40, rows)
+    words = np.array(["x\0a", "x\0b", "", "é", "plain", "x"], dtype=object)
+    s = words[rng.integers(0, len(words), rows)]
+    v = rng.integers(-1000, 1000, rows)
+    v_null = rng.random(rows) < 0.1
+    k_null = (rng.random(rows) < 0.1) if null_keys else np.zeros(rows, bool)
+    return pa.table(
+        {
+            "k": pa.array(k, pa.int64(), mask=k_null),
+            "s": pa.array(s, pa.string(), mask=k_null),
+            "v": pa.array(v, pa.int64(), mask=v_null),
+        }
+    )
+
+
+#: name → (keys, block sizes (0 = an empty block), null keys,
+#: reference); Ray's sort-based groupby raises on a null string key, so
+#: those cases take an Arrow group_by over the whole table instead
+_AGG_CASES = {
+    "int_key": (["k"], [700, 0, 500, 800], False, "ray"),
+    "string_key_nul_differing": (["s"], [900, 1100], False, "ray"),
+    "multi_key": (["k", "s"], [0, 600, 0, 1400, 0], False, "ray"),
+    "null_int_key": (["k"], [300, 0, 1700], True, "ray"),
+    "null_string_key": (["s"], [1000, 0, 1000], True, "arrow"),
+    "null_multi_key": (["s", "k"], [500, 1500], True, "arrow"),
+    "empty_input": (["s", "k"], [0, 0], False, "empty"),
+}
+
+
+def _rows(t: pa.Table, cols: list[str]) -> list[tuple]:
+    rows = zip(*(t.column(c).to_pylist() for c in cols))
+    return sorted(rows, key=lambda r: [(x is None, x) for x in r])
+
+
+class TestGroupedAggregate:
+    @pytest.mark.parametrize("case", list(_AGG_CASES))
+    def test_matches_sort_based_groupby(self, ray_session, case):
+        from ray.data.aggregate import Count, Max, Min, Sum
+
+        keys, sizes, null_keys, ref = _AGG_CASES[case]
+        table = _agg_table(len(case), sum(sizes), null_keys)
+        cuts = np.cumsum([0, *sizes])
+        ds = ray_session.data.from_arrow(
+            [table.slice(lo, hi - lo) for lo, hi in zip(cuts[:-1], cuts[1:])]
+        )
+        out = grouped_aggregate(ds, keys, _AGGS)
+        cols = [*keys, *_AGGS]
+        got = pa.concat_tables(ray.get(out.materialize().to_arrow_refs()))
+        assert got.column_names == cols
+        if ref == "empty":
+            assert len(got) == 0
+            assert got.schema == pa.schema(
+                [("s", pa.string()), ("k", pa.int64())]
+                + [(c, pa.int64()) for c in _AGGS]
+            )
+            return
+        if ref == "ray":
+            want = pa.Table.from_pylist(
+                ds.groupby(keys)
+                .aggregate(
+                    Sum("v", alias_name="total"),
+                    Min("v", alias_name="lo"),
+                    Max("v", alias_name="hi"),
+                    Count(alias_name="n"),
+                )
+                .take_all()
+            )
+        else:
+            want = table.group_by(keys).aggregate(
+                [("v", "sum"), ("v", "min"), ("v", "max"), ([], "count_all")]
+            )
+            want = want.rename_columns(
+                [{"v_sum": "total", "v_min": "lo", "v_max": "hi", "count_all": "n"}.get(c, c)
+                 for c in want.column_names]
+            )
+        assert len(got) == len(want) > 1
+        assert _rows(got, cols) == _rows(want, cols)
+        if "s" in keys:  # the NUL-differing strings stay two groups
+            assert {"x\0a", "x\0b"} <= set(got.column("s").to_pylist())
+
+
+class TestEmptyPartitionBlocks:
+    def test_projection_after_exchange_concatenates(self, ray_session):
+        """Two groups over many partitions: the projected output's block
+        refs share one schema, so they concatenate."""
+        from duplicate_finder_ray.stages.relational import topk_per_group_by
+
+        t = pa.table({"g": ["a", "b", "a", "b", "a"], "v": [1, 2, 3, 4, 5]})
+        ds = ray_session.data.from_arrow([t.slice(0, 2), t.slice(2)])
+        top = topk_per_group_by(ds, "g", ["v"], [False], 1)
+        refs = top.select_columns(["g", "rank"]).materialize().to_arrow_refs()
+        got = pa.concat_tables(ray.get(refs))
+        assert got.column_names == ["g", "rank"]
+        assert sorted(got.column("g").to_pylist()) == ["a", "b"]
+
+    def test_every_partition_empty_keeps_one_typed_block(self, ray_session):
+        t = pa.table({"k": pa.array([], pa.int64()), "v": pa.array([], pa.int64())})
+        out = grouped_aggregate(
+            ray_session.data.from_arrow([t, t]), "k", {"s": ("sum", "v")}
+        ).materialize()
+        refs = out.to_arrow_refs()
+        assert len(refs) == 1
+        got = ray.get(refs[0])
+        assert len(got) == 0 and got.column_names == ["k", "s"]

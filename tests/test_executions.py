@@ -7,6 +7,8 @@ Dataset map over small materialized tables shows up here as one more
 execution. The counter patches ``StreamingExecutor.execute`` (Ray
 2.49.2 is pinned)."""
 
+import numpy as np
+import pyarrow as pa
 import pytest
 
 from duplicate_finder_ray.config import PipelineConfig
@@ -14,6 +16,7 @@ from duplicate_finder_ray.pipelines.dedup import DedupPipeline
 from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
 from duplicate_finder_ray.sources.code_table import read_code_table, synthetic_code_corpus
 from duplicate_finder_ray.stages import exact
+from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
 
 COLUMNS = ["repo", "path", "commit", "lang", "content"]
 
@@ -61,3 +64,32 @@ class TestExecutions:
         assert res.labels.count() > 0
         assert res.signatures.count() == 300
         assert len(executions) == 1
+
+    def test_chained_exchange_lists_refs_without_an_execution(
+        self, ray_session, executions
+    ):
+        # an exchange's output is materialized: a second exchange (or a
+        # grouped aggregate) over it takes its block refs as they are
+        ds = ray_session.data.from_arrow(
+            pa.table({"k": pa.array(np.arange(100) % 7, pa.int64())})
+        )
+        empty = pa.schema([("k", pa.int64())]).empty_table()
+        first = hash_exchange(ds, "k", 4, lambda p, t: t, empty)
+        executions.clear()
+        second = hash_exchange(first, "k", 4, lambda p, t: t, empty)
+        counts = grouped_aggregate(second, "k", {"n": ("count", None)})
+        assert len(executions) == 0
+        assert sorted(r["n"] for r in counts.take_all()) == [14] * 5 + [15] * 2
+
+    def test_empty_lazy_source_runs_once(self, ray_session, executions):
+        # a source whose blocks are all empty still types the grouped
+        # output from one of its blocks, not from a second schema run
+        ds = ray_session.data.from_arrow(
+            pa.table({"k": pa.array([1, 2], pa.int64())})
+        ).filter(expr="k > 5")
+        out = grouped_aggregate(ds, "k", {"n": ("count", None)})
+        assert len(executions) == 1
+        assert out.count() == 0
+        assert out.schema().base_schema == pa.schema(
+            [("k", pa.int64()), ("n", pa.int64())]
+        )

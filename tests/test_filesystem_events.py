@@ -642,7 +642,7 @@ class TestDailyNewUsers:
             ]
         )
         got = (
-            ev.daily_new_users(ray.data.from_pandas(df), n_parts=3)
+            ev.daily_new_users(ray.data.from_pandas(df))
             .to_pandas()
             .sort_values("day_us")
         )
