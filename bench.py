@@ -136,7 +136,7 @@ def run_bench() -> dict:
     cfg = PipelineConfig()
 
     def exact_dedup():
-        res = DedupPipeline(cfg).run_on(read_code_table(corpus))
+        res = DedupPipeline(cfg).run(corpus)
         return res.members.count()
 
     def near_dup():

@@ -120,7 +120,9 @@ class PipelineConfig:
     #: (reference's hash-work-avoidance, duplicate_finder.py:42-48,186-189
     #: — pays a second content read).
     prefilter_mode: str = "fused"
-    #: map_batches batch size for content-heavy derivations.
+    #: rows per signature-kernel call inside a signature task (the
+    #: task itself takes a whole block, so it can fuse with the read),
+    #: and the batch size of the exact pipeline's derive maps.
     derive_batch_size: int = 1024
 
     # ---- near-dup (north_rule extension) ------------------------------

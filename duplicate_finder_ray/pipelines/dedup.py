@@ -128,11 +128,19 @@ class DedupPipeline:
 
     def run(self, input_path: str | None = None) -> DedupResult:
         """Read the Parquet code table and run. Only the columns the
-        pipeline uses are read (column pruning at the source)."""
+        pipeline uses are read (column pruning at the source). The read
+        keeps Ray's sizing, not a block per file: the members exchange
+        cuts each derived block into one sub-table per partition, and
+        the smaller blocks of a split read keep those sub-tables under
+        Ray's inline limit, out of the object store."""
         path = input_path or self.cfg.input_path
         if path is None:
             raise ValueError("no input_path configured")
-        ds = read_code_table(path, columns=["repo", "path", "commit", "lang", "content"])
+        ds = read_code_table(
+            path,
+            columns=["repo", "path", "commit", "lang", "content"],
+            block_per_file=False,
+        )
         return self.run_on(ds)
 
 

@@ -5,7 +5,8 @@ composition of four named stages, shared by ``run_on`` and
 ``run_checkpointed``:
 
     signatures  signature task map over (file_id, content), fused with
-                the identity map: the LSH band keys of the K-perm
+                the identity map, and with the Parquet read when it is
+                read a block per file: the LSH band keys of the K-perm
                 MinHash, plus the shingle sets in exact verify mode or
                 the MinHash itself in estimate mode (SimHash only
                 through ``signatures_for``)

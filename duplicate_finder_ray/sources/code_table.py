@@ -95,7 +95,9 @@ def _derive_code_files_batch(batch: pa.Table) -> pa.Table:
     )
 
 
-def read_code_table(path: str, columns: list[str] | None = None) -> ray.data.Dataset:
+def read_code_table(
+    path: str, columns: list[str] | None = None, block_per_file: bool = True
+) -> ray.data.Dataset:
     """Read a Parquet table — a code table, an sf table or a
     checkpoint — pruning to the requested columns at the read
     (row-group/column pushdown — never load what a stage won't use).
@@ -104,12 +106,39 @@ def read_code_table(path: str, columns: list[str] | None = None) -> ray.data.Dat
     Blocks are read with the file schema minus its metadata: a
     pandas-written file's metadata blob makes each block schema
     unhashable, which sends every block concat down Ray's slow schema
-    unification (with a logged warning each time)."""
-    schema = pads.dataset(path, format="parquet").schema.remove_metadata()
+    unification (with a logged warning each time).
+
+    Sizing: when the files alone meet Ray's own read-parallelism floor,
+    2 × the session's CPUs, the read is one task per file, and its
+    blocks are the files. An unsplit read is what lets Ray fuse the
+    maps downstream into the read tasks (a read split into more blocks
+    than tasks is never fused), so the near-dup signature pass reads,
+    derives ``file_id`` and emits signatures in one task per file and
+    ``content`` never reaches the object store. With fewer files (every
+    single-file table), or outside a Ray session, Ray sizes the read as
+    it does by default: it splits a few large files into more blocks
+    than there are files, and that parallelism is worth more than the
+    fusion. ``block_per_file=False`` keeps Ray's sizing whatever the
+    file count: the exact pipeline needs it, because its exchange
+    relies on sub-tables of split blocks staying under Ray's inline
+    limit."""
+    dataset = pads.dataset(path, format="parquet")
+    schema = dataset.schema.remove_metadata()
     if columns is not None:
         # partition columns are not in the file schema; the read adds them
         schema = pa.schema([schema.field(c) for c in columns if c in schema.names])
-    return ray.data.read_parquet(path, columns=columns, schema=schema)
+    n_files = len(dataset.files)
+    per_file = (
+        block_per_file
+        and ray.is_initialized()
+        and n_files >= 2 * int(ray.cluster_resources().get("CPU", 1))
+    )
+    return ray.data.read_parquet(
+        path,
+        columns=columns,
+        schema=schema,
+        override_num_blocks=n_files if per_file else None,
+    )
 
 
 def code_files_from_documents(sf_dir: str) -> ray.data.Dataset:

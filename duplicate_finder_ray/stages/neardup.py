@@ -8,16 +8,20 @@ pairs, and signature-based verification at threshold τ.
 
 Execution shape:
 
-* ``signature_batch`` is a plain function mapped as Ray tasks, fused
-  with the identity map and projection upstream. The shingler token
-  memo, the (a, b) permutation tables and the kernel workspaces live in
-  per-worker-process ``functools.lru_cache`` entries keyed on the config
-  fields the kernel reads, so every batch — and every later job on the
-  same worker — reuses them without an actor pool's start-up. The
-  task folds the MinHash signature into its LSH band keys, so the
-  signature table carries ``bands`` (b uint64 per doc), not the K-wide
-  ``minhash`` column; that column is emitted only on request
-  (estimate-mode verify, the signature queries).
+* ``signature_batch`` is a plain function mapped as Ray tasks, one per
+  block, in ``derive_batch_size``-row slices. The map sets no batch
+  size, so Ray fuses it with the identity map and projection upstream
+  and, when ``read_code_table`` reads a block per file, with the
+  Parquet read: one task per file reads its rows, derives ``file_id``
+  and emits signatures, and ``content`` never enters the object store.
+  The shingler token memo, the (a, b) permutation tables and the kernel
+  workspaces live in per-worker-process ``functools.lru_cache`` entries
+  keyed on the config fields the kernel reads, so every batch — and
+  every later job on the same worker — reuses them without an actor
+  pool's start-up. The task folds the MinHash signature into its LSH
+  band keys, so the signature table carries ``bands`` (b uint64 per
+  doc), not the K-wide ``minhash`` column; that column is emitted only
+  on request (estimate-mode verify, the signature queries).
 * Candidate generation reads the signature blocks directly: the band
   explosion (flatten ``bands``, repeat fids — n_docs × bands rows) runs
   inside the candidate tasks, so the band rows never materialize. At
@@ -241,11 +245,16 @@ def signatures(
     emit_minhash: bool = False,
 ) -> ray.data.Dataset:
     """Map :func:`signature_batch` over a dataset bearing
-    (file_id, content) as plain tasks, which Ray fuses with the maps
-    upstream; the per-process kernel caches outlive the job, so no job
-    pays for actor start-up or a cold token memo."""
+    (file_id, content) as plain tasks, one per block. The map sets no
+    batch size, so Ray fuses it with the maps upstream and, over an
+    unsplit read (``read_code_table`` with a block per file), with the
+    read itself: ``content`` then never reaches the object store. Each
+    task runs the kernel over ``cfg.derive_batch_size``-row slices of
+    its block, which bounds the kernel's memory. The per-process kernel
+    caches outlive the job, so no job pays for actor start-up or a cold
+    token memo."""
     return ds.map_batches(
-        signature_batch,
+        _signature_slices,
         fn_kwargs={
             "cfg": cfg,
             "emit_shingles": emit_shingles,
@@ -253,8 +262,17 @@ def signatures(
             "emit_minhash": emit_minhash,
         },
         batch_format="pyarrow",
-        batch_size=cfg.derive_batch_size,
-        num_cpus=1,
+    )
+
+
+def _signature_slices(block: pa.Table, cfg: PipelineConfig, **emit) -> pa.Table:
+    """:func:`signature_batch` over ``cfg.derive_batch_size``-row
+    slices of ``block``, concatenated (an empty block is one empty
+    slice, so its output keeps the signature schema)."""
+    rows = cfg.derive_batch_size
+    return pa.concat_tables(
+        signature_batch(block.slice(start, rows), cfg, **emit)
+        for start in range(0, max(len(block), 1), rows)
     )
 
 

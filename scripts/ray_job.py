@@ -53,11 +53,9 @@ def main(argv: list[str] | None = None) -> int:
 
     from duplicate_finder_ray.config import PipelineConfig
     from duplicate_finder_ray.pipelines.dedup import DedupPipeline
-    from duplicate_finder_ray.sources.code_table import read_code_table
 
     t0 = time.perf_counter()
     cfg = PipelineConfig(jaccard_threshold=args.jaccard_threshold)
-    code = read_code_table(args.input_path)
 
     summary: dict = {"input": args.input_path, "output": args.output}
 
@@ -78,13 +76,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         return ds.count()
 
-    res = DedupPipeline(cfg).run_on(code)
+    res = DedupPipeline(cfg).run(args.input_path)
     summary["exact_members"] = write(res.members, "exact_members")
     summary["exact_groups"] = write(res.groups, "exact_groups")
 
     if args.near_dup:
         from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
+        from duplicate_finder_ray.sources.code_table import read_code_table
 
+        code = read_code_table(args.input_path)
         nd = NearDupPipeline(cfg)
         if args.checkpoint_dir:
             nres = nd.run_checkpointed(code, args.checkpoint_dir)

@@ -78,15 +78,20 @@ def tiny_ds(ray_session, tiny_corpus):
 def executions(monkeypatch):
     """A list that gains one entry per Ray Data streaming execution the
     driver starts while the test runs (Ray 2.49's
-    ``StreamingExecutor.execute``)."""
+    ``StreamingExecutor.execute``): the names of its physical
+    operators, source first, one name per fused operator."""
     from ray.data._internal.execution.streaming_executor import StreamingExecutor
 
     started: list = []
     real = StreamingExecutor.execute
 
-    def counting(self, *args, **kwargs):
-        started.append(1)
-        return real(self, *args, **kwargs)
+    def counting(self, dag, *args, **kwargs):
+        ops, op = [], dag
+        while op is not None:
+            ops.append(op.name)
+            op = op.input_dependencies[0] if op.input_dependencies else None
+        started.append(ops[::-1])
+        return real(self, dag, *args, **kwargs)
 
     monkeypatch.setattr(StreamingExecutor, "execute", counting)
     return started

@@ -456,6 +456,44 @@ class TestShingleSetStage:
             neardup.verify_pairs_exact(cands, sigs, cfg)
 
 
+class TestSignatureSlices:
+    def test_one_block_equals_kernel_per_batch(self, ray_session):
+        """``signatures`` takes a whole block per task and runs the
+        kernel over ``derive_batch_size``-row slices of it: its table
+        equals ``signature_batch`` applied per 1 024-row batch and
+        concatenated, column by column and row by row. The ASCII fast
+        path is decided per kernel call, so the one non-ASCII row sits
+        in the middle slice only."""
+        import pyarrow as pa
+
+        cfg = PipelineConfig()
+        n = cfg.derive_batch_size * 5 // 2
+        rng = np.random.default_rng(3)
+        vocab = np.array(["def", "return", "x", "y", "if", "else", "for", "in"])
+        texts = [" ".join(rng.choice(vocab, size=rng.integers(0, 40))) for _ in range(n)]
+        texts[0] = ""
+        texts[1] = None
+        texts[2] = "a b c"  # fewer tokens than a shingle
+        texts[3] = "def f\x00 return x if y else z for w"
+        texts[n // 2] = "héllo wörld ß a b c d e f g 中文 h i"
+        block = pa.table(
+            {
+                "file_id": [f"o/r:f{i}.py@c" for i in range(n)],
+                "content": pa.array(texts, pa.string()),
+            }
+        )
+        emit = {"emit_shingles": True, "emit_minhash": True, "emit_simhash": True}
+        want = pa.concat_tables(
+            neardup.signature_batch(block.slice(s, 1024), cfg, **emit)
+            for s in range(0, n, 1024)
+        )
+        got = neardup.signatures(ray_session.data.from_arrow(block), cfg, **emit)
+        got = pa.concat_tables(ray.get(got.materialize().to_arrow_refs()))
+        assert got.column_names == want.column_names
+        for name in want.column_names:
+            assert got[name].to_pylist() == want[name].to_pylist(), name
+
+
 class TestSignatureKernelCache:
     #: back to back, each config differs from the one before in exactly
     #: one field the kernel reads
