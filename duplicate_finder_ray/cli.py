@@ -297,7 +297,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
         from duplicate_finder_ray.pipelines.neardup import NearDupPipeline
         from duplicate_finder_ray.sources.code_table import read_code_table
-        from duplicate_finder_ray.stages.util import map_blocks
+        from duplicate_finder_ray.stages.util import fetch_blocks, map_blocks
 
         nd = NearDupPipeline(cfg)
         code = read_code_table(args.input_path)
@@ -316,9 +316,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             ),
             pa.table({"n": [0]}),
         )
-        n_clusters = sum(
-            t["n"][0].as_py() for t in ray.get(n_roots.materialize().to_arrow_refs())
-        )
+        n_clusters = sum(t["n"][0].as_py() for t in fetch_blocks(n_roots))
         print(
             f"\nNear-duplicate clusters: {n_clusters} "
             f"({n_label_rows} member file(s))"

@@ -17,8 +17,9 @@ one — the asymmetry drives every choice):
 
 1. increment → digest table via the same map_batches derivation the
    full pipeline uses (content dropped immediately after hashing);
-2. one remote task builds the sorted distinct increment sha256 array;
-   it stays a ref in the object store, never on the driver;
+2. one remote task (``util.gather_blocks``) builds the sorted distinct
+   increment sha256 array; it stays a ref in the object store, never
+   on the driver;
 3. the baseline digest table STREAMS through a map_batches semi-join
    probe against that array (no shuffle, no materialization of the
    100 TB side);
@@ -46,7 +47,13 @@ from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.stages.derive import add_identity, add_sha256, drop_content
 from duplicate_finder_ray.stages.exact import _rank_in_runs, _run_starts, _sorted_order
 from duplicate_finder_ray.stages.exchange import hash_exchange
-from duplicate_finder_ray.stages.util import in_sorted
+from duplicate_finder_ray.stages.util import (
+    block_refs,
+    gather_blocks,
+    in_sorted,
+    map_blocks,
+    sorted_distinct,
+)
 
 MEMBERS_SCHEMA = pa.schema(
     [
@@ -101,12 +108,13 @@ def _tagged(from_increment: bool):
     return tag
 
 
-@ray.remote
-def _sorted_unique(col: str, *blocks: pa.Table) -> np.ndarray:
-    """Sorted distinct values of ``col`` over ``blocks``: the probe
-    array of a streaming semi-join, built in the cluster."""
-    vals = [b.column(col).to_numpy(zero_copy_only=False) for b in blocks if len(b)]
-    return np.unique(np.concatenate(vals)) if vals else np.empty(0)
+def _sorted_unique(ds: ray.data.Dataset, col: str, dtype) -> ray.ObjectRef:
+    """The ref of the sorted distinct values of ``ds``'s ``col``: the
+    probe array of a streaming semi-join, built in the cluster."""
+    empty = (0, np.empty(0, dtype))
+    return gather_blocks(
+        ds, sorted_distinct, empty, columns=[col], num_returns=2
+    )[1]
 
 
 def _semi_join(ds: ray.data.Dataset, col: str, sorted_ref) -> ray.data.Dataset:
@@ -120,11 +128,9 @@ def _semi_join(ds: ray.data.Dataset, col: str, sorted_ref) -> ray.data.Dataset:
     return ds.map_batches(probe, batch_format="pyarrow")
 
 
-@ray.remote
-def _n_matched(*blocks: pa.Table) -> int:
-    """Members that joined a baseline group, counted in one task over
-    the member blocks."""
-    return sum(pc.sum(b["matched_baseline"]).as_py() or 0 for b in blocks)
+def _n_matched(members: pa.Table) -> int:
+    """Members that joined a baseline group."""
+    return pc.sum(members["matched_baseline"]).as_py() or 0
 
 
 def members_kernel(tbl: pa.Table) -> pa.Table:
@@ -161,8 +167,7 @@ def members_kernel(tbl: pa.Table) -> pa.Table:
     return out.filter(pa.array(from_inc))
 
 
-@ray.remote
-def _touching(inc_fids: np.ndarray, pairs: pa.Table) -> pa.Table:
+def _touching(pairs: pa.Table, inc_fids: np.ndarray) -> pa.Table:
     """The candidate pairs with at least one endpoint in the sorted
     increment fids."""
     a, b = pairs["a"].to_numpy(), pairs["b"].to_numpy()
@@ -174,25 +179,15 @@ NEARDUP_LABELS_SCHEMA = pa.schema(
 )
 
 
-def _rows(blocks, schema: pa.Schema) -> pa.Table:
-    """The non-empty ``blocks`` projected to ``schema``, concatenated."""
-    tables = [b.select(schema.names).cast(schema) for b in blocks if len(b)]
-    return pa.concat_tables(tables) if tables else schema.empty_table()
-
-
-@ray.remote(num_returns=2)
-def _increment_labels(n_graph: int, *blocks: pa.Table) -> tuple:
+def _increment_labels(ids: pa.Table, graph: pa.Table) -> tuple:
     """(label per increment file, count of increment files whose
-    component holds a baseline file). ``blocks``: the pair graph's
-    label blocks, then the increment's signature blocks (only their
-    ``file_id`` is read).
+    component holds a baseline file). ``ids``: the increment's
+    ``file_id`` rows; ``graph``: the pair graph's labels.
 
     Left join of the increment ids to the graph labels, unlabeled ids
     naming themselves; every graph node outside the increment is a
     baseline file."""
-    graph = _rows(blocks[:n_graph], NEARDUP_LABELS_SCHEMA)
-    ids = _rows(blocks[n_graph:], pa.schema([("file_id", pa.string())]))
-    ids = pc.unique(ids["file_id"])
+    ids = pc.unique(ids["file_id"].cast(pa.string()))
     labels = pa.table({"file_id": ids}).join(graph, "file_id", join_type="left outer")
     labels = labels.set_column(
         1, "component", pc.coalesce(labels["component"], labels["file_id"])
@@ -259,25 +254,36 @@ class IncrementalNearDup:
             increment, emit_shingles=True
         ).materialize()
         inc_bands = neardup.explode_bands(inc_sigs, cfg).materialize()
-        inc_refs = inc_bands.to_arrow_refs()
-        hot_ref = _sorted_unique.remote("band_hash", *inc_refs)
-        inc_fids_ref = _sorted_unique.remote("fid", *inc_refs)
+        hot_ref = _sorted_unique(inc_bands, "band_hash", np.uint64)
+        inc_fids_ref = _sorted_unique(inc_bands, "fid", np.uint64)
         matched_bands = _semi_join(
             neardup.explode_bands(baseline_sigs, cfg), "band_hash", hot_ref
         ).materialize()
-        band_rows = inc_refs + matched_bands.to_arrow_refs()
+        band_rows = [
+            *block_refs(inc_bands, keep_one_empty=True),
+            *block_refs(matched_bands),
+        ]
         pairs = neardup.candidate_pairs(ray.data.from_arrow_refs(band_rows), cfg)
-        candidates = ray.data.from_arrow_refs(
-            [_touching.remote(inc_fids_ref, r) for r in pairs.to_arrow_refs()]
+        candidates = map_blocks(
+            pairs, _touching, neardup.CAND_SCHEMA.empty_table(), inc_fids_ref
         )
         verified = neardup.verify_pairs_exact(
             candidates, inc_sigs.union(baseline_sigs), cfg
         ).materialize()
-        graph = cc.connected_components(verified, cfg).materialize()
-
-        graph_refs = graph.to_arrow_refs()
-        labels_ref, n_ref = _increment_labels.remote(
-            len(graph_refs), *graph_refs, *inc_sigs.to_arrow_refs()
+        graph = cc.connected_components(verified, cfg)
+        graph_ref = gather_blocks(
+            graph,
+            lambda t: t.cast(NEARDUP_LABELS_SCHEMA),
+            NEARDUP_LABELS_SCHEMA.empty_table(),
+            columns=NEARDUP_LABELS_SCHEMA.names,
+        )
+        labels_ref, n_ref = gather_blocks(
+            inc_sigs,
+            _increment_labels,
+            (NEARDUP_LABELS_SCHEMA.empty_table(), 0),
+            graph_ref,
+            columns=["file_id"],
+            num_returns=2,
         )
         return IncrementalNearDupResult(
             pairs=verified,
@@ -301,7 +307,7 @@ class IncrementalDedup:
         lang], content)."""
         inc = _digests(increment).map_batches(_tagged(True), batch_format="pyarrow")
         inc = inc.materialize()
-        sha_ref = _sorted_unique.remote("sha256", *inc.to_arrow_refs())
+        sha_ref = _sorted_unique(inc, "sha256", object)
         matched = _semi_join(baseline_digests, "sha256", sha_ref).map_batches(
             _tagged(False), batch_format="pyarrow"
         )
@@ -312,5 +318,5 @@ class IncrementalDedup:
             lambda p, tbl: members_kernel(tbl),
             MEMBERS_SCHEMA.empty_table(),
         ).materialize()
-        n_matched = ray.get(_n_matched.remote(*members.to_arrow_refs()))
+        n_matched = ray.get(gather_blocks(members, _n_matched, 0))
         return IncrementalResult(members, n_matched)

@@ -28,7 +28,10 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
+
 from duplicate_finder_ray.functions.hashing import stable_hash_array
+from duplicate_finder_ray.stages.util import block_refs
 
 def _splitmix64(h: np.ndarray) -> np.ndarray:
     """Stateless 64-bit finalizer (splitmix64, public domain): derives
@@ -88,10 +91,11 @@ def build_bloom(
     if n_bits % 64:
         raise ValueError("n_bits must be a multiple of 64")
     n_words = n_bits // 64
-    refs = keys.select_columns([key]).materialize().to_arrow_refs()
+    refs = list(block_refs(keys.select_columns([key])))
 
     @ray.remote
-    def block_bits(tbl: pa.Table) -> np.ndarray:
+    def block_bits(tbl) -> np.ndarray:
+        tbl = BlockAccessor.for_block(tbl).to_arrow()
         words = np.zeros(n_words, dtype=np.uint64)
         if len(tbl):
             vals = tbl.column(key).to_numpy(zero_copy_only=False)

@@ -153,14 +153,15 @@ def pack_assignments(
     )
 
     import ray
+    from ray.data.block import BlockAccessor
 
-    blocks = (
-        ds.select_columns([id_col, count_col]).sort(id_col).materialize()
-        .to_arrow_refs()
-    )
+    from duplicate_finder_ray.stages.util import block_refs
+
+    blocks = list(block_refs(ds.select_columns([id_col, count_col]).sort(id_col)))
 
     @ray.remote
-    def block_sum(tbl: pa.Table) -> int:
+    def block_sum(tbl) -> int:
+        tbl = BlockAccessor.for_block(tbl).to_arrow()
         if len(tbl) == 0 or count_col not in tbl.column_names:
             return 0
         return int(tbl.column(count_col).to_numpy().sum())
@@ -171,7 +172,8 @@ def pack_assignments(
         np.cumsum(sums[:-1], out=starts[1:])
 
     @ray.remote
-    def assign(tbl: pa.Table, start: int) -> pa.Table:
+    def assign(tbl, start: int) -> pa.Table:
+        tbl = BlockAccessor.for_block(tbl).to_arrow()
         if len(tbl) == 0 or count_col not in tbl.column_names:
             return out_schema.empty_table()
         n = tbl.column(count_col).to_numpy().astype(np.int64)

@@ -43,8 +43,10 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.stages.textstats import TOKEN_SPLIT_REGEX
+from duplicate_finder_ray.stages.util import block_refs
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 
 _FANIN = 8
@@ -108,12 +110,13 @@ def cms_build(
         sk = cms_from_counts(vals, counts.astype(np.int64), depth, width)
         return pa.table({"sketch": pa.array([sk.reshape(-1)], pa.list_(pa.int64()))})
 
-    partials = ds.map_batches(partial, batch_format="pyarrow").materialize()
+    partials = ds.map_batches(partial, batch_format="pyarrow")
 
     @ray.remote
-    def fold(*blocks: pa.Table) -> pa.Table:
+    def fold(*blocks) -> pa.Table:
         acc = np.zeros(depth * width, dtype=np.int64)
         for b in blocks:
+            b = BlockAccessor.for_block(b).to_arrow()
             if len(b) == 0 or "sketch" not in b.column_names:
                 continue
             col = b.column("sketch").combine_chunks()
@@ -121,7 +124,7 @@ def cms_build(
             acc += flat.reshape(-1, depth * width).sum(axis=0)
         return pa.table({"sketch": pa.array([acc], pa.list_(pa.int64()))})
 
-    refs = list(partials.to_arrow_refs())
+    refs = list(block_refs(partials))
     if not refs:
         return np.zeros((depth, width), dtype=np.int64)
     # tree reduce: no task ever touches more than _FANIN inputs. Always

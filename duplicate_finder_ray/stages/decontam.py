@@ -38,8 +38,10 @@ import pyarrow as pa
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.functions.shingles import Shingler
+from duplicate_finder_ray.stages.util import block_refs
 
 
 def benchmark_shingle_hashes(
@@ -49,10 +51,11 @@ def benchmark_shingle_hashes(
     shingle-hash array in the object store. Returns an ``ObjectRef``;
     the driver never materializes the array."""
 
-    refs = bench.select_columns([text_col]).materialize().to_arrow_refs()
+    refs = list(block_refs(bench.select_columns([text_col])))
 
     @ray.remote
-    def block_hashes(tbl: pa.Table) -> np.ndarray:
+    def block_hashes(tbl) -> np.ndarray:
+        tbl = BlockAccessor.for_block(tbl).to_arrow()
         # empty blocks can surface with an empty schema (repo gotcha:
         # a fully-filtered Dataset yields 0-column blocks)
         if len(tbl) == 0 or text_col not in tbl.column_names:

@@ -33,7 +33,7 @@ import ray
 import ray.data
 
 from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.util import gather_blocks, group_aggregate
 
 _HOUR_US = 3_600_000_000
 
@@ -1442,15 +1442,9 @@ def anomalous_hours(events: ray.data.Dataset, k_sigma: int = 3) -> ray.data.Data
     S ~ 3e9; big ints cost nothing at this cardinality)."""
     if k_sigma <= 0:
         raise ValueError("k_sigma must be positive")
-    dense = hourly_dense(events).materialize()
     out_schema = pa.schema([("hour_us", pa.int64()), ("n_events", pa.int64())])
 
-    @ray.remote
-    def fold_and_filter(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "hour_us" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        tbl = pa.concat_tables(blocks)
+    def fold_and_filter(tbl: pa.Table) -> pa.Table:
         x = tbl.column("n_events").to_numpy().astype(np.int64)
         h = int(len(x))
         s = int(x.sum())
@@ -1466,10 +1460,10 @@ def anomalous_hours(events: ray.data.Dataset, k_sigma: int = 3) -> ray.data.Data
             }
         )
 
-    refs = dense.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([fold_and_filter.remote(*refs)])
+    dense = hourly_dense(events)
+    return ray.data.from_arrow_refs(
+        [gather_blocks(dense, fold_and_filter, out_schema.empty_table())]
+    )
 
 
 def daily_new_users(events: ray.data.Dataset) -> ray.data.Dataset:
@@ -1509,14 +1503,10 @@ def daily_new_users(events: ray.data.Dataset) -> ray.data.Dataset:
     )
     per_day = grouped_aggregate(  # days-cardinality tiny
         first_days, "day_us", {"n_new_users": ("count", None)}
-    ).materialize()
+    )
 
-    @ray.remote
-    def cumulate(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "day_us" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        tbl = pa.concat_tables(blocks).sort_by("day_us")
+    def cumulate(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.sort_by("day_us")
         n = tbl.column("n_new_users").to_numpy().astype(np.int64)
         return pa.table(
             {
@@ -1526,10 +1516,9 @@ def daily_new_users(events: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    refs = per_day.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([cumulate.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(per_day, cumulate, out_schema.empty_table())]
+    )
 
 
 def inactive_users(
@@ -1620,12 +1609,8 @@ def hourly_autocorr(events: ray.data.Dataset, lag: int = 1) -> ray.data.Dataset:
         [("lag", pa.int64()), ("x", pa.int64()), ("y", pa.int64())]
     )
 
-    @ray.remote
-    def make_pairs(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "hour_us" in b.column_names)
-        if not blocks:
-            return pair_schema.empty_table()
-        tbl = pa.concat_tables(blocks).sort_by("hour_us")
+    def make_pairs(tbl: pa.Table) -> pa.Table:
+        tbl = tbl.sort_by("hour_us")
         x = tbl.column("n_events").to_numpy().astype(np.int64)
         if len(x) <= lag:
             return pair_schema.empty_table()
@@ -1637,14 +1622,15 @@ def hourly_autocorr(events: ray.data.Dataset, lag: int = 1) -> ray.data.Dataset:
             }
         )
 
-    refs = dense.to_arrow_refs()
-    if not refs:
+    if dense.count() == 0:
         return ray.data.from_arrow(
             pa.schema(
                 [("lag", pa.int64()), ("n_rows", pa.int64()), ("corr_micro", pa.int64())]
             ).empty_table()
         )
-    pairs = ray.data.from_arrow_refs([make_pairs.remote(*refs)])
+    pairs = ray.data.from_arrow_refs(
+        [gather_blocks(dense, make_pairs, pair_schema.empty_table())]
+    )
     return grouped_corr(pairs, "lag", "x", "y")
 
 

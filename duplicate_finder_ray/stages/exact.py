@@ -41,7 +41,7 @@ import ray
 import ray.data
 from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
-from duplicate_finder_ray.stages.util import map_blocks
+from duplicate_finder_ray.stages.util import fetch_blocks, map_blocks
 
 #: columns that flow into the shuffle (content intentionally absent)
 MEMBER_COLS = ["file_id", "repo", "path", "commit", "lang", "size", "sha256"]
@@ -76,7 +76,10 @@ def candidate_sizes(ds: ray.data.Dataset) -> np.ndarray:
     counts = grouped_aggregate(
         ds.select_columns(["size"]), "size", {"n": ("count", None)}
     )
-    t = pa.concat_tables(ray.get(counts.materialize().to_arrow_refs()))
+    parts = fetch_blocks(counts)
+    if not parts:
+        return np.empty(0, np.int64)
+    t = pa.concat_tables(parts)
     dup = t.filter(pc.greater(t["n"], 1))["size"]
     return np.sort(dup.to_numpy().astype(np.int64))
 
@@ -255,7 +258,7 @@ def deletion_tally(members: ray.data.Dataset) -> dict:
         )
 
     empty = pa.table({"n_deleted": [0], "bytes_freed": [0]})
-    parts = ray.get(map_blocks(members, tally, empty).materialize().to_arrow_refs())
+    parts = fetch_blocks(map_blocks(members, tally, empty))
     return {k: sum(pc.sum(p[k]).as_py() for p in parts) for k in empty.column_names}
 
 

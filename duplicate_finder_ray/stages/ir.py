@@ -37,8 +37,10 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.stages.textstats import TOKEN_SPLIT_REGEX
+from duplicate_finder_ray.stages.util import block_refs, gather_blocks
 
 K1 = 1.2
 B = 0.75
@@ -139,14 +141,9 @@ def bm25_topk(
             }
         )
 
-    partials = slim.map_batches(score_block, batch_format="pyarrow").materialize()
+    partials = slim.map_batches(score_block, batch_format="pyarrow")
 
-    @ray.remote
-    def final(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and id_col in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        t = pa.concat_tables(blocks)
+    def final(t: pa.Table) -> pa.Table:
         ids = t.column(id_col).to_numpy().astype(np.int64)
         micro = t.column("score_micro").to_numpy().astype(np.int64)
         order = np.lexsort((ids, -micro))[: min(topk, len(ids))]
@@ -158,10 +155,9 @@ def bm25_topk(
             }
         )
 
-    refs = partials.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([final.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(partials, final, out_schema.empty_table())]
+    )
 
 
 def docs_with_all_terms(
@@ -245,7 +241,7 @@ def rrf_fuse(
     # index so contribution order stays fixed
     tagged_refs: list[tuple[int, object, str]] = []
     for r, (ds, id_col) in enumerate(rankings):
-        for ref in ds.materialize().to_arrow_refs():
+        for ref in block_refs(ds):
             tagged_refs.append((r, ref, id_col))
 
     @ray.remote
@@ -253,6 +249,7 @@ def rrf_fuse(
         contribs: dict[int, list[float]] = {}
         n_rankers = max(t[0] for t in tags) + 1 if tags else 0
         for (r, id_col), b in zip(tags, blocks):
+            b = BlockAccessor.for_block(b).to_arrow()
             if len(b) == 0 or id_col not in b.column_names:
                 continue
             ids = b.column(id_col).to_numpy().astype(np.int64)

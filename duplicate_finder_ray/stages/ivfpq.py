@@ -43,6 +43,7 @@ import ray.data
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.kmeans import _assign_arrays, _quantize, kmeans_lattice
 from duplicate_finder_ray.stages.similarity import _matrix
+from duplicate_finder_ray.stages.util import gather_blocks
 
 _MICRO = 1_000_000.0
 
@@ -268,14 +269,9 @@ def ivfpq_adc_topk(
             }
         )
 
-    partials = codes.map_batches(local_topk, batch_format="pyarrow").materialize()
+    partials = codes.map_batches(local_topk, batch_format="pyarrow")
 
-    @ray.remote
-    def final(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "query_id" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        t = pa.concat_tables(blocks)
+    def final(t: pa.Table) -> pa.Table:
         q = t.column("query_id").to_numpy().astype(np.int64)
         i = t.column(id_col).to_numpy().astype(np.int64)
         d = t.column("adc_d2").to_numpy().astype(np.int64)
@@ -295,7 +291,6 @@ def ivfpq_adc_topk(
             }
         )
 
-    refs = partials.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([final.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(partials, final, out_schema.empty_table())]
+    )

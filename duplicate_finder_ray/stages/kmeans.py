@@ -29,7 +29,7 @@ Bound: the single update reduce concatenates blocks × k × d partial
 rows, so this operator targets moderate k (IVF coarse quantizers,
 SemDeDup cluster counts — k ≤ ~10⁴ at d ≤ ~10³). For very large k
 train on a sample instead (`similarity._sample_blocks` +
-`_kmeans_centroids_task`, the IVF path) — Lloyd over the full corpus
+`_kmeans_centroids`, the IVF path) — Lloyd over the full corpus
 at k=10⁵⁺ is the wrong algorithm long before it is the wrong shuffle.
 Measured: 1 M × 256-d vectors, k=64, 2 iterations in 7.2 s at 32 CPUs
 (`scripts/bench_semantic.py`).
@@ -44,6 +44,7 @@ import ray
 import ray.data
 
 from duplicate_finder_ray.stages.similarity import _matrix
+from duplicate_finder_ray.stages.util import gather_blocks
 
 _MICRO = 1_000_000.0
 
@@ -90,20 +91,14 @@ def _seed_centroids(
         keep = np.argsort(ids, kind="stable")[:k]
         return batch.take(pa.array(np.sort(keep)))
 
-    refs = slim.map_batches(local_k, batch_format="pyarrow").materialize()
-
-    @ray.remote
-    def reduce_k(*blocks: pa.Table):
-        blocks = tuple(b for b in blocks if len(b) and id_col in b.column_names)
-        if not blocks:
-            return None
-        t = pa.concat_tables(blocks)
+    def reduce_k(t: pa.Table):
         ids = t.column(id_col).to_numpy().astype(np.int64)
         order = np.argsort(ids, kind="stable")[:k]
         t = t.take(pa.array(order))
         return _quantize(t, vec_col)
 
-    got = ray.get(reduce_k.remote(*refs.to_arrow_refs()))
+    local = slim.map_batches(local_k, batch_format="pyarrow")
+    got = ray.get(gather_blocks(local, reduce_k, None))
     if got is None or len(got) == 0:
         return np.array([], dtype=np.int64), np.zeros((0, 0), dtype=np.int64)
     return np.arange(len(got), dtype=np.int64), got
@@ -167,20 +162,7 @@ def kmeans_lattice(
                 }
             )
 
-        part_refs = (
-            slim.map_batches(partials, batch_format="pyarrow")
-            .materialize()
-            .to_arrow_refs()
-        )
-
-        @ray.remote
-        def update(*blocks: pa.Table):
-            blocks = tuple(
-                b for b in blocks if len(b) and "cl" in b.column_names
-            )
-            if not blocks:
-                return None
-            t = pa.concat_tables(blocks)
+        def update(t: pa.Table):
             cl = t.column("cl").to_numpy().astype(np.int64)
             dim = t.column("dim").to_numpy().astype(np.int64)
             s = t.column("s").to_numpy().astype(np.int64)
@@ -196,7 +178,8 @@ def kmeans_lattice(
             mean = np.sign(sums) * (np.abs(sums) // np.maximum(counts, 1))
             return g, mean
 
-        got = ray.get(update.remote(*part_refs))
+        parts = slim.map_batches(partials, batch_format="pyarrow")
+        got = ray.get(gather_blocks(parts, update, None))
         if got is None:
             break
         groups, cent = got

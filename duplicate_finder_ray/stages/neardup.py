@@ -45,10 +45,11 @@ Execution shape:
   shard exchange above it); estimate mode hash-joins the minhash columns
   and filters on the Jaccard estimate ≥ τ.
 * After the signature pass, the below-limit paths start no Ray Data
-  execution: the fused candidate task, the pair dedupe task and the
-  broadcast verify (one scoring task per candidate-pair block,
-  ``map_blocks``) are plain Ray tasks over the materialized blocks'
-  refs, wrapped with ``from_arrow_refs``.
+  execution: the fused candidate task, the pair dedupe task, the
+  endpoint and CSR builds (``util.gather_blocks``) and the broadcast
+  verify (one scoring task per candidate-pair block, ``map_blocks``)
+  are plain Ray tasks over the materialized blocks' refs, wrapped with
+  ``from_arrow_refs``.
 """
 
 from __future__ import annotations
@@ -74,7 +75,14 @@ from duplicate_finder_ray.functions.shingles import (
     batch_simhash,
     simhash_band_keys,
 )
-from duplicate_finder_ray.stages.util import group_aggregate, in_sorted, map_blocks
+from duplicate_finder_ray.stages.util import (
+    block_refs,
+    gather_blocks,
+    group_aggregate,
+    in_sorted,
+    map_blocks,
+    sorted_distinct,
+)
 
 #: layout of the signature table :func:`signature_batch` emits. Part of
 #: every checkpoint's config hash, so a stage written under another
@@ -510,11 +518,15 @@ def candidate_pairs(
     if sigs_source is not None:
         source = sigs_source.materialize()
         explode = make_band_explode(cfg)
+        schema = source.schema()
+        names = schema.names if schema is not None else []
+        rows_in = [c for c in ("fid", "bands", "n_shingles") if c in names]
         # an upper bound: zero-shingle docs explode to no rows
         n_band_rows = source.count() * cfg.resolved_lsh_bands
     else:
         source = band_rows.materialize()
         explode = None
+        rows_in = ["band_hash", "fid"]
         n_band_rows = source.count()
 
     def band_arrays(tbl: pa.Table) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -535,21 +547,20 @@ def candidate_pairs(
         # true bucket_size.
         out_parts = int(min(num_parts, max(1, n_band_rows // 10_000 + 1)))
 
-        @ray.remote
-        def fused_bucket_pairs(*blocks: pa.Table):
-            # empty blocks can surface with a bare zero-column schema
-            blocks = [b for b in blocks if len(b)]
+        def fused_bucket_pairs(tbl: pa.Table):
             if explode is not None:
-                blocks = [explode(b) for b in blocks]
-            blocks = [b.select(["band_hash", "fid"]) for b in blocks if len(b)]
-            if not blocks:
-                return _task_outputs(CAND_SCHEMA.empty_table(), out_parts)
-            a, b, sz = band_arrays(pa.concat_tables(blocks))
+                tbl = explode(tbl)
+            a, b, sz = band_arrays(tbl)
             return _task_outputs(dedupe_pair_arrays(a, b, sz), out_parts)
 
+        empty = _task_outputs(CAND_SCHEMA.empty_table(), out_parts)
         return _from_task_outputs(
-            fused_bucket_pairs.options(num_returns=out_parts).remote(
-                *source.to_arrow_refs()
+            gather_blocks(
+                source,
+                fused_bucket_pairs,
+                empty,
+                columns=rows_in,
+                num_returns=out_parts,
             ),
             out_parts,
         )
@@ -618,19 +629,12 @@ def _dedupe_candidates(pairs: ray.data.Dataset, num_parts: int) -> ray.data.Data
 
     if n_raw <= PAIR_DEDUPE_BROADCAST_LIMIT:
         out_parts = int(min(num_parts, max(1, n_raw // 1_000 + 1)))
-
-        @ray.remote
-        def dedupe_task(*blocks: pa.Table):
-            blocks = [b for b in blocks if "a" in b.column_names and len(b)]
-            if not blocks:
-                return _task_outputs(CAND_SCHEMA.empty_table(), out_parts)
-            return _task_outputs(
-                _dedupe_table(pa.concat_tables(blocks)), out_parts
-            )
-
         return _from_task_outputs(
-            dedupe_task.options(num_returns=out_parts).remote(
-                *raw.to_arrow_refs()
+            gather_blocks(
+                raw,
+                lambda tbl: _task_outputs(_dedupe_table(tbl), out_parts),
+                _task_outputs(CAND_SCHEMA.empty_table(), out_parts),
+                num_returns=out_parts,
             ),
             out_parts,
         )
@@ -651,14 +655,8 @@ def _dedupe_candidates(pairs: ray.data.Dataset, num_parts: int) -> ray.data.Data
     )
 
 
-@ray.remote
-def _build_fid_map(*blocks: pa.Table) -> tuple:
-    """(sorted fids, file_ids aligned) from signature blocks — built in
-    the cluster; the driver only passes refs around."""
-    blocks = tuple(b for b in blocks if "fid" in b.column_names and len(b))
-    if not blocks:
-        return np.empty(0, np.uint64), np.empty(0, dtype=object)
-    tbl = pa.concat_tables([b.select(["fid", "file_id"]) for b in blocks])
+def _fid_map(tbl: pa.Table) -> tuple:
+    """(sorted fids, file_ids aligned) from (fid, file_id) rows."""
     tbl = tbl.sort_by("fid")
     return (
         tbl.column("fid").to_numpy().astype(np.uint64),
@@ -667,12 +665,14 @@ def _build_fid_map(*blocks: pa.Table) -> tuple:
 
 
 def fid_map_ref(sigs: ray.data.Dataset):
-    """Broadcast fid → file_id lookup (one remote build task over the
-    materialized signature blocks)."""
-    refs = sigs.materialize().to_arrow_refs()
-    if not refs:
-        return ray.put((np.empty(0, np.uint64), np.empty(0, dtype=object)))
-    return _build_fid_map.remote(*refs)
+    """Broadcast fid → file_id lookup, built in one task over the
+    materialized signature blocks; the driver only passes refs around."""
+    return gather_blocks(
+        sigs.materialize(),
+        _fid_map,
+        (np.empty(0, np.uint64), np.empty(0, dtype=object)),
+        columns=["fid", "file_id"],
+    )
 
 
 def _pair_strings(batch: pa.Table, fid_map: tuple) -> pa.Table:
@@ -796,9 +796,7 @@ def _shard_split(
         fids = block.column("fid").to_numpy().astype(np.uint64)
         return block.filter(pa.array(in_sorted(ray.get(endpoints_ref), fids)))
 
-    return split_wave(
-        sigs.materialize().to_arrow_refs(), _sig_shard, n_shards, premap
-    )
+    return split_wave(block_refs(sigs.materialize()), _sig_shard, n_shards, premap)
 
 
 def prestart_verify_split(sigs: ray.data.Dataset, cfg: PipelineConfig) -> dict:
@@ -860,25 +858,13 @@ def verify_pairs_exact(
     # blocks (driver reads back only the count — the sorted uint64 array
     # stays in the object store for the split and CSR tasks)
     pairs = pairs.materialize()
-
-    @ray.remote(num_returns=2)
-    def collect_endpoints(*blocks: pa.Table) -> tuple:
-        # empty blocks can surface with a bare zero-column schema
-        blocks = tuple(b for b in blocks if "a" in b.column_names and len(b))
-        if not blocks:
-            return 0, np.empty(0, dtype=np.uint64)
-        tbl = pa.concat_tables([b.select(["a", "b"]) for b in blocks])
-        uniq = np.unique(
-            np.concatenate(
-                [
-                    tbl.column("a").to_numpy().astype(np.uint64),
-                    tbl.column("b").to_numpy().astype(np.uint64),
-                ]
-            )
-        )
-        return len(uniq), uniq
-
-    count_ref, endpoints_ref = collect_endpoints.remote(*pairs.to_arrow_refs())
+    count_ref, endpoints_ref = gather_blocks(
+        pairs,
+        sorted_distinct,
+        (0, np.empty(0, dtype=np.uint64)),
+        columns=["a", "b"],
+        num_returns=2,
+    )
     n_endpoints = int(ray.get(count_ref))
     if n_endpoints == 0:
         # typed empty output: a map over 0-row blocks emits no blocks,
@@ -893,16 +879,11 @@ def verify_pairs_exact(
         # --- broadcast path: ONE fid-keyed CSR in the object store ---
         # (radix-sortable uint64 keys, a sort permutation, and the
         # shingle/name payloads as ARROW columns — no payload sort, no
-        # numpy copy; see _build_csr_task). The driver never touches the
+        # numpy copy; see _build_csr). The driver never touches the
         # heavy data; every scoring task reads the CSR zero-copy from
         # plasma. Right up to the per-node memory budget; beyond it the
         # sharded path below keeps the same kernel.
-        sets_blocks = sigs.materialize().to_arrow_refs()
-        sets_ref = (
-            _build_csr_task.remote(endpoints_ref, *sets_blocks)
-            if sets_blocks
-            else ray.put(_EMPTY_CSR)
-        )
+        sets_ref = _csr_ref(sigs.materialize(), endpoints_ref)
 
         def score_broadcast(batch: pa.Table, csr: tuple) -> pa.Table:
             return _score_pairs_two_csr(batch, csr, csr, threshold)
@@ -929,7 +910,7 @@ def verify_pairs_exact(
         split_refs = _shard_split(sigs, n_shards, endpoints_ref)
     empty_ref = ray.put(_EMPTY_CSR)
     shard_refs = {
-        s: _build_csr_task.remote(endpoints_ref, *[row[s] for row in split_refs])
+        s: _csr_ref([row[s] for row in split_refs], endpoints_ref)
         for s in range(n_shards)
     }
 
@@ -1012,8 +993,19 @@ def _csr_views(col: pa.Array | pa.ChunkedArray | None) -> tuple:
     return ((arrow_offsets - arrow_offsets[0]) // 8).astype(np.int64), flat
 
 
-@ray.remote
-def _build_csr_task(endpoints, *blocks: pa.Table) -> tuple:
+def _csr_ref(sigs, endpoints_ref):
+    """The ref of ``_build_csr`` over the signature blocks ``sigs`` (a
+    Dataset, or the sub-table refs of one verify shard)."""
+    return gather_blocks(
+        sigs,
+        _build_csr,
+        _EMPTY_CSR,
+        endpoints_ref,
+        columns=["fid", "file_id", "shingles"],
+    )
+
+
+def _build_csr(tbl: pa.Table, endpoints: np.ndarray) -> tuple:
     """fid-keyed CSR over the endpoint rows of (a shard of) the
     signature table's shingle sets.
 
@@ -1031,12 +1023,6 @@ def _build_csr_task(endpoints, *blocks: pa.Table) -> tuple:
     full signature payload because endpoints are unknown at split time;
     this filter keeps the built CSR endpoint-sized either way). Which
     rows belong to which shard is the split's business alone."""
-    blocks = tuple(b for b in blocks if "fid" in b.column_names and len(b))
-    if not blocks:
-        return _EMPTY_CSR
-    tbl = pa.concat_tables(
-        [b.select(["fid", "file_id", "shingles"]) for b in blocks]
-    )
     fids = tbl.column("fid").to_numpy().astype(np.uint64)
     keep = in_sorted(endpoints, fids)
     if not keep.all():
@@ -1294,32 +1280,26 @@ def ngram_jaccard_pairs(
     )
 
 
-@ray.remote(num_returns=2)
-def _build_postings(*blocks: pa.Table) -> tuple:
-    """ONE remote task assembles the global sorted postings array
-    (shingle-hash → doc index) from the set blocks; the driver reads
-    back only the row count, never the corpus-sized array. Shared by
-    the exact-Jaccard and containment all-pairs scorers."""
-    blocks = tuple(b for b in blocks if "doc_key" in b.column_names and len(b))
-    if not blocks:
-        return 0, None
-    tbl = pa.concat_tables(blocks).sort_by("doc_key")
+def _build_postings(tbl: pa.Table) -> tuple:
+    """The global sorted postings array (shingle-hash → doc index) of
+    the (doc_key, shingles) rows. Shared by the exact-Jaccard and
+    containment all-pairs scorers."""
+    tbl = tbl.sort_by("doc_key")
     keys = tbl.column("doc_key").to_numpy(zero_copy_only=False)
     offsets, all_sh = _csr_views(tbl.column("shingles"))
     sizes = np.diff(offsets)
     all_doc = np.repeat(np.arange(len(keys), dtype=np.int64), sizes)
     order = np.argsort(all_sh, kind="stable")
-    return len(keys), (keys, sizes, all_sh[order], all_doc[order])
+    return keys, sizes, all_sh[order], all_doc[order]
 
 
 def _postings_ref(sets_ds: ray.data.Dataset):
-    """The ref of ``_build_postings`` over a materialized set dataset,
-    or None when it holds no doc."""
-    set_refs = sets_ds.to_arrow_refs()
-    if not set_refs:
+    """The ref of ``_build_postings``, built in one task over a
+    materialized set dataset (the driver never holds the corpus-sized
+    array), or None when it holds no doc."""
+    if sets_ds.count() == 0:
         return None
-    count_ref, ref = _build_postings.remote(*set_refs)
-    return ref if ray.get(count_ref) else None
+    return gather_blocks(sets_ds, _build_postings, None)
 
 
 def _doc_overlaps(batch: pa.Table, postings: tuple):

@@ -38,6 +38,7 @@ import ray.data
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.kmeans import kmeans_lattice
 from duplicate_finder_ray.stages.similarity import _matrix
+from duplicate_finder_ray.stages.util import gather_blocks
 
 
 def _subspace_assignments(
@@ -269,14 +270,9 @@ def pq_adc_topk(
             }
         )
 
-    partials = codes.map_batches(local_topk, batch_format="pyarrow").materialize()
+    partials = codes.map_batches(local_topk, batch_format="pyarrow")
 
-    @ray.remote
-    def final(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "query_id" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        t = pa.concat_tables(blocks)
+    def final(t: pa.Table) -> pa.Table:
         q = t.column("query_id").to_numpy().astype(np.int64)
         i = t.column(id_col).to_numpy().astype(np.int64)
         d = t.column("adc_d2").to_numpy().astype(np.int64)
@@ -295,7 +291,6 @@ def pq_adc_topk(
             }
         )
 
-    refs = partials.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([final.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(partials, final, out_schema.empty_table())]
+    )

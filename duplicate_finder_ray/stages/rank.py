@@ -45,9 +45,11 @@ import pyarrow.compute as pc
 
 import ray
 import ray.data
+from ray.data.block import BlockAccessor
 
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.join import _pa_type
+from duplicate_finder_ray.stages.util import block_refs
 
 
 def _lex_ge(cols: list, boundary: tuple):
@@ -95,13 +97,14 @@ def global_rank(
     )
 
     mat = ds.materialize()
-    blocks = mat.to_arrow_refs()
+    blocks = list(block_refs(mat))
     if not blocks:
         return ray.data.from_arrow(out_schema.empty_table())
 
     # ---- boundary sampling: evenly spaced key tuples per block ----
     @ray.remote
-    def sample_keys(block: pa.Table) -> list[tuple]:
+    def sample_keys(block) -> list[tuple]:
+        block = BlockAccessor.for_block(block).to_arrow()
         if len(block) == 0 or block.num_columns == 0:
             return []
         k = min(sample_per_block, len(block))

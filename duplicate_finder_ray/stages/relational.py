@@ -56,6 +56,7 @@ from duplicate_finder_ray.stages.exchange import (
     hash_exchange,
 )
 from duplicate_finder_ray.stages.util import (
+    gather_blocks,
     group_aggregate,
     group_codes,
     group_rows,
@@ -72,23 +73,20 @@ from duplicate_finder_ray.stages.util import (
 def collect_small_side(ds: ray.data.Dataset, columns: list[str]):
     """Concatenate a SMALL dataset into one Arrow table inside a remote
     task and return the object ref — the driver never holds the rows;
-    probe tasks ``ray.get`` the ref zero-copy."""
+    probe tasks ``ray.get`` the ref zero-copy. Expr-filtered upstreams
+    can emit blocks that dodged the ``select_columns`` projection, so
+    each block is projected again. Without rows the table is typed by
+    ``ds``'s schema, its columns null-typed when that has none."""
+    from duplicate_finder_ray.stages.join import _pa_type
 
-    @ray.remote
-    def concat(*tables: pa.Table) -> pa.Table:
-        # empty aggregate partitions surface as 0-column blocks that
-        # would poison concat_tables' schema unification — drop them;
-        # expr-filtered upstreams can also emit blocks that dodged the
-        # select_columns projection, so re-project per block
-        tables = [t.select(columns) for t in tables if t.num_columns]
-        if not tables:
-            return pa.table({c: [] for c in columns})
-        return pa.concat_tables(tables).combine_chunks()
-
-    refs = ds.select_columns(columns).materialize().to_arrow_refs()
-    if not refs:
-        return ray.put(pa.table({c: [] for c in columns}))
-    return concat.remote(*refs)
+    mat = ds.select_columns(columns).materialize()
+    schema = mat.schema()
+    types = dict(zip(schema.names, schema.types)) if schema is not None else {}
+    if all(c in types for c in columns):
+        empty = pa.schema([(c, _pa_type(types[c])) for c in columns]).empty_table()
+    else:
+        empty = pa.table({c: [] for c in columns})
+    return gather_blocks(mat, pa.Table.combine_chunks, empty, columns=columns)
 
 
 def broadcast_hash_join(
@@ -381,22 +379,16 @@ def topk_global(
         return part.take(sort_indices(part, by, ascending)[:k])
 
     pruned = ds.map_batches(local_topk, batch_format="pyarrow").materialize()
-
-    import ray as _ray
-
-    @_ray.remote
-    def final(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and b.num_columns)
-        if not blocks:
-            empty = ds.schema()
-            fields = [
-                pa.field(n, t if isinstance(t, pa.DataType) else pa.string())
-                for n, t in zip(empty.names, empty.types)
-            ]
-            return pa.schema([*fields, pa.field("rank", pa.int64())]).empty_table()
-        return ranked_head(pa.concat_tables(blocks), by, ascending, k)
-
-    return ray.data.from_arrow_refs([final.remote(*pruned.to_arrow_refs())])
+    if pruned.count() == 0:
+        schema = ds.schema()
+        fields = [
+            pa.field(n, t if isinstance(t, pa.DataType) else pa.string())
+            for n, t in zip(schema.names, schema.types)
+        ]
+        empty = pa.schema([*fields, pa.field("rank", pa.int64())]).empty_table()
+        return ray.data.from_arrow(empty)
+    top = gather_blocks(pruned, lambda t: ranked_head(t, by, ascending, k), None)
+    return ray.data.from_arrow_refs([top])
 
 
 # --------------------------------------------------------------------------
@@ -1210,18 +1202,12 @@ def pareto_frontier(
         return t.filter(pa.array(m))
 
     names = list(schema.names)
+    empty = pa.schema([(c, types[c]) for c in names]).empty_table()
 
-    @ray.remote
-    def merge(*parts: pa.Table) -> pa.Table:
-        tables = [p.select(names) for p in parts if p.num_columns]
-        t = pa.concat_tables(tables).combine_chunks()
-        if len(t) == 0:
-            return t
-        m = _frontier_mask(
-            t.column(x_col).to_numpy(), t.column(y_col).to_numpy()
-        )
-        return t.filter(pa.array(m))
+    def merge(t: pa.Table) -> pa.Table:
+        return local(t.combine_chunks())
 
     locals_ = ds.map_batches(local, batch_format="pyarrow")
-    refs = locals_.materialize().to_arrow_refs()
-    return ray.data.from_arrow_refs([merge.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(locals_, merge, empty, columns=names)]
+    )

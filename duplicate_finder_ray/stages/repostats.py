@@ -25,7 +25,7 @@ import pyarrow.compute as pc
 import ray.data
 
 from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
-from duplicate_finder_ray.stages.util import group_aggregate
+from duplicate_finder_ray.stages.util import gather_blocks, group_aggregate
 
 
 def _codes(col: "pa.ChunkedArray | pa.Array") -> np.ndarray:
@@ -583,16 +583,9 @@ def repo_size_gini(files: ray.data.Dataset) -> ray.data.Dataset:
         files.select_columns(["repo", "size"]), "repo", {"bytes": ("sum", "size")}
     )
 
-    import ray as _ray
-
-    @_ray.remote
-    def gini(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and b.num_columns)
-        if not blocks:
-            return out_schema.empty_table()
+    def gini(t: pa.Table) -> pa.Table:
         df = (
-            pa.concat_tables(blocks)
-            .to_pandas()
+            t.to_pandas()
             .sort_values(["bytes", "repo"], kind="mergesort")
             .reset_index(drop=True)
         )
@@ -612,8 +605,9 @@ def repo_size_gini(files: ray.data.Dataset) -> ray.data.Dataset:
             }
         )
 
-    refs = totals.materialize().to_arrow_refs()
-    return ray.data.from_arrow_refs([gini.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(totals, gini, out_schema.empty_table())]
+    )
 
 
 def dedup_summary(

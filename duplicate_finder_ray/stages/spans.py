@@ -33,7 +33,7 @@ import pyarrow as pa
 import ray
 import ray.data
 
-from duplicate_finder_ray.stages.util import in_sorted
+from duplicate_finder_ray.stages.util import gather_blocks, in_sorted, sorted_distinct
 
 _POW_BASE = np.uint64(1_000_003)
 
@@ -255,27 +255,13 @@ def common_spans(
         )
     kernel = _SPAN_KERNELS[algorithm]
     pairs = pairs.select_columns(["a", "b"]).materialize()
-
-    @ray.remote(num_returns=2)
-    def collect_endpoints(*blocks: pa.Table) -> tuple:
-        blocks = tuple(b for b in blocks if "a" in b.column_names and len(b))
-        if not blocks:
-            return 0, np.empty(0, dtype=object)
-        tbl = pa.concat_tables([b.select(["a", "b"]) for b in blocks])
-        uniq = np.unique(
-            np.concatenate(
-                [
-                    tbl.column("a").to_numpy(zero_copy_only=False),
-                    tbl.column("b").to_numpy(zero_copy_only=False),
-                ]
-            )
-        )
-        return len(uniq), uniq  # np.unique ⇒ sorted
-
-    pair_refs = pairs.to_arrow_refs()
-    if not pair_refs:
-        return ray.data.from_arrow(SPANS_SCHEMA.empty_table())
-    count_ref, endpoints_ref = collect_endpoints.remote(*pair_refs)
+    count_ref, endpoints_ref = gather_blocks(
+        pairs,
+        sorted_distinct,
+        (0, np.empty(0, dtype=object)),
+        columns=["a", "b"],
+        num_returns=2,
+    )
     if int(ray.get(count_ref)) == 0:
         return ray.data.from_arrow(SPANS_SCHEMA.empty_table())
 
@@ -296,18 +282,13 @@ def common_spans(
         pa.array([], pa.large_binary()),
     )
 
-    @ray.remote
-    def build_content_csr(*blocks: pa.Table) -> tuple:
+    def build_content_csr(tbl: pa.Table) -> tuple:
         """(sorted file_ids, sort permutation → row index, content as an
         ARROW large_binary column in row order). The string column's
         data buffer IS utf-8, so span tasks slice it zero-copy; no
         payload sort and no numpy copy of the content bytes (both cost
         seconds of single-thread wall that every span task would block
         behind)."""
-        blocks = tuple(b for b in blocks if "file_id" in b.column_names and len(b))
-        if not blocks:
-            return _EMPTY_CSR
-        tbl = pa.concat_tables(blocks)
         ids = tbl.column("file_id").to_numpy(zero_copy_only=False)
         order = np.argsort(ids, kind="stable").astype(np.int64)
         col = tbl.column("content").cast(pa.large_binary())
@@ -317,11 +298,7 @@ def common_spans(
             col = col.chunk(0) if col.num_chunks else pa.array([], pa.large_binary())
         return ids[order], order, col
 
-    content_refs = content.to_arrow_refs()
-    if content_refs:
-        ref = build_content_csr.remote(*content_refs)
-    else:
-        ref = ray.put(_EMPTY_CSR)
+    ref = gather_blocks(content, build_content_csr, _EMPTY_CSR)
 
     def span_batch(batch: pa.Table) -> pa.Table:
         if len(batch) == 0:

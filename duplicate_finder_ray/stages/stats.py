@@ -32,6 +32,7 @@ import pyarrow.compute as pc
 import ray
 import ray.data
 from duplicate_finder_ray.stages.exchange import grouped_aggregate
+from duplicate_finder_ray.stages.util import gather_blocks
 
 #: half-up micro-unit rounding shared with the SQL twins:
 #: CAST(floor(x * 1000000 + 0.5) AS BIGINT)
@@ -395,12 +396,7 @@ def nearest_centroid_assign(
     cluster co-partition exchange doesn't need an id join."""
     from duplicate_finder_ray.stages.similarity import _matrix
 
-    @ray.remote
-    def pivot(*blocks: pa.Table) -> tuple:
-        blocks = tuple(b for b in blocks if "dim" in b.column_names and len(b))
-        if not blocks:
-            return None
-        t = pa.concat_tables(blocks)
+    def pivot(t: pa.Table) -> tuple:
         g = t.column(group_col).to_numpy(zero_copy_only=False).astype(np.int64)
         dim = t.column("dim").to_numpy(zero_copy_only=False).astype(np.int64)
         mm = t.column("mean_micro").to_numpy(zero_copy_only=False).astype(np.int64)
@@ -410,7 +406,7 @@ def nearest_centroid_assign(
         mat[np.searchsorted(groups, g), dim] = mm
         return groups, mat
 
-    cent_ref = pivot.remote(*centroids.materialize().to_arrow_refs())
+    cent_ref = gather_blocks(centroids, pivot, None)
 
     extras = list(extra_cols or [])
 
@@ -569,12 +565,8 @@ def psi_drift(
         ]
     )
 
-    @ray.remote
-    def finish(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "bucket" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        df = pa.concat_tables(blocks).to_pandas()
+    def finish(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         piv = df.pivot_table(
             index="bucket", columns="slice", values="n", aggfunc="sum", fill_value=0
         )
@@ -599,10 +591,9 @@ def psi_drift(
             }
         )
 
-    refs = counts.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([finish.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(counts, finish, out_schema.empty_table())]
+    )
 
 
 def chi2_contingency(
@@ -653,12 +644,8 @@ def chi2_contingency(
         ]
     )
 
-    @ray.remote
-    def finish(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if len(b) and "r" in b.column_names)
-        if not blocks:
-            return out_schema.empty_table()
-        df = pa.concat_tables(blocks).to_pandas()
+    def finish(t: pa.Table) -> pa.Table:
+        df = t.to_pandas()
         piv = df.pivot_table(
             index="r", columns="c", values="n", aggfunc="sum", fill_value=0
         )
@@ -686,7 +673,6 @@ def chi2_contingency(
             }
         )
 
-    refs = counts.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([finish.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(counts, finish, out_schema.empty_table())]
+    )

@@ -26,7 +26,12 @@ import ray
 import ray.data
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.stages.exchange import grouped_aggregate, hash_exchange
-from duplicate_finder_ray.stages.util import group_aggregate, group_rows, rename_cols
+from duplicate_finder_ray.stages.util import (
+    gather_blocks,
+    group_aggregate,
+    group_rows,
+    rename_cols,
+)
 
 # -- quality scoring ---------------------------------------------------
 
@@ -409,12 +414,7 @@ def approx_top_tokens(
         ]
     )
 
-    @ray.remote
-    def merge(*blocks: pa.Table) -> pa.Table:
-        blocks = tuple(b for b in blocks if "token" in b.column_names and len(b))
-        if not blocks:
-            return out_schema.empty_table()
-        tbl = pa.concat_tables(blocks)
+    def merge(tbl: pa.Table) -> pa.Table:
         df = tbl.to_pandas()
         is_sentinel = df["token"] == ""
         eps_total = int(df.loc[is_sentinel, "n"].sum())
@@ -441,10 +441,9 @@ def approx_top_tokens(
             }
         )
 
-    refs = parts.to_arrow_refs()
-    if not refs:
-        return ray.data.from_arrow(out_schema.empty_table())
-    return ray.data.from_arrow_refs([merge.remote(*refs)])
+    return ray.data.from_arrow_refs(
+        [gather_blocks(parts, merge, out_schema.empty_table())]
+    )
 
 
 # -- HLL cardinality sketch (mergeable, vectorized) ---------------------

@@ -4,14 +4,22 @@ The table kernels sort and group one block in Arrow. Arrow compares
 keys as values, so strings that differ only after an embedded NUL stay
 apart; pandas' object-string hashing merges them.
 
-``map_blocks`` is the post-read map: one plain Ray task per block of a
-materialized Dataset. Starting a Ray Data execution costs about 0.1 s
-whatever the data; a task wave over a few small blocks costs a few
-tens of milliseconds."""
+After the read, a stage has one of two shapes, each behind one helper:
+
+- ``map_blocks``, the stateless map: one plain Ray task per block.
+- ``gather_blocks``, the fold: one task gets every block of a stage
+  and reduces their rows to one result (a final top-k, a broadcast
+  CSR, a sorted probe array).
+
+Both take a Dataset's block refs from ``block_refs``, so a
+materialized Dataset starts no Ray Data execution. Starting one costs
+about 0.1 s whatever the data; a task wave over a few small blocks
+costs a few tens of milliseconds."""
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterator
+from collections.abc import Callable, Iterable, Iterator
+from typing import Any
 
 import numpy as np
 import pyarrow as pa
@@ -78,6 +86,66 @@ def map_blocks(
     return ray.data.from_arrow_refs(
         [_map_block.remote(fn, empty, ref, *shared) for ref in refs]
     )
+
+
+def fetch_blocks(ds: ray.data.Dataset) -> list[pa.Table]:
+    """The blocks of ``ds`` that hold rows, in order, as Arrow tables on
+    the caller: the read-back of a small result."""
+    return [
+        BlockAccessor.for_block(b).to_arrow() for b in ray.get(list(block_refs(ds)))
+    ]
+
+
+@ray.remote
+def _gather_blocks(fn, empty, columns, n_shared: int, *args):
+    shared, tables = args[:n_shared], []
+    for block in args[n_shared:]:
+        block = BlockAccessor.for_block(block).to_arrow()
+        if len(block) and block.num_columns:
+            tables.append(block if columns is None else block.select(columns))
+    if not tables:
+        return empty
+    return fn(pa.concat_tables(tables), *shared)
+
+
+def gather_blocks(
+    src: ray.data.Dataset | Iterable[ray.ObjectRef],
+    fn: Callable[..., Any],
+    empty: Any,
+    *shared: Any,
+    columns: list[str] | None = None,
+    num_returns: int = 1,
+):
+    """``fn(table, *shared)`` in one Ray task over all the blocks of
+    ``src``; returns the task's ref (a list of ``num_returns`` refs when
+    it is above 1), the result staying in the object store.
+
+    - ``src`` is a Dataset (its ``block_refs``) or a list of block refs,
+      e.g. the sub-tables of one partition of a ``split_wave``.
+    - ``table`` is the blocks' rows in block order, each block projected
+      to ``columns`` when given; 0-row and zero-column blocks are
+      dropped.
+    - When no row arrives the result is ``empty`` (a tuple of
+      ``num_returns`` values when it is above 1) and ``fn`` is not
+      called. A ``src`` with no block launches no task.
+    - ``shared`` values are task arguments: refs arrive as their values.
+    - An error raised by ``fn`` raises where the result is read."""
+    refs = list(block_refs(src) if isinstance(src, ray.data.Dataset) else src)
+    if not refs:
+        return ray.put(empty) if num_returns == 1 else [ray.put(e) for e in empty]
+    return _gather_blocks.options(num_returns=num_returns).remote(
+        fn, empty, columns, len(shared), *shared, *refs
+    )
+
+
+def sorted_distinct(t: pa.Table) -> tuple[int, np.ndarray]:
+    """The count and the ascending array of the distinct values in all
+    the columns of ``t`` together. Strings land in an object array,
+    which compares them as values, so ids that differ only after an
+    embedded NUL stay apart (a fixed-width numpy string drops trailing
+    NULs)."""
+    vals = np.unique(np.concatenate([c.to_numpy() for c in t.columns]))
+    return len(vals), vals
 
 
 def rename_cols(ds: ray.data.Dataset, mapping: dict[str, str]) -> ray.data.Dataset:

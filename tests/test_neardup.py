@@ -110,14 +110,13 @@ class TestNearDupPipeline:
         ).materialize()
         cands = neardup.candidate_pairs(None, cfg, sigs_source=sigs).materialize()
         launches = []
-        real_build = neardup._build_csr_task
+        real_build = neardup._csr_ref
 
-        class Spy:
-            def remote(self, *args):
-                launches.append(1)
-                return real_build.remote(*args)
+        def spy(*args):
+            launches.append(1)
+            return real_build(*args)
 
-        monkeypatch.setattr(neardup, "_build_csr_task", Spy())
+        monkeypatch.setattr(neardup, "_csr_ref", spy)
 
         def verified(**kw):
             launches.clear()

@@ -424,6 +424,25 @@ class TestParetoFrontier:
         with pytest.raises(ValueError):
             rel.pareto_frontier(ds, "x", "y")
 
+    def test_input_filtered_to_no_rows(self):
+        """A map that drops every row leaves only 0-row or zero-column
+        blocks: the frontier is empty and keeps the input's schema."""
+        ds = ray.data.from_arrow(
+            [
+                pa.table({"x": pa.array([1, 2], pa.int64()),
+                          "y": pa.array([4, 3], pa.int64()),
+                          "tag": ["a", "b"]}),
+                pa.table({"x": pa.array([5], pa.int64()),
+                          "y": pa.array([1], pa.int64()),
+                          "tag": ["c"]}),
+            ]
+        ).map_batches(lambda t: t.slice(0, 0), batch_format="pyarrow")
+        out = rel.pareto_frontier(ds, "x", "y")
+        assert out.count() == 0
+        assert out.schema().base_schema == pa.schema(
+            [("x", pa.int64()), ("y", pa.int64()), ("tag", pa.string())]
+        )
+
 
 class TestNulKeyGroups:
     """Keys that differ only after an embedded NUL are different groups,
