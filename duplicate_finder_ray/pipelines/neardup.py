@@ -16,16 +16,18 @@ composition of four named stages, shared by ``run_on`` and
                 At scale: ``hash_exchange`` with the explosion fused
                 into its split tasks. Hot buckets capped; pairs deduped
                 across bands with a band-collision count
-    verified    exact Jaccard over fid-keyed shingle CSRs built from the
-                signature blocks' endpoint rows: one broadcast CSR for
-                few endpoints, else fid-sharded CSRs whose split is
-                prestarted under the candidates stage
+    verified    exact Jaccard over fid-keyed shingle CSRs of the
+                signature blocks' endpoint rows, one scoring task per
+                candidate block with every CSR a task argument (pairs
+                never shuffle): one CSR for few endpoints, else one per
+                fid shard, split under the candidates stage when the
+                corpus is large
     labels      connected components: hash-to-min contraction rounds
                 as task waves over block refs, one bucket per 2 M
                 edges (one task, one round on smaller graphs)
 
 On inputs below the broadcast limits, the signature pass is the only
-Ray Data execution: candidates, the broadcast verify and every CC
+Ray Data execution: candidates, the verify scoring and every CC
 round are Ray tasks launched over the materialized blocks' refs.
 
 Each stage runs through a hook ``(name, make, extra) → materialized

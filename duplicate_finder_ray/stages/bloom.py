@@ -15,15 +15,14 @@ the composed operator is exact (hash-match oracle: ``WHERE key IN
 the corpus.
 
 Hashing: k bit positions per key via Kirsch-Mitzenmacher double
-hashing (pos_i = h1 + i*h2 mod m) over two independent vectorized
-64-bit hashes (`pd.util.hash_array` with distinct 16-byte seeds) — no
-per-row Python on either the build or the probe pass.
+hashing (pos_i = h1 + i*h2 mod m): h1 is the vectorized fixed-key
+siphash ``stable_hash_array``, h2 its splitmix64 remix — no per-row
+Python on either the build or the probe pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray

@@ -27,13 +27,14 @@ bucket and its root's, so keeping each bucket's own nodes labels every
 node exactly once.
 
 Width: ``P = min(2 × effective_parallelism, ceil(|E| / _EDGES_PER_BUCKET))``.
-A graph of at most ``_EDGES_PER_BUCKET`` edges runs at P = 1: one task
-takes the pair blocks' refs and projects ``(a, b)`` itself, and its one
-round is the fixpoint, so it needs no split, checksum or filter. Above
-that each round is one ``split_wave`` (the edge doubling runs in its
-``premap``) and one reduce wave reading the split refs; the next round
-splits the reduce refs. The driver reads only the inline ``(rows,
-checksum)`` pairs, so no round starts a Ray Data execution.
+A graph of at most ``_EDGES_PER_BUCKET`` edges runs at P = 1: one
+``util.gather_blocks`` task takes the pair blocks' refs, projected to
+``(a, b)``, and its one round is the fixpoint, so it needs no split,
+checksum or filter. Above that each round is one ``split_wave`` (the
+edge doubling runs in its ``premap``) and one ``gather_blocks`` task
+per bucket over its split refs; the next round splits their stars.
+The driver reads only the inline ``(rows, checksum)`` pairs, so no
+round starts a Ray Data execution.
 
 Skew bound (north_rule "break skew on mega-repos"): once a component
 has contracted toward its root, the root's bucket receives that
@@ -70,7 +71,7 @@ from duplicate_finder_ray.config import PipelineConfig
 from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.stages.exchange import partition_ids, split_wave
 from duplicate_finder_ray.stages.neardup import effective_parallelism
-from duplicate_finder_ray.stages.util import block_refs
+from duplicate_finder_ray.stages.util import block_refs, gather_blocks
 
 _LABELS_SCHEMA = pa.schema([("file_id", pa.string()), ("component", pa.string())])
 #: edges per contraction bucket: graphs up to this size run as one bucket
@@ -101,18 +102,18 @@ def min_labels(ea: np.ndarray, eb: np.ndarray, n: int) -> np.ndarray:
 
 
 def _star_edges(tbl: pa.Table) -> tuple[pa.Array, np.ndarray]:
-    """``(nodes, label)`` for the string edge table ``tbl`` (file_id,
-    component): every distinct node in byte order, and per node the
-    index in ``nodes`` of the lexicographically smallest node of its
-    component within ``tbl``.
+    """``(nodes, label)`` for the string edge table ``tbl``, whose two
+    columns are the endpoints: every distinct node in byte order, and
+    per node the index in ``nodes`` of the lexicographically smallest
+    node of its component within ``tbl``.
 
     Nodes are coded by Arrow's hash table and ranked by Arrow's string
     sort, so node index order IS byte order and ``min_labels``'s
     smallest index is the smallest node. Arrow compares whole values:
     ids that differ only after an embedded NUL stay distinct nodes."""
-    a = tbl.column("file_id").combine_chunks()
+    a = tbl.column(0).combine_chunks()
     enc = pc.dictionary_encode(
-        pa.concat_arrays([a, tbl.column("component").combine_chunks()])
+        pa.concat_arrays([a, tbl.column(1).combine_chunks()])
     )
     order = pc.array_sort_indices(enc.dictionary)
     rank = np.empty(len(order), dtype=np.int64)
@@ -151,16 +152,13 @@ def _bucket_column(tbl: pa.Table, n: int) -> np.ndarray:
     return tbl.column("__bucket").to_numpy()
 
 
-@ray.remote(num_returns=2)
-def _contract(n: int, *blocks) -> tuple[pa.Table, tuple[int, int]]:
-    """One bucket of a round over ``n`` buckets: the star ``(file_id,
-    component)`` of every node among the blocks' edges, and its
-    ``(rows, checksum partial)`` — a wrapping uint64 sum of a per-row
-    hash, left 0 at ``n == 1``, whose one round is the fixpoint."""
-    edges = [t for t in map(_edge_view, blocks) if len(t)]
-    if not edges:
-        return _LABELS_SCHEMA.empty_table(), (0, 0)
-    nodes, label = _star_edges(pa.concat_tables(edges))
+def _contract(tbl: pa.Table, n: int) -> tuple[pa.Table, tuple[int, int]]:
+    """One bucket of a round over ``n`` buckets, from its edges ``tbl``
+    (the two endpoint columns, in that order): the star ``(file_id,
+    component)`` of every node, and its ``(rows, checksum partial)`` —
+    a wrapping uint64 sum of a per-row hash, left 0 at ``n == 1``,
+    whose one round is the fixpoint."""
+    nodes, label = _star_edges(tbl)
     checksum = 0
     if n > 1:
         h = stable_hash_array(nodes.to_numpy(zero_copy_only=False))
@@ -206,18 +204,22 @@ def connected_components(
     width = min(2 * effective_parallelism(cfg), -(-n_edges // _EDGES_PER_BUCKET))
     refs = list(block_refs(pairs))
 
+    # one bucket reads the pair blocks, wider rounds the split edges
+    columns = ["a", "b"] if width == 1 else _LABELS_SCHEMA.names
+    empty = (_LABELS_SCHEMA.empty_table(), (0, 0))
     prev = None
     for rnd in range(_MAX_ROUNDS):
         if width == 1:
-            outs = [_contract.remote(1, *refs)]
+            buckets = [refs]
         else:
             split = split_wave(
                 refs, _bucket_column, width, functools.partial(_double, n=width)
             )
-            outs = [
-                _contract.remote(width, *[row[p] for row in split])
-                for p in range(width)
-            ]
+            buckets = [[row[p] for row in split] for p in range(width)]
+        outs = [
+            gather_blocks(b, _contract, empty, width, columns=columns, num_returns=2)
+            for b in buckets
+        ]
         refs = [star for star, _ in outs]
         stats = ray.get([s for _, s in outs])
         if round_metrics is not None:

@@ -22,7 +22,7 @@ leave the task); partials fold in a TREE of remote tasks (fan-in
 ``_FANIN`` per level, O(log blocks) depth) so no single task ever
 sums more than _FANIN sketches; point queries run on the driver
 against the final ~128 KB matrix. Row hashes are fixed-key siphash
-(pd.util.hash_array) — deterministic across processes and nodes, so
+(``stable_hash_array``) — deterministic across processes and nodes, so
 partials built anywhere merge coherently and reruns reproduce the
 sketch bit-for-bit.
 
@@ -37,7 +37,6 @@ e·N/width bound on a vocab ≫ width corpus).
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 

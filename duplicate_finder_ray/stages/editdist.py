@@ -18,10 +18,10 @@ Scale shape: candidate pairs come from the n-gram/LSH stages (never
 all-pairs); the pair endpoints' contents are fetched via a broadcast
 semi-join of ONLY the paired doc ids (≤ 2·pairs rows — cluster members,
 not the corpus) and scoring distributes over pair batches. At 10^9-doc
-scale the content fetch would move to the ``fid % n_shards`` split
-exchange proven in stages/neardup.py:verify_pairs_exact; the broadcast
-is correct while Σ|paired contents| fits one object (documented bound,
-same as the n-gram baseline's postings).
+scale the fetched contents would be split into ``fid % n_shards``
+shards, as stages/neardup.py:verify_pairs_exact shards its shingle
+CSRs; the broadcast is correct while Σ|paired contents| fits one
+object (documented bound, same as the n-gram baseline's postings).
 """
 
 from __future__ import annotations

@@ -42,7 +42,6 @@ import ray.data
 
 from duplicate_finder_ray.stages.exchange import hash_exchange
 from duplicate_finder_ray.stages.kmeans import _assign_arrays, _quantize, kmeans_lattice
-from duplicate_finder_ray.stages.similarity import _matrix
 from duplicate_finder_ray.stages.util import gather_blocks
 
 _MICRO = 1_000_000.0

@@ -39,17 +39,19 @@ Execution shape:
   up for capped buckets.
 * Pair verification re-reads NOTHING: exact mode scores candidate pairs
   against the shingle sets already emitted by the signature pass,
-  assembled into CSR buffers in remote tasks straight from the
-  signature blocks, keeping endpoint rows only (broadcast below
-  ``broadcast_verify_limit`` endpoints, a ``fid % n_shards``-partitioned
-  shard exchange above it); estimate mode hash-joins the minhash columns
-  and filters on the Jaccard estimate ≥ τ.
+  assembled into fid-keyed CSR buffers in remote tasks, keeping
+  endpoint rows only. Each candidate-pair block is scored where it is,
+  by one task that gets every CSR as an argument; the pairs never
+  shuffle. Up to ``broadcast_verify_limit`` endpoints there is one
+  CSR, built straight from the signature blocks; above it (or with a
+  prestarted split) one CSR per ``fid % n_shards`` shard of a
+  ``split_wave`` over the signature blocks. Estimate mode hash-joins
+  the minhash columns and filters on the Jaccard estimate ≥ τ.
 * After the signature pass, the below-limit paths start no Ray Data
   execution: the fused candidate task, the pair dedupe task, the
-  endpoint and CSR builds (``util.gather_blocks``) and the broadcast
-  verify (one scoring task per candidate-pair block, ``map_blocks``)
-  are plain Ray tasks over the materialized blocks' refs, wrapped with
-  ``from_arrow_refs``.
+  endpoint and CSR builds (``util.gather_blocks``) and the verify
+  scoring (``map_blocks``) are plain Ray tasks over the materialized
+  blocks' refs, wrapped with ``from_arrow_refs``.
 """
 
 from __future__ import annotations
@@ -69,7 +71,6 @@ from duplicate_finder_ray.functions.hashing import stable_hash_array
 from duplicate_finder_ray.functions.shingles import (
     Shingler,
     band_keys,
-    estimated_jaccard,
     minhash_params,
     batch_minhash,
     batch_simhash,
@@ -78,7 +79,6 @@ from duplicate_finder_ray.functions.shingles import (
 from duplicate_finder_ray.stages.util import (
     block_refs,
     gather_blocks,
-    group_aggregate,
     in_sorted,
     map_blocks,
     sorted_distinct,
@@ -639,19 +639,16 @@ def _dedupe_candidates(pairs: ray.data.Dataset, num_parts: int) -> ray.data.Data
             out_parts,
         )
 
-    # distributed fallback: barrier-free hash exchange keyed on the
-    # FULL (a, b) pair (fixed-key siphash mix — a hub file that
-    # near-matches much of the corpus would otherwise funnel its pairs
-    # into one partition), reduced by the same run-length kernel the
-    # single-task path uses.
-    from duplicate_finder_ray.stages.exchange import hash_exchange
+    # distributed fallback: the engine's grouped aggregate keyed on the
+    # FULL (a, b) pair (a hub file that near-matches much of the corpus
+    # would otherwise funnel its pairs into one partition): the band
+    # count and the largest true bucket size per pair.
+    from duplicate_finder_ray.stages.exchange import grouped_aggregate
 
-    return hash_exchange(
+    return grouped_aggregate(
         raw,
         ["a", "b"],
-        num_parts,
-        lambda p, tbl: _dedupe_table(tbl),
-        CAND_SCHEMA.empty_table(),
+        {"n_bands": ("count", None), "bucket_size": ("max", "bucket_size")},
     )
 
 
@@ -764,7 +761,7 @@ def verify_pairs(
 
 def _fid_shard(fids: np.ndarray, n_shards: int) -> np.ndarray:
     """Exact-verify shard of each fid: ``fid % n_shards``. The shard
-    split places CSR rows by it and the pair routing looks CSRs up by
+    split places CSR rows by it and the scoring tasks look CSRs up by
     it, so the two cannot disagree."""
     return (fids.astype(np.uint64) % np.uint64(n_shards)).astype(np.int64)
 
@@ -811,9 +808,9 @@ def prestart_verify_split(sigs: ray.data.Dataset, cfg: PipelineConfig) -> dict:
     applies the endpoint semi-join instead — verify's built-CSR memory
     is unchanged; only the transient split sub-blocks cover the whole
     corpus. Returns an opaque handle for ``verify_pairs_exact``'s
-    ``prestarted=`` parameter; a handle whose shard count matches sends
-    verify down the sharded path whatever the endpoint count, so the
-    split is never launched and then thrown away."""
+    ``prestarted=`` parameter; a handle whose shard count matches makes
+    verify build its CSRs from these shards whatever the endpoint
+    count, so the split is never launched and then thrown away."""
     n_shards = _verify_shards(cfg)
     return {"n_shards": n_shards, "split_refs": _shard_split(sigs, n_shards)}
 
@@ -827,29 +824,34 @@ def verify_pairs_exact(
     """Exact-Jaccard verification: keep pairs with true shingle Jaccard
     ≥ τ. Pairs arrive as uint64 fids; ``sigs`` is a signature table
     carrying ``shingles`` (``emit_shingles=True``). Output is (a, b,
-    n_bands, jaccard) with STRING file_ids (a < b lexicographically).
-    Scale shape:
+    n_bands, jaccard, n_inter, n_union) with STRING file_ids (a < b
+    lexicographically). One shape at every size:
 
     1. collect the distinct pair endpoints (uint64, small vs corpus)
-       in one remote task and broadcast the sorted array;
-    2. semi-join: the CSR build (and, sharded, the split task) keeps
-       only the endpoint rows of the signature blocks (searchsorted
-       probe — content does NOT shuffle, no endpoint dataset is
-       written);
-    3. the shingle sets come from the signature table, CSR-indexed by
-       fid;
-    4. vectorized-per-pair exact Jaccard, filter ≥ τ, translate fids
-       back to strings via the file_ids the CSR already carries.
+       in one remote task; the sorted array stays in the object store;
+    2. build one fid-keyed CSR of the endpoint rows' shingle sets per
+       verify shard (``_csr_ref``; content does NOT shuffle, no
+       endpoint dataset is written);
+    3. score each candidate-pair block where it is, one task per block
+       (``map_blocks``) with every shard CSR a task argument: the task
+       groups its rows by (a-shard, b-shard) and runs the exact-Jaccard
+       kernel once per group, filters ≥ τ and translates fids back to
+       strings via the file_ids the CSRs carry.
 
-    When the endpoint set is small (≤ ``broadcast_verify_limit``) one
-    CSR is built and every candidate-pair block is scored against it by
-    its own task (``map_blocks``, the CSR ref a task argument) — no
-    joins and no Ray Data execution (ray_guide: broadcast the small
-    side). Beyond it, or
-    whenever a ``prestarted`` split with the matching shard count is
-    passed, the CSR is sharded by ``_fid_shard``: the 10^12-scale shape.
+    Up to ``broadcast_verify_limit`` endpoints, and without a
+    ``prestarted`` handle, there is one shard, its CSR built in one
+    task straight from the signature blocks; no Ray Data execution
+    starts. Otherwise ``_verify_shards(cfg)`` shards: the signature
+    blocks are split by ``_fid_shard`` (the ``prestarted`` split, or
+    one launched here with the endpoint probe in its split tasks) and
+    each shard's CSR is built by its own task. Pairs never move. Fids
+    are hashed, so a pair block meets nearly every shard: every scoring
+    task reads every shard CSR (zero-copy from the object store), and
+    the shards bound the size of each CSR build, not a scoring task's
+    memory.
     """
-    if "shingles" not in sigs.schema().names:
+    schema = sigs.schema()  # None: a signature table without blocks
+    if schema is not None and "shingles" not in schema.names:
         raise ValueError(
             "verify_pairs_exact needs a signature table with a 'shingles' "
             "column (signatures(..., emit_shingles=True))"
@@ -876,90 +878,39 @@ def verify_pairs_exact(
         prestarted = None
 
     if prestarted is None and n_endpoints <= cfg.broadcast_verify_limit:
-        # --- broadcast path: ONE fid-keyed CSR in the object store ---
-        # (radix-sortable uint64 keys, a sort permutation, and the
-        # shingle/name payloads as ARROW columns — no payload sort, no
-        # numpy copy; see _build_csr). The driver never touches the
-        # heavy data; every scoring task reads the CSR zero-copy from
-        # plasma. Right up to the per-node memory budget; beyond it the
-        # sharded path below keeps the same kernel.
-        sets_ref = _csr_ref(sigs.materialize(), endpoints_ref)
+        # one shard: its CSR is built straight from the signature blocks
+        csr_refs = [_csr_ref(sigs.materialize(), endpoints_ref)]
+    else:
+        split_refs = (
+            prestarted["split_refs"]
+            if prestarted is not None
+            else _shard_split(sigs, n_shards, endpoints_ref)
+        )
+        csr_refs = [
+            _csr_ref([row[s] for row in split_refs], endpoints_ref)
+            for s in range(n_shards)
+        ]
 
-        def score_broadcast(batch: pa.Table, csr: tuple) -> pa.Table:
-            return _score_pairs_two_csr(batch, csr, csr, threshold)
-
-        return map_blocks(
-            pairs, score_broadcast, VERIFIED_SCHEMA.empty_table(), sets_ref
+    def score(batch: pa.Table, *csrs: tuple) -> pa.Table:
+        # one group per (a-shard, b-shard); one shard is one group
+        n = len(csrs)
+        group = _fid_shard(batch.column("a").to_numpy(), n) * n + _fid_shard(
+            batch.column("b").to_numpy(), n
+        )
+        keys = np.unique(group)
+        return pa.concat_tables(
+            [
+                _score_pairs_two_csr(
+                    batch if len(keys) == 1 else batch.filter(pa.array(group == k)),
+                    csrs[k // n],
+                    csrs[k % n],
+                    threshold,
+                )
+                for k in keys
+            ]
         )
 
-    # --- sharded-CSR path (the 10^12-file scale shape) ---
-    # The endpoint shingle table is split ONCE by ``_fid_shard`` (the
-    # only time payload crosses the exchange; the endpoint probe and
-    # the column projection run inside the split task); each shard
-    # becomes its own CSR object built by a parallel remote task. Pairs
-    # — 20-byte rows — are then routed by the a-side shard so every
-    # scoring task zero-copy reads the two shard objects of each pair
-    # from plasma. Per-task memory is O(corpus/n_shards), the pair
-    # shuffle is payload-free, and on a multi-node cluster a shard is
-    # fetched only by the nodes that probe it. A prestarted split
-    # already ran, overlapped under candidate generation, unfiltered;
-    # the CSR builds apply the endpoint filter either way.
-    if prestarted is not None:
-        split_refs = prestarted["split_refs"]
-    else:
-        split_refs = _shard_split(sigs, n_shards, endpoints_ref)
-    empty_ref = ray.put(_EMPTY_CSR)
-    shard_refs = {
-        s: _csr_ref([row[s] for row in split_refs], endpoints_ref)
-        for s in range(n_shards)
-    }
-
-    # Route pairs to scoring tasks by the A-SIDE shard via the
-    # barrier-free hash exchange (one reduce task per sa); each reduce
-    # sub-groups its rows by the b-side shard and scores group-at-a-time
-    # against (csr_a, csr_b). Zero-copy plasma reads mean touching up to
-    # n_shards CSR objects per task costs mmaps, not copies.
-    from duplicate_finder_ray.stages.exchange import hash_exchange
-
-    def sa_part(tbl: pa.Table, n: int) -> np.ndarray:
-        return _fid_shard(tbl.column("a").to_numpy(), n)
-
-    def score_reduce(sa: int, tbl: pa.Table) -> pa.Table:
-        if len(tbl) == 0:
-            return VERIFIED_SCHEMA.empty_table()
-        a = tbl.column("a").to_numpy().astype(np.uint64)
-        b = tbl.column("b").to_numpy().astype(np.uint64)
-        nb = tbl.column("n_bands").to_numpy().astype(np.int64)
-        sb_all = _fid_shard(b, n_shards)
-        csr_a = ray.get(shard_refs.get(sa, empty_ref))
-        outs = []
-        for sb in np.unique(sb_all):
-            sel = sb_all == sb
-            ref_b = shard_refs.get(int(sb), empty_ref)
-            csr_b = (
-                csr_a if int(sb) == sa else ray.get(ref_b)
-            )
-            batch = pa.table(
-                {
-                    "a": pa.array(a[sel], pa.uint64()),
-                    "b": pa.array(b[sel], pa.uint64()),
-                    "n_bands": pa.array(nb[sel], pa.int64()),
-                }
-            )
-            out = _score_pairs_two_csr(batch, csr_a, csr_b, threshold)
-            if len(out):
-                outs.append(out)
-        if not outs:
-            return VERIFIED_SCHEMA.empty_table()
-        return pa.concat_tables(outs)
-
-    return hash_exchange(
-        pairs.select_columns(["a", "b", "n_bands"]),
-        sa_part,
-        n_shards,
-        score_reduce,
-        VERIFIED_SCHEMA.empty_table(),
-    )
+    return map_blocks(pairs, score, VERIFIED_SCHEMA.empty_table(), *csr_refs)
 
 
 _EMPTY_CSR = (
@@ -1051,10 +1002,10 @@ def _csr_rows(csr: tuple, probe: np.ndarray) -> np.ndarray:
 def _score_pairs_two_csr(
     batch: pa.Table, csr_a: tuple, csr_b: tuple, threshold: float
 ) -> pa.Table:
-    """Exact-Jaccard scoring kernel shared by the broadcast and sharded
-    verify paths: a-side rows resolve against ``csr_a``, b-side against
-    ``csr_b`` (the same object on the broadcast path). Emits the
-    VERIFIED_SCHEMA with string file_ids, a < b."""
+    """Exact-Jaccard scoring kernel of ``verify_pairs_exact``: a-side
+    rows resolve against ``csr_a``, b-side against ``csr_b`` (the same
+    object when both sides share a shard). Emits the VERIFIED_SCHEMA
+    with string file_ids, a < b."""
     row_a = _csr_rows(csr_a, batch.column("a").to_numpy().astype(np.uint64))
     row_b = _csr_rows(csr_b, batch.column("b").to_numpy().astype(np.uint64))
     offs_a, flat_a = _csr_views(csr_a[2])
@@ -1137,11 +1088,12 @@ def simhash_candidate_pairs(
 
     Both waves ride the barrier-free hash exchange
     (stages/exchange.py), mirroring the MinHash band exchange: bucket
-    co-location keyed on the mixed (band, block-value) key, each
+    co-location keyed on the mixed (band, block-value) key, the block
+    explosion running in its split tasks (``premap``) and each
     partition bucketed by ``simhash_bucket_pairs`` (the MinHash
-    ``bucket_pairs_arrays`` kernel), then a cross-band pair dedupe
-    keyed on (a, b) that keeps each pair's smallest Hamming distance —
-    no sort-based groupby, no Python call per bucket."""
+    ``bucket_pairs_arrays`` kernel); then ``grouped_aggregate`` keyed
+    on (a, b) keeps each pair's smallest Hamming distance — no
+    sort-based groupby, no Python call per bucket."""
     num_blocks = max_hamming + 1
     cap = cfg.band_bucket_cap
     budget = cfg.band_pair_budget
@@ -1150,7 +1102,8 @@ def simhash_candidate_pairs(
     ).empty_table()
 
     def explode(batch: pa.Table) -> pa.Table:
-        batch = batch.filter(pa.compute.greater(batch["n_shingles"], 0))
+        if "n_shingles" in batch.column_names:
+            batch = batch.filter(pa.compute.greater(batch["n_shingles"], 0))
         if len(batch) == 0:
             return pa.table(
                 {
@@ -1182,25 +1135,19 @@ def simhash_candidate_pairs(
 
     from duplicate_finder_ray.stages.exchange import (
         default_partitions,
+        grouped_aggregate,
         hash_exchange,
     )
 
-    n_parts = default_partitions()
-    exploded = sigs.map_batches(explode, batch_format="pyarrow")
     pairs = hash_exchange(
-        exploded,
+        sigs,
         "bkey",
-        n_parts,
+        default_partitions(),
         lambda p, tbl: simhash_bucket_pairs(tbl, cap, budget, max_hamming),
         _EMPTY_OUT,
+        premap=explode,
     )
-    return hash_exchange(
-        pairs,
-        ["a", "b"],
-        n_parts,
-        lambda p, tbl: group_aggregate(tbl, ["a", "b"], [("hamming", "min")]),
-        _EMPTY_OUT,
-    )
+    return grouped_aggregate(pairs, ["a", "b"], {"hamming": ("min", "hamming")})
 
 
 # ---------------------------------------------------------------------------
@@ -1269,8 +1216,9 @@ def ngram_jaccard_pairs(
     deduped shingle-hash set (small — hashes only, never text) is
     materialized, then ONE REMOTE TASK builds the global postings array
     sorted by shingle from the block refs — the driver reads back only a
-    row count, never the corpus-sized array. Each batch task then scores
-    its docs against the whole corpus via searchsorted + bincount —
+    row count, never the corpus-sized array. One task per set block
+    (``map_blocks``, the postings a task argument) then scores its
+    docs against the whole corpus via searchsorted + bincount —
     O(|S_a| log M) per doc, no per-pair Python work, no shuffle.
     Baseline for the LSH pipelines' recall; fine to ~10^5 docs (postings
     stay ~10^7 u64)."""
@@ -1339,8 +1287,7 @@ def shingle_set_jaccard_pairs(
     if ref is None:
         return ray.data.from_arrow(_JACCARD_SCHEMA.empty_table())
 
-    def score_block(batch: pa.Table) -> pa.Table:
-        postings = ray.get(ref)
+    def score_block(batch: pa.Table, postings: tuple) -> pa.Table:
         keys_g, sizes_g = postings[0], postings[1]
         cols: tuple[list, list, list] = ([], [], [])
         for key, n_a, inter in _doc_overlaps(batch, postings):
@@ -1364,7 +1311,7 @@ def shingle_set_jaccard_pairs(
             schema=_JACCARD_SCHEMA,
         )
 
-    return sets_ds.map_batches(score_block, batch_format="pyarrow")
+    return map_blocks(sets_ds, score_block, _JACCARD_SCHEMA.empty_table(), ref)
 
 
 _CONTAIN_SCHEMA = pa.schema(
@@ -1405,8 +1352,9 @@ def shingle_set_containment_pairs(
 ) -> ray.data.Dataset:
     """Containment ALL-pairs ≥ threshold over pre-shingled docs
     ``(doc_key: string, shingles: large_binary of uint64-LE)`` →
-    ``(a, b, n_inter, n_a, n_b)`` with a < b. Scoring batches probe the
-    one-task global postings array via searchsorted + bincount — the
+    ``(a, b, n_inter, n_a, n_b)`` with a < b. One task per set block
+    probes the one-task global postings array (a task argument) via
+    searchsorted + bincount — the
     same O(|S_a| log M) per doc, no shuffle, driver never sees the
     postings."""
     sets_ds = sets_ds.materialize()
@@ -1414,8 +1362,7 @@ def shingle_set_containment_pairs(
     if ref is None:
         return ray.data.from_arrow(_CONTAIN_SCHEMA.empty_table())
 
-    def score_block(batch: pa.Table) -> pa.Table:
-        postings = ray.get(ref)
+    def score_block(batch: pa.Table, postings: tuple) -> pa.Table:
         keys_g, sizes_g = postings[0], postings[1]
         cols: tuple[list, ...] = ([], [], [], [], [])
         for key, n_a, inter in _doc_overlaps(batch, postings):
@@ -1438,4 +1385,4 @@ def shingle_set_containment_pairs(
             schema=_CONTAIN_SCHEMA,
         )
 
-    return sets_ds.map_batches(score_block, batch_format="pyarrow")
+    return map_blocks(sets_ds, score_block, _CONTAIN_SCHEMA.empty_table(), ref)

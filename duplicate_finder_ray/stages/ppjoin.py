@@ -34,8 +34,9 @@ candidate pairs — df-ascending ordering is the classic mitigation
 (hot tokens leave every prefix); here bucket loads stay observable
 through the emitted ``n_bands`` (shared-prefix-token count) and
 ``bucket_size`` (largest token bucket the pair was seen in).
-Verification reuses stages/neardup.py:verify_pairs_exact (sharded
-CSR exchange — set payload crosses once, pair rows are 20 bytes).
+Verification reuses stages/neardup.py:verify_pairs_exact (fid-keyed
+shingle CSRs of the pair endpoints; each pair block is scored where it
+is, and the pairs never shuffle).
 
 Reference anchor: the reference computes exact sha256 groups only
 (/root/reference/duplicate_finder/duplicate_finder.py:198-239); the
@@ -192,7 +193,7 @@ def ppjoin_pairs(
     code_with_id: ray.data.Dataset, cfg: PipelineConfig
 ) -> ray.data.Dataset:
     """Exact Jaccard >= tau self-join over (file_id, content): prefix
-    candidates + sharded exact verify. Output = VERIFIED_SCHEMA (string
+    candidates + exact verify. Output = VERIFIED_SCHEMA (string
     ids, a < b) — identical row set to the brute-force oracle."""
     from duplicate_finder_ray.stages import neardup
 

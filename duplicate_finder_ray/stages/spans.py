@@ -19,11 +19,12 @@ out of the object store per task), and a stateless ``map_batches`` over
 the PAIR table computes spans. Both the endpoint collection and the CSR
 assembly run in REMOTE TASKS over materialized block refs — the driver
 reads back only a count, never content (same shape as
-``neardup._build_csr_task``). Partitioning assumption: the endpoint set
-fits the object store (it is bounded by the verified-pair endpoints, a
+``neardup._csr_ref``). Partitioning assumption: the endpoint set fits
+the object store (it is bounded by the verified-pair endpoints, a
 small fraction of the corpus; at larger scale shard the CSR by
-``fid % S`` and group pairs by shard-pair exactly as
-``verify_pairs_exact``'s sharded path does)."""
+``fid % S`` and score each pair block's rows per (a-shard, b-shard)
+group, as ``verify_pairs_exact`` does above ``broadcast_verify_limit``
+endpoints)."""
 
 from __future__ import annotations
 

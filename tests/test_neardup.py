@@ -57,44 +57,6 @@ class TestNearDupPipeline:
         assert recall >= 0.99, f"recall {recall}"
         assert precision == 1.0, f"precision {precision} (exact verify ⇒ no FPs)"
 
-    def test_join_path_matches_broadcast_path(self, corpus, corpus_ds):
-        base = PipelineConfig(jaccard_threshold=0.8)
-        joiny = PipelineConfig(jaccard_threshold=0.8, broadcast_verify_limit=0)
-        cols = ["a", "b", "n_bands", "jaccard", "n_inter", "n_union"]
-        p1 = NearDupPipeline(base).run_on(corpus_ds).pairs.to_pandas()
-        p2 = NearDupPipeline(joiny).run_on(corpus_ds).pairs.to_pandas()
-        k1 = set(p1[cols].itertuples(index=False, name=None))
-        k2 = set(p2[cols].itertuples(index=False, name=None))
-        assert k1 == k2 and len(k1) > 0
-
-    def test_prestarted_split_matches_inline_split(self, corpus, corpus_ds):
-        """The overlapped (prestarted, unfiltered-split +
-        endpoint-filtering-build) verify path must produce identical
-        pairs and jaccard scores to the inline fused-probe split path.
-        broadcast_verify_limit=0 forces the sharded path; the
-        prestart flag selects which split feeds it."""
-        on = PipelineConfig(
-            jaccard_threshold=0.8,
-            broadcast_verify_limit=0,
-            verify_prestart_shards=True,
-        )
-        off = PipelineConfig(
-            jaccard_threshold=0.8,
-            broadcast_verify_limit=0,
-            verify_prestart_shards=False,
-        )
-        p1 = NearDupPipeline(on).run_on(corpus_ds).pairs.to_pandas()
-        p2 = NearDupPipeline(off).run_on(corpus_ds).pairs.to_pandas()
-        k1 = {
-            (*sorted((r.a, r.b)), round(r.jaccard, 9))
-            for r in p1.itertuples()
-        }
-        k2 = {
-            (*sorted((r.a, r.b)), round(r.jaccard, 9))
-            for r in p2.itertuples()
-        }
-        assert k1 == k2 and len(k1) > 0
-
     def test_prestarted_handle_takes_sharded_path(
         self, corpus_ds, monkeypatch
     ):
@@ -176,7 +138,8 @@ class TestNearDupPipeline:
 
     def test_nul_differing_ids_score_through_the_task_wave(self, ray_session):
         """File ids that differ only after an embedded NUL keep their
-        own shingle sets and names through the broadcast scoring."""
+        own shingle sets and names through the scoring, on one shard
+        and on the sharded CSRs."""
         import pyarrow as pa
 
         base = " ".join(f"tok{i}" for i in range(60))
@@ -195,9 +158,11 @@ class TestNearDupPipeline:
                 "bucket_size": pa.array([2, 2, 2], pa.int64()),
             }
         )
-        out = neardup.verify_pairs_exact(ray.data.from_arrow(cands), sigs, cfg)
-        got = {(r["a"], r["b"], r["jaccard"]) for r in out.take_all()}
-        assert got == {("x\0a", "x\0b", 1.0)}
+        sharded = PipelineConfig(jaccard_threshold=0.8, broadcast_verify_limit=0)
+        for c in (cfg, sharded):
+            out = neardup.verify_pairs_exact(ray.data.from_arrow(cands), sigs, c)
+            got = {(r["a"], r["b"], r["jaccard"]) for r in out.take_all()}
+            assert got == {("x\0a", "x\0b", 1.0)}
 
     def test_fused_explode_exchange_matches_band_rows_path(
         self, corpus, corpus_ds, monkeypatch
@@ -245,20 +210,6 @@ class TestNearDupPipeline:
         k2 = {
             (*sorted((r.a, r.b)), r.n_bands) for r in p2.itertuples()
         }
-        assert k1 == k2
-
-    def test_fused_band_exchange_matches_shuffle_path(
-        self, corpus, corpus_ds, monkeypatch
-    ):
-        """The fused single-task band exchange (bucketing + capped pair
-        emission + cross-band dedupe in one lexsort) must produce the
-        same pairs and n_bands as the two-level shuffle path."""
-        cfg = PipelineConfig(jaccard_threshold=0.8)
-        p1 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()  # fused
-        monkeypatch.setattr(neardup, "BAND_EXCHANGE_BROADCAST_LIMIT", 0)
-        p2 = NearDupPipeline(cfg).run_on(corpus_ds).pairs.to_pandas()
-        k1 = {(*sorted((r.a, r.b)), r.n_bands) for r in p1.itertuples()}
-        k2 = {(*sorted((r.a, r.b)), r.n_bands) for r in p2.itertuples()}
         assert k1 == k2
 
     def test_estimate_mode_high_recall_on_clear_pairs(self, corpus, corpus_ds):

@@ -25,6 +25,8 @@ PACKAGE = Path(__file__).resolve().parents[1] / "duplicate_finder_ray"
 NOT_BLOCK_TASKS = {
     "stages/bloom.py:or_merge": "the per-block bitmaps",
     "stages/decontam.py:merge": "the per-block hash arrays",
+    # not a gather_blocks fold: with ``empty=None`` it runs the reduce
+    # on an empty partition's 0 rows, which gather_blocks never does
     "stages/exchange.py:reduce_part": "the Arrow sub-tables of split tasks",
     "stages/cc.py:_owned": "a star table of a contraction task",
 }

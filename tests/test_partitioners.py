@@ -30,9 +30,7 @@ ALLOWED = {
     "stages/join.py::shuffle_hash_join.part_of":
         "hot keys are salted over distinct partitions",
     "stages/neardup.py::_sig_shard":
-        "verify CSR shards are fid % n, the shard the pair routing reads",
-    "stages/neardup.py::verify_pairs_exact.sa_part":
-        "the reduce reads the shard index from its partition id",
+        "verify CSR shards are fid % n, the shard the scoring tasks read",
     "stages/rank.py::global_rank.part_of":
         "range partitioning: partition order is the global rank order",
     "stages/rank.py::sorted_neighborhood_pairs.part_of":
